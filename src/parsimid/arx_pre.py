@@ -9,7 +9,9 @@ whose coefficients are the predictor Markov parameters
 h_bar[i] = C A_bar^(i-1) K and g_bar[i] = C A_bar^(i-1) B_bar.  A recursion
 converts them to the innovations-form parameters H_i = C A^(i-1) K (and
 G_i = C A^(i-1) B), which drive the noise weighting of the row-wise
-weighted-least-squares bank.
+weighted-least-squares bank; the recursion is a scipy.signal.lfilter
+impulse response.  An ARX fit, and the whole AIC order search, come from
+one QR factorization of an interleaved lag design (``_lstsq.NestedLstsq``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
+from ._lstsq import NestedLstsq
 from .errors import ConfigError, ExcitationError
 from .ss_model import SignalRecord
 
@@ -80,30 +84,26 @@ class InnovationsMarkov:
 
 
 def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int):
-    """Lagged regressor [y lags 1..n | u lags 1..n] and targets from ``start``."""
+    """Lag regressor [y1 u1 y2 u2 ... yn un] (order m uses 2m columns) and targets."""
     total = y.size
-    rows = total - start
-    Phi = np.empty((rows, 2 * n))
+    Phi = np.empty((total - start, 2 * n))
     for j in range(1, n + 1):
-        Phi[:, j - 1] = y[start - j : total - j]
-        Phi[:, n + j - 1] = u[start - j : total - j]
+        Phi[:, 2 * j - 2] = y[start - j : total - j]
+        Phi[:, 2 * j - 1] = u[start - j : total - j]
     return Phi, y[start:]
 
 
-def _solve_arx(u: np.ndarray, y: np.ndarray, n: int, start: int):
-    """Minimum-norm least-squares ARX fit; returns (theta, rss, n_eff)."""
-    Phi, t = _arx_design(u, y, n, start)
-    # Persistent excitation concerns the input channel only: noise-free
-    # records make the output lags exactly collinear with the rest of the
-    # regressor, and the minimum-norm solution is still the right answer
-    # there.  A deficient input-lag block is a genuine excitation failure.
-    if np.linalg.matrix_rank(Phi[:, n:]) < n:
+def _check_input_lags(Phi: np.ndarray, n: int) -> None:
+    """Raise unless the input lags 1..n of an interleaved design have full rank.
+
+    Noise-free records make the output lags exactly collinear, and the
+    minimum-norm solution is still right there; a deficient input-lag
+    block is a genuine excitation failure.
+    """
+    if np.linalg.matrix_rank(Phi[:, 1 : 2 * n : 2]) < n:
         raise ExcitationError(
             f"input-lag regressor of ARX order {n} is rank deficient: input is not persistently exciting"
         )
-    theta, _, _, _ = np.linalg.lstsq(Phi, t, rcond=None)
-    r = t - Phi @ theta
-    return theta, float(r @ r), t.size
 
 
 def _check_order(n: int, n_total: int) -> None:
@@ -135,11 +135,13 @@ def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
     _check_order(n, n_total)
     if n_total - n <= 2 * n:
         raise ConfigError(f"ARX order {n} leaves no degrees of freedom on {n_total} samples")
-    theta, rss, n_eff = _solve_arx(rec.u, rec.y, n, start=n)
+    Phi, t = _arx_design(rec.u, rec.y, n, start=n)
+    ls = NestedLstsq(Phi, t)
+    if not ls.full_rank:
+        _check_input_lags(Phi, n)
+    theta, rss = ls.solve(2 * n)
     return PredictorMarkov(
-        h_bar=theta[:n],
-        g_bar=theta[n:],
-        residual_variance=rss / (n_eff - 2 * n),
+        h_bar=theta[0::2], g_bar=theta[1::2], residual_variance=rss / (t.size - 2 * n)
     )
 
 
@@ -151,6 +153,10 @@ def select_order_aic(rec: SignalRecord, grid) -> int:
     AIC(n) = n_eff * ln(RSS / n_eff) + 2 * (2 n).  Ties break toward the
     smaller order.
 
+    One QR of the largest fittable order's interleaved design holds every
+    fit (``NestedLstsq``).  Only when that design is rank deficient (e.g. a
+    noise-free record) does each order get the input-lag excitation check.
+
     Raises:
         ConfigError: If the grid is empty or no candidate can be fitted.
     """
@@ -159,28 +165,28 @@ def select_order_aic(rec: SignalRecord, grid) -> int:
         raise ConfigError("order grid is empty")
     if orders[0] < 1:
         raise ConfigError(f"orders must be >= 1, got {orders[0]}")
-    n_total = len(rec)
-    start = orders[-1]
-    best_n = None
-    best_aic = np.inf
-    failures = []
+    n_total, start = len(rec), orders[-1]
+    # The orders that pass the checks below form a prefix of the grid.
+    valid = [n for n in orders if MIN_SAMPLES_PER_ORDER * n <= n_total and 2 * n < n_total - start]
+    if valid:
+        Phi, t = _arx_design(rec.u, rec.y, valid[-1], start)
+        ls = NestedLstsq(Phi, t)
+    aic, failures = {}, []
     for n in orders:
         try:
             _check_order(n, n_total)
             if n_total - start <= 2 * n:
                 raise ConfigError(f"order {n} leaves no degrees of freedom")
-            _, rss, n_eff = _solve_arx(rec.u, rec.y, n, start=start)
+            if not ls.full_rank:
+                _check_input_lags(Phi, n)
         except (ConfigError, ExcitationError) as err:
             failures.append(f"n={n}: {err}")
             continue
         with np.errstate(divide="ignore"):
-            aic = n_eff * np.log(rss / n_eff) + 2.0 * (2 * n)
-        if aic < best_aic:
-            best_aic = aic
-            best_n = n
-    if best_n is None:
+            aic[n] = t.size * np.log(ls.solve(2 * n)[1] / t.size) + 2.0 * (2 * n)
+    if not aic:
         raise ConfigError("no ARX order in the grid could be fitted: " + "; ".join(failures))
-    return best_n
+    return min(aic, key=aic.get)
 
 
 def default_aic_grid(n_x: int, n_total: int, max_order: int = 30) -> list[int]:
@@ -194,31 +200,20 @@ def default_aic_grid(n_x: int, n_total: int, max_order: int = 30) -> list[int]:
     return grid
 
 
+def _predictor_impulse(h_bar: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """First num.size impulse-response terms of num(z) / (1 - h_bar(z)), lags from 1."""
+    return lfilter(num, np.r_[1.0, -h_bar], np.eye(1, num.size)[0]) if num.size else np.zeros(0)
+
+
 def predictor_to_innovations(pm: PredictorMarkov) -> InnovationsMarkov:
     """Innovations Markov parameters from predictor ones.
 
-    H_1 = h_bar_1 and H_i = h_bar_i + sum_{j=1..i-1} h_bar_j H_{i-j}.
+    H_1 = h_bar_1 and H_i = h_bar_i + sum_{j=1..i-1} h_bar_j H_{i-j}, i.e.
+    the impulse response of h_bar(z) / (1 - h_bar(z)).
     """
-    hb = pm.h_bar
-    n = hb.size
-    h = np.empty(n)
-    for i in range(1, n + 1):
-        acc = hb[i - 1]
-        for j in range(1, i):
-            acc += hb[j - 1] * h[i - j - 1]
-        h[i - 1] = acc
-    return InnovationsMarkov(h=h)
+    return InnovationsMarkov(h=_predictor_impulse(pm.h_bar, pm.h_bar))
 
 
 def predictor_to_innovations_g(pm: PredictorMarkov) -> np.ndarray:
     """Input-channel analogue: G_i = g_bar_i + sum_{j=1..i-1} h_bar_j G_{i-j}."""
-    hb = pm.h_bar
-    gb = pm.g_bar
-    n = gb.size
-    g = np.empty(n)
-    for i in range(1, n + 1):
-        acc = gb[i - 1]
-        for j in range(1, i):
-            acc += hb[j - 1] * g[i - j - 1]
-        g[i - 1] = acc
-    return g
+    return _predictor_impulse(pm.h_bar, pm.g_bar)

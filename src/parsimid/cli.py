@@ -233,24 +233,18 @@ def _run_simulate(cfg: RunConfig) -> int:
 def _run_benchmark(cfg: RunConfig) -> int:
     out = Path(cfg.out_path)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.scenario == "example1-sweep":
+    sweeps = {  # runner, plot-data writer and file stem, label of each report's files
+        "example1-sweep": (bench.run_error_vs_n, bench.write_error_vs_n_csv, "error_g_vs_n", "n{}"),
+        "example3": (bench.run_joint_fit, bench.write_joint_fit_csv, "joint_fit", "var{:g}"),
+    }
+    if cfg.scenario in sweeps:
+        run_sweep, write_plot_data, plot_file, label = sweeps[cfg.scenario]
         methods = cfg.methods or ("parsim", "parsim_opt")
-        reports = bench.run_error_vs_n(
-            trials=cfg.trials, master_seed=cfg.seed, methods=methods, jobs=cfg.jobs
-        )
-        bench.write_error_vs_n_csv(reports, out / "error_g_vs_n.csv")
-        for n, rep in sorted(reports.items()):
-            bench.write_trials_csv(rep, out / f"trials_n{n}.csv")
-            bench.write_aggregates_json(rep, out / f"aggregates_n{n}.json")
-    elif cfg.scenario == "example3":
-        methods = cfg.methods or ("parsim", "parsim_opt")
-        reports = bench.run_joint_fit(
-            trials=cfg.trials, master_seed=cfg.seed, methods=methods, jobs=cfg.jobs
-        )
-        bench.write_joint_fit_csv(reports, out / "joint_fit.csv")
-        for var, rep in sorted(reports.items()):
-            bench.write_trials_csv(rep, out / f"trials_var{var:g}.csv")
-            bench.write_aggregates_json(rep, out / f"aggregates_var{var:g}.json")
+        reports = run_sweep(trials=cfg.trials, master_seed=cfg.seed, methods=methods, jobs=cfg.jobs)
+        write_plot_data(reports, out / f"{plot_file}.csv")
+        for key, rep in sorted(reports.items()):
+            bench.write_trials_csv(rep, out / f"trials_{label.format(key)}.csv")
+            bench.write_aggregates_json(rep, out / f"aggregates_{label.format(key)}.json")
     else:
         factory = bench.example1_scenario if cfg.scenario == "example1" else bench.example2_scenario
         sc = factory(trials=cfg.trials, methods=cfg.methods) if cfg.methods else factory(trials=cfg.trials)

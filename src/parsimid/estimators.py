@@ -15,11 +15,12 @@ the past-data controllability map from the same data blocks:
   of future inputs and outputs using pre-estimated predictor Markov
   parameters, then regresses on the past (Jansson-style SSARX).
 
-All least-squares solves use rank-revealing factorizations with the
-machine-epsilon * max-dimension * largest-singular-value cutoff, i.e.
-pseudo-inverse semantics.  Noise-free records make the output-side rows
-exactly collinear; the minimum-norm solution is the intended one there,
-so only input-side rank deficiencies raise excitation errors.
+The OLS bank's regressors are nested in the row index, so one QR of
+[Z_p' U_f' Y_f'] answers every row (``_lstsq.NestedLstsq``).  All solves
+keep pseudo-inverse (minimum-norm) semantics with the machine-epsilon *
+max-dimension * largest-singular-value cutoff: noise-free records make
+the output-side rows exactly collinear, so only input-side rank
+deficiencies raise excitation errors.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import solveh_banded, toeplitz
 
+from ._lstsq import NestedLstsq
 from .arx_pre import InnovationsMarkov, PredictorMarkov
 from .data_blocks import DataBlocks, orth_projection_complement
 from .errors import ConfigError, ExcitationError, RankError
@@ -97,13 +99,8 @@ class NoiseToeplitz:
 
 def _band_from_h(h, i: int) -> np.ndarray:
     """Column band [H_{i-1}, ..., H_1, H_0]; missing high lags count as 0."""
-    h = np.asarray(h, dtype=float).ravel()
-    band = np.zeros(i)
-    band[-1] = 1.0
-    avail = min(i - 1, h.size)
-    for j in range(1, avail + 1):
-        band[i - 1 - j] = h[j - 1]
-    return band
+    h = np.asarray(h, dtype=float).ravel()[: i - 1]
+    return np.r_[np.zeros(i - 1 - h.size), h[::-1], 1.0]
 
 
 def build_noise_toeplitz(h, i: int, N: int) -> NoiseToeplitz:
@@ -124,10 +121,7 @@ def build_noise_toeplitz(h, i: int, N: int) -> NoiseToeplitz:
     if h.size < i - 1:
         raise ConfigError(f"need at least {i - 1} Markov parameters for row {i}, got {h.size}")
     band = _band_from_h(h, i)
-    T = np.zeros((N + i - 1, N))
-    cols = np.arange(N)
-    for r in range(i):
-        T[cols + r, cols] = band[r]
+    T = toeplitz(np.r_[band, np.zeros(N - 1)], np.r_[band[0], np.zeros(N - 1)])
     return NoiseToeplitz(T=T, band=band, i=i, N=N)
 
 
@@ -147,17 +141,20 @@ def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
 
 def _check_excitation(blocks: DataBlocks) -> None:
     """Persistent excitation of order f + p: the input Hankel must have full row rank."""
-    stack = np.vstack([blocks.U_p, blocks.U_f])
-    rank = np.linalg.matrix_rank(stack)
+    rank = np.linalg.matrix_rank(np.vstack([blocks.U_p, blocks.U_f]))
     if rank < blocks.f + blocks.p:
         raise ExcitationError(
             f"input is not persistently exciting of order {blocks.f + blocks.p} (rank {rank})"
         )
 
 
-def _lstsq_min_norm(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    theta, _, _, _ = np.linalg.lstsq(Z.T, y, rcond=None)
-    return theta
+def _bank_estimate(thetas, blocks: DataBlocks, tag: str) -> RangeEstimate:
+    """Stack the row solutions [Gamma_fi L_p, G_fi] of a bank."""
+    k = 2 * blocks.p
+    return RangeEstimate(
+        gamma_lp=np.array([t[:k] for t in thetas]), g_rows=tuple(t[k:] for t in thetas),
+        method_tag=tag, f=blocks.f, p=blocks.p,
+    )
 
 
 def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
@@ -172,18 +169,14 @@ def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
             deficient (named with the offending row when detected there).
     """
     _check_excitation(blocks)
-    f, p = blocks.f, blocks.p
-    gamma = np.empty((f, 2 * p))
-    g_rows = []
-    for i in range(1, f + 1):
-        Z = np.vstack([blocks.Z_p, blocks.U_f[:i]])
+    ls = NestedLstsq(np.vstack([blocks.Z_p, blocks.U_f]).T, blocks.Y_f.T)
+    thetas = []
+    for i in range(1, blocks.f + 1):
         try:
-            theta = _lstsq_min_norm(Z, blocks.Y_f[i - 1])
+            thetas.append(ls.solve(2 * blocks.p + i, i - 1)[0])
         except np.linalg.LinAlgError as err:
             raise ExcitationError(f"least-squares failure at row {i}: {err}") from err
-        gamma[i - 1] = theta[: 2 * p]
-        g_rows.append(theta[2 * p :])
-    return RangeEstimate(gamma_lp=gamma, g_rows=tuple(g_rows), method_tag="parsim", f=f, p=p)
+    return _bank_estimate(thetas, blocks, "parsim")
 
 
 def parsim_wls(blocks: DataBlocks, h) -> RangeEstimate:
@@ -207,26 +200,25 @@ def parsim_wls(blocks: DataBlocks, h) -> RangeEstimate:
     """
     _check_excitation(blocks)
     h_arr = h.h if isinstance(h, InnovationsMarkov) else np.asarray(h, dtype=float).ravel()
-    f, p, N = blocks.f, blocks.p, blocks.N
-    gamma = np.empty((f, 2 * p))
-    g_rows = []
-    for i in range(1, f + 1):
+    thetas = []
+    for i in range(1, blocks.f + 1):
         Z = np.vstack([blocks.Z_p, blocks.U_f[:i]])
         y = blocks.Y_f[i - 1]
         if i == 1:
-            theta = _lstsq_min_norm(Z, y)
-        else:
-            ab = toeplitz_gram_band(h_arr, i, N)
-            try:
-                V = solveh_banded(ab, Z.T)  # (N, q) = (T'T)^(-1) Z'
-            except np.linalg.LinAlgError as err:
-                raise RankError(f"noise weighting Gram is numerically singular at row {i}: {err}") from err
-            A_w = Z @ V
-            b_w = y @ V
-            theta, _, _, _ = np.linalg.lstsq(A_w, b_w, rcond=None)
-        gamma[i - 1] = theta[: 2 * p]
-        g_rows.append(theta[2 * p :])
-    return RangeEstimate(gamma_lp=gamma, g_rows=tuple(g_rows), method_tag="parsim_opt", f=f, p=p)
+            thetas.append(NestedLstsq(Z.T, y).solve(Z.shape[0])[0])
+            continue
+        ab = toeplitz_gram_band(h_arr, i, blocks.N)
+        try:
+            V = solveh_banded(ab, Z.T)  # (N, q) = (T'T)^(-1) Z'
+        except np.linalg.LinAlgError as err:
+            raise RankError(f"noise weighting Gram is numerically singular at row {i}: {err}") from err
+        thetas.append(np.linalg.lstsq(Z @ V, y @ V, rcond=None)[0])
+    return _bank_estimate(thetas, blocks, "parsim_opt")
+
+
+def _regress_rows(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Y Z' (Z Z')^+: every row of Y regressed on the rows of Z via the normal equations."""
+    return np.linalg.lstsq(Z @ Z.T, (Y @ Z.T).T, rcond=None)[0].T
 
 
 def classical_projection(blocks: DataBlocks) -> RangeEstimate:
@@ -239,11 +231,9 @@ def classical_projection(blocks: DataBlocks) -> RangeEstimate:
     proj = orth_projection_complement(blocks.U_f)
     Yf_perp = proj.apply(blocks.Y_f)
     Zp_perp = proj.apply(blocks.Z_p)
-    G = Zp_perp @ Zp_perp.T
-    R = Yf_perp @ Zp_perp.T
-    sol, _, _, _ = np.linalg.lstsq(G, R.T, rcond=None)
     return RangeEstimate(
-        gamma_lp=sol.T, g_rows=(), method_tag="classical", f=blocks.f, p=blocks.p
+        gamma_lp=_regress_rows(Yf_perp, Zp_perp), g_rows=(), method_tag="classical",
+        f=blocks.f, p=blocks.p,
     )
 
 
@@ -266,18 +256,11 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
         raise ConfigError(f"need at least {f - 1} predictor Markov parameters, got {pm.n}")
     _check_excitation(blocks)
 
-    G_bar = np.zeros((f, f))
-    H_bar = np.zeros((f, f))
-    for r in range(f):
-        for c in range(r):
-            G_bar[r, c] = pm.g_bar[r - c - 1]
-            H_bar[r, c] = pm.h_bar[r - c - 1]
+    G_bar = toeplitz(np.r_[0.0, pm.g_bar[: f - 1]], np.zeros(f))
+    H_bar = toeplitz(np.r_[0.0, pm.h_bar[: f - 1]], np.zeros(f))
     Y_tilde = blocks.Y_f - G_bar @ blocks.U_f - H_bar @ blocks.Y_f
 
-    G = blocks.Z_p @ blocks.Z_p.T
-    R = Y_tilde @ blocks.Z_p.T
-    sol, _, _, _ = np.linalg.lstsq(G, R.T, rcond=None)
-    g_rows = tuple(
-        np.append(pm.g_bar[: i - 1][::-1], 0.0) for i in range(1, f + 1)
+    g_rows = tuple(np.append(pm.g_bar[: i - 1][::-1], 0.0) for i in range(1, f + 1))
+    return RangeEstimate(
+        gamma_lp=_regress_rows(Y_tilde, blocks.Z_p), g_rows=g_rows, method_tag="ssarx", f=f, p=p
     )
-    return RangeEstimate(gamma_lp=sol.T, g_rows=g_rows, method_tag="ssarx", f=f, p=p)

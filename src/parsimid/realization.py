@@ -9,6 +9,7 @@ matrices and converts back to innovations form at the end.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,12 +193,15 @@ def extract_ac(Gamma_hat: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray]
         raise ConfigError(
             f"need at least n_x + 1 = {n_x + 1} block rows for the shift, got {G.shape[0]}"
         )
-    top = G[:-1]
-    bot = G[1:]
-    A, _, rank, _ = np.linalg.lstsq(top, bot, rcond=None)
+    A, _, rank, _ = np.linalg.lstsq(G[:-1], G[1:], rcond=None)
     if rank < n_x:
         raise RankError(f"top block of the observability factor has rank {rank} < {n_x}")
     return A, G[:1].copy()
+
+
+def _lagged(seq) -> list[tuple[int, float]]:
+    """(lag, value) pairs of a Markov sequence that starts at lag 1."""
+    return [(j, float(v)) for j, v in enumerate(seq, start=1)]
 
 
 def _fit_markov_gain(A: np.ndarray, C: np.ndarray, observations) -> tuple[np.ndarray, float]:
@@ -210,12 +214,9 @@ def _fit_markov_gain(A: np.ndarray, C: np.ndarray, observations) -> tuple[np.nda
     if not obs:
         raise ConfigError("no Markov-parameter observations to fit a gain from")
     n_x = A.shape[0]
-    max_lag = obs[-1][0]
-    powers = np.empty((max_lag, n_x))
-    row = C[0].copy()
-    for j in range(max_lag):
-        powers[j] = row
-        row = row @ A
+    powers = [C[0]]  # C A^(lag-1) for lag = 1..max lag
+    for _ in range(obs[-1][0] - 1):
+        powers.append(powers[-1] @ A)
     R = np.vstack([powers[lag - 1] for lag, _ in obs])
     t = np.array([val for _, val in obs])
     gain, _, rank, _ = np.linalg.lstsq(R, t, rcond=None)
@@ -243,20 +244,17 @@ def estimate_bk(
         RankError: If the observability stack of (A, C) is rank deficient.
         ConfigError: If no input-channel Markov information is available.
     """
-    b_obs = []
-    for i, row in enumerate(est.g_rows, start=1):
-        for m, value in enumerate(row):
-            lag = i - 1 - m
-            if lag >= 1:
-                b_obs.append((lag, float(value)))
+    # Entry m of row i estimates G_{i-1-m}; lag 0 is the feedthrough.
+    b_obs = [(i - 1 - m, float(v)) for i, row in enumerate(est.g_rows, start=1)
+             for m, v in enumerate(row) if i - 1 - m >= 1]
     if not b_obs:
         if h.g is None:
             raise ConfigError(
                 "no input Markov information: the estimate has no rows and h carries no g sequence"
             )
-        b_obs = [(j, float(v)) for j, v in enumerate(h.g, start=1)]
+        b_obs = _lagged(h.g)
     B, _ = _fit_markov_gain(A, C, b_obs)
-    K, _ = _fit_markov_gain(A, C, [(j, float(v)) for j, v in enumerate(h.h, start=1)])
+    K, _ = _fit_markov_gain(A, C, _lagged(h.h))
     return B, K
 
 
@@ -271,23 +269,15 @@ def _weighting_markov(rec: SignalRecord, p: int, pm) -> InnovationsMarkov:
     return predictor_to_innovations(pm_w)
 
 
+@contextmanager
 def _stage(name: str):
     """Context manager labeling errors with the pipeline stage."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is None:
-                return False
-            if isinstance(exc, ParsimidError):
-                raise type(exc)(f"{name}: {exc}") from exc
-            if isinstance(exc, np.linalg.LinAlgError):
-                raise RankError(f"{name}: {exc}") from exc
-            return False
-
-    return _Ctx()
+    try:
+        yield
+    except ParsimidError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise RankError(f"{name}: {exc}") from exc
 
 
 def identify(
@@ -297,7 +287,8 @@ def identify(
 ) -> IdentifiedModel:
     """End-to-end identification of one record.
 
-    Pipeline: data blocks -> high-order ARX pre-estimation (order p) ->
+    Pipeline: data blocks -> high-order ARX pre-estimation (order p, or
+    max(p, f - 1) for SSARX) ->
     range-space estimate by the configured method -> weighted SVD ->
     shift-invariance (A, C) -> Markov-parameter fits for (B, K).  The
     predictor gain always reuses the ARX sequence, and the feedthrough is
@@ -314,7 +305,8 @@ def identify(
 
     Returns:
         IdentifiedModel.  An unstable estimate is not an error; it is
-        flagged in ``diagnostics["stable"]``.
+        flagged in ``diagnostics["stable"]``.  ``arx_order`` and
+        ``weighting_arx_order`` (parsim_opt, else None) give the ARX orders.
 
     Raises:
         ParsimidError subclasses labeled with the failing stage.
@@ -322,18 +314,20 @@ def identify(
     with _stage("blocks"):
         blocks = assemble_blocks(rec, cfg.f, cfg.p)
     with _stage("arx"):
-        pm = fit_arx(rec, cfg.p)
-        innov = InnovationsMarkov(
-            h=predictor_to_innovations(pm).h,
-            g=predictor_to_innovations_g(pm),
-        )
+        # SSARX subtracts f - 1 predictor Markov parameters.
+        arx_order = max(cfg.p, cfg.f - 1) if cfg.method == "ssarx" else cfg.p
+        pm = fit_arx(rec, arx_order)
+        h_innov = predictor_to_innovations(pm).h
+        innov = InnovationsMarkov(h=h_innov, g=predictor_to_innovations_g(pm))
 
+    weighting_order = None
     with _stage("estimate"):
         if cfg.method == "parsim":
             est = parsim_ols(blocks)
         elif cfg.method == "parsim_opt":
             if weighting_markov is None:
                 weighting_markov = _weighting_markov(rec, cfg.p, pm)
+                weighting_order = weighting_markov.h.size
             est = parsim_wls(blocks, weighting_markov)
         elif cfg.method == "classical":
             est = classical_projection(blocks)
@@ -346,19 +340,13 @@ def identify(
 
     with _stage("shift"):
         A_like, C_hat = extract_ac(Gamma_hat, cfg.n_x)
-        shift_rms = float(
-            np.sqrt(np.mean((Gamma_hat[:-1] @ A_like - Gamma_hat[1:]) ** 2))
-        )
+        shift_rms = float(np.sqrt(np.mean((Gamma_hat[:-1] @ A_like - Gamma_hat[1:]) ** 2)))
 
     with _stage("gains"):
         if cfg.method == "ssarx":
             # A_like is the predictor-form transition matrix here.
-            K_hat, k_rms = _fit_markov_gain(
-                A_like, C_hat, [(j, float(v)) for j, v in enumerate(pm.h_bar, start=1)]
-            )
-            B_bar, b_rms = _fit_markov_gain(
-                A_like, C_hat, [(j, float(v)) for j, v in enumerate(pm.g_bar, start=1)]
-            )
+            K_hat, k_rms = _fit_markov_gain(A_like, C_hat, _lagged(pm.h_bar))
+            B_bar, b_rms = _fit_markov_gain(A_like, C_hat, _lagged(pm.g_bar))
             model = from_predictor_form(
                 PredictorModel(
                     A_bar=A_like, B_bar=B_bar, C=C_hat, D=0.0, K=K_hat,
@@ -380,6 +368,8 @@ def identify(
         "p": cfg.p,
         "stable": is_stable(model),
         "spectral_radius": spectral_radius(model),
+        "arx_order": arx_order,
+        "weighting_arx_order": weighting_order,
         "arx_residual_variance": pm.residual_variance,
         "svd_tail_fraction": tail,
         "shift_residual_rms": shift_rms,

@@ -66,3 +66,60 @@ def random_stable_model(rng, n_x, rho_range=(0.3, 0.95), k_scale=0.3):
         K=k_scale * rng.standard_normal((n_x, 1)),
         sigma_e2=1.0,
     )
+
+
+# Reference least-squares solvers: the per-problem lstsq fits that the
+# nested-QR kernel replaced, kept to check the kernel against.
+
+def _ref_arx_design(u, y, n, start):
+    total = y.size
+    Phi = np.empty((total - start, 2 * n))
+    for j in range(1, n + 1):
+        Phi[:, j - 1] = y[start - j : total - j]
+        Phi[:, n + j - 1] = u[start - j : total - j]
+    return Phi, y[start:]
+
+
+def ref_solve_arx(u, y, n, start):
+    """Minimum-norm order-n ARX fit by a full lstsq; (theta [h | g], rss, n_eff) or None.
+
+    None means the input-lag block is rank deficient.
+    """
+    Phi, t = _ref_arx_design(u, y, n, start)
+    if np.linalg.matrix_rank(Phi[:, n:]) < n:
+        return None
+    theta = np.linalg.lstsq(Phi, t, rcond=None)[0]
+    r = t - Phi @ theta
+    return theta, float(r @ r), t.size
+
+
+def ref_select_order_aic(rec, grid):
+    """AIC pick with one full lstsq per order on the common window, or None."""
+    orders = sorted({int(n) for n in grid})
+    n_total, start = len(rec), orders[-1]
+    best_n, best_aic = None, np.inf
+    for n in orders:
+        if n_total < 10 * n or n_total - start <= 2 * n:
+            continue
+        fit = ref_solve_arx(rec.u, rec.y, n, start)
+        if fit is None:
+            continue
+        _, rss, n_eff = fit
+        with np.errstate(divide="ignore"):
+            aic = n_eff * np.log(rss / n_eff) + 4.0 * n
+        if aic < best_aic:
+            best_n, best_aic = n, aic
+    return best_n
+
+
+def ref_parsim_ols(blocks):
+    """OLS bank with one full lstsq per row: (gamma, g_rows)."""
+    f, p = blocks.f, blocks.p
+    gamma = np.empty((f, 2 * p))
+    g_rows = []
+    for i in range(1, f + 1):
+        Z = np.vstack([blocks.Z_p, blocks.U_f[:i]])
+        theta = np.linalg.lstsq(Z.T, blocks.Y_f[i - 1], rcond=None)[0]
+        gamma[i - 1] = theta[: 2 * p]
+        g_rows.append(theta[2 * p :])
+    return gamma, g_rows

@@ -208,10 +208,11 @@ class TestMonteCarlo:
         assert agg["fit_var"] == pytest.approx(float(np.var(fits, ddof=1)), rel=1e-12)
 
     def test_failures_recorded_not_raised(self):
-        # f=10 needs p >= 9 for the ssarx pre-estimates; a grid capped below
-        # that forces per-trial failures that must be recorded, not raised
+        # f=10 needs an order-9 ARX for the ssarx pre-estimates, which an
+        # 80-sample record cannot support (10 samples per order); that forces
+        # per-trial failures that must be recorded, not raised
         sc = Scenario(
-            name="forced_failure", system_source="example1", N=600, f=10, n_x=3,
+            name="forced_failure", system_source="example1", N=80, f=10, n_x=3,
             noise_variance=4.0, trials=2, methods=("ssarx",), aic_grid=(4, 5),
         )
         report = monte_carlo(sc, master_seed=1)

@@ -1,0 +1,180 @@
+"""The nested-QR least-squares kernel against per-problem lstsq solvers.
+
+The references in ``helpers`` refit every problem with a full
+``numpy.linalg.lstsq``; the library answers them all from one QR.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
+
+from parsimid import (
+    ConfigError,
+    SignalRecord,
+    assemble_blocks,
+    default_aic_grid,
+    fit_arx,
+    parsim_ols,
+    select_order_aic,
+    simulate,
+)
+from parsimid._lstsq import NestedLstsq
+from parsimid.benchmark import (
+    _trial_data,
+    example1_scenario,
+    example1_system,
+    example2_scenario,
+    example2_system,
+    example3_scenario,
+)
+
+from helpers import ref_parsim_ols, ref_select_order_aic, ref_solve_arx
+
+TOL = 1e-10
+SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+SCENARIOS = {
+    "example1": example1_scenario(trials=1),
+    "example2": example2_scenario(trials=1),
+    "example3": example3_scenario(10.0, trials=1),
+}
+seeds = st.integers(0, 2**32 - 1)
+scenario_names = st.sampled_from(sorted(SCENARIOS))
+
+
+def rel(a, b) -> float:
+    a, b = np.ravel(a), np.ravel(b)
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def trial_record(name, seed):
+    """The noisy record of one Monte Carlo trial of a paper scenario."""
+    sc = SCENARIOS[name]
+    _, rec, _ = _trial_data(sc, seed, 0)
+    return sc, rec
+
+
+def noise_free_record(name, seed, n_total=2000):
+    """Example 1 with white input, or Example 2 with its coloured input, without noise."""
+    rng = np.random.default_rng(seed)
+    if name == "example1":
+        system, u = example1_system(), rng.standard_normal(n_total)
+    else:
+        system, input_filter = example2_system()
+        u = lfilter(input_filter, [1.0], rng.standard_normal(n_total))
+    return SignalRecord(u=u, y=simulate(system, u))
+
+
+def two_sine_record(noise):
+    """Input persistently exciting of order 4 only: sin(0.3k) + 0.5 sin(1.1k)."""
+    k = np.arange(1500)
+    u = np.sin(0.3 * k) + 0.5 * np.sin(1.1 * k)
+    e = noise * np.random.default_rng(0).standard_normal(k.size)
+    return SignalRecord(u=u, y=simulate(example1_system(), u, e))
+
+
+class TestNestedLstsq:
+    @SETTINGS
+    @given(seed=seeds, m=st.integers(8, 60), k=st.integers(1, 7), deficit=st.integers(0, 3))
+    def test_every_sub_problem_matches_lstsq(self, seed, m, k, deficit):
+        rng = np.random.default_rng(seed)
+        rank = max(1, k - deficit)
+        X = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, k))
+        T = rng.standard_normal((m, 3))
+        ls = NestedLstsq(X, T)
+        assert ls.full_rank == (rank == k)
+        for q in range(1, k + 1):
+            for j in range(3):
+                want, *_ = np.linalg.lstsq(X[:, :q], T[:, j], rcond=None)
+                theta, rss = ls.solve(q, j)
+                np.testing.assert_allclose(theta, want, rtol=0, atol=TOL * max(1.0, np.linalg.norm(want)))
+                r = T[:, j] - X[:, :q] @ want
+                assert rss == pytest.approx(r @ r, rel=1e-9)
+
+    def test_cutoff_scales_with_the_row_count(self):
+        # sigma_min / sigma_max near 1e-14 lies between eps * k and eps * m:
+        # lstsq on the full (m, k) problem drops that direction, and so must
+        # the solve on the small R block.
+        rng = np.random.default_rng(2)
+        m, k = 2000, 4
+        X = rng.standard_normal((m, k))
+        X[:, 3] = X[:, 0] + 1e-14 * np.linalg.norm(X[:, 0]) * rng.standard_normal(m) / np.sqrt(m)
+        t = rng.standard_normal(m)
+        ls = NestedLstsq(X, t)
+        assert not ls.full_rank
+        want = np.linalg.lstsq(X, t, rcond=None)[0]
+        np.testing.assert_allclose(ls.solve(k)[0], want, rtol=0, atol=TOL * np.linalg.norm(want))
+
+    def test_fewer_rows_than_columns_is_not_full_rank(self):
+        rng = np.random.default_rng(1)
+        X, t = rng.standard_normal((3, 5)), rng.standard_normal(3)
+        ls = NestedLstsq(X, t)
+        assert not ls.full_rank
+        np.testing.assert_allclose(ls.solve(5)[0], np.linalg.lstsq(X, t, rcond=None)[0], atol=1e-12)
+
+
+class TestAicOrder:
+    @SETTINGS
+    @given(name=scenario_names, seed=seeds)
+    def test_noisy_pick_matches_reference(self, name, seed):
+        sc, rec = trial_record(name, seed)
+        grid = sc.aic_grid or default_aic_grid(sc.n_x, len(rec))
+        assert select_order_aic(rec, grid) == ref_select_order_aic(rec, grid)
+
+    @SETTINGS
+    @given(name=st.sampled_from(["example1", "example2"]), seed=seeds)
+    def test_noise_free_pick_fits_exactly(self, name, seed):
+        # Every grid order exceeds the true order, so RSS is at rounding
+        # level throughout and the pick itself is not reproducible.
+        rec = noise_free_record(name, seed)
+        n = select_order_aic(rec, default_aic_grid(3, len(rec)))
+        assert fit_arx(rec, n).residual_variance < 1e-20 * np.var(rec.y)
+
+    def test_fallback_skips_orders_beyond_the_input_excitation(self):
+        rec = two_sine_record(noise=0.5)
+        assert select_order_aic(rec, range(1, 11)) == 4
+        assert ref_select_order_aic(rec, range(1, 11)) == 4
+
+    def test_fallback_raises_when_no_order_is_excited(self):
+        with pytest.raises(ConfigError, match="n=6: input-lag regressor.*n=8: input-lag"):
+            select_order_aic(two_sine_record(noise=0.5), [6, 8])
+
+
+class TestOlsBank:
+    @SETTINGS
+    @given(name=scenario_names, seed=seeds)
+    def test_noisy_bank_matches_reference(self, name, seed):
+        sc, rec = trial_record(name, seed)
+        p = int(np.random.default_rng(seed).integers(sc.n_x + 1, 21))
+        blocks = assemble_blocks(rec, sc.f, p)
+        gamma, g_rows = ref_parsim_ols(blocks)
+        est = parsim_ols(blocks)
+        assert rel(est.gamma_lp, gamma) < TOL
+        assert rel(np.concatenate(est.g_rows), np.concatenate(g_rows)) < TOL
+
+    @pytest.mark.parametrize("name,p", [("example1", 10), ("example1", 20), ("example2", 20)])
+    def test_noise_free_bank_keeps_minimum_norm(self, name, p):
+        blocks = assemble_blocks(noise_free_record(name, 3), 10, p)
+        gamma, g_rows = ref_parsim_ols(blocks)
+        est = parsim_ols(blocks)
+        assert rel(est.gamma_lp, gamma) < TOL
+        assert rel(np.concatenate(est.g_rows), np.concatenate(g_rows)) < TOL
+
+
+class TestArxFit:
+    @SETTINGS
+    @given(name=scenario_names, seed=seeds, n=st.integers(1, 30))
+    def test_noisy_fit_matches_reference(self, name, seed, n):
+        _, rec = trial_record(name, seed)
+        pm = fit_arx(rec, n)
+        theta, rss, n_eff = ref_solve_arx(rec.u, rec.y, n, n)
+        assert rel(np.concatenate([pm.h_bar, pm.g_bar]), theta) < TOL
+        assert pm.residual_variance == pytest.approx(rss / (n_eff - 2 * n), rel=1e-9)
+
+    @pytest.mark.parametrize("name,n", [("example1", 10), ("example1", 30), ("example2", 20)])
+    def test_noise_free_fit_keeps_minimum_norm(self, name, n):
+        rec = noise_free_record(name, 4)
+        pm = fit_arx(rec, n)
+        theta, _, _ = ref_solve_arx(rec.u, rec.y, n, n)
+        assert rel(np.concatenate([pm.h_bar, pm.g_bar]), theta) < TOL

@@ -10,6 +10,7 @@ from parsimid import (
     RealizationConfig,
     SignalRecord,
     assemble_blocks,
+    default_aic_grid,
     estimate_bk,
     extract_ac,
     fit_arx,
@@ -20,6 +21,7 @@ from parsimid import (
     markov_h,
     orth_projection_complement,
     psd_sqrt,
+    select_order_aic,
     simulate,
     weight_w2,
     weighted_svd_realize,
@@ -329,3 +331,46 @@ class TestIdentify:
             RealizationConfig(n_x=2, f=10, p=5, method="other")
         with pytest.raises(ConfigError):
             RealizationConfig(n_x=2, f=10, p=5, w2_mode="other")
+
+
+def seed2_example1_record():
+    """The record of ``parsimid simulate --system example1 --noise-variance 4 --seed 2``."""
+    m = example1_system()
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal(2000)
+    e = 2.0 * rng.standard_normal(2000)
+    return m, SignalRecord(u=u, y=simulate(m, u, e))
+
+
+class TestArxOrder:
+    def test_ssarx_fits_order_f_minus_1_when_aic_picks_a_short_past(self):
+        m, rec = seed2_example1_record()
+        p = select_order_aic(rec, default_aic_grid(3, len(rec)))
+        assert p == 8
+        result = identify(rec, RealizationConfig(n_x=3, f=10, p=p, method="ssarx"))
+        assert result.diagnostics["arx_order"] == 9
+        fit = fit_metric(impulse_response(m, 100), impulse_response(result.model, 100))
+        assert fit > 40.0
+
+    @pytest.mark.parametrize(
+        "method,p,arx_order,weighting_order",
+        [
+            ("parsim", 8, 8, None),
+            ("parsim_opt", 8, 8, 30),
+            ("parsim_opt", 40, 40, 40),
+            ("classical", 8, 8, None),
+            ("ssarx", 8, 9, None),
+            ("ssarx", 12, 12, None),
+        ],
+    )
+    def test_orders_in_diagnostics(self, method, p, arx_order, weighting_order):
+        _, rec = seed2_example1_record()
+        diag = identify(rec, RealizationConfig(n_x=3, f=10, p=p, method=method)).diagnostics
+        assert diag["arx_order"] == arx_order
+        assert diag["weighting_arx_order"] == weighting_order
+
+    def test_injected_weighting_has_no_weighting_order(self):
+        _, rec = seed2_example1_record()
+        cfg = RealizationConfig(n_x=3, f=10, p=8, method="parsim_opt")
+        result = identify(rec, cfg, weighting_markov=InnovationsMarkov(h=np.zeros(9)))
+        assert result.diagnostics["weighting_arx_order"] is None
