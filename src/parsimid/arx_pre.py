@@ -39,6 +39,9 @@ __all__ = [
 # blowing up its variance on short records.
 MIN_SAMPLES_PER_ORDER = 10
 
+# Largest order in the default AIC grid.
+AIC_MAX_ORDER = 30
+
 
 @dataclass(frozen=True)
 class PredictorMarkov:
@@ -189,9 +192,9 @@ def select_order_aic(rec: SignalRecord, grid) -> int:
     return min(aic, key=aic.get)
 
 
-def default_aic_grid(n_x: int, n_total: int, max_order: int = 30) -> list[int]:
-    """Default order grid {n_x + 1, ..., 30}, pruned by the data-length rule."""
-    hi = min(max_order, n_total // MIN_SAMPLES_PER_ORDER)
+def default_aic_grid(n_x: int, n_total: int) -> list[int]:
+    """Default order grid {n_x + 1, ..., AIC_MAX_ORDER}, pruned by the data-length rule."""
+    hi = min(AIC_MAX_ORDER, n_total // MIN_SAMPLES_PER_ORDER)
     grid = list(range(n_x + 1, hi + 1))
     if not grid:
         raise ConfigError(

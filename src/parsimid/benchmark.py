@@ -45,6 +45,13 @@ __all__ = [
 
 EXAMPLE2_GAMMA = 0.9184
 
+# random_system draws: dominant-pole magnitude range, B and K entry scales,
+# and the rejection-sampling budget.
+RANDOM_POLE_RANGE = (0.78, 0.9)
+RANDOM_B_SCALE = 5.0
+RANDOM_K_SCALE = 0.1
+RANDOM_MAX_DRAWS = 10_000
+
 
 def example1_system() -> StateSpaceModel:
     """Third-order system: a resonant second-order input channel plus a
@@ -95,47 +102,40 @@ def _minimal(A, B, C, K) -> bool:
     return np.linalg.matrix_rank(ctrb) == n and np.linalg.matrix_rank(obs) == n
 
 
-def random_system(
-    seed,
-    n_x: int = 6,
-    pole_range: tuple[float, float] = (0.78, 0.9),
-    b_scale: float = 5.0,
-    k_scale: float = 0.1,
-    max_draws: int = 10_000,
-) -> StateSpaceModel:
+def random_system(seed, n_x: int = 6) -> StateSpaceModel:
     """Random stable SISO model with a constrained dominant pole.
 
     A dense Gaussian matrix is rescaled so its spectral radius is uniform
-    in ``pole_range``; B entries are N(0, b_scale^2), C entries N(0, 1),
-    D = 0, and K is redrawn (N(0, k_scale^2) entries) until the predictor
-    matrix A - K C is stable.  Non-minimal draws are rejected.  The result
-    is a bit-exact function of the seed.
+    in ``RANDOM_POLE_RANGE``; B entries are N(0, RANDOM_B_SCALE^2), C
+    entries N(0, 1), D = 0, and K is redrawn (N(0, RANDOM_K_SCALE^2)
+    entries) until the predictor matrix A - K C is stable.  Non-minimal
+    draws are rejected.  The result is a bit-exact function of the seed.
 
     Raises:
         ConfigError: When the rejection-sampling budget is exhausted.
     """
     rng = np.random.default_rng(seed)
     draws = 0
-    while draws < max_draws:
+    while draws < RANDOM_MAX_DRAWS:
         draws += 1
         A0 = rng.standard_normal((n_x, n_x))
         rho = float(np.max(np.abs(np.linalg.eigvals(A0))))
         if rho <= 0:
             continue
-        A = A0 * (rng.uniform(*pole_range) / rho)
-        B = b_scale * rng.standard_normal((n_x, 1))
+        A = A0 * (rng.uniform(*RANDOM_POLE_RANGE) / rho)
+        B = RANDOM_B_SCALE * rng.standard_normal((n_x, 1))
         C = rng.standard_normal((1, n_x))
         K = None
         for _ in range(100):
             draws += 1
-            cand = k_scale * rng.standard_normal((n_x, 1))
+            cand = RANDOM_K_SCALE * rng.standard_normal((n_x, 1))
             if np.max(np.abs(np.linalg.eigvals(A - cand @ C))) < 1.0:
                 K = cand
                 break
         if K is None or not _minimal(A, B, C, K):
             continue
         return StateSpaceModel(A=A, B=B, C=C, D=0.0, K=K, sigma_e2=1.0)
-    raise ConfigError(f"random system rejection sampling exhausted after {max_draws} draws")
+    raise ConfigError(f"random system rejection sampling exhausted after {RANDOM_MAX_DRAWS} draws")
 
 
 def gen_rbs(N: int, band_high: float, seed) -> np.ndarray:

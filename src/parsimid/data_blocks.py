@@ -25,10 +25,6 @@ __all__ = [
     "orth_projection_complement",
 ]
 
-# Above this many columns the dense N x N projector is no longer materialized;
-# use Projector.apply instead.
-DENSE_PROJECTOR_LIMIT = 4000
-
 
 def build_hankel(signal, first_index: int, rows: int, cols: int) -> np.ndarray:
     """Hankel matrix with entry (r, c) = signal[first_index + r + c]."""
@@ -45,10 +41,11 @@ def build_hankel(signal, first_index: int, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataBlocks:
-    """Past/future Hankel blocks of one record plus row-wise partitions.
+    """Past/future Hankel blocks of one record.
 
-    ``Y_fi[i-1]`` is future-output row i (1-based) and ``U_i[i-1]`` stacks
-    the first i rows of ``U_f``; both are views into the stored blocks.
+    Column 0 of the future blocks sits at absolute time ``p``.  Row i
+    (1-based) of the bank regresses ``Y_f[i-1]`` on ``Z_p`` and the first
+    i rows of ``U_f``.
     """
 
     U_p: np.ndarray
@@ -59,15 +56,6 @@ class DataBlocks:
     f: int
     p: int
     N: int
-    k_origin: int
-
-    @property
-    def Y_fi(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.Y_f[i] for i in range(self.f))
-
-    @property
-    def U_i(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.U_f[: i + 1] for i in range(self.f))
 
 
 def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
@@ -80,7 +68,7 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
 
     Returns:
         DataBlocks with N = N_total - f - p + 1 columns; column 0 of the
-        future blocks sits at absolute time ``p`` (k_origin).
+        future blocks sits at absolute time ``p``.
 
     Raises:
         ConfigError: If the record is shorter than f + p.
@@ -100,7 +88,7 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
     Z_p = np.vstack([Y_p, U_p])
     for block in (U_p, Y_p, U_f, Y_f, Z_p):
         block.setflags(write=False)
-    return DataBlocks(U_p=U_p, Y_p=Y_p, U_f=U_f, Y_f=Y_f, Z_p=Z_p, f=f, p=p, N=N, k_origin=p)
+    return DataBlocks(U_p=U_p, Y_p=Y_p, U_f=U_f, Y_f=Y_f, Z_p=Z_p, f=f, p=p, N=N)
 
 
 @dataclass(frozen=True)
@@ -113,19 +101,6 @@ class Projector:
     """
 
     basis: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def P(self) -> np.ndarray:
-        """Dense N x N projector; only available for N <= 4000."""
-        if self.n > DENSE_PROJECTOR_LIMIT:
-            raise ConfigError(
-                f"refusing to materialize a {self.n} x {self.n} projector; use apply()"
-            )
-        return np.eye(self.n) - self.basis @ self.basis.T
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Right-multiply by the projector: returns X @ P."""

@@ -67,16 +67,10 @@ class RangeEstimate:
     gamma_lp: np.ndarray
     g_rows: tuple[np.ndarray, ...]
     method_tag: str
-    f: int
-    p: int
 
     def __post_init__(self):
         if self.method_tag not in METHODS:
             raise ConfigError(f"unknown method tag {self.method_tag!r}")
-        if self.gamma_lp.shape != (self.f, 2 * self.p):
-            raise ConfigError(
-                f"gamma_lp must have shape ({self.f}, {2 * self.p}), got {self.gamma_lp.shape}"
-            )
         for i, row in enumerate(self.g_rows, start=1):
             if row.size != i:
                 raise ConfigError(f"g_rows[{i - 1}] must have {i} entries, got {row.size}")
@@ -153,7 +147,7 @@ def _bank_estimate(thetas, blocks: DataBlocks, tag: str) -> RangeEstimate:
     k = 2 * blocks.p
     return RangeEstimate(
         gamma_lp=np.array([t[:k] for t in thetas]), g_rows=tuple(t[k:] for t in thetas),
-        method_tag=tag, f=blocks.f, p=blocks.p,
+        method_tag=tag,
     )
 
 
@@ -179,7 +173,7 @@ def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
     return _bank_estimate(thetas, blocks, "parsim")
 
 
-def parsim_wls(blocks: DataBlocks, h) -> RangeEstimate:
+def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     """Row-wise weighted least-squares bank.
 
     Uses the inverse of the row noise covariance T'T as the weighting;
@@ -190,8 +184,8 @@ def parsim_wls(blocks: DataBlocks, h) -> RangeEstimate:
 
     Args:
         blocks: Data blocks.
-        h: InnovationsMarkov (or a plain sequence) supplying H_1..H_{f-1};
-            parameters beyond the available length are treated as zero.
+        h: Innovations Markov parameters H_1..H_{f-1}; parameters beyond
+            the available length are treated as zero.
 
     Raises:
         ExcitationError: As for :func:`parsim_ols`.
@@ -199,7 +193,6 @@ def parsim_wls(blocks: DataBlocks, h) -> RangeEstimate:
             finite weights since H_0 = 1).
     """
     _check_excitation(blocks)
-    h_arr = h.h if isinstance(h, InnovationsMarkov) else np.asarray(h, dtype=float).ravel()
     thetas = []
     for i in range(1, blocks.f + 1):
         Z = np.vstack([blocks.Z_p, blocks.U_f[:i]])
@@ -207,7 +200,7 @@ def parsim_wls(blocks: DataBlocks, h) -> RangeEstimate:
         if i == 1:
             thetas.append(NestedLstsq(Z.T, y).solve(Z.shape[0])[0])
             continue
-        ab = toeplitz_gram_band(h_arr, i, blocks.N)
+        ab = toeplitz_gram_band(h.h, i, blocks.N)
         try:
             V = solveh_banded(ab, Z.T)  # (N, q) = (T'T)^(-1) Z'
         except np.linalg.LinAlgError as err:
@@ -232,8 +225,7 @@ def classical_projection(blocks: DataBlocks) -> RangeEstimate:
     Yf_perp = proj.apply(blocks.Y_f)
     Zp_perp = proj.apply(blocks.Z_p)
     return RangeEstimate(
-        gamma_lp=_regress_rows(Yf_perp, Zp_perp), g_rows=(), method_tag="classical",
-        f=blocks.f, p=blocks.p,
+        gamma_lp=_regress_rows(Yf_perp, Zp_perp), g_rows=(), method_tag="classical"
     )
 
 
@@ -251,7 +243,7 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
         ConfigError: If ``pm`` supplies fewer than f - 1 parameters.
         ExcitationError: On input excitation failure.
     """
-    f, p = blocks.f, blocks.p
+    f = blocks.f
     if pm.n < f - 1:
         raise ConfigError(f"need at least {f - 1} predictor Markov parameters, got {pm.n}")
     _check_excitation(blocks)
@@ -262,5 +254,5 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
 
     g_rows = tuple(np.append(pm.g_bar[: i - 1][::-1], 0.0) for i in range(1, f + 1))
     return RangeEstimate(
-        gamma_lp=_regress_rows(Y_tilde, blocks.Z_p), g_rows=g_rows, method_tag="ssarx", f=f, p=p
+        gamma_lp=_regress_rows(Y_tilde, blocks.Z_p), g_rows=g_rows, method_tag="ssarx"
     )

@@ -51,7 +51,8 @@ __all__ = [
     "identify",
 ]
 
-W2_MODES = ("zp_projected", "identity")
+# Relative tolerance for negative eigenvalues in psd_sqrt.
+PSD_SQRT_TOL = 1e-10
 
 # The noise-weighting pre-estimate needs a genuinely high-order ARX: with a
 # slowly decaying predictor, an ARX truncated at the (often short) past
@@ -70,17 +71,15 @@ class RealizationConfig:
         f: Future horizon, >= 2.
         p: Past horizon (also the ARX pre-estimation order).
         method: One of "parsim", "parsim_opt", "classical", "ssarx".
-        w2_mode: Column weighting for the SVD step: "zp_projected" uses
-            the square root of the projected past Gram matrix,
-            "identity" disables the weighting.  The row weighting is
-            always the identity.
+
+    The SVD step always weights columns by the square root of the projected
+    past Gram matrix (:func:`weight_w2`) and rows by the identity.
     """
 
     n_x: int
     f: int
     p: int
     method: str = "parsim_opt"
-    w2_mode: str = "zp_projected"
 
     def __post_init__(self):
         if self.f < 2:
@@ -93,8 +92,6 @@ class RealizationConfig:
             raise ConfigError(f"past horizon must be >= 1, got {self.p}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.w2_mode not in W2_MODES:
-            raise ConfigError(f"unknown w2_mode {self.w2_mode!r}; expected one of {W2_MODES}")
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,12 @@ class IdentifiedModel:
     diagnostics: dict = field(default_factory=dict)
 
 
-def psd_sqrt(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Principal symmetric square root of a positive semidefinite matrix.
 
-    Eigenvalues below -tol (relative to the largest eigenvalue, floor 1)
-    are an error; small negatives inside the tolerance are clamped to 0.
+    Eigenvalues below -PSD_SQRT_TOL (relative to the largest eigenvalue,
+    floor 1) are an error; small negatives inside the tolerance are
+    clamped to 0.
 
     Raises:
         RankError: If the input is indefinite beyond tolerance.
@@ -119,7 +117,7 @@ def psd_sqrt(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     sym = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(sym)
     scale = max(1.0, float(w[-1]) if w.size else 1.0)
-    if w.size and w[0] < -tol * scale:
+    if w.size and w[0] < -PSD_SQRT_TOL * scale:
         raise RankError(f"matrix is indefinite: smallest eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)) @ V.T
@@ -140,15 +138,15 @@ def weight_w2(blocks: DataBlocks) -> np.ndarray:
 def weighted_svd_realize(
     est: RangeEstimate,
     cfg: RealizationConfig,
-    w2: np.ndarray | None = None,
+    w2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-n_x observability factor from the weighted SVD.
 
     Args:
         est: Stacked range-space estimate.
         cfg: Realization settings; cfg.n_x many directions are kept.
-        w2: Column weighting matrix (required when cfg.w2_mode is
-            "zp_projected"; ignored for "identity").
+        w2: Column weighting matrix, (2p, 2p); :func:`weight_w2` in the
+            pipeline.
 
     Returns:
         (Gamma_hat, singular_values): Gamma_hat = U_nx sqrt(S_nx) of shape
@@ -157,14 +155,8 @@ def weighted_svd_realize(
     Raises:
         RankError: If n_x exceeds the numerical rank of the weighted
             matrix; the message lists the spectrum.
-        ConfigError: If the required weighting matrix is missing.
     """
-    if cfg.w2_mode == "zp_projected":
-        if w2 is None:
-            raise ConfigError("w2_mode 'zp_projected' requires the weighting matrix")
-        M = est.gamma_lp @ w2
-    else:
-        M = est.gamma_lp
+    M = est.gamma_lp @ w2
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     tol = np.finfo(float).eps * max(M.shape) * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > tol))
@@ -317,8 +309,6 @@ def identify(
         # SSARX subtracts f - 1 predictor Markov parameters.
         arx_order = max(cfg.p, cfg.f - 1) if cfg.method == "ssarx" else cfg.p
         pm = fit_arx(rec, arx_order)
-        h_innov = predictor_to_innovations(pm).h
-        innov = InnovationsMarkov(h=h_innov, g=predictor_to_innovations_g(pm))
 
     weighting_order = None
     with _stage("estimate"):
@@ -335,8 +325,7 @@ def identify(
             est = ssarx_estimate(blocks, pm)
 
     with _stage("svd"):
-        w2 = weight_w2(blocks) if cfg.w2_mode == "zp_projected" else None
-        Gamma_hat, svals = weighted_svd_realize(est, cfg, w2)
+        Gamma_hat, svals = weighted_svd_realize(est, cfg, weight_w2(blocks))
 
     with _stage("shift"):
         A_like, C_hat = extract_ac(Gamma_hat, cfg.n_x)
@@ -354,6 +343,9 @@ def identify(
                 )
             )
         else:
+            innov = InnovationsMarkov(
+                h=predictor_to_innovations(pm).h, g=predictor_to_innovations_g(pm)
+            )
             B_hat, K_hat = estimate_bk(A_like, C_hat, est, innov)
             b_rms = k_rms = float("nan")
             model = StateSpaceModel(

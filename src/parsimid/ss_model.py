@@ -47,6 +47,9 @@ __all__ = [
     "load_model",
 ]
 
+# is_stable requires the spectral radius to stay this far inside the unit circle.
+STABILITY_MARGIN = 1e-9
+
 
 def _as_square(x, name: str) -> np.ndarray:
     a = np.atleast_2d(np.asarray(x, dtype=float))
@@ -167,11 +170,10 @@ class PredictorModel:
 
 @dataclass(frozen=True)
 class SignalRecord:
-    """One input/output data record, optionally with the innovations used."""
+    """One input/output data record: equal-length, finite u and y."""
 
     u: np.ndarray
     y: np.ndarray
-    e: np.ndarray | None = None
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).ravel()
@@ -182,11 +184,6 @@ class SignalRecord:
             raise ConfigError("record contains non-finite samples")
         object.__setattr__(self, "u", _freeze(u))
         object.__setattr__(self, "y", _freeze(y))
-        if self.e is not None:
-            e = np.asarray(self.e, dtype=float).ravel()
-            if e.shape != u.shape:
-                raise ConfigError("e must have the same length as u and y")
-            object.__setattr__(self, "e", _freeze(e))
 
     def __len__(self) -> int:
         return self.u.size
@@ -220,15 +217,13 @@ def simulate(
     m: StateSpaceModel,
     u,
     e=None,
-    x0=None,
 ) -> np.ndarray:
-    """Simulate the innovations-form recursion and return the output.
+    """Simulate the innovations-form recursion from the zero state.
 
     Args:
         m: Model to simulate.
         u: Input sequence, length N.
         e: Innovations sequence, length N. Defaults to zeros.
-        x0: Initial state, length n_x. Defaults to zeros.
 
     Returns:
         Output sequence y of length N with
@@ -246,14 +241,7 @@ def simulate(
         e = np.asarray(e, dtype=float).ravel()
     if u.shape != e.shape:
         raise ConfigError(f"u and e must have equal length, got {u.size} and {e.size}")
-    n = m.n_x
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.asarray(x0, dtype=float).ravel()
-        if x.shape != (n,):
-            raise ConfigError(f"x0 must have {n} entries, got {x.size}")
-
+    x = np.zeros(m.n_x)
     A = m.A
     b = m.B[:, 0]
     c = m.C[0]
@@ -317,12 +305,12 @@ def spectral_radius(m: StateSpaceModel) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m.A))))
 
 
-def is_stable(m: StateSpaceModel, tol_margin: float = 1e-9) -> bool:
+def is_stable(m: StateSpaceModel) -> bool:
     """True iff every eigenvalue of A lies strictly inside the unit disk.
 
-    The check uses a strict margin: spectral_radius(m) < 1 - tol_margin.
+    The check uses a strict margin: spectral_radius(m) < 1 - STABILITY_MARGIN.
     """
-    return spectral_radius(m) < 1.0 - tol_margin
+    return spectral_radius(m) < 1.0 - STABILITY_MARGIN
 
 
 def model_to_dict(m: StateSpaceModel) -> dict:

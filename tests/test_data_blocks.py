@@ -53,7 +53,6 @@ class TestAssembleBlocks:
         for f, p in ((1, 1), (5, 7), (10, 20)):
             blocks = assemble_blocks(rec, f, p)
             assert blocks.N == 100 - f - p + 1
-            assert blocks.k_origin == p
 
     def test_anti_diagonal_property(self):
         rng = np.random.default_rng(1)
@@ -74,12 +73,19 @@ class TestAssembleBlocks:
         np.testing.assert_array_equal(blocks.Z_p[4:], blocks.U_p)
 
     def test_row_partitions(self):
+        # Future row i (1-based) is the record window that starts at time
+        # p + i - 1; past row j starts at time j - 1.
         rng = np.random.default_rng(3)
         rec = SignalRecord(u=rng.standard_normal(50), y=rng.standard_normal(50))
-        blocks = assemble_blocks(rec, f=5, p=3)
-        for i in range(1, 6):
-            np.testing.assert_array_equal(blocks.Y_fi[i - 1], blocks.Y_f[i - 1])
-            np.testing.assert_array_equal(blocks.U_i[i - 1], blocks.U_f[:i])
+        f, p = 5, 3
+        blocks = assemble_blocks(rec, f=f, p=p)
+        N = blocks.N
+        for i in range(1, f + 1):
+            np.testing.assert_array_equal(blocks.Y_f[i - 1], rec.y[p + i - 1 : p + i - 1 + N])
+            np.testing.assert_array_equal(blocks.U_f[i - 1], rec.u[p + i - 1 : p + i - 1 + N])
+        for j in range(1, p + 1):
+            np.testing.assert_array_equal(blocks.Y_p[j - 1], rec.y[j - 1 : j - 1 + N])
+            np.testing.assert_array_equal(blocks.U_p[j - 1], rec.u[j - 1 : j - 1 + N])
 
     def test_record_too_short(self):
         rec = SignalRecord(u=np.ones(5), y=np.ones(5))
@@ -90,7 +96,9 @@ class TestAssembleBlocks:
 class TestProjector:
     def test_mean_removal(self):
         proj = orth_projection_complement(np.array([[1.0, 1.0, 1.0]]))
-        np.testing.assert_allclose(proj.P, np.eye(3) - np.full((3, 3), 1 / 3), atol=1e-14)
+        np.testing.assert_allclose(
+            proj.apply(np.eye(3)), np.eye(3) - np.full((3, 3), 1 / 3), atol=1e-14
+        )
         np.testing.assert_allclose(
             proj.apply(np.array([[4.0, 4.0, 4.0]])), np.zeros((1, 3)), atol=1e-12
         )
@@ -99,7 +107,7 @@ class TestProjector:
         rng = np.random.default_rng(4)
         U_f = rng.standard_normal((3, 50))
         proj = orth_projection_complement(U_f)
-        P = proj.P
+        P = proj.apply(np.eye(50))
         np.testing.assert_allclose(P, P.T, atol=1e-12)
         np.testing.assert_allclose(P @ P, P, atol=1e-10)
         assert np.linalg.norm(P @ U_f.T) < 1e-8
@@ -109,7 +117,7 @@ class TestProjector:
         U_f = rng.standard_normal((4, 30))
         X = rng.standard_normal((6, 30))
         proj = orth_projection_complement(U_f)
-        np.testing.assert_allclose(proj.apply(X), X @ proj.P, atol=1e-12)
+        np.testing.assert_allclose(proj.apply(X), X @ proj.apply(np.eye(30)), atol=1e-12)
 
     def test_rank_deficient_raises(self):
         row = np.random.default_rng(6).standard_normal(20)
@@ -117,10 +125,9 @@ class TestProjector:
             orth_projection_complement(np.vstack([row, row]))
 
     def test_dense_limit(self):
+        # apply never forms the N x N projector, so long records are fine.
         rng = np.random.default_rng(7)
         proj = orth_projection_complement(rng.standard_normal((1, 4200)))
-        with pytest.raises(ConfigError):
-            _ = proj.P
         out = proj.apply(rng.standard_normal((1, 4200)))
         assert out.shape == (1, 4200)
 

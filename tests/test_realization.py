@@ -27,6 +27,7 @@ from parsimid import (
     weighted_svd_realize,
 )
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
+from parsimid import realization
 from parsimid.realization import _weighting_markov
 
 from helpers import gamma_f, random_stable_model, true_gamma_lp
@@ -73,14 +74,14 @@ class TestWeightedSvd:
     @staticmethod
     def exact_estimate(m, f, p):
         return RangeEstimate(
-            gamma_lp=true_gamma_lp(m, f, p), g_rows=(), method_tag="classical", f=f, p=p
+            gamma_lp=true_gamma_lp(m, f, p), g_rows=(), method_tag="classical"
         )
 
     def test_exact_rank_input_recovers_column_space(self):
         rng = np.random.default_rng(2)
         m = random_stable_model(rng, n_x=3)
-        cfg = RealizationConfig(n_x=3, f=8, p=6, method="classical", w2_mode="identity")
-        Gh, svals = weighted_svd_realize(self.exact_estimate(m, 8, 6), cfg)
+        cfg = RealizationConfig(n_x=3, f=8, p=6, method="classical")
+        Gh, svals = weighted_svd_realize(self.exact_estimate(m, 8, 6), cfg, np.eye(12))
         angles = subspace_angles(Gh, gamma_f(m.A, m.C, 8))
         assert np.max(angles) < 1e-8
         assert svals.size == 8
@@ -89,10 +90,10 @@ class TestWeightedSvd:
         rng = np.random.default_rng(3)
         m = random_stable_model(rng, n_x=2)
         est = self.exact_estimate(m, 6, 5)
-        cfg = RealizationConfig(n_x=2, f=6, p=5, method="classical", w2_mode="identity")
-        G1, _ = weighted_svd_realize(est, cfg)
-        est2 = RangeEstimate(gamma_lp=2.0 * est.gamma_lp, g_rows=(), method_tag="classical", f=6, p=5)
-        G2, _ = weighted_svd_realize(est2, cfg)
+        cfg = RealizationConfig(n_x=2, f=6, p=5, method="classical")
+        G1, _ = weighted_svd_realize(est, cfg, np.eye(10))
+        est2 = RangeEstimate(gamma_lp=2.0 * est.gamma_lp, g_rows=(), method_tag="classical")
+        G2, _ = weighted_svd_realize(est2, cfg, np.eye(10))
         np.testing.assert_allclose(np.abs(G2), np.sqrt(2.0) * np.abs(G1), atol=1e-9)
         assert np.max(subspace_angles(G1, G2)) < 1e-10
 
@@ -103,26 +104,19 @@ class TestWeightedSvd:
         rec = SignalRecord(u=u, y=simulate(m, u))
         blocks = assemble_blocks(rec, f=6, p=8)
         est = self.exact_estimate(m, 6, 8)
-        cfg_w = RealizationConfig(n_x=2, f=6, p=8, method="classical", w2_mode="zp_projected")
-        cfg_i = RealizationConfig(n_x=2, f=6, p=8, method="classical", w2_mode="identity")
-        Gw, _ = weighted_svd_realize(est, cfg_w, weight_w2(blocks))
-        Gi, _ = weighted_svd_realize(est, cfg_i)
+        cfg = RealizationConfig(n_x=2, f=6, p=8, method="classical")
+        Gw, _ = weighted_svd_realize(est, cfg, weight_w2(blocks))
+        Gi, _ = weighted_svd_realize(est, cfg, np.eye(16))
         assert np.max(subspace_angles(Gw, Gi)) < 1e-8
 
     def test_rank_error_lists_spectrum(self):
         est = RangeEstimate(
             gamma_lp=np.outer(np.arange(1.0, 5.0), np.ones(6)), g_rows=(),
-            method_tag="classical", f=4, p=3,
+            method_tag="classical",
         )
-        cfg = RealizationConfig(n_x=2, f=4, p=3, method="classical", w2_mode="identity")
+        cfg = RealizationConfig(n_x=2, f=4, p=3, method="classical")
         with pytest.raises(RankError, match="singular values"):
-            weighted_svd_realize(est, cfg)
-
-    def test_missing_weight_matrix(self):
-        est = self.exact_estimate(example1_system(), 6, 5)
-        cfg = RealizationConfig(n_x=2, f=6, p=5, method="classical", w2_mode="zp_projected")
-        with pytest.raises(ConfigError):
-            weighted_svd_realize(est, cfg, None)
+            weighted_svd_realize(est, cfg, np.eye(6))
 
     def test_noise_free_pipeline_singular_gap(self):
         m = example1_system()
@@ -182,7 +176,7 @@ class TestEstimateBK:
             np.append(g[: i - 1][::-1], m.D[0, 0]) for i in range(1, f + 1)
         )
         return RangeEstimate(
-            gamma_lp=np.zeros((f, 2 * p)), g_rows=rows, method_tag="parsim", f=f, p=p
+            gamma_lp=np.zeros((f, 2 * p)), g_rows=rows, method_tag="parsim"
         )
 
     def test_exact_markov_inputs_recover_gains(self):
@@ -200,7 +194,7 @@ class TestEstimateBK:
         est = RangeEstimate(
             gamma_lp=np.zeros((5, 6)),
             g_rows=tuple(np.zeros(i) for i in range(1, 6)),
-            method_tag="parsim", f=5, p=3,
+            method_tag="parsim",
         )
         B, K = estimate_bk(m.A, m.C, est, InnovationsMarkov(h=np.zeros(6)))
         np.testing.assert_array_equal(B, np.zeros((2, 1)))
@@ -210,7 +204,7 @@ class TestEstimateBK:
         rng = np.random.default_rng(9)
         m = random_stable_model(rng, n_x=2)
         est = RangeEstimate(
-            gamma_lp=np.zeros((5, 6)), g_rows=(), method_tag="classical", f=5, p=3
+            gamma_lp=np.zeros((5, 6)), g_rows=(), method_tag="classical"
         )
         h = InnovationsMarkov(h=markov_h(m, 8), g=markov_g(m, 8))
         B, K = estimate_bk(m.A, m.C, est, h)
@@ -220,7 +214,7 @@ class TestEstimateBK:
         rng = np.random.default_rng(10)
         m = random_stable_model(rng, n_x=2)
         est = RangeEstimate(
-            gamma_lp=np.zeros((5, 6)), g_rows=(), method_tag="classical", f=5, p=3
+            gamma_lp=np.zeros((5, 6)), g_rows=(), method_tag="classical"
         )
         with pytest.raises(ConfigError):
             estimate_bk(m.A, m.C, est, InnovationsMarkov(h=markov_h(m, 8)))
@@ -329,8 +323,6 @@ class TestIdentify:
             RealizationConfig(n_x=10, f=10, p=5)
         with pytest.raises(ConfigError):
             RealizationConfig(n_x=2, f=10, p=5, method="other")
-        with pytest.raises(ConfigError):
-            RealizationConfig(n_x=2, f=10, p=5, w2_mode="other")
 
 
 def seed2_example1_record():
@@ -374,3 +366,26 @@ class TestArxOrder:
         cfg = RealizationConfig(n_x=3, f=10, p=8, method="parsim_opt")
         result = identify(rec, cfg, weighting_markov=InnovationsMarkov(h=np.zeros(9)))
         assert result.diagnostics["weighting_arx_order"] is None
+
+
+class TestInnovationsConversion:
+    @pytest.mark.parametrize(
+        "method,converts", [("parsim", True), ("parsim_opt", True), ("classical", True), ("ssarx", False)]
+    )
+    def test_conversion_only_for_innovations_gains(self, monkeypatch, method, converts):
+        # The SSARX gains come from the predictor-form ARX sequences, so the
+        # innovations-form conversion is skipped for that method.
+        counts = {}
+        for name in ("predictor_to_innovations", "predictor_to_innovations_g"):
+            def counted(*args, _fn=getattr(realization, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(realization, name, counted)
+        _, rec = seed2_example1_record()
+        identify(rec, RealizationConfig(n_x=3, f=10, p=12, method=method))
+        if converts:
+            assert counts.get("predictor_to_innovations", 0) >= 1
+            assert counts.get("predictor_to_innovations_g", 0) >= 1
+        else:
+            assert counts == {}

@@ -73,7 +73,7 @@ class TestPredictorConversion:
 class TestSimulate:
     def test_zero_everything_gives_zero(self):
         m = scalar_model(0.5, 1.0, 1.0, 0.2)
-        y = simulate(m, np.zeros(20), np.zeros(20), np.zeros(1))
+        y = simulate(m, np.zeros(20), np.zeros(20))
         np.testing.assert_array_equal(y, np.zeros(20))
 
     def test_impulse_gives_markov_parameters(self):
@@ -111,10 +111,9 @@ class TestSimulate:
         n = 50
         u1, u2 = rng.standard_normal(n), rng.standard_normal(n)
         e1, e2 = rng.standard_normal(n), rng.standard_normal(n)
-        x1, x2 = rng.standard_normal(4), rng.standard_normal(4)
         a, b = 1.7, -0.3
-        lhs = simulate(m, a * u1 + b * u2, a * e1 + b * e2, a * x1 + b * x2)
-        rhs = a * simulate(m, u1, e1, x1) + b * simulate(m, u2, e2, x2)
+        lhs = simulate(m, a * u1 + b * u2, a * e1 + b * e2)
+        rhs = a * simulate(m, u1, e1) + b * simulate(m, u2, e2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
