@@ -41,25 +41,29 @@ def build_hankel(signal, first_index: int, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataBlocks:
-    """Past/future Hankel blocks of one record.
+    """Past/future Hankel blocks of one record, prepared once per identify call.
 
-    Column 0 of the future blocks sits at absolute time ``p``.  Row i
-    (1-based) of the bank regresses ``Y_f[i-1]`` on ``Z_p`` and the first
-    i rows of ``U_f``.
+    Column 0 of the future blocks sits at absolute time ``p``.  ``Y_p``,
+    ``U_p``, ``Z_p`` and ``U_f`` are read-only row views of the regressor
+    ``stack`` [Y_p; U_p; U_f]; row i (1-based) of a bank regresses
+    ``Y_f[i-1]`` on its first 2p + i rows.  ``Y_f`` is a view of the output
+    Hankel, and ``Zp_perp`` is Z_p with the U_f row space projected out.
     """
 
-    U_p: np.ndarray
+    stack: np.ndarray
     Y_p: np.ndarray
+    U_p: np.ndarray
+    Z_p: np.ndarray
     U_f: np.ndarray
     Y_f: np.ndarray
-    Z_p: np.ndarray
+    Zp_perp: np.ndarray
     f: int
     p: int
     N: int
 
 
 def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
-    """Build all data blocks for one record.
+    """Build the data blocks of one record, whose input must be persistently exciting.
 
     Args:
         rec: Input/output record of length N_total >= f + p.
@@ -72,6 +76,7 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
 
     Raises:
         ConfigError: If the record is shorter than f + p.
+        ExcitationError: If the input Hankel [U_p; U_f] has rank below f + p.
     """
     if f < 1 or p < 1:
         raise ConfigError(f"horizons must be >= 1, got f={f}, p={p}")
@@ -81,14 +86,21 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
             f"record of length {n_total} too short: need at least f + p = {f + p} samples"
         )
     N = n_total - f - p + 1
-    U_p = build_hankel(rec.u, 0, p, N)
-    Y_p = build_hankel(rec.y, 0, p, N)
-    U_f = build_hankel(rec.u, p, f, N)
-    Y_f = build_hankel(rec.y, p, f, N)
-    Z_p = np.vstack([Y_p, U_p])
-    for block in (U_p, Y_p, U_f, Y_f, Z_p):
+    Y = build_hankel(rec.y, 0, f + p, N)
+    stack = np.vstack([Y[:p], build_hankel(rec.u, 0, f + p, N)])
+    # The tall transpose has the same singular values and cutoff; its SVD is up to 4x faster.
+    rank = np.linalg.matrix_rank(stack[p:].T)
+    if rank < f + p:
+        raise ExcitationError(
+            f"input is not persistently exciting of order {f + p} (rank {rank})"
+        )
+    Zp_perp = orth_projection_complement(stack[2 * p :]).apply(stack[: 2 * p])
+    for block in (Y, stack, Zp_perp):
         block.setflags(write=False)
-    return DataBlocks(U_p=U_p, Y_p=Y_p, U_f=U_f, Y_f=Y_f, Z_p=Z_p, f=f, p=p, N=N)
+    return DataBlocks(
+        stack=stack, Y_p=stack[:p], U_p=stack[p : 2 * p], Z_p=stack[: 2 * p],
+        U_f=stack[2 * p :], Y_f=Y[p:], Zp_perp=Zp_perp, f=f, p=p, N=N,
+    )
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ the past-data controllability map from the same data blocks:
   of future inputs and outputs using pre-estimated predictor Markov
   parameters, then regresses on the past (Jansson-style SSARX).
 
-The OLS bank's regressors are nested in the row index, so one QR of
-[Z_p' U_f' Y_f'] answers every row (``_lstsq.NestedLstsq``).  All solves
+The banks' regressors are nested in the row index: row i uses the first
+2p + i rows of the prepared stack [Y_p; U_p; U_f], so one QR of
+[stack' Y_f'] answers every OLS row (``_lstsq.NestedLstsq``).  All solves
 keep pseudo-inverse (minimum-norm) semantics with the machine-epsilon *
 max-dimension * largest-singular-value cutoff: noise-free records make
-the output-side rows exactly collinear, so only input-side rank
-deficiencies raise excitation errors.
+the output-side rows exactly collinear.  Input excitation is checked
+once, for every method, by :func:`data_blocks.assemble_blocks`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.linalg import solveh_banded, toeplitz
 
 from ._lstsq import NestedLstsq
 from .arx_pre import InnovationsMarkov, PredictorMarkov
-from .data_blocks import DataBlocks, orth_projection_complement
+from .data_blocks import DataBlocks
 from .errors import ConfigError, ExcitationError, RankError
 
 __all__ = [
@@ -61,16 +62,12 @@ class RangeEstimate:
         g_rows: One row per future index i with the i estimated Markov
             parameters [G_{i-1}, ..., G_1, G_0]; empty for the classical
             projection, predictor-form values for SSARX.
-        method_tag: One of ``METHODS``.
     """
 
     gamma_lp: np.ndarray
     g_rows: tuple[np.ndarray, ...]
-    method_tag: str
 
     def __post_init__(self):
-        if self.method_tag not in METHODS:
-            raise ConfigError(f"unknown method tag {self.method_tag!r}")
         for i, row in enumerate(self.g_rows, start=1):
             if row.size != i:
                 raise ConfigError(f"g_rows[{i - 1}] must have {i} entries, got {row.size}")
@@ -133,44 +130,33 @@ def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
     return ab
 
 
-def _check_excitation(blocks: DataBlocks) -> None:
-    """Persistent excitation of order f + p: the input Hankel must have full row rank."""
-    rank = np.linalg.matrix_rank(np.vstack([blocks.U_p, blocks.U_f]))
-    if rank < blocks.f + blocks.p:
-        raise ExcitationError(
-            f"input is not persistently exciting of order {blocks.f + blocks.p} (rank {rank})"
-        )
-
-
-def _bank_estimate(thetas, blocks: DataBlocks, tag: str) -> RangeEstimate:
+def _bank_estimate(thetas, blocks: DataBlocks) -> RangeEstimate:
     """Stack the row solutions [Gamma_fi L_p, G_fi] of a bank."""
     k = 2 * blocks.p
     return RangeEstimate(
-        gamma_lp=np.array([t[:k] for t in thetas]), g_rows=tuple(t[k:] for t in thetas),
-        method_tag=tag,
+        gamma_lp=np.array([t[:k] for t in thetas]), g_rows=tuple(t[k:] for t in thetas)
     )
 
 
 def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
     """Row-wise ordinary least-squares bank.
 
-    Row i regresses future output row i on [Z_p; U_i], estimating
-    [Gamma_fi L_p, G_fi] jointly; stacking the f first parts gives the
-    range-space estimate.
+    Row i regresses future output row i on [Z_p; U_i], the first 2p + i
+    rows of ``blocks.stack``, estimating [Gamma_fi L_p, G_fi] jointly;
+    stacking the f first parts gives the range-space estimate.
 
     Raises:
-        ExcitationError: If the input Hankel of order f + p is rank
-            deficient (named with the offending row when detected there).
+        ExcitationError: If a row's solve fails (named with the row).  The
+            input excitation check itself runs in :func:`assemble_blocks`.
     """
-    _check_excitation(blocks)
-    ls = NestedLstsq(np.vstack([blocks.Z_p, blocks.U_f]).T, blocks.Y_f.T)
+    ls = NestedLstsq(blocks.stack.T, blocks.Y_f.T)
     thetas = []
     for i in range(1, blocks.f + 1):
         try:
             thetas.append(ls.solve(2 * blocks.p + i, i - 1)[0])
         except np.linalg.LinAlgError as err:
             raise ExcitationError(f"least-squares failure at row {i}: {err}") from err
-    return _bank_estimate(thetas, blocks, "parsim")
+    return _bank_estimate(thetas, blocks)
 
 
 def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
@@ -188,14 +174,13 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
             the available length are treated as zero.
 
     Raises:
-        ExcitationError: As for :func:`parsim_ols`.
         RankError: If a banded Gram solve fails (guarded; cannot occur for
-            finite weights since H_0 = 1).
+            finite weights since H_0 = 1).  Input excitation is checked
+            by :func:`assemble_blocks`, as for every method.
     """
-    _check_excitation(blocks)
     thetas = []
     for i in range(1, blocks.f + 1):
-        Z = np.vstack([blocks.Z_p, blocks.U_f[:i]])
+        Z = blocks.stack[: 2 * blocks.p + i]
         y = blocks.Y_f[i - 1]
         if i == 1:
             thetas.append(NestedLstsq(Z.T, y).solve(Z.shape[0])[0])
@@ -206,7 +191,7 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
         except np.linalg.LinAlgError as err:
             raise RankError(f"noise weighting Gram is numerically singular at row {i}: {err}") from err
         thetas.append(np.linalg.lstsq(Z @ V, y @ V, rcond=None)[0])
-    return _bank_estimate(thetas, blocks, "parsim_opt")
+    return _bank_estimate(thetas, blocks)
 
 
 def _regress_rows(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -217,16 +202,13 @@ def _regress_rows(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
 def classical_projection(blocks: DataBlocks) -> RangeEstimate:
     """Single-projection estimator.
 
-    Projects the future input out of the future outputs, then regresses on
-    the projected past stack.  The input Toeplitz term is discarded by the
-    projection, so no Markov parameter rows are produced.
+    Regresses the future outputs on the past stack with the future input
+    projected out, Y_f P Z_p' (Z_p P Z_p')^+.  P is idempotent, so
+    Y_f P Z_p' = Y_f (Z_p P)' and only the prepared ``blocks.Zp_perp`` is
+    needed.  The input Toeplitz term is discarded by the projection, so no
+    Markov parameter rows are produced.
     """
-    proj = orth_projection_complement(blocks.U_f)
-    Yf_perp = proj.apply(blocks.Y_f)
-    Zp_perp = proj.apply(blocks.Z_p)
-    return RangeEstimate(
-        gamma_lp=_regress_rows(Yf_perp, Zp_perp), g_rows=(), method_tag="classical"
-    )
+    return RangeEstimate(gamma_lp=_regress_rows(blocks.Y_f, blocks.Zp_perp), g_rows=())
 
 
 def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
@@ -241,18 +223,15 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
 
     Raises:
         ConfigError: If ``pm`` supplies fewer than f - 1 parameters.
-        ExcitationError: On input excitation failure.
+            Input excitation is checked by :func:`assemble_blocks`.
     """
     f = blocks.f
     if pm.n < f - 1:
         raise ConfigError(f"need at least {f - 1} predictor Markov parameters, got {pm.n}")
-    _check_excitation(blocks)
 
     G_bar = toeplitz(np.r_[0.0, pm.g_bar[: f - 1]], np.zeros(f))
     H_bar = toeplitz(np.r_[0.0, pm.h_bar[: f - 1]], np.zeros(f))
     Y_tilde = blocks.Y_f - G_bar @ blocks.U_f - H_bar @ blocks.Y_f
 
     g_rows = tuple(np.append(pm.g_bar[: i - 1][::-1], 0.0) for i in range(1, f + 1))
-    return RangeEstimate(
-        gamma_lp=_regress_rows(Y_tilde, blocks.Z_p), g_rows=g_rows, method_tag="ssarx"
-    )
+    return RangeEstimate(gamma_lp=_regress_rows(Y_tilde, blocks.Z_p), g_rows=g_rows)

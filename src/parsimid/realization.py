@@ -21,7 +21,7 @@ from .arx_pre import (
     predictor_to_innovations,
     predictor_to_innovations_g,
 )
-from .data_blocks import DataBlocks, assemble_blocks, orth_projection_complement
+from .data_blocks import DataBlocks, assemble_blocks
 from .errors import ConfigError, ParsimidError, RankError
 from .estimators import (
     METHODS,
@@ -128,11 +128,9 @@ def weight_w2(blocks: DataBlocks) -> np.ndarray:
 
     Returns the principal symmetric square root of
     Z_p P Z_p' where P projects onto the orthogonal complement of the
-    future-input rows.
+    future-input rows; Z_p P is the prepared ``blocks.Zp_perp``.
     """
-    proj = orth_projection_complement(blocks.U_f)
-    Zp_perp = proj.apply(blocks.Z_p)
-    return psd_sqrt(Zp_perp @ Zp_perp.T)
+    return psd_sqrt(blocks.Zp_perp @ blocks.Zp_perp.T)
 
 
 def weighted_svd_realize(
@@ -301,7 +299,8 @@ def identify(
         ``weighting_arx_order`` (parsim_opt, else None) give the ARX orders.
 
     Raises:
-        ParsimidError subclasses labeled with the failing stage.
+        ParsimidError subclasses labeled with the failing stage; a record
+            not persistently exciting of order f + p fails at ``blocks:``.
     """
     with _stage("blocks"):
         blocks = assemble_blocks(rec, cfg.f, cfg.p)

@@ -7,7 +7,8 @@ independently of the library's estimation code paths.
 
 import numpy as np
 
-from parsimid import StateSpaceModel, to_predictor_form
+from parsimid import SignalRecord, StateSpaceModel, simulate, to_predictor_form
+from parsimid.benchmark import example1_system
 
 
 def gamma_f(A, C, f):
@@ -123,3 +124,15 @@ def ref_parsim_ols(blocks):
         gamma[i - 1] = theta[: 2 * p]
         g_rows.append(theta[2 * p :])
     return gamma, g_rows
+
+
+def two_sine_record(noise, n_total=1500):
+    """Example 1 driven by an input persistently exciting of order 4 only.
+
+    The input is sin(0.3k) + 0.5 sin(1.1k); ``noise`` is the standard
+    deviation of the white innovations.
+    """
+    k = np.arange(n_total)
+    u = np.sin(0.3 * k) + 0.5 * np.sin(1.1 * k)
+    e = noise * np.random.default_rng(0).standard_normal(k.size)
+    return SignalRecord(u=u, y=simulate(example1_system(), u, e))

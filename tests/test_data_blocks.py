@@ -12,7 +12,7 @@ from parsimid import (
 )
 from parsimid.benchmark import example1_system
 
-from helpers import toeplitz_gf, true_gamma_lp
+from helpers import toeplitz_gf, true_gamma_lp, two_sine_record
 
 
 class TestBuildHankel:
@@ -86,6 +86,36 @@ class TestAssembleBlocks:
         for j in range(1, p + 1):
             np.testing.assert_array_equal(blocks.Y_p[j - 1], rec.y[j - 1 : j - 1 + N])
             np.testing.assert_array_equal(blocks.U_p[j - 1], rec.u[j - 1 : j - 1 + N])
+
+    def test_read_only_views_of_one_stack(self):
+        rng = np.random.default_rng(9)
+        rec = SignalRecord(u=rng.standard_normal(60), y=rng.standard_normal(60))
+        f, p = 4, 3
+        blocks = assemble_blocks(rec, f=f, p=p)
+        np.testing.assert_array_equal(blocks.stack, np.vstack([blocks.Z_p, blocks.U_f]))
+        for view in (blocks.Y_p, blocks.U_p, blocks.Z_p, blocks.U_f):
+            assert view.base is blocks.stack
+        assert blocks.stack.shape == (2 * p + f, blocks.N)
+        for block in (blocks.stack, blocks.Y_p, blocks.U_p, blocks.Z_p, blocks.U_f,
+                      blocks.Y_f, blocks.Zp_perp):
+            assert not block.flags.writeable
+
+    def test_projected_past(self):
+        rng = np.random.default_rng(10)
+        rec = SignalRecord(u=rng.standard_normal(200), y=rng.standard_normal(200))
+        blocks = assemble_blocks(rec, f=5, p=6)
+        expect = orth_projection_complement(blocks.U_f).apply(blocks.Z_p)
+        np.testing.assert_array_equal(blocks.Zp_perp, expect)
+        assert np.linalg.norm(blocks.Zp_perp @ blocks.U_f.T) < 1e-9 * np.linalg.norm(blocks.Z_p)
+
+    def test_excitation_of_order_f_plus_p(self):
+        # Two sinusoids excite order 4: f + p = 4 passes, f + p = 5 does not.
+        rec = two_sine_record(noise=0.0)
+        assert assemble_blocks(rec, f=2, p=2).N == 1500 - 3
+        with pytest.raises(ExcitationError, match="order 5 \\(rank 4\\)"):
+            assemble_blocks(rec, f=3, p=2)
+        with pytest.raises(ExcitationError, match="order 200"):
+            assemble_blocks(SignalRecord(u=np.ones(200), y=np.ones(200)), f=100, p=100)
 
     def test_record_too_short(self):
         rec = SignalRecord(u=np.ones(5), y=np.ones(5))

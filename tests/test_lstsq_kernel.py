@@ -30,7 +30,7 @@ from parsimid.benchmark import (
     example3_scenario,
 )
 
-from helpers import ref_parsim_ols, ref_select_order_aic, ref_solve_arx
+from helpers import ref_parsim_ols, ref_select_order_aic, ref_solve_arx, two_sine_record
 
 TOL = 1e-10
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -64,14 +64,6 @@ def noise_free_record(name, seed, n_total=2000):
         system, input_filter = example2_system()
         u = lfilter(input_filter, [1.0], rng.standard_normal(n_total))
     return SignalRecord(u=u, y=simulate(system, u))
-
-
-def two_sine_record(noise):
-    """Input persistently exciting of order 4 only: sin(0.3k) + 0.5 sin(1.1k)."""
-    k = np.arange(1500)
-    u = np.sin(0.3 * k) + 0.5 * np.sin(1.1 * k)
-    e = noise * np.random.default_rng(0).standard_normal(k.size)
-    return SignalRecord(u=u, y=simulate(example1_system(), u, e))
 
 
 class TestNestedLstsq:

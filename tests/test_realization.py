@@ -3,7 +3,9 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from parsimid import (
+    METHODS,
     ConfigError,
+    ExcitationError,
     InnovationsMarkov,
     RangeEstimate,
     RankError,
@@ -27,10 +29,10 @@ from parsimid import (
     weighted_svd_realize,
 )
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
-from parsimid import realization
+from parsimid import data_blocks, estimators, realization
 from parsimid.realization import _weighting_markov
 
-from helpers import gamma_f, random_stable_model, true_gamma_lp
+from helpers import gamma_f, random_stable_model, true_gamma_lp, two_sine_record
 
 
 class TestPsdSqrt:
@@ -73,9 +75,7 @@ class TestWeightW2:
 class TestWeightedSvd:
     @staticmethod
     def exact_estimate(m, f, p):
-        return RangeEstimate(
-            gamma_lp=true_gamma_lp(m, f, p), g_rows=(), method_tag="classical"
-        )
+        return RangeEstimate(gamma_lp=true_gamma_lp(m, f, p), g_rows=())
 
     def test_exact_rank_input_recovers_column_space(self):
         rng = np.random.default_rng(2)
@@ -92,7 +92,7 @@ class TestWeightedSvd:
         est = self.exact_estimate(m, 6, 5)
         cfg = RealizationConfig(n_x=2, f=6, p=5, method="classical")
         G1, _ = weighted_svd_realize(est, cfg, np.eye(10))
-        est2 = RangeEstimate(gamma_lp=2.0 * est.gamma_lp, g_rows=(), method_tag="classical")
+        est2 = RangeEstimate(gamma_lp=2.0 * est.gamma_lp, g_rows=())
         G2, _ = weighted_svd_realize(est2, cfg, np.eye(10))
         np.testing.assert_allclose(np.abs(G2), np.sqrt(2.0) * np.abs(G1), atol=1e-9)
         assert np.max(subspace_angles(G1, G2)) < 1e-10
@@ -110,10 +110,7 @@ class TestWeightedSvd:
         assert np.max(subspace_angles(Gw, Gi)) < 1e-8
 
     def test_rank_error_lists_spectrum(self):
-        est = RangeEstimate(
-            gamma_lp=np.outer(np.arange(1.0, 5.0), np.ones(6)), g_rows=(),
-            method_tag="classical",
-        )
+        est = RangeEstimate(gamma_lp=np.outer(np.arange(1.0, 5.0), np.ones(6)), g_rows=())
         cfg = RealizationConfig(n_x=2, f=4, p=3, method="classical")
         with pytest.raises(RankError, match="singular values"):
             weighted_svd_realize(est, cfg, np.eye(6))
@@ -175,9 +172,7 @@ class TestEstimateBK:
         rows = tuple(
             np.append(g[: i - 1][::-1], m.D[0, 0]) for i in range(1, f + 1)
         )
-        return RangeEstimate(
-            gamma_lp=np.zeros((f, 2 * p)), g_rows=rows, method_tag="parsim"
-        )
+        return RangeEstimate(gamma_lp=np.zeros((f, 2 * p)), g_rows=rows)
 
     def test_exact_markov_inputs_recover_gains(self):
         rng = np.random.default_rng(7)
@@ -194,7 +189,6 @@ class TestEstimateBK:
         est = RangeEstimate(
             gamma_lp=np.zeros((5, 6)),
             g_rows=tuple(np.zeros(i) for i in range(1, 6)),
-            method_tag="parsim",
         )
         B, K = estimate_bk(m.A, m.C, est, InnovationsMarkov(h=np.zeros(6)))
         np.testing.assert_array_equal(B, np.zeros((2, 1)))
@@ -203,9 +197,7 @@ class TestEstimateBK:
     def test_fallback_to_input_sequence_when_no_rows(self):
         rng = np.random.default_rng(9)
         m = random_stable_model(rng, n_x=2)
-        est = RangeEstimate(
-            gamma_lp=np.zeros((5, 6)), g_rows=(), method_tag="classical"
-        )
+        est = RangeEstimate(gamma_lp=np.zeros((5, 6)), g_rows=())
         h = InnovationsMarkov(h=markov_h(m, 8), g=markov_g(m, 8))
         B, K = estimate_bk(m.A, m.C, est, h)
         np.testing.assert_allclose(B, m.B, atol=1e-9)
@@ -213,9 +205,7 @@ class TestEstimateBK:
     def test_no_input_information(self):
         rng = np.random.default_rng(10)
         m = random_stable_model(rng, n_x=2)
-        est = RangeEstimate(
-            gamma_lp=np.zeros((5, 6)), g_rows=(), method_tag="classical"
-        )
+        est = RangeEstimate(gamma_lp=np.zeros((5, 6)), g_rows=())
         with pytest.raises(ConfigError):
             estimate_bk(m.A, m.C, est, InnovationsMarkov(h=markov_h(m, 8)))
 
@@ -389,3 +379,32 @@ class TestInnovationsConversion:
             assert counts.get("predictor_to_innovations_g", 0) >= 1
         else:
             assert counts == {}
+
+
+class TestPreparedRecord:
+    """Every method reads one prepared record: one excitation check, one projection."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("f,p", [(3, 3), (4, 3)])
+    def test_every_method_rejects_a_non_exciting_input_in_blocks(self, method, f, p):
+        # Persistently exciting of order 4 only, with Example 1's noise (variance 4).
+        rec = two_sine_record(noise=2.0, n_total=2000)
+        with pytest.raises(ExcitationError, match=f"^input is not persistently exciting of order {f + p}"):
+            assemble_blocks(rec, f, p)
+        with pytest.raises(ExcitationError, match="^blocks: input is not persistently exciting"):
+            identify(rec, RealizationConfig(n_x=2, f=f, p=p, method=method))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_projection_per_identify_call(self, monkeypatch, method):
+        calls = []
+        original = data_blocks.orth_projection_complement
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (data_blocks, estimators, realization):
+            monkeypatch.setattr(module, "orth_projection_complement", counted, raising=False)
+        _, rec = seed2_example1_record()
+        identify(rec, RealizationConfig(n_x=3, f=10, p=20, method=method))
+        assert len(calls) == 1
