@@ -1,7 +1,7 @@
 """Model forms, data blocks, and serialization round trips.
 
 A tour of the lower-level building blocks: innovations/predictor forms,
-Markov parameters, Hankel data blocks, the future-input projector, and the
+Markov parameters, Hankel data blocks and their column weighting, and the
 JSON model format shared with the command-line tools.
 
 Run with:  python demos/04_models_blocks_and_io.py
@@ -32,8 +32,9 @@ print("impulse via simulate  :", np.round(ps.simulate(model, imp), 4))
 print("impulse via markov    :", np.round(ps.impulse_response(model, 6), 4))
 
 # ----------------------------------------------------------------------
-# Data blocks: past/future Hankel stacks share their columns, and the
-# future-input projector annihilates exactly the rows it should.
+# Data blocks: past/future Hankel stacks share their columns.  The SVD's
+# column weighting W2 is a (2p, 2p) square-root factor of the past Gram
+# matrix with the future inputs projected out, read from one QR of the record.
 # ----------------------------------------------------------------------
 rng = np.random.default_rng(5)
 u = rng.standard_normal(400)
@@ -42,8 +43,8 @@ blocks = ps.assemble_blocks(rec, f=4, p=6)
 print(f"\nblocks: f={blocks.f}, p={blocks.p}, shared columns N={blocks.N}")
 print("Z_p stacks past outputs over past inputs:", blocks.Z_p.shape)
 
-proj = ps.orth_projection_complement(blocks.U_f)
-print("projector annihilation |U_f P| =", f"{np.linalg.norm(proj.apply(blocks.U_f)):.2e}")
+W2 = ps.weight_w2(blocks)
+print("column weighting W2:", W2.shape)
 
 # ----------------------------------------------------------------------
 # JSON round trip: the model document is plain nested arrays and doubles

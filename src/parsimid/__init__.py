@@ -36,13 +36,7 @@ from .benchmark import (
     write_joint_fit_csv,
     write_trials_csv,
 )
-from .data_blocks import (
-    DataBlocks,
-    Projector,
-    assemble_blocks,
-    build_hankel,
-    orth_projection_complement,
-)
+from .data_blocks import DataBlocks, assemble_blocks, build_hankel
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -67,7 +61,6 @@ from .realization import (
     estimate_bk,
     extract_ac,
     identify,
-    psd_sqrt,
     weight_w2,
     weighted_svd_realize,
 )

@@ -1,11 +1,12 @@
 """Least squares on nested regressor sets from one QR (Qin & Ljung, SYSID 2003).
 
-With [X | T] = Q R, target j on the leading columns X[:, :q] reduces to
-R[:q, :q] theta = R[:q, k + j] with residual R[q:, k + j].  R[:q, :q] has
-the singular values of X[:, :q], so lstsq with the cutoff
-eps * max(m, q) * s_max keeps the full problem's minimum-norm solution.
-If X clears its own cutoff, interlacing puts every leading block above
-its cutoff too, and a triangular solve gives that same solution.
+With [X | T] = Q R, any column c of [X | T] regressed on the leading
+columns X[:, :q] reduces to R[:q, :q] theta = R[:q, c] with residual
+R[q:, c].  R[:q, :q] has the singular values of X[:, :q], so lstsq with the
+cutoff eps * max(m, q) * s_max keeps the full problem's minimum-norm
+solution.  If X clears its own cutoff, interlacing puts every leading
+block above its cutoff too, and a triangular solve gives that same
+solution.
 """
 
 import numpy as np
@@ -26,12 +27,17 @@ class NestedLstsq:
         s = np.linalg.svd(self.R[: self.k, : self.k], compute_uv=False)
         self.full_rank = self.m >= self.k and bool(s[-1] > _EPS * max(self.m, self.k) * s[0])
 
+    def regress(self, q: int, cols) -> np.ndarray:
+        """Minimum-norm coefficients of the columns ``cols`` of [X | T] on X[:, :q]."""
+        R11, b = self.R[:q, :q], self.R[:q, cols]
+        if self.full_rank:
+            return solve_triangular(R11, b)
+        return np.linalg.lstsq(R11, b, rcond=_EPS * max(self.m, q))[0]
+
     def solve(self, q: int, j: int = 0) -> tuple[np.ndarray, float]:
         """Minimum-norm coefficients and residual sum of squares of target j on X[:, :q]."""
-        R11, b, tail = self.R[:q, :q], self.R[:q, self.k + j], self.R[q:, self.k + j]
-        if self.full_rank:
-            theta = solve_triangular(R11, b)
-        else:
-            theta = np.linalg.lstsq(R11, b, rcond=_EPS * max(self.m, q))[0]
-        r = R11 @ theta - b
+        c = self.k + j
+        theta = self.regress(q, c)
+        r = self.R[:q, :q] @ theta - self.R[:q, c]
+        tail = self.R[q:, c]
         return theta, float(r @ r + tail @ tail)

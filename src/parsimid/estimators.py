@@ -15,13 +15,15 @@ the past-data controllability map from the same data blocks:
   of future inputs and outputs using pre-estimated predictor Markov
   parameters, then regresses on the past (Jansson-style SSARX).
 
-The banks' regressors are nested in the row index: row i uses the first
-2p + i rows of the prepared stack [Y_p; U_p; U_f], so one QR of
-[stack' Y_f'] answers every OLS row (``_lstsq.NestedLstsq``).  All solves
-keep pseudo-inverse (minimum-norm) semantics with the machine-epsilon *
-max-dimension * largest-singular-value cutoff: noise-free records make
-the output-side rows exactly collinear.  Input excitation is checked
-once, for every method, by :func:`data_blocks.assemble_blocks`.
+Every regression is of a block of the record on leading rows of the
+prepared stack [Y_p; U_p; U_f], so the one QR of [stack' Y_f'] that
+:func:`data_blocks.assemble_blocks` makes (``blocks.ls``) answers the OLS
+rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  All
+solves keep pseudo-inverse (minimum-norm) semantics with the
+machine-epsilon * max-dimension * largest-singular-value cutoff:
+noise-free records make the output-side rows exactly collinear.  Input
+excitation is checked once, for every method, by
+:func:`data_blocks.assemble_blocks`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded, toeplitz
 
-from ._lstsq import NestedLstsq
 from .arx_pre import InnovationsMarkov, PredictorMarkov
 from .data_blocks import DataBlocks
 from .errors import ConfigError, ExcitationError, RankError
@@ -149,11 +150,10 @@ def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
         ExcitationError: If a row's solve fails (named with the row).  The
             input excitation check itself runs in :func:`assemble_blocks`.
     """
-    ls = NestedLstsq(blocks.stack.T, blocks.Y_f.T)
     thetas = []
     for i in range(1, blocks.f + 1):
         try:
-            thetas.append(ls.solve(2 * blocks.p + i, i - 1)[0])
+            thetas.append(blocks.ls.solve(2 * blocks.p + i, i - 1)[0])
         except np.linalg.LinAlgError as err:
             raise ExcitationError(f"least-squares failure at row {i}: {err}") from err
     return _bank_estimate(thetas, blocks)
@@ -178,13 +178,10 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
             finite weights since H_0 = 1).  Input excitation is checked
             by :func:`assemble_blocks`, as for every method.
     """
-    thetas = []
-    for i in range(1, blocks.f + 1):
+    thetas = [blocks.ls.solve(2 * blocks.p + 1)[0]]
+    for i in range(2, blocks.f + 1):
         Z = blocks.stack[: 2 * blocks.p + i]
         y = blocks.Y_f[i - 1]
-        if i == 1:
-            thetas.append(NestedLstsq(Z.T, y).solve(Z.shape[0])[0])
-            continue
         ab = toeplitz_gram_band(h.h, i, blocks.N)
         try:
             V = solveh_banded(ab, Z.T)  # (N, q) = (T'T)^(-1) Z'
@@ -194,21 +191,18 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     return _bank_estimate(thetas, blocks)
 
 
-def _regress_rows(Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Y Z' (Z Z')^+: every row of Y regressed on the rows of Z via the normal equations."""
-    return np.linalg.lstsq(Z @ Z.T, (Y @ Z.T).T, rcond=None)[0].T
-
-
 def classical_projection(blocks: DataBlocks) -> RangeEstimate:
     """Single-projection estimator.
 
     Regresses the future outputs on the past stack with the future input
-    projected out, Y_f P Z_p' (Z_p P Z_p')^+.  P is idempotent, so
-    Y_f P Z_p' = Y_f (Z_p P)' and only the prepared ``blocks.Zp_perp`` is
-    needed.  The input Toeplitz term is discarded by the projection, so no
-    Markov parameter rows are produced.
+    projected out, Y_f P Z_p' (Z_p P Z_p')^+.  By the Frisch-Waugh-Lovell
+    theorem that is the Z_p block of the regression of Y_f on the whole
+    stack [Z_p; U_f], read from ``blocks.ls``.  The input Toeplitz term is
+    discarded by the projection, so no Markov parameter rows are produced.
     """
-    return RangeEstimate(gamma_lp=_regress_rows(blocks.Y_f, blocks.Zp_perp), g_rows=())
+    k = 2 * blocks.p + blocks.f
+    coef = blocks.ls.regress(k, slice(k, k + blocks.f))
+    return RangeEstimate(gamma_lp=coef[: 2 * blocks.p].T, g_rows=())
 
 
 def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
@@ -218,8 +212,11 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
     parameters from ``pm`` (feedthrough fixed to 0, zero diagonal on the
     output-feedback factor), removes their contribution from the future
     outputs, and regresses the corrected outputs on the past stack.  The
-    result estimates the predictor-form observability product, and
-    ``g_rows`` holds the predictor-form input parameters used.
+    corrected outputs are linear in Y_f and U_f, so their coefficients on
+    Z_p are (I - H_bar) coef(Y_f | Z_p) - G_bar coef(U_f | Z_p), both read
+    from ``blocks.ls``.  The result estimates the predictor-form
+    observability product, and ``g_rows`` holds the predictor-form input
+    parameters used.
 
     Raises:
         ConfigError: If ``pm`` supplies fewer than f - 1 parameters.
@@ -231,7 +228,9 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
 
     G_bar = toeplitz(np.r_[0.0, pm.g_bar[: f - 1]], np.zeros(f))
     H_bar = toeplitz(np.r_[0.0, pm.h_bar[: f - 1]], np.zeros(f))
-    Y_tilde = blocks.Y_f - G_bar @ blocks.U_f - H_bar @ blocks.Y_f
+    # Columns 2p.. of [X | T] are U_f then Y_f.
+    coef = blocks.ls.regress(2 * blocks.p, slice(2 * blocks.p, None)).T
+    gamma_lp = (np.eye(f) - H_bar) @ coef[f:] - G_bar @ coef[:f]
 
     g_rows = tuple(np.append(pm.g_bar[: i - 1][::-1], 0.0) for i in range(1, f + 1))
-    return RangeEstimate(gamma_lp=_regress_rows(Y_tilde, blocks.Z_p), g_rows=g_rows)
+    return RangeEstimate(gamma_lp=gamma_lp, g_rows=g_rows)

@@ -43,16 +43,12 @@ from .ss_model import (
 __all__ = [
     "RealizationConfig",
     "IdentifiedModel",
-    "psd_sqrt",
     "weight_w2",
     "weighted_svd_realize",
     "extract_ac",
     "estimate_bk",
     "identify",
 ]
-
-# Relative tolerance for negative eigenvalues in psd_sqrt.
-PSD_SQRT_TOL = 1e-10
 
 # The noise-weighting pre-estimate needs a genuinely high-order ARX: with a
 # slowly decaying predictor, an ARX truncated at the (often short) past
@@ -72,8 +68,8 @@ class RealizationConfig:
         p: Past horizon (also the ARX pre-estimation order).
         method: One of "parsim", "parsim_opt", "classical", "ssarx".
 
-    The SVD step always weights columns by the square root of the projected
-    past Gram matrix (:func:`weight_w2`) and rows by the identity.
+    The SVD step always weights columns by a square-root factor of the
+    projected past Gram matrix (:func:`weight_w2`) and rows by the identity.
     """
 
     n_x: int
@@ -103,34 +99,22 @@ class IdentifiedModel:
     diagnostics: dict = field(default_factory=dict)
 
 
-def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Principal symmetric square root of a positive semidefinite matrix.
-
-    Eigenvalues below -PSD_SQRT_TOL (relative to the largest eigenvalue,
-    floor 1) are an error; small negatives inside the tolerance are
-    clamped to 0.
-
-    Raises:
-        RankError: If the input is indefinite beyond tolerance.
-    """
-    M = np.asarray(M, dtype=float)
-    sym = 0.5 * (M + M.T)
-    w, V = np.linalg.eigh(sym)
-    scale = max(1.0, float(w[-1]) if w.size else 1.0)
-    if w.size and w[0] < -PSD_SQRT_TOL * scale:
-        raise RankError(f"matrix is indefinite: smallest eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
-
-
 def weight_w2(blocks: DataBlocks) -> np.ndarray:
-    """Column weighting: square root of the projected past Gram matrix.
+    """Column weighting: a square-root factor of the projected past Gram matrix.
 
-    Returns the principal symmetric square root of
-    Z_p P Z_p' where P projects onto the orthogonal complement of the
-    future-input rows; Z_p P is the prepared ``blocks.Zp_perp``.
+    Returns W2 = R22', (2p, 2p), with W2 W2' = Z_p P Z_p', where P projects
+    onto the orthogonal complement of the future-input rows.  R22 is the
+    trailing block of a QR of the record's R factor (``blocks.ls``) with
+    the U_f columns moved first.  W2 differs from the symmetric root of
+    Z_p P Z_p' by an orthogonal factor on the right, so the weighted SVD
+    gives the same singular values and left vectors with either.  When
+    N < 2p + f the QR has fewer than 2p rows below U_f's, and W2 is padded
+    with zero columns.
     """
-    return psd_sqrt(blocks.Zp_perp @ blocks.Zp_perp.T)
+    p2, f = 2 * blocks.p, blocks.f
+    R = blocks.ls.R
+    R22 = np.linalg.qr(np.hstack([R[:, p2 : p2 + f], R[:, :p2]]), mode="r")[f:, f:]
+    return np.vstack([R22, np.zeros((p2 - R22.shape[0], p2))]).T
 
 
 def weighted_svd_realize(
@@ -143,8 +127,9 @@ def weighted_svd_realize(
     Args:
         est: Stacked range-space estimate.
         cfg: Realization settings; cfg.n_x many directions are kept.
-        w2: Column weighting matrix, (2p, 2p); :func:`weight_w2` in the
-            pipeline.
+        w2: Column weighting, (2p, 2p): a square-root factor W2 of the
+            weight W2 W2'; only W2 W2' shapes the singular values and left
+            vectors.  :func:`weight_w2` in the pipeline.
 
     Returns:
         (Gamma_hat, singular_values): Gamma_hat = U_nx sqrt(S_nx) of shape

@@ -6,9 +6,11 @@ independently of the library's estimation code paths.
 """
 
 import numpy as np
+from scipy.linalg import toeplitz
+from scipy.signal import lfilter
 
 from parsimid import SignalRecord, StateSpaceModel, simulate, to_predictor_form
-from parsimid.benchmark import example1_system
+from parsimid.benchmark import example1_system, example2_system
 
 
 def gamma_f(A, C, f):
@@ -126,6 +128,22 @@ def ref_parsim_ols(blocks):
     return gamma, g_rows
 
 
+def example_record(name, seed, noisy=False, n_total=2000):
+    """Example 1 with white input, or Example 2 with its coloured input.
+
+    ``noisy`` adds the paper's innovations (variance 4 and 217.1); the input
+    draw does not depend on it.
+    """
+    rng = np.random.default_rng(seed)
+    if name == "example1":
+        system, u = example1_system(), rng.standard_normal(n_total)
+    else:
+        system, input_filter = example2_system()
+        u = lfilter(input_filter, [1.0], rng.standard_normal(n_total))
+    e = np.sqrt(system.sigma_e2) * rng.standard_normal(n_total) if noisy else None
+    return SignalRecord(u=u, y=simulate(system, u, e))
+
+
 def two_sine_record(noise, n_total=1500):
     """Example 1 driven by an input persistently exciting of order 4 only.
 
@@ -136,3 +154,44 @@ def two_sine_record(noise, n_total=1500):
     u = np.sin(0.3 * k) + 0.5 * np.sin(1.1 * k)
     e = noise * np.random.default_rng(0).standard_normal(k.size)
     return SignalRecord(u=u, y=simulate(example1_system(), u, e))
+
+
+# Dense references for the estimators that now read the record's one QR:
+# the future-input projector P = I - U_f' (U_f U_f')^(-1) U_f applied by its
+# formula, and pseudo-inverse normal equations as the estimators solved them
+# before.
+
+def _ref_project(X, blocks):
+    """X P, without forming the N x N projector."""
+    U_f = blocks.U_f
+    return X - (X @ U_f.T) @ np.linalg.solve(U_f @ U_f.T, U_f)
+
+
+def _ref_regress(Y, Z):
+    """Y Z' (Z Z')^+ by lstsq on the normal equations."""
+    return np.linalg.lstsq(Z @ Z.T, (Y @ Z.T).T, rcond=None)[0].T
+
+
+def ref_projected_gram(blocks):
+    """Z_p P Z_p'."""
+    Zp_perp = _ref_project(blocks.Z_p, blocks)
+    return Zp_perp @ Zp_perp.T
+
+
+def ref_classical_gamma(blocks):
+    """Y_f P Z_p' (Z_p P Z_p')^+."""
+    return _ref_regress(blocks.Y_f, _ref_project(blocks.Z_p, blocks))
+
+
+def ref_ssarx_gamma(blocks, pm):
+    """(Y_f - G_bar U_f - H_bar Y_f) Z_p' (Z_p Z_p')^+ with Toeplitz G_bar, H_bar from ``pm``."""
+    f = blocks.f
+    G_bar = toeplitz(np.r_[0.0, pm.g_bar[: f - 1]], np.zeros(f))
+    H_bar = toeplitz(np.r_[0.0, pm.h_bar[: f - 1]], np.zeros(f))
+    return _ref_regress(blocks.Y_f - G_bar @ blocks.U_f - H_bar @ blocks.Y_f, blocks.Z_p)
+
+
+def ref_w2(blocks):
+    """Symmetric square root of Z_p P Z_p' by eigh, rounding-level negatives clamped to 0."""
+    w, V = np.linalg.eigh(ref_projected_gram(blocks))
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T

@@ -7,7 +7,6 @@ from parsimid import (
     SignalRecord,
     assemble_blocks,
     build_hankel,
-    orth_projection_complement,
     simulate,
 )
 from parsimid.benchmark import example1_system
@@ -96,17 +95,8 @@ class TestAssembleBlocks:
         for view in (blocks.Y_p, blocks.U_p, blocks.Z_p, blocks.U_f):
             assert view.base is blocks.stack
         assert blocks.stack.shape == (2 * p + f, blocks.N)
-        for block in (blocks.stack, blocks.Y_p, blocks.U_p, blocks.Z_p, blocks.U_f,
-                      blocks.Y_f, blocks.Zp_perp):
+        for block in (blocks.stack, blocks.Y_p, blocks.U_p, blocks.Z_p, blocks.U_f, blocks.Y_f):
             assert not block.flags.writeable
-
-    def test_projected_past(self):
-        rng = np.random.default_rng(10)
-        rec = SignalRecord(u=rng.standard_normal(200), y=rng.standard_normal(200))
-        blocks = assemble_blocks(rec, f=5, p=6)
-        expect = orth_projection_complement(blocks.U_f).apply(blocks.Z_p)
-        np.testing.assert_array_equal(blocks.Zp_perp, expect)
-        assert np.linalg.norm(blocks.Zp_perp @ blocks.U_f.T) < 1e-9 * np.linalg.norm(blocks.Z_p)
 
     def test_excitation_of_order_f_plus_p(self):
         # Two sinusoids excite order 4: f + p = 4 passes, f + p = 5 does not.
@@ -121,45 +111,6 @@ class TestAssembleBlocks:
         rec = SignalRecord(u=np.ones(5), y=np.ones(5))
         with pytest.raises(ConfigError, match="8"):
             assemble_blocks(rec, f=4, p=4)
-
-
-class TestProjector:
-    def test_mean_removal(self):
-        proj = orth_projection_complement(np.array([[1.0, 1.0, 1.0]]))
-        np.testing.assert_allclose(
-            proj.apply(np.eye(3)), np.eye(3) - np.full((3, 3), 1 / 3), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            proj.apply(np.array([[4.0, 4.0, 4.0]])), np.zeros((1, 3)), atol=1e-12
-        )
-
-    def test_invariants_random(self):
-        rng = np.random.default_rng(4)
-        U_f = rng.standard_normal((3, 50))
-        proj = orth_projection_complement(U_f)
-        P = proj.apply(np.eye(50))
-        np.testing.assert_allclose(P, P.T, atol=1e-12)
-        np.testing.assert_allclose(P @ P, P, atol=1e-10)
-        assert np.linalg.norm(P @ U_f.T) < 1e-8
-
-    def test_apply_matches_dense(self):
-        rng = np.random.default_rng(5)
-        U_f = rng.standard_normal((4, 30))
-        X = rng.standard_normal((6, 30))
-        proj = orth_projection_complement(U_f)
-        np.testing.assert_allclose(proj.apply(X), X @ proj.apply(np.eye(30)), atol=1e-12)
-
-    def test_rank_deficient_raises(self):
-        row = np.random.default_rng(6).standard_normal(20)
-        with pytest.raises(ExcitationError):
-            orth_projection_complement(np.vstack([row, row]))
-
-    def test_dense_limit(self):
-        # apply never forms the N x N projector, so long records are fine.
-        rng = np.random.default_rng(7)
-        proj = orth_projection_complement(rng.standard_normal((1, 4200)))
-        out = proj.apply(rng.standard_normal((1, 4200)))
-        assert out.shape == (1, 4200)
 
 
 class TestTruncationResidual:

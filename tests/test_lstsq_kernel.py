@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter
 
 from parsimid import (
     ConfigError,
@@ -21,16 +20,15 @@ from parsimid import (
     simulate,
 )
 from parsimid._lstsq import NestedLstsq
-from parsimid.benchmark import (
-    _trial_data,
-    example1_scenario,
-    example1_system,
-    example2_scenario,
-    example2_system,
-    example3_scenario,
-)
+from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario, example3_scenario
 
-from helpers import ref_parsim_ols, ref_select_order_aic, ref_solve_arx, two_sine_record
+from helpers import (
+    example_record,
+    ref_parsim_ols,
+    ref_select_order_aic,
+    ref_solve_arx,
+    two_sine_record,
+)
 
 TOL = 1e-10
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -53,17 +51,6 @@ def trial_record(name, seed):
     sc = SCENARIOS[name]
     _, rec, _ = _trial_data(sc, seed, 0)
     return sc, rec
-
-
-def noise_free_record(name, seed, n_total=2000):
-    """Example 1 with white input, or Example 2 with its coloured input, without noise."""
-    rng = np.random.default_rng(seed)
-    if name == "example1":
-        system, u = example1_system(), rng.standard_normal(n_total)
-    else:
-        system, input_filter = example2_system()
-        u = lfilter(input_filter, [1.0], rng.standard_normal(n_total))
-    return SignalRecord(u=u, y=simulate(system, u))
 
 
 class TestNestedLstsq:
@@ -119,7 +106,7 @@ class TestAicOrder:
     def test_noise_free_pick_fits_exactly(self, name, seed):
         # Every grid order exceeds the true order, so RSS is at rounding
         # level throughout and the pick itself is not reproducible.
-        rec = noise_free_record(name, seed)
+        rec = example_record(name, seed)
         n = select_order_aic(rec, default_aic_grid(3, len(rec)))
         assert fit_arx(rec, n).residual_variance < 1e-20 * np.var(rec.y)
 
@@ -147,7 +134,7 @@ class TestOlsBank:
 
     @pytest.mark.parametrize("name,p", [("example1", 10), ("example1", 20), ("example2", 20)])
     def test_noise_free_bank_keeps_minimum_norm(self, name, p):
-        blocks = assemble_blocks(noise_free_record(name, 3), 10, p)
+        blocks = assemble_blocks(example_record(name, 3), 10, p)
         gamma, g_rows = ref_parsim_ols(blocks)
         est = parsim_ols(blocks)
         assert rel(est.gamma_lp, gamma) < TOL
@@ -166,7 +153,7 @@ class TestArxFit:
 
     @pytest.mark.parametrize("name,n", [("example1", 10), ("example1", 30), ("example2", 20)])
     def test_noise_free_fit_keeps_minimum_norm(self, name, n):
-        rec = noise_free_record(name, 4)
+        rec = example_record(name, 4)
         pm = fit_arx(rec, n)
         theta, _, _ = ref_solve_arx(rec.u, rec.y, n, n)
         assert rel(np.concatenate([pm.h_bar, pm.g_bar]), theta) < TOL

@@ -1,0 +1,102 @@
+"""Invariants of the identification pipeline on small random stable systems.
+
+``benchmark.random_system`` draws a minimal stable system of order 1 to 3
+from each seed; the record is white input of unit variance, with unit
+innovations where the property needs noise.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parsimid import (
+    METHODS,
+    InnovationsMarkov,
+    RealizationConfig,
+    SignalRecord,
+    assemble_blocks,
+    identify,
+    markov_g,
+    markov_h,
+    parsim_ols,
+    parsim_wls,
+    simulate,
+)
+from parsimid.benchmark import random_system
+
+SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**32 - 1)
+orders = st.integers(1, 3)
+P = 10
+
+
+def rel(a, b) -> float:
+    a, b = np.ravel(a), np.ravel(b)
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def random_record(seed, n_x, noisy, n_total=600):
+    system = random_system(seed, n_x)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n_total)
+    e = rng.standard_normal(n_total) if noisy else None
+    return system, SignalRecord(u=u, y=simulate(system, u, e))
+
+
+def config(n_x, method):
+    return RealizationConfig(n_x=n_x, f=n_x + 3, p=P, method=method)
+
+
+class TestNoiseFreeRecovery:
+    @SETTINGS
+    @given(seed=seeds, n_x=orders)
+    def test_every_method_recovers_the_input_markov_parameters(self, seed, n_x):
+        system, rec = random_record(seed, n_x, noisy=False)
+        g = markov_g(system, 30)
+        errors = {
+            method: rel(markov_g(identify(rec, config(n_x, method)).model, 30), g)
+            for method in METHODS
+        }
+        for method in ("parsim", "parsim_opt", "classical"):
+            assert errors[method] < 1e-8, errors
+        # Without noise the order-p ARX that SSARX subtracts is one of many
+        # exact fits, and the minimum-norm one is not an order-n_x predictor,
+        # so SSARX lands near the system but not on it (up to 13 % on draws
+        # of order 3).
+        assert errors["ssarx"] < 0.25, errors
+
+
+class TestWeightedBank:
+    @SETTINGS
+    @given(seed=seeds, n_x=orders)
+    def test_zero_noise_weighting_is_the_ols_bank(self, seed, n_x):
+        _, rec = random_record(seed, n_x, noisy=True)
+        f = n_x + 3
+        blocks = assemble_blocks(rec, f, P)
+        ols = parsim_ols(blocks)
+        wls = parsim_wls(blocks, InnovationsMarkov(h=np.zeros(f - 1)))
+        assert rel(wls.gamma_lp, ols.gamma_lp) < 1e-10
+        assert rel(np.concatenate(wls.g_rows), np.concatenate(ols.g_rows)) < 1e-10
+
+
+class TestSignalScaling:
+    @SETTINGS
+    @given(
+        seed=seeds,
+        n_x=orders,
+        a=st.floats(0.1, 10.0),
+        b=st.floats(0.1, 10.0),
+        method=st.sampled_from(METHODS),
+    )
+    def test_scaling_input_and_output(self, seed, n_x, a, b, method):
+        # u -> a u and y -> b y: G scales by b / a, sigma_e2 by b^2, and the
+        # noise model and the poles stay.
+        _, rec = random_record(seed, n_x, noisy=True)
+        scaled = SignalRecord(u=a * rec.u, y=b * rec.y)
+        m = identify(rec, config(n_x, method)).model
+        ms = identify(scaled, config(n_x, method)).model
+        assert rel(markov_g(ms, 30), b / a * markov_g(m, 30)) < 1e-8
+        assert rel(markov_h(ms, 30), markov_h(m, 30)) < 1e-8
+        assert abs(ms.sigma_e2 - b**2 * m.sigma_e2) < 1e-10 * b**2 * m.sigma_e2
+        eig, eig_s = np.linalg.eigvals(m.A), np.linalg.eigvals(ms.A)
+        assert np.max(np.abs(np.sort_complex(eig_s) - np.sort_complex(eig))) < 1e-8

@@ -21,55 +21,95 @@ from parsimid import (
     impulse_response,
     markov_g,
     markov_h,
-    orth_projection_complement,
-    psd_sqrt,
     select_order_aic,
     simulate,
     weight_w2,
     weighted_svd_realize,
 )
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
-from parsimid import data_blocks, estimators, realization
+from parsimid import arx_pre, data_blocks, estimators, realization
 from parsimid.realization import _weighting_markov
 
-from helpers import gamma_f, random_stable_model, true_gamma_lp, two_sine_record
+from helpers import (
+    example_record,
+    gamma_f,
+    random_stable_model,
+    ref_classical_gamma,
+    ref_projected_gram,
+    ref_ssarx_gamma,
+    ref_w2,
+    true_gamma_lp,
+    two_sine_record,
+)
 
 
-class TestPsdSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
+def rel(a, b) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
-    def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
 
-    def test_square_reproduces_random_psd(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((12, 20))
-        M = X @ X.T
-        root = psd_sqrt(M)
-        np.testing.assert_allclose(root @ root, M, atol=1e-10 * np.linalg.norm(M))
-        np.testing.assert_allclose(root, root.T, atol=1e-12)
-
-    def test_small_negative_clamped(self):
-        M = np.diag([1.0, -1e-14])
-        root = psd_sqrt(M)
-        assert root[1, 1] == 0.0
-
-    def test_indefinite_raises(self):
-        with pytest.raises(RankError):
-            psd_sqrt(np.diag([1.0, -0.5]))
+def weighted_gram(gamma, w2):
+    """(gamma W2)(gamma W2)': the part of gamma W2 that an orthogonal factor on the right leaves alone."""
+    M = gamma @ w2
+    return M @ M.T
 
 
 class TestWeightW2:
-    def test_squares_to_projected_gram(self):
-        rng = np.random.default_rng(1)
-        rec = SignalRecord(u=rng.standard_normal(300), y=rng.standard_normal(300))
-        blocks = assemble_blocks(rec, f=4, p=5)
+    """W2 = R22' against the symmetric root of Z_p P Z_p' and the projection formulas it replaced."""
+
+    CASES = [
+        (name, noisy, f, p)
+        for name in ("example1", "example2")
+        for noisy in (True, False)
+        for f, p in ((10, 20), (1, 1))
+    ]
+
+    @staticmethod
+    def prepared(name, noisy, f, p):
+        rec = example_record(name, 0, noisy)
+        return rec, assemble_blocks(rec, f, p)
+
+    @pytest.mark.parametrize("name,noisy,f,p", CASES)
+    def test_factor_squares_to_projected_gram(self, name, noisy, f, p):
+        _, blocks = self.prepared(name, noisy, f, p)
         W2 = weight_w2(blocks)
-        proj = orth_projection_complement(blocks.U_f)
-        Zp = proj.apply(blocks.Z_p)
-        target = Zp @ Zp.T
-        np.testing.assert_allclose(W2 @ W2, target, atol=1e-8 * np.linalg.norm(target))
+        assert W2.shape == (2 * p, 2 * p)
+        assert rel(W2 @ W2.T, ref_projected_gram(blocks)) < 1e-10
+
+    @pytest.mark.parametrize("name,noisy,f,p", CASES)
+    def test_weighted_estimates_match_projection_references(self, name, noisy, f, p):
+        rec, blocks = self.prepared(name, noisy, f, p)
+        pm = fit_arx(rec, max(p, f - 1))
+        W2, W2_ref = weight_w2(blocks), ref_w2(blocks)
+        for gamma, gamma_ref in (
+            (realization.classical_projection(blocks).gamma_lp, ref_classical_gamma(blocks)),
+            (realization.ssarx_estimate(blocks, pm).gamma_lp, ref_ssarx_gamma(blocks, pm)),
+        ):
+            assert rel(weighted_gram(gamma, W2), weighted_gram(gamma_ref, W2_ref)) < 1e-10
+
+    @pytest.mark.parametrize("name,noisy,f,p", CASES)
+    def test_weighted_svd_agrees_with_the_symmetric_root(self, name, noisy, f, p):
+        _, blocks = self.prepared(name, noisy, f, p)
+        gamma = realization.parsim_ols(blocks).gamma_lp
+        U, s, _ = np.linalg.svd(gamma @ weight_w2(blocks))
+        U_ref, s_ref, _ = np.linalg.svd(gamma @ ref_w2(blocks))
+        np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-10 * s_ref[0])
+        # The leading two directions are separated by a clear gap on every record.
+        n = min(2, f)
+        np.testing.assert_allclose(np.abs(U[:, :n]), np.abs(U_ref[:, :n]), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("f,p,n_total", [(10, 1, 21), (4, 6, 22)])
+    def test_short_record_keeps_a_square_factor(self, f, p, n_total):
+        # N < 2p + f: the QR has fewer than 2p rows below the U_f rows.
+        rng = np.random.default_rng(1)
+        rec = SignalRecord(u=rng.standard_normal(n_total), y=rng.standard_normal(n_total))
+        blocks = assemble_blocks(rec, f, p)
+        assert blocks.N < 2 * p + f
+        W2 = weight_w2(blocks)
+        assert W2.shape == (2 * p, 2 * p)
+        assert rel(W2 @ W2.T, ref_projected_gram(blocks)) < 1e-10
+        cfg = RealizationConfig(n_x=1, f=f, p=p, method="classical")
+        _, s = weighted_svd_realize(realization.classical_projection(blocks), cfg, W2)
+        assert s.size == min(f, 2 * p)
 
 
 class TestWeightedSvd:
@@ -382,7 +422,7 @@ class TestInnovationsConversion:
 
 
 class TestPreparedRecord:
-    """Every method reads one prepared record: one excitation check, one projection."""
+    """Every method reads one prepared record: one excitation check, one factorization."""
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("f,p", [(3, 3), (4, 3)])
@@ -395,16 +435,20 @@ class TestPreparedRecord:
             identify(rec, RealizationConfig(n_x=2, f=f, p=p, method=method))
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_one_projection_per_identify_call(self, monkeypatch, method):
-        calls = []
-        original = data_blocks.orth_projection_complement
+    def test_one_record_factorization_per_identify_call(self, monkeypatch, method):
+        # Every NestedLstsq construction, through each module attribute that
+        # holds the name, with its row count.
+        built = []
+        original = arx_pre.NestedLstsq
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        for module in (data_blocks, estimators, arx_pre):
+            def counted(X, T, _module=module.__name__):
+                built.append((_module, X.shape[0]))
+                return original(X, T)
 
-        for module in (data_blocks, estimators, realization):
-            monkeypatch.setattr(module, "orth_projection_complement", counted, raising=False)
+            monkeypatch.setattr(module, "NestedLstsq", counted, raising=False)
         _, rec = seed2_example1_record()
         identify(rec, RealizationConfig(n_x=3, f=10, p=20, method=method))
-        assert len(calls) == 1
+        N = len(rec) - 10 - 20 + 1
+        assert [b for b in built if b[1] == N] == [("parsimid.data_blocks", N)]
+        assert not [b for b in built if b[0] == "parsimid.estimators"]
