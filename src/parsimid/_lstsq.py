@@ -21,8 +21,13 @@ class NestedLstsq:
 
     def __init__(self, X: np.ndarray, T: np.ndarray):
         self.m, self.k = X.shape
-        # np.linalg.qr(mode="r")'s dgeqrf, 1.2-2.3x faster via scipy on 2000-row designs.
-        qr = dgeqrf(np.column_stack([X, T]), overwrite_a=True)[0]
+        # dgeqrf factors a Fortran-ordered copy in place (it would copy a
+        # C-ordered one again); 1.2-2.3x faster than np.linalg.qr(mode="r").
+        T = T.reshape(self.m, -1)
+        A = np.empty((self.m, self.k + T.shape[1]), order="F")
+        A[:, : self.k] = X
+        A[:, self.k :] = T
+        qr = dgeqrf(A, overwrite_a=True)[0]
         self.R = np.triu(qr[: qr.shape[1]])
         s = np.linalg.svd(self.R[: self.k, : self.k], compute_uv=False)
         self.full_rank = self.m >= self.k and bool(s[-1] > _EPS * max(self.m, self.k) * s[0])

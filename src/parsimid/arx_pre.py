@@ -89,7 +89,7 @@ class InnovationsMarkov:
 def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int):
     """Lag regressor [y1 u1 y2 u2 ... yn un] (order m uses 2m columns) and targets."""
     total = y.size
-    Phi = np.empty((total - start, 2 * n))
+    Phi = np.empty((total - start, 2 * n), order="F")
     for j in range(1, n + 1):
         Phi[:, 2 * j - 2] = y[start - j : total - j]
         Phi[:, 2 * j - 1] = u[start - j : total - j]

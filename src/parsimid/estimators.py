@@ -15,10 +15,13 @@ the past-data controllability map from the same data blocks:
   of future inputs and outputs using pre-estimated predictor Markov
   parameters, then regresses on the past (Jansson-style SSARX).
 
-Every regression is of a block of the record on leading rows of the
-prepared stack [Y_p; U_p; U_f], so the one QR of [stack' Y_f'] that
+Every unweighted regression is of a block of the record on leading rows
+of the prepared stack [Y_p; U_p; U_f], so the one QR of [stack' Y_f'] that
 :func:`data_blocks.assemble_blocks` makes (``blocks.ls``) answers the OLS
-rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  All
+rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  WLS
+rows 2..f each factor their banded T'T = U'U once (LAPACK ``dpbtrf``),
+whiten the row's regressors and target with one banded triangular sweep
+W = U^(-T) [Z' y'] (``dtbtrs``), and solve on the small Gram W'W.  All
 solves keep pseudo-inverse (minimum-norm) semantics with the
 machine-epsilon * max-dimension * largest-singular-value cutoff:
 noise-free records make the output-side rows exactly collinear.  Input
@@ -31,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded, toeplitz
+from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .arx_pre import InnovationsMarkov, PredictorMarkov
 from .data_blocks import DataBlocks
@@ -63,10 +67,16 @@ class RangeEstimate:
         g_rows: One row per future index i with the i estimated Markov
             parameters [G_{i-1}, ..., G_1, G_0]; empty for the classical
             projection, predictor-form values for SSARX.
+        gram_rank: WLS bank only: the numerical rank of the weighted Gram
+            Z (T'T)^(-1) Z' of rows 2..f, as its lstsq solve found it.
+        gram_cond: WLS bank only: s_max / s_min of the same Grams (inf
+            for a singular one).
     """
 
     gamma_lp: np.ndarray
     g_rows: tuple[np.ndarray, ...]
+    gram_rank: tuple[int, ...] = ()
+    gram_cond: tuple[float, ...] = ()
 
     def __post_init__(self):
         for i, row in enumerate(self.g_rows, start=1):
@@ -118,7 +128,7 @@ def build_noise_toeplitz(h, i: int, N: int) -> NoiseToeplitz:
 
 
 def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
-    """Upper-banded storage of T'T for :func:`scipy.linalg.solveh_banded`.
+    """Upper-banded LAPACK storage of T'T (as ``dpbtrf`` and ``solveh_banded`` read it).
 
     T'T is symmetric positive definite, banded with bandwidth i - 1, and
     Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.
@@ -131,11 +141,11 @@ def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
     return ab
 
 
-def _bank_estimate(thetas, blocks: DataBlocks) -> RangeEstimate:
+def _bank_estimate(thetas, blocks: DataBlocks, **gram) -> RangeEstimate:
     """Stack the row solutions [Gamma_fi L_p, G_fi] of a bank."""
     k = 2 * blocks.p
     return RangeEstimate(
-        gamma_lp=np.array([t[:k] for t in thetas]), g_rows=tuple(t[k:] for t in thetas)
+        gamma_lp=np.array([t[:k] for t in thetas]), g_rows=tuple(t[k:] for t in thetas), **gram
     )
 
 
@@ -163,10 +173,14 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     """Row-wise weighted least-squares bank.
 
     Uses the inverse of the row noise covariance T'T as the weighting;
-    the innovations variance cancels and is never applied.  The weighted
-    products Z W Z' and y W Z' are computed through banded Cholesky
-    solves with T'T (bandwidth i), never by forming the N x N inverse.
-    Row 1 has white row noise and coincides with the OLS row.
+    the innovations variance cancels and is never applied.  Row i factors
+    the banded T'T = U'U (bandwidth i - 1) once, whitens [Z' y'] with one
+    banded triangular sweep W = U^(-T) [Z' y'] into an N x (q + 1) buffer,
+    and solves the normal equations of the small Gram W'W by lstsq; the
+    N x N inverse is never formed.  Row 1 has white row noise and
+    coincides with the OLS row.  The rank and condition of each row's
+    weighted Gram, from that lstsq, are returned as ``gram_rank`` and
+    ``gram_cond``.
 
     Args:
         blocks: Data blocks.
@@ -174,21 +188,28 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
             the available length are treated as zero.
 
     Raises:
-        RankError: If a banded Gram solve fails (guarded; cannot occur for
-            finite weights since H_0 = 1).  Input excitation is checked
-            by :func:`assemble_blocks`, as for every method.
+        RankError: If a row's banded Cholesky factorization fails (guarded;
+            cannot occur for finite weights since H_0 = 1).  Input
+            excitation is checked by :func:`assemble_blocks`, as for every
+            method.
     """
     thetas = [blocks.ls.solve(2 * blocks.p + 1)[0]]
+    ranks, conds = [], []
     for i in range(2, blocks.f + 1):
-        Z = blocks.stack[: 2 * blocks.p + i]
-        y = blocks.Y_f[i - 1]
-        ab = toeplitz_gram_band(h.h, i, blocks.N)
-        try:
-            V = solveh_banded(ab, Z.T)  # (N, q) = (T'T)^(-1) Z'
-        except np.linalg.LinAlgError as err:
-            raise RankError(f"noise weighting Gram is numerically singular at row {i}: {err}") from err
-        thetas.append(np.linalg.lstsq(Z @ V, y @ V, rcond=None)[0])
-    return _bank_estimate(thetas, blocks)
+        q = 2 * blocks.p + i
+        U, info = dpbtrf(toeplitz_gram_band(h.h, i, blocks.N))
+        if info != 0:
+            raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
+        W = np.empty((blocks.N, q + 1), order="F")
+        W[:, :q] = blocks.stack[:q].T
+        W[:, q] = blocks.Y_f[i - 1]
+        W = dtbtrs(U, W, trans="T", overwrite_b=True)[0]
+        G = W.T @ W
+        theta, _, rank, s = np.linalg.lstsq(G[:q, :q], G[:q, q], rcond=None)
+        thetas.append(theta)
+        ranks.append(int(rank))
+        conds.append(float(s[0] / s[-1]) if s[-1] > 0 else float("inf"))
+    return _bank_estimate(thetas, blocks, gram_rank=tuple(ranks), gram_cond=tuple(conds))
 
 
 def classical_projection(blocks: DataBlocks) -> RangeEstimate:

@@ -281,7 +281,9 @@ def identify(
     Returns:
         IdentifiedModel.  An unstable estimate is not an error; it is
         flagged in ``diagnostics["stable"]``.  ``arx_order`` and
-        ``weighting_arx_order`` (parsim_opt, else None) give the ARX orders.
+        ``weighting_arx_order`` (parsim_opt, else None) give the ARX orders;
+        ``wls_gram_rank`` and ``wls_gram_cond`` (parsim_opt, else None) give
+        the rank and s_max / s_min of the weighted Gram of WLS rows 2..f.
 
     Raises:
         ParsimidError subclasses labeled with the failing stage; a record
@@ -352,5 +354,7 @@ def identify(
         "b_fit_rms": b_rms,
         "k_fit_rms": k_rms,
         "markov_last_row": est.g_rows[-1].copy() if est.g_rows else None,
+        "wls_gram_rank": list(est.gram_rank) if cfg.method == "parsim_opt" else None,
+        "wls_gram_cond": list(est.gram_cond) if cfg.method == "parsim_opt" else None,
     }
     return IdentifiedModel(model=model, singular_values=svals, diagnostics=diagnostics)

@@ -5,11 +5,20 @@ controllability maps, Markov Toeplitz blocks) directly from model matrices,
 independently of the library's estimation code paths.
 """
 
+import math
+
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import solveh_banded, toeplitz
 from scipy.signal import lfilter
 
-from parsimid import SignalRecord, StateSpaceModel, simulate, to_predictor_form
+from parsimid import (
+    DivergenceError,
+    SignalRecord,
+    StateSpaceModel,
+    simulate,
+    to_predictor_form,
+    toeplitz_gram_band,
+)
 from parsimid.benchmark import example1_system, example2_system
 
 
@@ -126,6 +135,50 @@ def ref_parsim_ols(blocks):
         gamma[i - 1] = theta[: 2 * p]
         g_rows.append(theta[2 * p :])
     return gamma, g_rows
+
+
+def ref_parsim_wls(blocks, h):
+    """WLS bank with two banded Cholesky solves per row: (gamma, g_rows).
+
+    Row 1 is the plain regression; row i >= 2 forms Z V and y V with
+    V = (T'T)^(-1) Z' by ``solveh_banded`` and solves the normal equations
+    by lstsq, as ``parsim_wls`` did before its one-sweep whitening.
+    """
+    f, p = blocks.f, blocks.p
+    gamma = np.empty((f, 2 * p))
+    g_rows = []
+    for i in range(1, f + 1):
+        Z = blocks.stack[: 2 * p + i]
+        y = blocks.Y_f[i - 1]
+        if i == 1:
+            theta = np.linalg.lstsq(Z.T, y, rcond=None)[0]
+        else:
+            V = solveh_banded(toeplitz_gram_band(h.h, i, blocks.N), Z.T)
+            theta = np.linalg.lstsq(Z @ V, y @ V, rcond=None)[0]
+        gamma[i - 1] = theta[: 2 * p]
+        g_rows.append(theta[2 * p :])
+    return gamma, g_rows
+
+
+def ref_simulate(m, u, e=None):
+    """Step-by-step innovations-form recursion from the zero state.
+
+    y[k] = C x[k] + D u[k] + e[k], x[k+1] = A x[k] + B u[k] + K e[k];
+    raises DivergenceError at the first non-finite y, as ``simulate`` does.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    e = np.zeros_like(u) if e is None else np.asarray(e, dtype=float).ravel()
+    x = np.zeros(m.n_x)
+    b, c, d, k = m.B[:, 0], m.C[0], m.D[0, 0], m.K[:, 0]
+    y = np.empty_like(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(u.size):
+            yt = float(c @ x) + d * u[t] + e[t]
+            if not math.isfinite(yt):
+                raise DivergenceError(f"simulation diverged at step {t}")
+            y[t] = yt
+            x = m.A @ x + b * u[t] + k * e[t]
+    return y
 
 
 def example_record(name, seed, noisy=False, n_total=2000):

@@ -7,23 +7,35 @@ from parsimid import (
     ExcitationError,
     InnovationsMarkov,
     PredictorMarkov,
+    RankError,
+    RealizationConfig,
     SignalRecord,
     assemble_blocks,
     build_noise_toeplitz,
     classical_projection,
+    default_aic_grid,
     error_g,
+    fit_arx,
+    identify,
     markov_g,
     markov_h,
     parsim_ols,
     parsim_wls,
+    predictor_to_innovations,
+    select_order_aic,
     simulate,
     ssarx_estimate,
     to_predictor_form,
     toeplitz_gram_band,
 )
-from parsimid.benchmark import example1_system
+from parsimid import estimators
+from parsimid.benchmark import _trial_data, example1_system, example3_scenario
 
-from helpers import colspace, gamma_f, random_stable_model
+from helpers import colspace, example_record, gamma_f, random_stable_model, ref_parsim_wls
+
+
+def rel(a, b) -> float:
+    return float(np.linalg.norm(np.ravel(a) - np.ravel(b)) / np.linalg.norm(np.ravel(b)))
 
 
 def example1_record(n_total, sigma_e, seed):
@@ -149,6 +161,76 @@ class TestParsimWls:
             errs_o.append(error_g(parsim_ols(blocks).g_rows[-1], true_last))
             errs_w.append(error_g(parsim_wls(blocks, h).g_rows[-1], true_last))
         assert np.mean(errs_w) < np.mean(errs_o)
+
+
+def bank_record(name, seed, noisy):
+    """Record and f of the weighted-bank checks.
+
+    Example 1 (white input), Example 2 (coloured input), or an Example 3
+    trial record (random sixth-order system, band-limited binary input).
+    """
+    if name == "example3":
+        return _trial_data(example3_scenario(10.0 if noisy else 0.0), seed, 0)[1], 20
+    return example_record(name, seed, noisy=noisy), 10
+
+
+class TestWlsBankReference:
+    """The one-sweep WLS bank against the two-solve ``solveh_banded`` bank."""
+
+    # p as the Monte Carlo trials pick it (AIC on the default grid for n_x),
+    # or p = 20 for Example 2.
+    @pytest.mark.parametrize("name,aic_n_x", [("example1", 3), ("example2", None), ("example3", 6)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noisy_bank_matches_reference(self, name, aic_n_x, seed):
+        rec, f = bank_record(name, seed, noisy=True)
+        p = 20 if aic_n_x is None else select_order_aic(rec, default_aic_grid(aic_n_x, len(rec)))
+        blocks = assemble_blocks(rec, f, p)
+        h = predictor_to_innovations(fit_arx(rec, 30))
+        gamma, g_rows = ref_parsim_wls(blocks, h)
+        est = parsim_wls(blocks, h)
+        for i in range(f):
+            assert rel(est.gamma_lp[i], gamma[i]) < 1e-10, i
+            assert rel(est.g_rows[i], g_rows[i]) < 1e-10, i
+        assert est.gram_rank == tuple(2 * p + i for i in range(2, f + 1))
+        assert len(est.gram_cond) == f - 1
+
+    @pytest.mark.parametrize("name,p", [("example1", 10), ("example1", 20), ("example2", 20)])
+    def test_noise_free_bank_keeps_minimum_norm(self, name, p):
+        # The weighted Grams are rank deficient here (cond near 1e16); only
+        # the lstsq cutoff on the small Gram keeps the null-space part of
+        # the solution at zero, as the reference does.
+        rec, f = bank_record(name, 0, noisy=False)
+        blocks = assemble_blocks(rec, f, p)
+        h = predictor_to_innovations(fit_arx(rec, 30))
+        gamma, g_rows = ref_parsim_wls(blocks, h)
+        est = parsim_wls(blocks, h)
+        assert rel(est.gamma_lp, gamma) < 1e-10
+        assert rel(np.concatenate(est.g_rows), np.concatenate(g_rows)) < 1e-10
+        assert min(est.gram_rank) < 2 * p + 2
+
+    # Noise-free records excite only the input-driven states (two for
+    # Examples 1 and 2), and their output rows are exactly collinear: the
+    # weighted bank keeps the minimum-norm solution, so the estimate has
+    # rank n_x to rounding.
+    @pytest.mark.parametrize(
+        "name,n_x,p,bound", [("example1", 2, 20, 1e-13), ("example2", 2, 20, 1e-11), ("example3", 6, 10, 1e-9)]
+    )
+    def test_noise_free_singular_value_floor(self, name, n_x, p, bound):
+        rec, f = bank_record(name, 0, noisy=False)
+        s = identify(rec, RealizationConfig(n_x=n_x, f=f, p=p, method="parsim_opt")).singular_values
+        assert s[n_x] / s[0] < bound
+
+    def test_failed_cholesky_names_the_row(self, monkeypatch):
+        _, rec = example1_record(600, 1.5, seed=6)
+        blocks = assemble_blocks(rec, f=5, p=6)
+
+        def indefinite_from_row_3(h, i, N):
+            ab = toeplitz_gram_band(h, i, N)
+            return -ab if i >= 3 else ab
+
+        monkeypatch.setattr(estimators, "toeplitz_gram_band", indefinite_from_row_3)
+        with pytest.raises(RankError, match="at row 3"):
+            parsim_wls(blocks, InnovationsMarkov(h=np.array([0.9, 0.5, 0.2, 0.1])))
 
 
 class TestClassicalProjection:

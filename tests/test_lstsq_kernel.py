@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgeqrf
 
 from parsimid import (
     ConfigError,
@@ -20,6 +21,7 @@ from parsimid import (
     simulate,
 )
 from parsimid._lstsq import NestedLstsq
+from parsimid.arx_pre import _arx_design
 from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario, example3_scenario
 
 from helpers import (
@@ -70,6 +72,14 @@ class TestNestedLstsq:
                 np.testing.assert_allclose(theta, want, rtol=0, atol=TOL * max(1.0, np.linalg.norm(want)))
                 r = T[:, j] - X[:, :q] @ want
                 assert rss == pytest.approx(r @ r, rel=1e-9)
+
+    def test_r_is_bit_identical_to_the_qr_of_the_stacked_design(self):
+        # The Fortran-ordered [X | T] buffer changes the memory layout only.
+        rec = example_record("example1", 0, noisy=True)
+        Phi, t = _arx_design(rec.u, rec.y, 30, 30)
+        want = np.triu(dgeqrf(np.column_stack([np.ascontiguousarray(Phi), t]))[0][:61])
+        for X in (Phi, np.ascontiguousarray(Phi)):
+            np.testing.assert_array_equal(NestedLstsq(X, t).R, want)
 
     def test_cutoff_scales_with_the_row_count(self):
         # sigma_min / sigma_max near 1e-14 lies between eps * k and eps * m:

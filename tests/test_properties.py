@@ -1,19 +1,22 @@
 """Invariants of the identification pipeline on small random stable systems.
 
 ``benchmark.random_system`` draws a minimal stable system of order 1 to 3
-from each seed; the record is white input of unit variance, with unit
-innovations where the property needs noise.
+(1 to 6 for the simulation properties) from each seed; the record is white
+input of unit variance, with unit innovations where the property needs
+noise.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import dlsim
 
 from parsimid import (
     METHODS,
     InnovationsMarkov,
     RealizationConfig,
     SignalRecord,
+    StateSpaceModel,
     assemble_blocks,
     identify,
     markov_g,
@@ -23,6 +26,8 @@ from parsimid import (
     simulate,
 )
 from parsimid.benchmark import random_system
+
+from helpers import ref_simulate
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -45,6 +50,34 @@ def random_record(seed, n_x, noisy, n_total=600):
 
 def config(n_x, method):
     return RealizationConfig(n_x=n_x, f=n_x + 3, p=P, method=method)
+
+
+class TestSimulate:
+    @SETTINGS
+    @given(seed=seeds, n_x=st.integers(1, 6))
+    def test_matches_the_step_loop_and_dlsim(self, seed, n_x):
+        system, rec = random_record(seed, n_x, noisy=False)
+        e = np.random.default_rng(seed + 1).standard_normal(len(rec))
+        y = simulate(system, rec.u, e)
+        assert rel(y, ref_simulate(system, rec.u, e)) < 1e-12
+        B_k = np.hstack([system.B, system.K])
+        D_k = np.hstack([system.D, [[1.0]]])
+        _, y_ref, _ = dlsim((system.A, B_k, system.C, D_k, 1.0), np.column_stack([rec.u, e]))
+        assert rel(y, y_ref[:, 0]) < 1e-12
+
+    @SETTINGS
+    @given(seed=seeds, n_x=st.integers(1, 6))
+    def test_state_similarity_leaves_the_record(self, seed, n_x):
+        system, rec = random_record(seed, n_x, noisy=False)
+        rng = np.random.default_rng(seed + 2)
+        T = rng.standard_normal((n_x, n_x)) + n_x * np.eye(n_x)
+        T_inv = np.linalg.inv(T)
+        similar = StateSpaceModel(
+            A=T @ system.A @ T_inv, B=T @ system.B, C=system.C @ T_inv, D=system.D,
+            K=T @ system.K, sigma_e2=system.sigma_e2,
+        )
+        e = rng.standard_normal(len(rec))
+        assert rel(simulate(similar, rec.u, e), simulate(system, rec.u, e)) < 1e-10
 
 
 class TestNoiseFreeRecovery:

@@ -390,6 +390,13 @@ class TestArxOrder:
         diag = identify(rec, RealizationConfig(n_x=3, f=10, p=p, method=method)).diagnostics
         assert diag["arx_order"] == arx_order
         assert diag["weighting_arx_order"] == weighting_order
+        if method == "parsim_opt":
+            # Rows 2..10 of the weighted bank, each with 2p + i regressors.
+            assert diag["wls_gram_rank"] == [2 * p + i for i in range(2, 11)]
+            assert len(diag["wls_gram_cond"]) == 9
+            assert all(1.0 <= c < 1e12 for c in diag["wls_gram_cond"])
+        else:
+            assert diag["wls_gram_rank"] is None and diag["wls_gram_cond"] is None
 
     def test_injected_weighting_has_no_weighting_order(self):
         _, rec = seed2_example1_record()

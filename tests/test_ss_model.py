@@ -23,7 +23,7 @@ from parsimid import (
 )
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
 
-from helpers import random_stable_model
+from helpers import random_stable_model, ref_simulate
 
 
 def scalar_model(a, b, c, k, d=0.0, var=1.0):
@@ -100,9 +100,13 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             simulate(m, np.zeros(5), np.zeros(4))
 
-    def test_divergence_reports_step(self):
-        m = StateSpaceModel(A=2.0, B=1.0, C=1.0, D=0.0, K=0.0, sigma_e2=0.0)
-        with pytest.raises(DivergenceError, match=r"step \d+"):
+    @pytest.mark.parametrize("a,c,step", [(2.0, 1.0, 1024), (1.5, -3.0, 1747)])
+    def test_divergence_reports_step(self, a, c, step):
+        m = StateSpaceModel(A=a, B=1.0, C=c, D=0.0, K=0.0, sigma_e2=0.0)
+        message = f"simulation diverged at step {step}$"
+        with pytest.raises(DivergenceError, match=message):
+            ref_simulate(m, np.ones(5000))
+        with pytest.raises(DivergenceError, match=message):
             simulate(m, np.ones(5000))
 
     def test_linearity(self):
