@@ -36,7 +36,7 @@ from .benchmark import (
     write_joint_fit_csv,
     write_trials_csv,
 )
-from .data_blocks import DataBlocks, assemble_blocks, build_hankel
+from .data_blocks import DataBlocks, assemble_blocks
 from .errors import (
     ConfigError,
     DivergenceError,

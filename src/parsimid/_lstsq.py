@@ -6,7 +6,8 @@ R[q:, c].  R[:q, :q] has the singular values of X[:, :q], so lstsq with the
 cutoff eps * max(m, q) * s_max keeps the full problem's minimum-norm
 solution.  If X clears its own cutoff, interlacing puts every leading
 block above its cutoff too, and a triangular solve gives that same
-solution.
+solution.  Likewise R[:, cols] has the singular values of any set of
+design columns, so their numerical rank needs no pass over the m rows.
 """
 
 import numpy as np
@@ -17,20 +18,22 @@ _EPS = np.finfo(float).eps
 
 
 class NestedLstsq:
-    """One QR of the (m, k) design X and the target column(s) T."""
+    """One QR of the (m, k + t) design A = [X | T], whose first k columns are X."""
 
-    def __init__(self, X: np.ndarray, T: np.ndarray):
-        self.m, self.k = X.shape
-        # dgeqrf factors a Fortran-ordered copy in place (it would copy a
-        # C-ordered one again); 1.2-2.3x faster than np.linalg.qr(mode="r").
-        T = T.reshape(self.m, -1)
-        A = np.empty((self.m, self.k + T.shape[1]), order="F")
-        A[:, : self.k] = X
-        A[:, self.k :] = T
+    def __init__(self, A: np.ndarray, k: int):
+        self.m, self.k = A.shape[0], k
+        # dgeqrf factors a Fortran-ordered float64 A in place, so the caller's
+        # buffer is overwritten; any other A is copied first.  1.2-2.3x faster
+        # than np.linalg.qr(mode="r").
         qr = dgeqrf(A, overwrite_a=True)[0]
         self.R = np.triu(qr[: qr.shape[1]])
-        s = np.linalg.svd(self.R[: self.k, : self.k], compute_uv=False)
-        self.full_rank = self.m >= self.k and bool(s[-1] > _EPS * max(self.m, self.k) * s[0])
+        self.full_rank = self.rank(slice(0, k)) == k
+
+    def rank(self, cols) -> int:
+        """``np.linalg.matrix_rank`` of the design columns ``cols``, read from R."""
+        Rc = self.R[:, cols]
+        s = np.linalg.svd(Rc, compute_uv=False)
+        return int(np.sum(s > _EPS * max(self.m, Rc.shape[1]) * s[0]))
 
     def regress(self, q: int, cols) -> np.ndarray:
         """Minimum-norm coefficients of the columns ``cols`` of [X | T] on X[:, :q]."""

@@ -86,36 +86,40 @@ class InnovationsMarkov:
             object.__setattr__(self, "g", g)
 
 
-def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int):
-    """Lag regressor [y1 u1 y2 u2 ... yn un] (order m uses 2m columns) and targets."""
+def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int) -> np.ndarray:
+    """Fortran-ordered [Phi | t]: lags [y1 u1 ... yn un] (order m uses 2m columns), then targets."""
     total = y.size
-    Phi = np.empty((total - start, 2 * n), order="F")
+    A = np.empty((total - start, 2 * n + 1), order="F")
     for j in range(1, n + 1):
-        Phi[:, 2 * j - 2] = y[start - j : total - j]
-        Phi[:, 2 * j - 1] = u[start - j : total - j]
-    return Phi, y[start:]
+        A[:, 2 * j - 2] = y[start - j : total - j]
+        A[:, 2 * j - 1] = u[start - j : total - j]
+    A[:, 2 * n] = y[start:]
+    return A
 
 
-def _check_input_lags(Phi: np.ndarray, n: int) -> None:
-    """Raise unless the input lags 1..n of an interleaved design have full rank.
+def _check_input_lags(ls: NestedLstsq, n: int) -> None:
+    """Raise unless the input lags 1..n of a factored interleaved design have full rank.
 
     Noise-free records make the output lags exactly collinear, and the
     minimum-norm solution is still right there; a deficient input-lag
     block is a genuine excitation failure.
     """
-    if np.linalg.matrix_rank(Phi[:, 1 : 2 * n : 2]) < n:
+    if ls.rank(slice(1, 2 * n, 2)) < n:
         raise ExcitationError(
             f"input-lag regressor of ARX order {n} is rank deficient: input is not persistently exciting"
         )
 
 
-def _check_order(n: int, n_total: int) -> None:
+def _check_order(n: int, n_total: int, start: int) -> None:
+    """Raise unless order n can be fitted on the samples from ``start`` on."""
     if n < 1:
         raise ConfigError(f"ARX order must be >= 1, got {n}")
     if n_total < MIN_SAMPLES_PER_ORDER * n:
         raise ConfigError(
             f"record of length {n_total} too short for ARX order {n}: need at least {MIN_SAMPLES_PER_ORDER * n} samples"
         )
+    if n_total - start <= 2 * n:
+        raise ConfigError(f"ARX order {n} leaves no degrees of freedom on {n_total - start} samples")
 
 
 def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
@@ -134,17 +138,13 @@ def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
         ConfigError: If n is too large for the record.
         ExcitationError: If the input-lag block is rank deficient.
     """
-    n_total = len(rec)
-    _check_order(n, n_total)
-    if n_total - n <= 2 * n:
-        raise ConfigError(f"ARX order {n} leaves no degrees of freedom on {n_total} samples")
-    Phi, t = _arx_design(rec.u, rec.y, n, start=n)
-    ls = NestedLstsq(Phi, t)
+    _check_order(n, len(rec), n)
+    ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start=n), 2 * n)
     if not ls.full_rank:
-        _check_input_lags(Phi, n)
+        _check_input_lags(ls, n)
     theta, rss = ls.solve(2 * n)
     return PredictorMarkov(
-        h_bar=theta[0::2], g_bar=theta[1::2], residual_variance=rss / (t.size - 2 * n)
+        h_bar=theta[0::2], g_bar=theta[1::2], residual_variance=rss / (ls.m - 2 * n)
     )
 
 
@@ -169,26 +169,31 @@ def select_order_aic(rec: SignalRecord, grid) -> int:
     if orders[0] < 1:
         raise ConfigError(f"orders must be >= 1, got {orders[0]}")
     n_total, start = len(rec), orders[-1]
-    # The orders that pass the checks below form a prefix of the grid.
-    valid = [n for n in orders if MIN_SAMPLES_PER_ORDER * n <= n_total and 2 * n < n_total - start]
-    if valid:
-        Phi, t = _arx_design(rec.u, rec.y, valid[-1], start)
-        ls = NestedLstsq(Phi, t)
-    aic, failures = {}, []
+    failures = {}
     for n in orders:
         try:
-            _check_order(n, n_total)
-            if n_total - start <= 2 * n:
-                raise ConfigError(f"order {n} leaves no degrees of freedom")
-            if not ls.full_rank:
-                _check_input_lags(Phi, n)
-        except (ConfigError, ExcitationError) as err:
-            failures.append(f"n={n}: {err}")
-            continue
+            _check_order(n, n_total, start)
+        except ConfigError as err:
+            failures[n] = err
+    # Both checks bound n from above, so the fittable orders form a prefix.
+    fittable = [n for n in orders if n not in failures]
+    if fittable:
+        ls = NestedLstsq(_arx_design(rec.u, rec.y, fittable[-1], start), 2 * fittable[-1])
+    aic = {}
+    for n in fittable:
+        if not ls.full_rank:
+            try:
+                _check_input_lags(ls, n)
+            except ExcitationError as err:
+                failures[n] = err
+                continue
         with np.errstate(divide="ignore"):
-            aic[n] = t.size * np.log(ls.solve(2 * n)[1] / t.size) + 2.0 * (2 * n)
+            aic[n] = ls.m * np.log(ls.solve(2 * n)[1] / ls.m) + 2.0 * (2 * n)
     if not aic:
-        raise ConfigError("no ARX order in the grid could be fitted: " + "; ".join(failures))
+        raise ConfigError(
+            "no ARX order in the grid could be fitted: "
+            + "; ".join(f"n={n}: {failures[n]}" for n in sorted(failures))
+        )
     return min(aic, key=aic.get)
 
 

@@ -1,12 +1,13 @@
-"""Hankel data blocks of a record and their one QR factorization.
+"""Hankel data blocks of a record, as one design matrix, and its one QR factorization.
 
 Given a record of length ``N_total`` and horizons ``f`` (future) and ``p``
 (past), the blocks share N = N_total - f - p + 1 columns.  Column c of a
 block collects one window of the record, so entry (r, c) of each block
 depends only on r + c (constant anti-diagonals).  The past stack
 ``Z_p = [Y_p; U_p]`` is the regressor that summarizes the state.  Every
-estimator regresses a block of the record on leading rows of the stack
-[Y_p; U_p; U_f | Y_f], so one QR of that stack serves them all.
+estimator regresses a block of the record on leading rows of
+[Y_p; U_p; U_f], so one N x (2p + 2f) design [Y_p' U_p' U_f' Y_f'] and
+one QR of it serve them all.
 """
 
 from __future__ import annotations
@@ -16,44 +17,27 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._lstsq import _EPS, NestedLstsq
+from ._lstsq import NestedLstsq
 from .errors import ConfigError, ExcitationError
 from .ss_model import SignalRecord
 
-__all__ = ["DataBlocks", "build_hankel", "assemble_blocks"]
-
-
-def build_hankel(signal, first_index: int, rows: int, cols: int) -> np.ndarray:
-    """Hankel matrix with entry (r, c) = signal[first_index + r + c]."""
-    sig = np.asarray(signal, dtype=float).ravel()
-    if rows < 1 or cols < 1:
-        raise ConfigError(f"rows and cols must be >= 1, got {rows}, {cols}")
-    last = first_index + rows + cols - 2
-    if first_index < 0 or last >= sig.size:
-        raise IndexError(
-            f"hankel window [{first_index}, {last}] out of range for signal of length {sig.size}"
-        )
-    return sliding_window_view(sig, cols)[first_index : first_index + rows].copy()
+__all__ = ["DataBlocks", "assemble_blocks"]
 
 
 @dataclass(frozen=True)
 class DataBlocks:
     """Past/future Hankel blocks of one record, prepared once per identify call.
 
-    Column 0 of the future blocks sits at absolute time ``p``.  ``Y_p``,
-    ``U_p``, ``Z_p`` and ``U_f`` are read-only row views of the regressor
-    ``stack`` [Y_p; U_p; U_f]; row i (1-based) of a bank regresses
-    ``Y_f[i-1]`` on its first 2p + i rows.  ``Y_f`` is a view of the output
-    Hankel.  ``ls`` holds the QR of [stack' Y_f'], whose R factor answers
-    every regression the estimators make and the W2 weighting.
+    ``design`` is the read-only, Fortran-ordered N x (2p + 2f) matrix
+    [Y_p' U_p' U_f' Y_f']: its columns are the block rows, and column 0 of
+    the future blocks sits at absolute time ``p``.  Row i (1-based) of a
+    bank regresses column 2p + f + i - 1 on the first 2p + i columns.
+    ``ls`` holds the QR of ``design`` with X = [Y_p' U_p' U_f'], whose R
+    factor answers every regression the estimators make and the W2
+    weighting.
     """
 
-    stack: np.ndarray
-    Y_p: np.ndarray
-    U_p: np.ndarray
-    Z_p: np.ndarray
-    U_f: np.ndarray
-    Y_f: np.ndarray
+    design: np.ndarray
     ls: NestedLstsq
     f: int
     p: int
@@ -84,20 +68,19 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
             f"record of length {n_total} too short: need at least f + p = {f + p} samples"
         )
     N = n_total - f - p + 1
-    Y = build_hankel(rec.y, 0, f + p, N)
-    stack = np.vstack([Y[:p], build_hankel(rec.u, 0, f + p, N)])
-    ls = NestedLstsq(stack.T, Y[p:].T)
-    # R's U_p and U_f columns have the singular values of the (f + p) x N input
-    # Hankel; with N < f + p there are fewer than f + p of them.
-    s = np.linalg.svd(ls.R[:, p : 2 * p + f], compute_uv=False)
-    rank = int(np.sum(s > _EPS * max(f + p, N) * s[0]))
+    # Window j of a signal is its Hankel row j: samples j .. j + N - 1.
+    Y, U = (sliding_window_view(s, f + p) for s in (rec.y, rec.u))
+    design = np.empty((N, 2 * (f + p)), order="F")
+    design[:, :p] = Y[:, :p]
+    design[:, p : 2 * p + f] = U
+    design[:, 2 * p + f :] = Y[:, p:]
+    design.setflags(write=False)
+    ls = NestedLstsq(design.copy(order="F"), 2 * p + f)
+    # The U_p and U_f columns are the (f + p) x N input Hankel; with N < f + p
+    # it has fewer than f + p singular values.
+    rank = ls.rank(slice(p, 2 * p + f))
     if rank < f + p:
         raise ExcitationError(
             f"input is not persistently exciting of order {f + p} (rank {rank})"
         )
-    for block in (Y, stack):
-        block.setflags(write=False)
-    return DataBlocks(
-        stack=stack, Y_p=stack[:p], U_p=stack[p : 2 * p], Z_p=stack[: 2 * p],
-        U_f=stack[2 * p :], Y_f=Y[p:], ls=ls, f=f, p=p, N=N,
-    )
+    return DataBlocks(design=design, ls=ls, f=f, p=p, N=N)

@@ -16,17 +16,17 @@ the past-data controllability map from the same data blocks:
   parameters, then regresses on the past (Jansson-style SSARX).
 
 Every unweighted regression is of a block of the record on leading rows
-of the prepared stack [Y_p; U_p; U_f], so the one QR of [stack' Y_f'] that
+of [Y_p; U_p; U_f], so the one QR of the design [Y_p' U_p' U_f' Y_f'] that
 :func:`data_blocks.assemble_blocks` makes (``blocks.ls``) answers the OLS
 rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  WLS
 rows 2..f each factor their banded T'T = U'U once (LAPACK ``dpbtrf``),
-whiten the row's regressors and target with one banded triangular sweep
-W = U^(-T) [Z' y'] (``dtbtrs``), and solve on the small Gram W'W.  All
-solves keep pseudo-inverse (minimum-norm) semantics with the
-machine-epsilon * max-dimension * largest-singular-value cutoff:
-noise-free records make the output-side rows exactly collinear.  Input
-excitation is checked once, for every method, by
-:func:`data_blocks.assemble_blocks`.
+whiten the row's regressor and target columns of ``blocks.design`` with
+one banded triangular sweep W = U^(-T) [Z' y'] (``dtbtrs``), and solve on
+the small Gram W'W.  All solves keep pseudo-inverse (minimum-norm)
+semantics with the machine-epsilon * max-dimension *
+largest-singular-value cutoff: noise-free records make the output-side
+rows exactly collinear.  Input excitation is checked once, for every
+method, by :func:`data_blocks.assemble_blocks`.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
     """Row-wise ordinary least-squares bank.
 
     Row i regresses future output row i on [Z_p; U_i], the first 2p + i
-    rows of ``blocks.stack``, estimating [Gamma_fi L_p, G_fi] jointly;
+    columns of ``blocks.design``, estimating [Gamma_fi L_p, G_fi] jointly;
     stacking the f first parts gives the range-space estimate.
 
     Raises:
@@ -201,8 +201,8 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
         if info != 0:
             raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
         W = np.empty((blocks.N, q + 1), order="F")
-        W[:, :q] = blocks.stack[:q].T
-        W[:, q] = blocks.Y_f[i - 1]
+        W[:, :q] = blocks.design[:, :q]
+        W[:, q] = blocks.design[:, 2 * blocks.p + blocks.f + i - 1]
         W = dtbtrs(U, W, trans="T", overwrite_b=True)[0]
         G = W.T @ W
         theta, _, rank, s = np.linalg.lstsq(G[:q, :q], G[:q, q], rcond=None)

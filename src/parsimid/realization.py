@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arx_pre import (
+    AIC_MAX_ORDER,
     MIN_SAMPLES_PER_ORDER,
     InnovationsMarkov,
     fit_arx,
@@ -49,13 +50,6 @@ __all__ = [
     "estimate_bk",
     "identify",
 ]
-
-# The noise-weighting pre-estimate needs a genuinely high-order ARX: with a
-# slowly decaying predictor, an ARX truncated at the (often short) past
-# horizon biases the leading Markov parameters enough to cancel the variance
-# gain of the weighted bank.  The weighting fit therefore uses at least this
-# order when the record allows it.
-WEIGHTING_ORDER_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -236,10 +230,15 @@ def estimate_bk(
 def _weighting_markov(rec: SignalRecord, p: int, pm) -> InnovationsMarkov:
     """Innovations Markov sequence for the WLS weighting.
 
-    Refits the ARX at the larger of ``p`` and the high-order cap when the
+    Refits the ARX at the larger of ``p`` and ``AIC_MAX_ORDER`` when the
     record supports it; otherwise reuses the horizon-order fit.
     """
-    n_w = max(p, min(WEIGHTING_ORDER_CAP, len(rec) // MIN_SAMPLES_PER_ORDER))
+    # The noise-weighting pre-estimate needs a genuinely high-order ARX: with a
+    # slowly decaying predictor, an ARX truncated at the (often short) past
+    # horizon biases the leading Markov parameters enough to cancel the
+    # variance gain of the weighted bank.  With the default AIC grid, this is
+    # also the AIC's largest fit.
+    n_w = max(p, min(AIC_MAX_ORDER, len(rec) // MIN_SAMPLES_PER_ORDER))
     pm_w = pm if n_w == p else fit_arx(rec, n_w)
     return predictor_to_innovations(pm_w)
 
@@ -329,9 +328,9 @@ def identify(
                 )
             )
         else:
-            innov = InnovationsMarkov(
-                h=predictor_to_innovations(pm).h, g=predictor_to_innovations_g(pm)
-            )
+            # estimate_bk reads g only when the bank has no Markov rows: classical.
+            g = predictor_to_innovations_g(pm) if cfg.method == "classical" else None
+            innov = InnovationsMarkov(h=predictor_to_innovations(pm).h, g=g)
             B_hat, K_hat = estimate_bk(A_like, C_hat, est, innov)
             b_rms = k_rms = float("nan")
             model = StateSpaceModel(

@@ -6,11 +6,15 @@ independently of the library's estimation code paths.
 """
 
 import math
+import os
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solveh_banded, toeplitz
 from scipy.signal import lfilter
 
+import parsimid
 from parsimid import (
     DivergenceError,
     SignalRecord,
@@ -20,6 +24,25 @@ from parsimid import (
     toeplitz_gram_band,
 )
 from parsimid.benchmark import example1_system, example2_system
+
+
+def child_env(**overrides):
+    """Environment for a child Python that imports the same parsimid as this process.
+
+    The package's root leads PYTHONPATH, because a relative entry
+    (PYTHONPATH=src) does not resolve from another working directory.
+    """
+    root = str(Path(parsimid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
+def row_blocks(blocks):
+    """Row blocks Y_p, U_p, Z_p = [Y_p; U_p], U_f, Y_f: read-only views of ``blocks.design``."""
+    p, f, D = blocks.p, blocks.f, blocks.design.T
+    return SimpleNamespace(
+        Y_p=D[:p], U_p=D[p : 2 * p], Z_p=D[: 2 * p], U_f=D[2 * p : 2 * p + f], Y_f=D[2 * p + f :]
+    )
 
 
 def gamma_f(A, C, f):
@@ -126,12 +149,12 @@ def ref_select_order_aic(rec, grid):
 
 def ref_parsim_ols(blocks):
     """OLS bank with one full lstsq per row: (gamma, g_rows)."""
-    f, p = blocks.f, blocks.p
+    f, p, b = blocks.f, blocks.p, row_blocks(blocks)
     gamma = np.empty((f, 2 * p))
     g_rows = []
     for i in range(1, f + 1):
-        Z = np.vstack([blocks.Z_p, blocks.U_f[:i]])
-        theta = np.linalg.lstsq(Z.T, blocks.Y_f[i - 1], rcond=None)[0]
+        Z = np.vstack([b.Z_p, b.U_f[:i]])
+        theta = np.linalg.lstsq(Z.T, b.Y_f[i - 1], rcond=None)[0]
         gamma[i - 1] = theta[: 2 * p]
         g_rows.append(theta[2 * p :])
     return gamma, g_rows
@@ -144,12 +167,12 @@ def ref_parsim_wls(blocks, h):
     V = (T'T)^(-1) Z' by ``solveh_banded`` and solves the normal equations
     by lstsq, as ``parsim_wls`` did before its one-sweep whitening.
     """
-    f, p = blocks.f, blocks.p
+    f, p, b = blocks.f, blocks.p, row_blocks(blocks)
     gamma = np.empty((f, 2 * p))
     g_rows = []
     for i in range(1, f + 1):
-        Z = blocks.stack[: 2 * p + i]
-        y = blocks.Y_f[i - 1]
+        Z = np.vstack([b.Z_p, b.U_f[:i]])
+        y = b.Y_f[i - 1]
         if i == 1:
             theta = np.linalg.lstsq(Z.T, y, rcond=None)[0]
         else:
@@ -216,7 +239,7 @@ def two_sine_record(noise, n_total=1500):
 
 def _ref_project(X, blocks):
     """X P, without forming the N x N projector."""
-    U_f = blocks.U_f
+    U_f = row_blocks(blocks).U_f
     return X - (X @ U_f.T) @ np.linalg.solve(U_f @ U_f.T, U_f)
 
 
@@ -227,21 +250,22 @@ def _ref_regress(Y, Z):
 
 def ref_projected_gram(blocks):
     """Z_p P Z_p'."""
-    Zp_perp = _ref_project(blocks.Z_p, blocks)
+    Zp_perp = _ref_project(row_blocks(blocks).Z_p, blocks)
     return Zp_perp @ Zp_perp.T
 
 
 def ref_classical_gamma(blocks):
     """Y_f P Z_p' (Z_p P Z_p')^+."""
-    return _ref_regress(blocks.Y_f, _ref_project(blocks.Z_p, blocks))
+    b = row_blocks(blocks)
+    return _ref_regress(b.Y_f, _ref_project(b.Z_p, blocks))
 
 
 def ref_ssarx_gamma(blocks, pm):
     """(Y_f - G_bar U_f - H_bar Y_f) Z_p' (Z_p Z_p')^+ with Toeplitz G_bar, H_bar from ``pm``."""
-    f = blocks.f
+    f, b = blocks.f, row_blocks(blocks)
     G_bar = toeplitz(np.r_[0.0, pm.g_bar[: f - 1]], np.zeros(f))
     H_bar = toeplitz(np.r_[0.0, pm.h_bar[: f - 1]], np.zeros(f))
-    return _ref_regress(blocks.Y_f - G_bar @ blocks.U_f - H_bar @ blocks.Y_f, blocks.Z_p)
+    return _ref_regress(b.Y_f - G_bar @ b.U_f - H_bar @ b.Y_f, b.Z_p)
 
 
 def ref_w2(blocks):

@@ -22,7 +22,7 @@ from parsimid.benchmark import (
     example2_scenario,
 )
 
-from helpers import random_stable_model
+from helpers import child_env, random_stable_model
 
 
 def _report(num, text):
@@ -198,6 +198,7 @@ def test_c10_benchmark_determinism(tmp_path):
              "--scenario", "example1", "--trials", "3", "--seed", "11",
              "--methods", "parsim,parsim-opt", "--out", str(out)],
             capture_output=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(out)

@@ -7,6 +7,8 @@ from parsimid import fit_metric, impulse_response, load_model, simulate
 from parsimid.benchmark import example1_system
 from parsimid.cli import EXIT_NOINPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_args
 
+from helpers import child_env
+
 
 def write_record_csv(path, u, y):
     lines = ["t,u,y"] + [f"{t},{float(ut)!r},{float(yt)!r}" for t, (ut, yt) in enumerate(zip(u, y))]
@@ -180,17 +182,14 @@ class TestBenchmarkCommand:
 
 class TestLogging:
     def test_log_level_env_var(self, tmp_path):
-        import os
         import subprocess
         import sys
 
         def run_cli(level, *args):
-            # Inherit the environment so the child imports the same parsimid as
-            # this process (installed or via PYTHONPATH); override only the level.
             return subprocess.run(
                 [sys.executable, "-m", "parsimid.cli", *args],
                 capture_output=True,
-                env={**os.environ, "PARSIM_LOG": level},
+                env=child_env(PARSIM_LOG=level),
             )
 
         out = tmp_path / "sim.csv"

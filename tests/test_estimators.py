@@ -31,7 +31,14 @@ from parsimid import (
 from parsimid import estimators
 from parsimid.benchmark import _trial_data, example1_system, example3_scenario
 
-from helpers import colspace, example_record, gamma_f, random_stable_model, ref_parsim_wls
+from helpers import (
+    colspace,
+    example_record,
+    gamma_f,
+    random_stable_model,
+    ref_parsim_wls,
+    row_blocks,
+)
 
 
 def rel(a, b) -> float:
@@ -105,8 +112,9 @@ class TestParsimOls:
         _, rec = example1_record(500, 1.0, seed=3)
         blocks = assemble_blocks(rec, f=1, p=4)
         est = parsim_ols(blocks)
-        Z = np.vstack([blocks.Z_p, blocks.U_f[:1]])
-        theta = np.linalg.lstsq(Z.T, blocks.Y_f[0], rcond=None)[0]
+        b = row_blocks(blocks)
+        Z = np.vstack([b.Z_p, b.U_f[:1]])
+        theta = np.linalg.lstsq(Z.T, b.Y_f[0], rcond=None)[0]
         np.testing.assert_allclose(est.gamma_lp[0], theta[:8], atol=1e-12)
         np.testing.assert_allclose(est.g_rows[0], theta[8:], atol=1e-12)
 
@@ -256,9 +264,9 @@ class TestClassicalProjection:
         rec = SignalRecord(u=rng.standard_normal(60), y=rng.standard_normal(60))
         blocks = assemble_blocks(rec, f=1, p=1)
         est = classical_projection(blocks)
-        U_f = blocks.U_f
-        P = np.eye(blocks.N) - U_f.T @ np.linalg.inv(U_f @ U_f.T) @ U_f
-        expect = blocks.Y_f @ P @ blocks.Z_p.T @ np.linalg.pinv(blocks.Z_p @ P @ blocks.Z_p.T)
+        b = row_blocks(blocks)
+        P = np.eye(blocks.N) - b.U_f.T @ np.linalg.inv(b.U_f @ b.U_f.T) @ b.U_f
+        expect = b.Y_f @ P @ b.Z_p.T @ np.linalg.pinv(b.Z_p @ P @ b.Z_p.T)
         np.testing.assert_allclose(est.gamma_lp, expect, atol=1e-9)
 
 
@@ -285,10 +293,9 @@ class TestSsarx:
         for r in range(4):
             for c in range(r):
                 G_bar[r, c] = pm.g_bar[r - c - 1]
-        Y_corr = blocks.Y_f - G_bar @ blocks.U_f
-        expect = np.linalg.lstsq(
-            (blocks.Z_p @ blocks.Z_p.T), (Y_corr @ blocks.Z_p.T).T, rcond=None
-        )[0].T
+        b = row_blocks(blocks)
+        Y_corr = b.Y_f - G_bar @ b.U_f
+        expect = np.linalg.lstsq((b.Z_p @ b.Z_p.T), (Y_corr @ b.Z_p.T).T, rcond=None)[0].T
         np.testing.assert_allclose(est.gamma_lp, expect, atol=1e-10)
 
     def test_noise_free_predictor_column_space(self):
@@ -305,9 +312,8 @@ class TestSsarx:
         _, rec = example1_record(500, 1.0, seed=14)
         blocks = assemble_blocks(rec, f=1, p=5)
         est = ssarx_estimate(blocks, self.exact_pm(example1_system(), 5))
-        expect = np.linalg.lstsq(
-            (blocks.Z_p @ blocks.Z_p.T), (blocks.Y_f @ blocks.Z_p.T).T, rcond=None
-        )[0].T
+        b = row_blocks(blocks)
+        expect = np.linalg.lstsq((b.Z_p @ b.Z_p.T), (b.Y_f @ b.Z_p.T).T, rcond=None)[0].T
         np.testing.assert_allclose(est.gamma_lp, expect, atol=1e-10)
 
     def test_predictor_markov_rows_attached(self):

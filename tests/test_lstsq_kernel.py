@@ -55,6 +55,11 @@ def trial_record(name, seed):
     return sc, rec
 
 
+def factor(X, T):
+    """NestedLstsq of a Fortran-ordered copy of [X | T], leaving X and T intact."""
+    return NestedLstsq(np.asfortranarray(np.column_stack([X, T])), X.shape[1])
+
+
 class TestNestedLstsq:
     @SETTINGS
     @given(seed=seeds, m=st.integers(8, 60), k=st.integers(1, 7), deficit=st.integers(0, 3))
@@ -63,7 +68,7 @@ class TestNestedLstsq:
         rank = max(1, k - deficit)
         X = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, k))
         T = rng.standard_normal((m, 3))
-        ls = NestedLstsq(X, T)
+        ls = factor(X, T)
         assert ls.full_rank == (rank == k)
         for q in range(1, k + 1):
             for j in range(3):
@@ -72,14 +77,44 @@ class TestNestedLstsq:
                 np.testing.assert_allclose(theta, want, rtol=0, atol=TOL * max(1.0, np.linalg.norm(want)))
                 r = T[:, j] - X[:, :q] @ want
                 assert rss == pytest.approx(r @ r, rel=1e-9)
+        # Any set of design columns, leading or not, has the rank of its raw columns.
+        A = np.column_stack([X, T])
+        subsets = [slice(0, q) for q in range(1, k + 1)] + [slice(1, None, 2), slice(k - 1, None)]
+        subsets += [np.sort(rng.choice(k + 3, size=rng.integers(1, k + 4), replace=False)) for _ in range(4)]
+        for cols in subsets:
+            assert ls.rank(cols) == np.linalg.matrix_rank(A[:, cols])
 
     def test_r_is_bit_identical_to_the_qr_of_the_stacked_design(self):
-        # The Fortran-ordered [X | T] buffer changes the memory layout only.
+        # dgeqrf overwrites a Fortran-ordered float64 A, and R is bit-identical
+        # to the factor of a copy.
         rec = example_record("example1", 0, noisy=True)
-        Phi, t = _arx_design(rec.u, rec.y, 30, 30)
-        want = np.triu(dgeqrf(np.column_stack([np.ascontiguousarray(Phi), t]))[0][:61])
-        for X in (Phi, np.ascontiguousarray(Phi)):
-            np.testing.assert_array_equal(NestedLstsq(X, t).R, want)
+        A = _arx_design(rec.u, rec.y, 30, 30)
+        assert A.flags.f_contiguous and A.dtype == np.float64
+        want = np.triu(dgeqrf(A.copy())[0][:61])
+        for buf in (np.ascontiguousarray(A), A):
+            ls = NestedLstsq(buf, 60)
+            np.testing.assert_array_equal(ls.R, want)
+        np.testing.assert_array_equal(np.triu(A[:61]), want)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    def test_input_lag_rank_of_a_two_sine_record(self, noise):
+        # The two-sine input excites order 4: lag blocks of orders 5-10 are deficient.
+        rec = two_sine_record(noise=noise)
+        A = _arx_design(rec.u, rec.y, 10, 10)
+        ls = NestedLstsq(A.copy(order="F"), 20)
+        for n in range(1, 11):
+            assert ls.rank(slice(1, 2 * n, 2)) == np.linalg.matrix_rank(A[:, 1 : 2 * n : 2]) == min(n, 4)
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_input_rank_of_noise_free_designs(self, name):
+        rec = example_record(name, 5)
+        blocks = assemble_blocks(rec, 10, 20)
+        for cols in (slice(20, 50), slice(0, 50)):
+            assert blocks.ls.rank(cols) == np.linalg.matrix_rank(blocks.design[:, cols])
+        A = _arx_design(rec.u, rec.y, 30, 30)
+        ls = NestedLstsq(A.copy(order="F"), 60)
+        for n in (5, 20, 30):
+            assert ls.rank(slice(1, 2 * n, 2)) == np.linalg.matrix_rank(A[:, 1 : 2 * n : 2]) == n
 
     def test_cutoff_scales_with_the_row_count(self):
         # sigma_min / sigma_max near 1e-14 lies between eps * k and eps * m:
@@ -90,7 +125,7 @@ class TestNestedLstsq:
         X = rng.standard_normal((m, k))
         X[:, 3] = X[:, 0] + 1e-14 * np.linalg.norm(X[:, 0]) * rng.standard_normal(m) / np.sqrt(m)
         t = rng.standard_normal(m)
-        ls = NestedLstsq(X, t)
+        ls = factor(X, t)
         assert not ls.full_rank
         want = np.linalg.lstsq(X, t, rcond=None)[0]
         np.testing.assert_allclose(ls.solve(k)[0], want, rtol=0, atol=TOL * np.linalg.norm(want))
@@ -98,7 +133,7 @@ class TestNestedLstsq:
     def test_fewer_rows_than_columns_is_not_full_rank(self):
         rng = np.random.default_rng(1)
         X, t = rng.standard_normal((3, 5)), rng.standard_normal(3)
-        ls = NestedLstsq(X, t)
+        ls = factor(X, t)
         assert not ls.full_rank
         np.testing.assert_allclose(ls.solve(5)[0], np.linalg.lstsq(X, t, rcond=None)[0], atol=1e-12)
 

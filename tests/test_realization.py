@@ -407,11 +407,14 @@ class TestArxOrder:
 
 class TestInnovationsConversion:
     @pytest.mark.parametrize(
-        "method,converts", [("parsim", True), ("parsim_opt", True), ("classical", True), ("ssarx", False)]
+        "method,converts",
+        [("parsim", {"h"}), ("parsim_opt", {"h"}), ("classical", {"h", "g"}), ("ssarx", set())],
     )
     def test_conversion_only_for_innovations_gains(self, monkeypatch, method, converts):
         # The SSARX gains come from the predictor-form ARX sequences, so the
-        # innovations-form conversion is skipped for that method.
+        # innovations-form conversion is skipped for that method.  B comes
+        # from the bank's Markov rows, so only classical, which has none,
+        # converts the input channel.
         counts = {}
         for name in ("predictor_to_innovations", "predictor_to_innovations_g"):
             def counted(*args, _fn=getattr(realization, name), _name=name, **kwargs):
@@ -421,11 +424,8 @@ class TestInnovationsConversion:
             monkeypatch.setattr(realization, name, counted)
         _, rec = seed2_example1_record()
         identify(rec, RealizationConfig(n_x=3, f=10, p=12, method=method))
-        if converts:
-            assert counts.get("predictor_to_innovations", 0) >= 1
-            assert counts.get("predictor_to_innovations_g", 0) >= 1
-        else:
-            assert counts == {}
+        assert ("h" in converts) == (counts.get("predictor_to_innovations", 0) >= 1)
+        assert counts.get("predictor_to_innovations_g", 0) == int("g" in converts)
 
 
 class TestPreparedRecord:
@@ -449,9 +449,9 @@ class TestPreparedRecord:
         original = arx_pre.NestedLstsq
 
         for module in (data_blocks, estimators, arx_pre):
-            def counted(X, T, _module=module.__name__):
-                built.append((_module, X.shape[0]))
-                return original(X, T)
+            def counted(A, k, _module=module.__name__):
+                built.append((_module, A.shape[0]))
+                return original(A, k)
 
             monkeypatch.setattr(module, "NestedLstsq", counted, raising=False)
         _, rec = seed2_example1_record()
