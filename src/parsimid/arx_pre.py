@@ -33,6 +33,7 @@ __all__ = [
     "predictor_to_innovations",
     "predictor_to_innovations_g",
     "default_aic_grid",
+    "max_arx_order",
 ]
 
 # Pragmatic floor on data per coefficient; keeps the high-order fit from
@@ -71,19 +72,14 @@ class PredictorMarkov:
 
 @dataclass(frozen=True)
 class InnovationsMarkov:
-    """Innovations-form Markov parameters h[i] = C A^(i-1) K (and optionally g)."""
+    """Innovations-form noise Markov parameters h[i] = C A^(i-1) K."""
 
     h: np.ndarray
-    g: np.ndarray | None = None
 
     def __post_init__(self):
         h = np.array(self.h, dtype=float).ravel()
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
-        if self.g is not None:
-            g = np.array(self.g, dtype=float).ravel()
-            g.setflags(write=False)
-            object.__setattr__(self, "g", g)
 
 
 def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int) -> np.ndarray:
@@ -197,10 +193,14 @@ def select_order_aic(rec: SignalRecord, grid) -> int:
     return min(aic, key=aic.get)
 
 
+def max_arx_order(n_total: int) -> int:
+    """Largest order of the default AIC grid: AIC_MAX_ORDER, pruned by the data-length rule."""
+    return min(AIC_MAX_ORDER, n_total // MIN_SAMPLES_PER_ORDER)
+
+
 def default_aic_grid(n_x: int, n_total: int) -> list[int]:
-    """Default order grid {n_x + 1, ..., AIC_MAX_ORDER}, pruned by the data-length rule."""
-    hi = min(AIC_MAX_ORDER, n_total // MIN_SAMPLES_PER_ORDER)
-    grid = list(range(n_x + 1, hi + 1))
+    """Default order grid {n_x + 1, ..., max_arx_order(n_total)}."""
+    grid = list(range(n_x + 1, max_arx_order(n_total) + 1))
     if not grid:
         raise ConfigError(
             f"record of length {n_total} cannot support any ARX order above {n_x}"

@@ -45,6 +45,9 @@ __all__ = [
 
 EXAMPLE2_GAMMA = 0.9184
 
+# Impulse-response lags that the FIT metric compares.
+FIT_LAGS = 100
+
 # random_system draws: dominant-pole magnitude range, B and K entry scales,
 # and the rejection-sampling budget.
 RANDOM_POLE_RANGE = (0.78, 0.9)
@@ -195,8 +198,6 @@ class Scenario:
     trials: int
     methods: tuple[str, ...]
     p: int | None = None  # explicit past horizon; None selects by AIC
-    aic_grid: tuple[int, ...] = ()
-    fit_lags: int = 100
 
     def __post_init__(self):
         if self.trials < 1:
@@ -206,7 +207,6 @@ class Scenario:
         if self.p is not None and self.N <= self.f + self.p:
             raise ConfigError(f"N={self.N} must exceed f + p = {self.f + self.p}")
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "aic_grid", tuple(self.aic_grid))
 
 
 @dataclass(frozen=True)
@@ -291,15 +291,14 @@ def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
         if sc.p is not None:
             p = sc.p
         else:
-            grid = sc.aic_grid or default_aic_grid(sc.n_x, len(rec))
-            p = select_order_aic(rec, grid)
+            p = select_order_aic(rec, default_aic_grid(sc.n_x, len(rec)))
     except ParsimidError as err:
         return [
             TrialRow(trial, m, float("nan"), float("nan"), seed, -1, f"aic: {err}")
             for m in sc.methods
         ]
 
-    g_true = impulse_response(system, sc.fit_lags)
+    g_true = impulse_response(system, FIT_LAGS)
     if sc.f > 1:
         gff_true = np.append(markov_g(system, sc.f - 1)[::-1], system.D[0, 0])
     else:
@@ -310,7 +309,7 @@ def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
         try:
             cfg = RealizationConfig(n_x=sc.n_x, f=sc.f, p=p, method=method)
             result = identify(rec, cfg)
-            fit = fit_metric(g_true, impulse_response(result.model, sc.fit_lags))
+            fit = fit_metric(g_true, impulse_response(result.model, FIT_LAGS))
             last_row = result.diagnostics.get("markov_last_row")
             if method in ("parsim", "parsim_opt") and last_row is not None:
                 err_val = error_g(last_row, gff_true)

@@ -9,11 +9,9 @@ debug) sets the stderr log level.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,28 +40,6 @@ _SCENARIOS = ("example1", "example2", "example1-sweep", "example3")
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    method: str | None = None
-    f: int = 10
-    p: int | str = "aic"
-    order: int = 1
-    seed: int = 0
-    in_path: str | None = None
-    out_path: str | None = None
-    noise_variance: float = 0.0
-    scenario: str | None = None
-    trials: int = 50
-    jobs: int = 1
-    system: str | None = None
-    model_path: str | None = None
-    input_kind: str = "gaussian"
-    n_samples: int = 2000
-    methods: tuple[str, ...] = ()
-    rbs_band: float = 0.1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse and validate; raises UsageError (exit 2) on bad combinations."""
+def parse_args(argv) -> argparse.Namespace:
+    """Parse, validate and normalise ``method``, ``methods`` and ``p``; raises UsageError (exit 2)."""
     ns = build_parser().parse_args(argv)
     if ns.command == "identify":
         if ns.order < 1:
@@ -115,50 +91,35 @@ def parse_args(argv) -> RunConfig:
             raise UsageError(f"--f must be >= 2, got {ns.f}")
         if ns.order > ns.f - 1:
             raise UsageError(f"--order must be <= f - 1 = {ns.f - 1}, got {ns.order}")
-        p: int | str = ns.p
-        if p != "aic":
+        if ns.p != "aic":
             try:
-                p = int(p)
+                ns.p = int(ns.p)
             except ValueError:
                 raise UsageError(f"--p must be an integer or 'aic', got {ns.p!r}") from None
-            if p < 1:
-                raise UsageError(f"--p must be >= 1, got {p}")
-        return RunConfig(
-            command="identify",
-            method=_METHOD_FLAGS[ns.method],
-            order=ns.order, f=ns.f, p=p,
-            in_path=ns.in_path, out_path=ns.out_path,
-        )
+            if ns.p < 1:
+                raise UsageError(f"--p must be >= 1, got {ns.p}")
+        ns.method = _METHOD_FLAGS[ns.method]
+        return ns
+    if ns.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {ns.seed}")
     if ns.command == "simulate":
         if ns.n_samples < 1:
             raise UsageError(f"--n-samples must be >= 1, got {ns.n_samples}")
         if ns.noise_variance < 0:
             raise UsageError(f"--noise-variance must be >= 0, got {ns.noise_variance}")
-        return RunConfig(
-            command="simulate",
-            system=ns.system, model_path=ns.model_path,
-            input_kind=ns.input_kind, n_samples=ns.n_samples,
-            noise_variance=ns.noise_variance, rbs_band=ns.rbs_band,
-            seed=ns.seed, out_path=ns.out_path,
-        )
+        if not 0.0 < ns.rbs_band <= 1.0:
+            raise UsageError(f"--rbs-band must be in (0, 1], got {ns.rbs_band}")
+        return ns
     if ns.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {ns.trials}")
-    if ns.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {ns.seed}")
     if ns.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
-    methods: tuple[str, ...] = ()
-    if ns.methods:
-        parts = [m.strip() for m in ns.methods.split(",") if m.strip()]
-        unknown = [m for m in parts if m not in _METHOD_FLAGS]
-        if unknown:
-            raise UsageError(f"unknown methods: {', '.join(unknown)}")
-        methods = tuple(_METHOD_FLAGS[m] for m in parts)
-    return RunConfig(
-        command="benchmark",
-        scenario=ns.scenario, trials=ns.trials, seed=ns.seed,
-        jobs=ns.jobs, methods=methods, out_path=ns.out_path,
-    )
+    parts = [m.strip() for m in (ns.methods or "").split(",") if m.strip()]
+    unknown = [m for m in parts if m not in _METHOD_FLAGS]
+    if unknown:
+        raise UsageError(f"unknown methods: {', '.join(unknown)}")
+    ns.methods = tuple(_METHOD_FLAGS[m] for m in parts)
+    return ns
 
 
 def _read_record(path: str) -> SignalRecord:
@@ -185,70 +146,68 @@ def _write_record(path: str, u: np.ndarray, y: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _run_identify(cfg: RunConfig) -> int:
-    rec = _read_record(cfg.in_path)
-    if cfg.p == "aic":
-        grid = default_aic_grid(cfg.order, len(rec))
+def _run_identify(args: argparse.Namespace) -> int:
+    rec = _read_record(args.in_path)
+    p = args.p
+    if p == "aic":
+        grid = default_aic_grid(args.order, len(rec))
         p = select_order_aic(rec, grid)
         log.info("AIC selected past horizon p=%d from grid %d..%d", p, grid[0], grid[-1])
-    else:
-        p = int(cfg.p)
-    rcfg = RealizationConfig(n_x=cfg.order, f=cfg.f, p=p, method=cfg.method)
-    result = identify(rec, rcfg)
-    save_model(result.model, cfg.out_path)
+    result = identify(rec, RealizationConfig(n_x=args.order, f=args.f, p=p, method=args.method))
+    save_model(result.model, args.out_path)
     log.info("singular values: %s", np.array2string(result.singular_values, precision=4))
     if not result.diagnostics["stable"]:
         log.warning("identified model is unstable (spectral radius %.4f)",
                     result.diagnostics["spectral_radius"])
-    log.info("model written to %s", cfg.out_path)
+    log.info("model written to %s", args.out_path)
     return EXIT_OK
 
 
-def _run_simulate(cfg: RunConfig) -> int:
-    if cfg.model_path is not None:
-        p = Path(cfg.model_path)
+def _run_simulate(args: argparse.Namespace) -> int:
+    if args.model_path is not None:
+        p = Path(args.model_path)
         if not p.exists():
-            raise FileNotFoundError(cfg.model_path)
+            raise FileNotFoundError(args.model_path)
         model = load_model(p)
-    elif cfg.system == "example1":
+    elif args.system == "example1":
         model = bench.example1_system()
     else:
         model, _ = bench.example2_system()
 
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n_samples
-    if cfg.input_kind == "impulse":
+    rng = np.random.default_rng(args.seed)
+    n = args.n_samples
+    if args.input_kind == "impulse":
         u = np.zeros(n)
         u[0] = 1.0
-    elif cfg.input_kind == "gaussian":
+    elif args.input_kind == "gaussian":
         u = rng.standard_normal(n)
     else:
-        u = bench.gen_rbs(n, cfg.rbs_band, cfg.seed)
-    e = np.sqrt(cfg.noise_variance) * rng.standard_normal(n)
+        u = bench.gen_rbs(n, args.rbs_band, args.seed)
+    e = np.sqrt(args.noise_variance) * rng.standard_normal(n)
     y = simulate(model, u, e)
-    _write_record(cfg.out_path, u, y)
+    _write_record(args.out_path, u, y)
     return EXIT_OK
 
 
-def _run_benchmark(cfg: RunConfig) -> int:
-    out = Path(cfg.out_path)
+def _run_benchmark(args: argparse.Namespace) -> int:
+    out = Path(args.out_path)
     out.mkdir(parents=True, exist_ok=True)
     sweeps = {  # runner, plot-data writer and file stem, label of each report's files
         "example1-sweep": (bench.run_error_vs_n, bench.write_error_vs_n_csv, "error_g_vs_n", "n{}"),
         "example3": (bench.run_joint_fit, bench.write_joint_fit_csv, "joint_fit", "var{:g}"),
     }
-    if cfg.scenario in sweeps:
-        run_sweep, write_plot_data, plot_file, label = sweeps[cfg.scenario]
-        methods = cfg.methods or ("parsim", "parsim_opt")
-        reports = run_sweep(trials=cfg.trials, master_seed=cfg.seed, methods=methods, jobs=cfg.jobs)
+    if args.scenario in sweeps:
+        run_sweep, write_plot_data, plot_file, label = sweeps[args.scenario]
+        methods = args.methods or ("parsim", "parsim_opt")
+        reports = run_sweep(trials=args.trials, master_seed=args.seed, methods=methods, jobs=args.jobs)
         write_plot_data(reports, out / f"{plot_file}.csv")
         for key, rep in sorted(reports.items()):
             bench.write_trials_csv(rep, out / f"trials_{label.format(key)}.csv")
             bench.write_aggregates_json(rep, out / f"aggregates_{label.format(key)}.json")
     else:
-        factory = bench.example1_scenario if cfg.scenario == "example1" else bench.example2_scenario
-        sc = factory(trials=cfg.trials, methods=cfg.methods) if cfg.methods else factory(trials=cfg.trials)
-        report = bench.monte_carlo(sc, cfg.seed, jobs=cfg.jobs)
+        factory = bench.example1_scenario if args.scenario == "example1" else bench.example2_scenario
+        sc = factory(trials=args.trials, methods=args.methods) if args.methods else factory(trials=args.trials)
+        report = bench.monte_carlo(sc, args.seed, jobs=args.jobs)
         bench.write_trials_csv(report, out / "trials.csv")
         bench.write_aggregates_json(report, out / "aggregates.json")
         for method, entry in sorted(report.aggregates().items()):
@@ -258,14 +217,14 @@ def _run_benchmark(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute the namespace from :func:`parse_args`; returns the process exit code."""
     try:
-        if cfg.command == "identify":
-            return _run_identify(cfg)
-        if cfg.command == "simulate":
-            return _run_simulate(cfg)
-        return _run_benchmark(cfg)
+        if args.command == "identify":
+            return _run_identify(args)
+        if args.command == "simulate":
+            return _run_simulate(args)
+        return _run_benchmark(args)
     except FileNotFoundError as err:
         print(f"IO: input file not found: {err}", file=sys.stderr)
         return EXIT_NOINPUT
@@ -290,11 +249,11 @@ def _configure_logging() -> None:
 def main(argv=None) -> int:
     _configure_logging()
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as err:
         print(f"CONFIG: {err}", file=sys.stderr)
         return EXIT_USAGE
-    return run(cfg)
+    return run(args)
 
 
 if __name__ == "__main__":

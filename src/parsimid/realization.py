@@ -3,8 +3,8 @@
 The weighted singular value decomposition compresses the stacked estimate
 to its leading rank-n_x part; the observability factor U S^(1/2) then
 yields (A, C) by shift invariance, and (B, K) follow from linear fits to
-estimated Markov parameters.  The SSARX path realizes the predictor-form
-matrices and converts back to innovations form at the end.
+estimated Markov parameters.  Every method shares this realization; SSARX
+realizes the predictor form, so its A = A_bar + K C is formed at the end.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arx_pre import (
-    AIC_MAX_ORDER,
-    MIN_SAMPLES_PER_ORDER,
     InnovationsMarkov,
     fit_arx,
+    max_arx_order,
     predictor_to_innovations,
     predictor_to_innovations_g,
 )
@@ -32,14 +31,7 @@ from .estimators import (
     parsim_wls,
     ssarx_estimate,
 )
-from .ss_model import (
-    PredictorModel,
-    SignalRecord,
-    StateSpaceModel,
-    from_predictor_form,
-    is_stable,
-    spectral_radius,
-)
+from .ss_model import SignalRecord, StateSpaceModel, is_stable, spectral_radius
 
 __all__ = [
     "RealizationConfig",
@@ -200,45 +192,34 @@ def _fit_markov_gain(A: np.ndarray, C: np.ndarray, observations) -> tuple[np.nda
 def estimate_bk(
     A: np.ndarray,
     C: np.ndarray,
-    est: RangeEstimate,
-    h: InnovationsMarkov,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(B, K) by linear fits to estimated Markov parameters, with D = 0.
+    b_obs,
+    k_seq,
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(B, K) and the RMS of each fit, from estimated Markov parameters.
 
-    B fits every lag >= 1 entry of the bank's Markov rows (falling back to
-    the input-channel sequence carried by ``h`` when the bank produced no
-    rows); K fits the innovations-channel sequence.
+    ``b_obs`` holds (lag, value) pairs observing C A^(lag-1) B, lag >= 1 (a
+    lag may repeat); ``k_seq`` is the sequence C A^(i-1) K, i = 1, 2, ...
 
     Raises:
+        ConfigError: If ``b_obs`` or ``k_seq`` is empty.
         RankError: If the observability stack of (A, C) is rank deficient.
-        ConfigError: If no input-channel Markov information is available.
     """
-    # Entry m of row i estimates G_{i-1-m}; lag 0 is the feedthrough.
-    b_obs = [(i - 1 - m, float(v)) for i, row in enumerate(est.g_rows, start=1)
-             for m, v in enumerate(row) if i - 1 - m >= 1]
-    if not b_obs:
-        if h.g is None:
-            raise ConfigError(
-                "no input Markov information: the estimate has no rows and h carries no g sequence"
-            )
-        b_obs = _lagged(h.g)
-    B, _ = _fit_markov_gain(A, C, b_obs)
-    K, _ = _fit_markov_gain(A, C, _lagged(h.h))
-    return B, K
+    B, b_rms = _fit_markov_gain(A, C, b_obs)
+    K, k_rms = _fit_markov_gain(A, C, _lagged(k_seq))
+    return B, K, b_rms, k_rms
 
 
 def _weighting_markov(rec: SignalRecord, p: int, pm) -> InnovationsMarkov:
     """Innovations Markov sequence for the WLS weighting.
 
-    Refits the ARX at the larger of ``p`` and ``AIC_MAX_ORDER`` when the
-    record supports it; otherwise reuses the horizon-order fit.
+    Refits the ARX at ``max_arx_order`` when that exceeds ``p``; otherwise
+    reuses the horizon-order fit.
     """
     # The noise-weighting pre-estimate needs a genuinely high-order ARX: with a
     # slowly decaying predictor, an ARX truncated at the (often short) past
     # horizon biases the leading Markov parameters enough to cancel the
-    # variance gain of the weighted bank.  With the default AIC grid, this is
-    # also the AIC's largest fit.
-    n_w = max(p, min(AIC_MAX_ORDER, len(rec) // MIN_SAMPLES_PER_ORDER))
+    # variance gain of the weighted bank.
+    n_w = max(p, max_arx_order(len(rec)))
     pm_w = pm if n_w == p else fit_arx(rec, n_w)
     return predictor_to_innovations(pm_w)
 
@@ -264,11 +245,11 @@ def identify(
     Pipeline: data blocks -> high-order ARX pre-estimation (order p, or
     max(p, f - 1) for SSARX) ->
     range-space estimate by the configured method -> weighted SVD ->
-    shift-invariance (A, C) -> Markov-parameter fits for (B, K).  The
-    predictor gain always reuses the ARX sequence, and the feedthrough is
-    fixed to zero.  For the SSARX method the realization runs on
-    predictor-form quantities and the final model is converted back to
-    innovations form.
+    shift-invariance (A, C) -> Markov-parameter fits for (B, K), D = 0
+    (:func:`estimate_bk`).  B fits the bank's Markov rows, or for classical
+    the ARX input sequence, and K the ARX noise sequence, both converted to
+    innovations form.  SSARX fits both to the predictor-form ARX sequences,
+    as its (A, C) are the predictor form's, and returns A = A_bar + K C.
 
     Args:
         rec: Input/output record.
@@ -282,7 +263,9 @@ def identify(
         flagged in ``diagnostics["stable"]``.  ``arx_order`` and
         ``weighting_arx_order`` (parsim_opt, else None) give the ARX orders;
         ``wls_gram_rank`` and ``wls_gram_cond`` (parsim_opt, else None) give
-        the rank and s_max / s_min of the weighted Gram of WLS rows 2..f.
+        the rank and s_max / s_min of the weighted Gram of WLS rows 2..f;
+        ``b_fit_rms`` and ``k_fit_rms`` give the RMS residuals of the B and
+        K fits.
 
     Raises:
         ParsimidError subclasses labeled with the failing stage; a record
@@ -318,25 +301,21 @@ def identify(
 
     with _stage("gains"):
         if cfg.method == "ssarx":
-            # A_like is the predictor-form transition matrix here.
-            K_hat, k_rms = _fit_markov_gain(A_like, C_hat, _lagged(pm.h_bar))
-            B_bar, b_rms = _fit_markov_gain(A_like, C_hat, _lagged(pm.g_bar))
-            model = from_predictor_form(
-                PredictorModel(
-                    A_bar=A_like, B_bar=B_bar, C=C_hat, D=0.0, K=K_hat,
-                    sigma_e2=pm.residual_variance,
-                )
-            )
+            b_obs, k_seq = _lagged(pm.g_bar), pm.h_bar
         else:
-            # estimate_bk reads g only when the bank has no Markov rows: classical.
-            g = predictor_to_innovations_g(pm) if cfg.method == "classical" else None
-            innov = InnovationsMarkov(h=predictor_to_innovations(pm).h, g=g)
-            B_hat, K_hat = estimate_bk(A_like, C_hat, est, innov)
-            b_rms = k_rms = float("nan")
-            model = StateSpaceModel(
-                A=A_like, B=B_hat, C=C_hat, D=0.0, K=K_hat,
-                sigma_e2=pm.residual_variance,
-            )
+            if cfg.method == "classical":
+                b_obs = _lagged(predictor_to_innovations_g(pm))
+            else:
+                # Entry m of bank row i estimates G_{i-1-m}; lag 0 is the feedthrough.
+                b_obs = [(i - 1 - m, float(v)) for i, row in enumerate(est.g_rows, start=1)
+                         for m, v in enumerate(row) if i - 1 - m >= 1]
+            k_seq = predictor_to_innovations(pm).h
+        B_hat, K_hat, b_rms, k_rms = estimate_bk(A_like, C_hat, b_obs, k_seq)
+        # SSARX realizes the predictor form, whose transition matrix is A - K C.
+        A_hat = A_like + K_hat @ C_hat if cfg.method == "ssarx" else A_like
+        model = StateSpaceModel(
+            A=A_hat, B=B_hat, C=C_hat, D=0.0, K=K_hat, sigma_e2=pm.residual_variance,
+        )
 
     tail = float(np.sum(svals[cfg.n_x :]) / np.sum(svals)) if np.sum(svals) > 0 else 0.0
     diagnostics = {

@@ -209,14 +209,15 @@ class TestMonteCarlo:
 
     def test_failures_recorded_not_raised(self):
         # f=10 needs an order-9 ARX for the ssarx pre-estimates, which an
-        # 80-sample record cannot support (10 samples per order); that forces
-        # per-trial failures that must be recorded, not raised
+        # 80-sample record cannot support (10 samples per order, so the AIC
+        # grid is 4..8); that forces per-trial failures that must be
+        # recorded, not raised
         sc = Scenario(
             name="forced_failure", system_source="example1", N=80, f=10, n_x=3,
-            noise_variance=4.0, trials=2, methods=("ssarx",), aic_grid=(4, 5),
+            noise_variance=4.0, trials=2, methods=("ssarx",),
         )
         report = monte_carlo(sc, master_seed=1)
-        assert all(r.failure is not None for r in report.rows)
+        assert all(r.failure is not None and r.failure.startswith("arx:") for r in report.rows)
         assert report.aggregates()["ssarx"]["failures"] == 2
 
     def test_error_g_only_for_bank_methods(self):

@@ -36,6 +36,25 @@ class TestParseArgs:
         cfg = parse_args(["benchmark", "--scenario", "example1", "--trials", "50", "--seed", "7", "--out", "d"])
         assert cfg.command == "benchmark"
         assert cfg.trials == 50 and cfg.seed == 7
+        assert cfg.methods == ()
+        cfg = parse_args(["benchmark", "--scenario", "example1", "--methods", "parsim-opt, ssarx", "--out", "d"])
+        assert cfg.methods == ("parsim_opt", "ssarx")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["simulate", "--system", "example1", "--seed", "-1"], "--seed must be >= 0"),
+            (["benchmark", "--scenario", "example1", "--seed", "-1"], "--seed must be >= 0"),
+            (["simulate", "--system", "example1", "--input-kind", "rbs", "--rbs-band", "2"],
+             "--rbs-band must be in (0, 1]"),
+            (["simulate", "--system", "example1", "--rbs-band", "0"], "--rbs-band must be in (0, 1]"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"CONFIG: {message}")
+        assert not out.exists()
 
     def test_zero_order_is_usage_error(self):
         assert main([

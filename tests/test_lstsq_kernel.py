@@ -143,7 +143,7 @@ class TestAicOrder:
     @given(name=scenario_names, seed=seeds)
     def test_noisy_pick_matches_reference(self, name, seed):
         sc, rec = trial_record(name, seed)
-        grid = sc.aic_grid or default_aic_grid(sc.n_x, len(rec))
+        grid = default_aic_grid(sc.n_x, len(rec))
         assert select_order_aic(rec, grid) == ref_select_order_aic(rec, grid)
 
     @SETTINGS

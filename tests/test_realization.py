@@ -206,48 +206,43 @@ class TestExtractAc:
 
 
 class TestEstimateBK:
-    @staticmethod
-    def exact_bank_estimate(m, f, p):
-        g = markov_g(m, f)
-        rows = tuple(
-            np.append(g[: i - 1][::-1], m.D[0, 0]) for i in range(1, f + 1)
-        )
-        return RangeEstimate(gamma_lp=np.zeros((f, 2 * p)), g_rows=rows)
-
     def test_exact_markov_inputs_recover_gains(self):
         rng = np.random.default_rng(7)
         m = random_stable_model(rng, n_x=3)
-        est = self.exact_bank_estimate(m, 8, 5)
-        h = InnovationsMarkov(h=markov_h(m, 10))
-        B, K = estimate_bk(m.A, m.C, est, h)
+        # Bank-style observations: rows i = 2..8 each observe G_1..G_{i-1}.
+        g = markov_g(m, 8)
+        b_obs = [(lag, g[lag - 1]) for i in range(2, 9) for lag in range(1, i)]
+        B, K, b_rms, k_rms = estimate_bk(m.A, m.C, b_obs, markov_h(m, 10))
         np.testing.assert_allclose(B, m.B, atol=1e-9)
         np.testing.assert_allclose(K, m.K, atol=1e-9)
+        assert b_rms < 1e-9 and k_rms < 1e-9
 
     def test_zero_estimates_give_zero_gains(self):
         rng = np.random.default_rng(8)
         m = random_stable_model(rng, n_x=2)
-        est = RangeEstimate(
-            gamma_lp=np.zeros((5, 6)),
-            g_rows=tuple(np.zeros(i) for i in range(1, 6)),
-        )
-        B, K = estimate_bk(m.A, m.C, est, InnovationsMarkov(h=np.zeros(6)))
+        b_obs = [(lag, 0.0) for lag in range(1, 5)]
+        B, K, b_rms, k_rms = estimate_bk(m.A, m.C, b_obs, np.zeros(6))
         np.testing.assert_array_equal(B, np.zeros((2, 1)))
         np.testing.assert_array_equal(K, np.zeros((2, 1)))
+        assert b_rms == 0.0 and k_rms == 0.0
 
-    def test_fallback_to_input_sequence_when_no_rows(self):
+    def test_fit_rms_is_the_residual_rms(self):
         rng = np.random.default_rng(9)
         m = random_stable_model(rng, n_x=2)
-        est = RangeEstimate(gamma_lp=np.zeros((5, 6)), g_rows=())
-        h = InnovationsMarkov(h=markov_h(m, 8), g=markov_g(m, 8))
-        B, K = estimate_bk(m.A, m.C, est, h)
-        np.testing.assert_allclose(B, m.B, atol=1e-9)
+        g, h = markov_g(m, 8), markov_h(m, 8)
+        g_obs, h_obs = (seq + 1e-3 * rng.standard_normal(8) for seq in (g, h))
+        B, K, b_rms, k_rms = estimate_bk(m.A, m.C, list(enumerate(g_obs, start=1)), h_obs)
+        O = gamma_f(m.A, m.C, 8)
+        assert b_rms == pytest.approx(np.sqrt(np.mean(((O @ B).ravel() - g_obs) ** 2)), rel=1e-9)
+        assert k_rms == pytest.approx(np.sqrt(np.mean(((O @ K).ravel() - h_obs) ** 2)), rel=1e-9)
+        assert 0.0 < b_rms < 1e-3 and 0.0 < k_rms < 1e-3
 
-    def test_no_input_information(self):
+    @pytest.mark.parametrize("b_obs,k_seq", [([], np.ones(4)), ([(1, 1.0), (2, 0.5)], [])])
+    def test_no_observations(self, b_obs, k_seq):
         rng = np.random.default_rng(10)
-        m = random_stable_model(rng, n_x=2)
-        est = RangeEstimate(gamma_lp=np.zeros((5, 6)), g_rows=())
-        with pytest.raises(ConfigError):
-            estimate_bk(m.A, m.C, est, InnovationsMarkov(h=markov_h(m, 8)))
+        m = random_stable_model(rng, n_x=1)
+        with pytest.raises(ConfigError, match="no Markov-parameter observations"):
+            estimate_bk(m.A, m.C, b_obs, k_seq)
 
     def test_example1_noise_free_realization_impulse(self):
         m = example1_system()
@@ -403,6 +398,26 @@ class TestArxOrder:
         cfg = RealizationConfig(n_x=3, f=10, p=8, method="parsim_opt")
         result = identify(rec, cfg, weighting_markov=InnovationsMarkov(h=np.zeros(9)))
         assert result.diagnostics["weighting_arx_order"] is None
+
+
+class TestGains:
+    def test_classical_b_comes_from_the_arx_input_sequence(self, monkeypatch):
+        _, rec = seed2_example1_record()
+        cfg = RealizationConfig(n_x=3, f=10, p=12, method="classical")
+        base = identify(rec, cfg).model
+        convert = realization.predictor_to_innovations_g
+        monkeypatch.setattr(realization, "predictor_to_innovations_g", lambda pm: 2.0 * convert(pm))
+        doubled = identify(rec, cfg).model
+        np.testing.assert_allclose(doubled.B, 2.0 * base.B, rtol=1e-12)
+        np.testing.assert_array_equal(doubled.K, base.K)
+        np.testing.assert_array_equal(doubled.A, base.A)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fit_rms_finite_on_a_noisy_record(self, method):
+        _, rec = seed2_example1_record()
+        diag = identify(rec, RealizationConfig(n_x=3, f=10, p=12, method=method)).diagnostics
+        for key in ("b_fit_rms", "k_fit_rms"):
+            assert np.isfinite(diag[key]) and diag[key] >= 0.0, key
 
 
 class TestInnovationsConversion:
