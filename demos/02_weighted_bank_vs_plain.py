@@ -12,10 +12,10 @@ Run with:  python demos/02_weighted_bank_vs_plain.py
 """
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import solveh_banded, toeplitz
 
 import parsimid as ps
-from parsimid import build_noise_toeplitz, toeplitz_gram_band
+from parsimid import toeplitz_gram_band
 
 # ----------------------------------------------------------------------
 # Desk scale: fixed 5 x 100 regressor, strongly colored noise.
@@ -24,8 +24,10 @@ rng = np.random.default_rng(1)
 q, N, i = 5, 100, 4
 Z = rng.standard_normal((q, N))
 theta = rng.standard_normal(q)
-T = build_noise_toeplitz([1.2, 0.8, 0.5], i, N).T
-V = solveh_banded(toeplitz_gram_band([1.2, 0.8, 0.5], i, N), Z.T)
+h = [1.2, 0.8, 0.5]
+band = np.r_[h[::-1], 1.0]  # each column of T carries [H_3, H_2, H_1, H_0]
+T = toeplitz(np.r_[band, np.zeros(N - 1)], np.r_[band[0], np.zeros(N - 1)])
+V = solveh_banded(toeplitz_gram_band(h, i, N), Z.T)
 
 ols, wls = [], []
 for _ in range(1000):

@@ -1,6 +1,6 @@
 """Model forms, data blocks, and serialization round trips.
 
-A tour of the lower-level building blocks: innovations/predictor forms,
+A tour of the lower-level building blocks: innovations and predictor poles,
 Markov parameters, Hankel data blocks and their column weighting, and the
 JSON model format shared with the command-line tools.
 
@@ -19,9 +19,8 @@ import parsimid as ps
 # ----------------------------------------------------------------------
 model = ps.StateSpaceModel(A=[[0.7, -0.2], [1.0, 0.0]], B=[1.0, 0.5],
                            C=[1.0, -0.4], D=0.0, K=[0.3, 0.1], sigma_e2=0.5)
-pred = ps.to_predictor_form(model)
 print("innovations-form poles:", np.round(np.linalg.eigvals(model.A), 4))
-print("predictor-form poles  :", np.round(np.linalg.eigvals(pred.A_bar), 4))
+print("predictor-form poles  :", np.round(np.linalg.eigvals(model.A - model.K @ model.C), 4))
 print("input Markov params   :", np.round(ps.markov_g(model, 5), 4))
 print("noise Markov params   :", np.round(ps.markov_h(model, 5), 4))
 

@@ -46,9 +46,7 @@ from .errors import (
 )
 from .estimators import (
     METHODS,
-    NoiseToeplitz,
     RangeEstimate,
-    build_noise_toeplitz,
     classical_projection,
     parsim_ols,
     parsim_wls,
@@ -65,10 +63,8 @@ from .realization import (
     weighted_svd_realize,
 )
 from .ss_model import (
-    PredictorModel,
     SignalRecord,
     StateSpaceModel,
-    from_predictor_form,
     impulse_response,
     is_stable,
     load_model,
@@ -79,7 +75,6 @@ from .ss_model import (
     save_model,
     simulate,
     spectral_radius,
-    to_predictor_form,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -197,15 +198,12 @@ class Scenario:
     noise_variance: float
     trials: int
     methods: tuple[str, ...]
-    p: int | None = None  # explicit past horizon; None selects by AIC
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.system_source not in ("example1", "example2", "random"):
             raise ConfigError(f"unknown system source {self.system_source!r}")
-        if self.p is not None and self.N <= self.f + self.p:
-            raise ConfigError(f"N={self.N} must exceed f + p = {self.f + self.p}")
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
@@ -278,25 +276,18 @@ def _trial_data(sc: Scenario, master_seed: int, trial: int):
 
 
 def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
+    def failed(seed: int, reason: str) -> list[TrialRow]:
+        nan = float("nan")
+        return [TrialRow(trial, m, nan, nan, seed, -1, reason) for m in sc.methods]
+
     try:
         system, rec, seed = _trial_data(sc, master_seed, trial)
     except ParsimidError as err:
-        seed = _trial_seeds(master_seed, trial)[0]
-        return [
-            TrialRow(trial, m, float("nan"), float("nan"), seed, -1, f"data: {err}")
-            for m in sc.methods
-        ]
-
+        return failed(_trial_seeds(master_seed, trial)[0], f"data: {err}")
     try:
-        if sc.p is not None:
-            p = sc.p
-        else:
-            p = select_order_aic(rec, default_aic_grid(sc.n_x, len(rec)))
+        p = select_order_aic(rec, default_aic_grid(sc.n_x, len(rec)))
     except ParsimidError as err:
-        return [
-            TrialRow(trial, m, float("nan"), float("nan"), seed, -1, f"aic: {err}")
-            for m in sc.methods
-        ]
+        return failed(seed, f"aic: {err}")
 
     g_true = impulse_response(system, FIT_LAGS)
     if sc.f > 1:
@@ -310,19 +301,13 @@ def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
             cfg = RealizationConfig(n_x=sc.n_x, f=sc.f, p=p, method=method)
             result = identify(rec, cfg)
             fit = fit_metric(g_true, impulse_response(result.model, FIT_LAGS))
-            last_row = result.diagnostics.get("markov_last_row")
-            if method in ("parsim", "parsim_opt") and last_row is not None:
-                err_val = error_g(last_row, gff_true)
-            else:
-                err_val = float("nan")
+            # only the two banks estimate Markov rows
+            last_row = result.diagnostics["markov_last_row"]
+            err_val = error_g(last_row, gff_true) if last_row is not None else float("nan")
             rows.append(TrialRow(trial, method, fit, err_val, seed, p))
         except (ParsimidError, np.linalg.LinAlgError) as err:
             rows.append(TrialRow(trial, method, float("nan"), float("nan"), seed, p, str(err)))
     return rows
-
-
-def _run_trial_star(args) -> list[TrialRow]:
-    return _run_trial(*args)
 
 
 def monte_carlo(sc: Scenario, master_seed: int, jobs: int = 1) -> BenchReport:
@@ -336,12 +321,12 @@ def monte_carlo(sc: Scenario, master_seed: int, jobs: int = 1) -> BenchReport:
     """
     if master_seed < 0:
         raise ConfigError("master seed must be a nonnegative integer")
-    tasks = [(sc, master_seed, t) for t in range(sc.trials)]
+    args = (repeat(sc), repeat(master_seed), range(sc.trials))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(pool.map(_run_trial_star, tasks))
+            per_trial = list(pool.map(_run_trial, *args))
     else:
-        per_trial = [_run_trial(*t) for t in tasks]
+        per_trial = list(map(_run_trial, *args))
     rows = tuple(row for trial_rows in per_trial for row in trial_rows)
     return BenchReport(scenario=sc, master_seed=master_seed, rows=rows)
 
@@ -350,34 +335,26 @@ def example1_scenario(
     N: int = 2000,
     trials: int = 50,
     methods=("parsim", "parsim_opt", "ssarx", "classical"),
-    f: int = 10,
-    p: int | None = None,
-    noise_variance: float = 4.0,
-    name: str | None = None,
 ) -> Scenario:
     return Scenario(
-        name=name or f"example1_N{N}",
+        name=f"example1_N{N}",
         system_source="example1",
-        N=N, f=f, n_x=3,
-        noise_variance=noise_variance,
-        trials=trials, methods=tuple(methods), p=p,
+        N=N, f=10, n_x=3,
+        noise_variance=4.0,
+        trials=trials, methods=tuple(methods),
     )
 
 
 def example2_scenario(
-    N: int = 2000,
     trials: int = 50,
     methods=("parsim", "parsim_opt", "ssarx", "classical"),
-    f: int = 7,
-    p: int | None = None,
-    noise_variance: float = 217.1,
 ) -> Scenario:
     return Scenario(
-        name=f"example2_N{N}",
+        name="example2_N2000",
         system_source="example2",
-        N=N, f=f, n_x=2,
-        noise_variance=noise_variance,
-        trials=trials, methods=tuple(methods), p=p,
+        N=2000, f=7, n_x=2,
+        noise_variance=217.1,
+        trials=trials, methods=tuple(methods),
     )
 
 
@@ -385,13 +362,11 @@ def example3_scenario(
     noise_variance: float,
     trials: int = 50,
     methods=("parsim", "parsim_opt"),
-    N: int = 1000,
-    f: int = 20,
 ) -> Scenario:
     return Scenario(
         name=f"example3_var{noise_variance:g}",
         system_source="random",
-        N=N, f=f, n_x=6,
+        N=1000, f=20, n_x=6,
         noise_variance=noise_variance,
         trials=trials, methods=tuple(methods),
     )
@@ -402,13 +377,12 @@ def run_error_vs_n(
     trials: int = 50,
     master_seed: int = 0,
     methods=("parsim", "parsim_opt"),
-    f: int = 10,
     jobs: int = 1,
 ) -> dict[int, BenchReport]:
     """Markov-parameter error sweep over sample sizes (plot data for the
     error-versus-N figure)."""
     return {
-        n: monte_carlo(example1_scenario(N=n, trials=trials, methods=methods, f=f), master_seed, jobs)
+        n: monte_carlo(example1_scenario(N=n, trials=trials, methods=methods), master_seed, jobs)
         for n in n_values
     }
 

@@ -42,9 +42,7 @@ from .data_blocks import DataBlocks
 from .errors import ConfigError, ExcitationError, RankError
 
 __all__ = [
-    "NoiseToeplitz",
     "RangeEstimate",
-    "build_noise_toeplitz",
     "toeplitz_gram_band",
     "parsim_ols",
     "parsim_wls",
@@ -65,8 +63,8 @@ class RangeEstimate:
             Gamma_f L_p, the SSARX path estimates the predictor-form
             product.
         g_rows: One row per future index i with the i estimated Markov
-            parameters [G_{i-1}, ..., G_1, G_0]; empty for the classical
-            projection, predictor-form values for SSARX.
+            parameters [G_{i-1}, ..., G_1, G_0] (the two banks); empty for
+            the classical projection and SSARX, which estimate none.
         gram_rank: WLS bank only: the numerical rank of the weighted Gram
             Z (T'T)^(-1) Z' of rows 2..f, as its lstsq solve found it.
         gram_cond: WLS bank only: s_max / s_min of the same Grams (inf
@@ -84,53 +82,18 @@ class RangeEstimate:
                 raise ConfigError(f"g_rows[{i - 1}] must have {i} entries, got {row.size}")
 
 
-@dataclass(frozen=True)
-class NoiseToeplitz:
-    """Banded factor T mapping a white innovations row onto one noise row.
-
-    Column j of T carries [H_{i-1}, ..., H_1, H_0] in rows j..j+i-1 with
-    H_0 = 1, so that (stacked Markov row) @ (innovations Hankel) equals
-    (innovations row) @ T.
-    """
-
-    T: np.ndarray
-    band: np.ndarray
-    i: int
-    N: int
-
-
 def _band_from_h(h, i: int) -> np.ndarray:
     """Column band [H_{i-1}, ..., H_1, H_0]; missing high lags count as 0."""
     h = np.asarray(h, dtype=float).ravel()[: i - 1]
     return np.r_[np.zeros(i - 1 - h.size), h[::-1], 1.0]
 
 
-def build_noise_toeplitz(h, i: int, N: int) -> NoiseToeplitz:
-    """Dense (N + i - 1) x N Toeplitz noise factor for row i.
-
-    Args:
-        h: Innovations Markov parameters [H_1, H_2, ...]; needs at least
-            i - 1 entries (H_0 = 1 is implicit).
-        i: Row index / band width, >= 1.
-        N: Number of data columns.
-
-    Raises:
-        ConfigError: If fewer than i - 1 Markov parameters are supplied.
-    """
-    if i < 1 or N < 1:
-        raise ConfigError(f"i and N must be >= 1, got i={i}, N={N}")
-    h = np.asarray(h, dtype=float).ravel()
-    if h.size < i - 1:
-        raise ConfigError(f"need at least {i - 1} Markov parameters for row {i}, got {h.size}")
-    band = _band_from_h(h, i)
-    T = toeplitz(np.r_[band, np.zeros(N - 1)], np.r_[band[0], np.zeros(N - 1)])
-    return NoiseToeplitz(T=T, band=band, i=i, N=N)
-
-
 def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
     """Upper-banded LAPACK storage of T'T (as ``dpbtrf`` and ``solveh_banded`` read it).
 
-    T'T is symmetric positive definite, banded with bandwidth i - 1, and
+    T, (N + i - 1) x N, maps a white innovations row onto row i's noise:
+    column j carries [H_{i-1}, ..., H_1, H_0 = 1] in rows j..j+i-1.  T'T
+    is symmetric positive definite, banded with bandwidth i - 1, and
     Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.
     """
     band = _band_from_h(h, i)
@@ -236,8 +199,8 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
     corrected outputs are linear in Y_f and U_f, so their coefficients on
     Z_p are (I - H_bar) coef(Y_f | Z_p) - G_bar coef(U_f | Z_p), both read
     from ``blocks.ls``.  The result estimates the predictor-form
-    observability product, and ``g_rows`` holds the predictor-form input
-    parameters used.
+    observability product; ``pm`` is an input, not an estimate, so
+    ``g_rows`` is empty.
 
     Raises:
         ConfigError: If ``pm`` supplies fewer than f - 1 parameters.
@@ -252,6 +215,4 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
     # Columns 2p.. of [X | T] are U_f then Y_f.
     coef = blocks.ls.regress(2 * blocks.p, slice(2 * blocks.p, None)).T
     gamma_lp = (np.eye(f) - H_bar) @ coef[f:] - G_bar @ coef[:f]
-
-    g_rows = tuple(np.append(pm.g_bar[: i - 1][::-1], 0.0) for i in range(1, f + 1))
-    return RangeEstimate(gamma_lp=gamma_lp, g_rows=g_rows)
+    return RangeEstimate(gamma_lp=gamma_lp, g_rows=())

@@ -265,7 +265,8 @@ def identify(
         ``wls_gram_rank`` and ``wls_gram_cond`` (parsim_opt, else None) give
         the rank and s_max / s_min of the weighted Gram of WLS rows 2..f;
         ``b_fit_rms`` and ``k_fit_rms`` give the RMS residuals of the B and
-        K fits.
+        K fits; ``markov_last_row`` is the bank's row-f Markov estimate
+        [G_{f-1}, ..., G_0] (parsim and parsim_opt, else None).
 
     Raises:
         ParsimidError subclasses labeled with the failing stage; a record

@@ -1,4 +1,4 @@
-"""SISO state-space models in innovations and predictor form.
+"""SISO state-space models in innovations form.
 
 The canonical representation is the innovations form
 
@@ -12,7 +12,8 @@ The equivalent predictor form substitutes ``A_bar = A - K C`` and
     x[k+1] = A_bar x[k] + B_bar u[k] + K y[k]
 
 ``A_bar`` is stable whenever the one-step predictor converges, which makes
-the predictor form the natural home for high-order regression models.
+the predictor form the natural home for high-order regression models:
+the ARX pre-estimates and SSARX work with its Markov parameters.
 
 All objects in this module are immutable value types; operations are pure
 functions of their inputs and safe to share between workers.
@@ -31,10 +32,7 @@ from .errors import ConfigError, DivergenceError
 
 __all__ = [
     "StateSpaceModel",
-    "PredictorModel",
     "SignalRecord",
-    "to_predictor_form",
-    "from_predictor_form",
     "simulate",
     "markov_g",
     "markov_h",
@@ -136,39 +134,6 @@ class StateSpaceModel:
 
 
 @dataclass(frozen=True)
-class PredictorModel:
-    """Predictor-form model with A_bar = A - K C and B_bar = B - K D.
-
-    Carries ``sigma_e2`` alongside the matrices so conversion to and from
-    the innovations form is an identity on every field.
-    """
-
-    A_bar: np.ndarray
-    B_bar: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    K: np.ndarray
-    sigma_e2: float = 1.0
-
-    def __post_init__(self):
-        A = _as_square(self.A_bar, "A_bar")
-        n = A.shape[0]
-        object.__setattr__(self, "A_bar", _freeze(A))
-        object.__setattr__(self, "B_bar", _freeze(_as_col(self.B_bar, n, "B_bar")))
-        object.__setattr__(self, "C", _freeze(_as_row(self.C, n, "C")))
-        D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        if D.shape != (1, 1):
-            raise ConfigError(f"D must be scalar (SISO), got shape {D.shape}")
-        object.__setattr__(self, "D", _freeze(D))
-        object.__setattr__(self, "K", _freeze(_as_col(self.K, n, "K")))
-        object.__setattr__(self, "sigma_e2", float(self.sigma_e2))
-
-    @property
-    def n_x(self) -> int:
-        return self.A_bar.shape[0]
-
-
-@dataclass(frozen=True)
 class SignalRecord:
     """One input/output data record: equal-length, finite u and y."""
 
@@ -187,30 +152,6 @@ class SignalRecord:
 
     def __len__(self) -> int:
         return self.u.size
-
-
-def to_predictor_form(m: StateSpaceModel) -> PredictorModel:
-    """Convert an innovations-form model to predictor form."""
-    return PredictorModel(
-        A_bar=m.A - m.K @ m.C,
-        B_bar=m.B - m.K @ m.D,
-        C=m.C,
-        D=m.D,
-        K=m.K,
-        sigma_e2=m.sigma_e2,
-    )
-
-
-def from_predictor_form(p: PredictorModel) -> StateSpaceModel:
-    """Convert a predictor-form model back to innovations form."""
-    return StateSpaceModel(
-        A=p.A_bar + p.K @ p.C,
-        B=p.B_bar + p.K @ p.D,
-        C=p.C,
-        D=p.D,
-        K=p.K,
-        sigma_e2=p.sigma_e2,
-    )
 
 
 def simulate(

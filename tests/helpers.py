@@ -20,7 +20,6 @@ from parsimid import (
     SignalRecord,
     StateSpaceModel,
     simulate,
-    to_predictor_form,
     toeplitz_gram_band,
 )
 from parsimid.benchmark import example1_system, example2_system
@@ -66,8 +65,20 @@ def l_p(A_bar, B_bar, K, p):
 
 
 def true_gamma_lp(m: StateSpaceModel, f: int, p: int):
-    pred = to_predictor_form(m)
-    return gamma_f(m.A, m.C, f) @ l_p(pred.A_bar, pred.B_bar, pred.K, p)
+    return gamma_f(m.A, m.C, f) @ l_p(m.A - m.K @ m.C, m.B - m.K @ m.D, m.K, p)
+
+
+def noise_toeplitz(h, i, N):
+    """Dense noise factor T of row i, (N + i - 1) x N, and its column band.
+
+    Column j of T carries band = [H_{i-1}, ..., H_1, H_0] in rows j..j+i-1
+    with H_0 = 1, so that (stacked Markov row) @ (innovations Hankel)
+    equals (innovations row) @ T.  ``h`` = [H_1, H_2, ...] needs at least
+    i - 1 entries.
+    """
+    band = np.r_[np.asarray(h, dtype=float)[: i - 1][::-1], 1.0]
+    T = toeplitz(np.r_[band, np.zeros(N - 1)], np.r_[band[0], np.zeros(N - 1)])
+    return T, band
 
 
 def toeplitz_gf(m: StateSpaceModel, f: int):

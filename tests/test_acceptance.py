@@ -15,14 +15,14 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 import parsimid as ps
-from parsimid import build_noise_toeplitz, markov_h, toeplitz_gram_band
+from parsimid import markov_h, toeplitz_gram_band
 from parsimid.benchmark import (
     example1_scenario,
     example1_system,
     example2_scenario,
 )
 
-from helpers import child_env, random_stable_model
+from helpers import child_env, noise_toeplitz, random_stable_model
 
 
 def _report(num, text):
@@ -53,11 +53,10 @@ def test_c02_toeplitz_rewrite_identity():
         i = int(rng.integers(1, 7))
         N = int(rng.integers(2, 51))
         h = rng.standard_normal(max(i - 1, 1))
-        nt = build_noise_toeplitz(h, i, N)
+        T, h_fi = noise_toeplitz(h, i, N)
         eps = rng.standard_normal(N + i - 1)
         E = np.array([eps[s : s + N] for s in range(i)])
-        h_fi = nt.band
-        err = np.max(np.abs(h_fi @ E - eps @ nt.T))
+        err = np.max(np.abs(h_fi @ E - eps @ T))
         assert err < 1e-12, f"i={i}, N={N}: {err}"
     assert time.perf_counter() - start < 1.0
     _report(2, "noise-row rewriting identity < 1e-12 on 100 random instances")
@@ -68,9 +67,9 @@ def test_c03_markov_recursion_oracle():
     start = time.perf_counter()
     for _ in range(200):
         m = random_stable_model(rng, n_x=int(rng.integers(1, 6)))
-        pred = ps.to_predictor_form(m)
+        A_bar = m.A - m.K @ m.C
         h_bar = [
-            (pred.C @ np.linalg.matrix_power(pred.A_bar, j) @ pred.K).item()
+            (m.C @ np.linalg.matrix_power(A_bar, j) @ m.K).item()
             for j in range(15)
         ]
         pm = ps.PredictorMarkov(h_bar=h_bar, g_bar=np.zeros(15), residual_variance=1.0)
@@ -86,7 +85,7 @@ def test_c04_noise_covariance_premise():
     start = time.perf_counter()
     i, N = 4, 8
     h = np.array([0.9, 0.6, 0.3])
-    Tm = build_noise_toeplitz(h, i, N).T
+    Tm = noise_toeplitz(h, i, N)[0]
     sigma_e = 1.0
     draws = sigma_e * rng.standard_normal((10_000, N + i - 1)) @ Tm
     sample_cov = draws.T @ draws / draws.shape[0]
@@ -104,7 +103,7 @@ def test_c05_blue_dominance_desk_scale():
     Z = rng.standard_normal((q, N))
     theta = rng.standard_normal(q)
     h = np.array([1.2, 0.8, 0.5])
-    Tm = build_noise_toeplitz(h, i, N).T
+    Tm = noise_toeplitz(h, i, N)[0]
     ab = toeplitz_gram_band(h, i, N)
     V = solveh_banded(ab, Z.T)
     A_w = Z @ V
@@ -153,7 +152,7 @@ def test_c07_fit_ordering_first_benchmark():
 
 def test_c08_fit_ordering_second_benchmark():
     start = time.perf_counter()
-    sc = example2_scenario(N=2000, trials=50, methods=("parsim", "parsim_opt", "ssarx"))
+    sc = example2_scenario(trials=50, methods=("parsim", "parsim_opt", "ssarx"))
     report = ps.monte_carlo(sc, master_seed=0)
     agg = report.aggregates()
     # every method succeeds on every trial, so the medians cover the same records

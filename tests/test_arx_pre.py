@@ -13,7 +13,6 @@ from parsimid import (
     predictor_to_innovations_g,
     select_order_aic,
     simulate,
-    to_predictor_form,
 )
 from parsimid.benchmark import example1_system
 
@@ -155,9 +154,9 @@ class TestMarkovRecursion:
         rng = np.random.default_rng(12)
         for _ in range(50):
             m = random_stable_model(rng, n_x=int(rng.integers(1, 6)))
-            pred = to_predictor_form(m)
+            A_bar = m.A - m.K @ m.C
             count = 15
-            h_bar = [(pred.C @ np.linalg.matrix_power(pred.A_bar, j) @ pred.K).item()
+            h_bar = [(m.C @ np.linalg.matrix_power(A_bar, j) @ m.K).item()
                      for j in range(count)]
             pm = PredictorMarkov(h_bar=h_bar, g_bar=np.zeros(count), residual_variance=1.0)
             np.testing.assert_allclose(
@@ -184,11 +183,11 @@ class TestInputChannelRecursion:
         rng = np.random.default_rng(13)
         for _ in range(25):
             m = random_stable_model(rng, n_x=int(rng.integers(1, 5)))
-            pred = to_predictor_form(m)
+            A_bar = m.A - m.K @ m.C  # B_bar = B - K D = B, as D = 0
             count = 12
-            h_bar = [(pred.C @ np.linalg.matrix_power(pred.A_bar, j) @ pred.K).item()
+            h_bar = [(m.C @ np.linalg.matrix_power(A_bar, j) @ m.K).item()
                      for j in range(count)]
-            g_bar = [(pred.C @ np.linalg.matrix_power(pred.A_bar, j) @ pred.B_bar).item()
+            g_bar = [(m.C @ np.linalg.matrix_power(A_bar, j) @ m.B).item()
                      for j in range(count)]
             pm = PredictorMarkov(h_bar=h_bar, g_bar=g_bar, residual_variance=1.0)
             np.testing.assert_allclose(

@@ -1,0 +1,45 @@
+"""The benchmark's reference checks and workloads run against this package.
+
+``bench/checks.py`` and ``bench/workloads.py`` call public names of
+``parsimid`` (scenario factories, ``identify`` and its keywords, the
+model and record types); a removed or renamed one would otherwise show up
+only as a failed benchmark run.  The files are loaded by path because
+``bench`` is not a package, and ``workloads`` imports ``checks`` by name.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import parsimid
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look the defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reference_checks_pass(monkeypatch):
+    checks = load(monkeypatch, "checks")
+    results = checks.reference_checks(parsimid, 0)
+    assert results
+    assert [r for r in results if not r[1]] == []
+
+
+def test_every_workload_runs_a_clean_round(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    load(monkeypatch, "checks")
+    workloads = load(monkeypatch, "workloads")
+    # IdentifyLog replaces parsimid.benchmark.identify; monkeypatch restores it
+    monkeypatch.setattr(parsimid.benchmark, "identify", parsimid.benchmark.identify)
+    for name, build in workloads.WORKLOADS.items():
+        stats = build(parsimid, 0).run_round(0)
+        assert stats.attempted > 0, name
+        assert stats.failures == [], name
+        assert stats.problems == [], name

@@ -170,7 +170,7 @@ def row_key(r):
 def noise_free_scenario():
     return Scenario(
         name="noise_free", system_source="example1", N=2000, f=10, n_x=2,
-        noise_variance=0.0, trials=1, methods=("parsim",), p=20,
+        noise_variance=0.0, trials=1, methods=("parsim",),
     )
 
 
@@ -273,7 +273,7 @@ class TestWriters:
 
     def test_joint_fit_csv(self, tmp_path):
         reports = {
-            var: monte_carlo(example3_scenario(var, trials=2, N=600, f=12), 9)
+            var: monte_carlo(example3_scenario(var, trials=2), 9)
             for var in (1.0, 10.0)
         }
         path = tmp_path / "joint.csv"

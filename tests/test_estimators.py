@@ -11,7 +11,6 @@ from parsimid import (
     RealizationConfig,
     SignalRecord,
     assemble_blocks,
-    build_noise_toeplitz,
     classical_projection,
     default_aic_grid,
     error_g,
@@ -25,7 +24,6 @@ from parsimid import (
     select_order_aic,
     simulate,
     ssarx_estimate,
-    to_predictor_form,
     toeplitz_gram_band,
 )
 from parsimid import estimators
@@ -35,6 +33,7 @@ from helpers import (
     colspace,
     example_record,
     gamma_f,
+    noise_toeplitz,
     random_stable_model,
     ref_parsim_wls,
     row_blocks,
@@ -55,42 +54,38 @@ def example1_record(n_total, sigma_e, seed):
 
 class TestNoiseToeplitz:
     def test_two_by_two_display(self):
-        nt = build_noise_toeplitz([0.7], i=2, N=2)
-        np.testing.assert_array_equal(nt.T, [[0.7, 0.0], [1.0, 0.7], [0.0, 1.0]])
+        T, _ = noise_toeplitz([0.7], i=2, N=2)
+        np.testing.assert_array_equal(T, [[0.7, 0.0], [1.0, 0.7], [0.0, 1.0]])
 
     def test_single_row_is_identity(self):
-        nt = build_noise_toeplitz([], i=1, N=5)
-        np.testing.assert_array_equal(nt.T, np.eye(5))
+        T, _ = noise_toeplitz([], i=1, N=5)
+        np.testing.assert_array_equal(T, np.eye(5))
 
     def test_rewrite_identity(self):
         # stacked Markov row times innovations Hankel == innovations row times T
         rng = np.random.default_rng(0)
         i, N = 4, 30
         h = rng.standard_normal(i - 1)
-        nt = build_noise_toeplitz(h, i, N)
+        T, _ = noise_toeplitz(h, i, N)
         eps = rng.standard_normal(N + i - 1)
         E = np.array([eps[s : s + N] for s in range(i)])
         h_fi = np.append(h[::-1], 1.0)
-        np.testing.assert_allclose(h_fi @ E, eps @ nt.T, atol=1e-12)
+        np.testing.assert_allclose(h_fi @ E, eps @ T, atol=1e-12)
 
     def test_band_column_structure(self):
         h = [0.5, -0.3, 0.2]
         i, N = 4, 7
-        nt = build_noise_toeplitz(h, i, N)
+        T, _ = noise_toeplitz(h, i, N)
         for j in range(N):
-            col = nt.T[:, j]
+            col = T[:, j]
             np.testing.assert_array_equal(col[j : j + i], [0.2, -0.3, 0.5, 1.0])
             assert np.count_nonzero(col) == i
-
-    def test_insufficient_parameters(self):
-        with pytest.raises(ConfigError):
-            build_noise_toeplitz([0.5], i=4, N=10)
 
     def test_gram_band_matches_dense(self):
         rng = np.random.default_rng(1)
         for i, N in ((2, 6), (4, 12), (7, 20)):
             h = rng.standard_normal(i - 1)
-            dense = build_noise_toeplitz(h, i, N).T
+            dense, _ = noise_toeplitz(h, i, N)
             M = dense.T @ dense
             ab = toeplitz_gram_band(h, i, N)
             for d in range(i):
@@ -273,10 +268,10 @@ class TestClassicalProjection:
 class TestSsarx:
     @staticmethod
     def exact_pm(m, count):
-        pred = to_predictor_form(m)
-        h_bar = [(pred.C @ np.linalg.matrix_power(pred.A_bar, j) @ pred.K).item()
+        A_bar = m.A - m.K @ m.C  # B_bar = B - K D = B, as D = 0
+        h_bar = [(m.C @ np.linalg.matrix_power(A_bar, j) @ m.K).item()
                  for j in range(count)]
-        g_bar = [(pred.C @ np.linalg.matrix_power(pred.A_bar, j) @ pred.B_bar).item()
+        g_bar = [(m.C @ np.linalg.matrix_power(A_bar, j) @ m.B).item()
                  for j in range(count)]
         return PredictorMarkov(h_bar=h_bar, g_bar=g_bar, residual_variance=1.0)
 
@@ -302,9 +297,8 @@ class TestSsarx:
         m, rec = example1_record(2000, 0.0, seed=13)
         blocks = assemble_blocks(rec, f=10, p=25)
         est = ssarx_estimate(blocks, self.exact_pm(m, 25))
-        pred = to_predictor_form(m)
         # only the input-driven state pair is excited without noise
-        target = gamma_f(pred.A_bar, pred.C, 10)[:, :2]
+        target = gamma_f(m.A - m.K @ m.C, m.C, 10)[:, :2]
         angles = subspace_angles(colspace(est.gamma_lp, 2), target)
         assert np.max(angles) < 1e-4
 
@@ -316,12 +310,11 @@ class TestSsarx:
         expect = np.linalg.lstsq((b.Z_p @ b.Z_p.T), (b.Y_f @ b.Z_p.T).T, rcond=None)[0].T
         np.testing.assert_allclose(est.gamma_lp, expect, atol=1e-10)
 
-    def test_predictor_markov_rows_attached(self):
+    def test_no_markov_rows(self):
+        # the predictor parameters are an input, not an estimate
         _, rec = example1_record(500, 1.0, seed=15)
         blocks = assemble_blocks(rec, f=4, p=6)
-        pm = self.exact_pm(example1_system(), 6)
-        est = ssarx_estimate(blocks, pm)
-        np.testing.assert_allclose(est.g_rows[3], [pm.g_bar[2], pm.g_bar[1], pm.g_bar[0], 0.0])
+        assert ssarx_estimate(blocks, self.exact_pm(example1_system(), 6)).g_rows == ()
 
     def test_pm_too_short(self):
         _, rec = example1_record(500, 1.0, seed=16)
@@ -337,7 +330,7 @@ class TestNoiseCovariancePremise:
         # innovations variance
         rng = np.random.default_rng(17)
         i, N = 3, 6
-        Tm = build_noise_toeplitz([0.8, 0.4], i, N).T
+        Tm, _ = noise_toeplitz([0.8, 0.4], i, N)
         draws = rng.standard_normal((4000, N + i - 1)) @ Tm
         sample_cov = draws.T @ draws / draws.shape[0]
         target = Tm.T @ Tm

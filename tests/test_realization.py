@@ -322,6 +322,18 @@ class TestIdentify:
         assert isinstance(diag["stable"], bool)
         assert diag["markov_last_row"].size == 10
 
+    def test_markov_last_row_only_for_banks(self):
+        # classical and SSARX estimate no Markov rows; SSARX's predictor
+        # parameters are not innovations-form G estimates
+        rec = example_record("example1", seed=16, noisy=True, n_total=1200)
+        for method in METHODS:
+            result = identify(rec, RealizationConfig(n_x=3, f=10, p=10, method=method))
+            row = result.diagnostics["markov_last_row"]
+            if method in ("parsim", "parsim_opt"):
+                assert row.size == 10, method
+            else:
+                assert row is None, method
+
     def test_noise_free_exactness_random_models(self):
         # reachable/observable stable models, exciting input, no noise:
         # both bank methods recover the impulse response almost exactly

@@ -5,10 +5,8 @@ from scipy.signal import lfilter
 from parsimid import (
     ConfigError,
     DivergenceError,
-    PredictorModel,
     SignalRecord,
     StateSpaceModel,
-    from_predictor_form,
     impulse_response,
     is_stable,
     load_model,
@@ -19,7 +17,6 @@ from parsimid import (
     save_model,
     simulate,
     spectral_radius,
-    to_predictor_form,
 )
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
 
@@ -28,46 +25,6 @@ from helpers import random_stable_model, ref_simulate
 
 def scalar_model(a, b, c, k, d=0.0, var=1.0):
     return StateSpaceModel(A=a, B=b, C=c, D=d, K=k, sigma_e2=var)
-
-
-class TestPredictorConversion:
-    def test_zero_gain_is_identity_on_ab(self):
-        m = scalar_model(0.5, 1.0, 1.0, 0.0)
-        pred = to_predictor_form(m)
-        assert pred.A_bar[0, 0] == m.A[0, 0]
-        assert pred.B_bar[0, 0] == m.B[0, 0]
-
-    def test_scalar_arithmetic(self):
-        # A - K C = 0.5 - 0.2 * 1 = 0.3; B - K D = 1
-        m = scalar_model(0.5, 1.0, 1.0, 0.2)
-        pred = to_predictor_form(m)
-        assert pred.A_bar[0, 0] == pytest.approx(0.3, abs=1e-15)
-        assert pred.B_bar[0, 0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_from_predictor_scalar(self):
-        pred = PredictorModel(A_bar=0.3, B_bar=1.0, C=1.0, D=0.0, K=0.2)
-        m = from_predictor_form(pred)
-        assert m.A[0, 0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            m = random_stable_model(rng, n_x=rng.integers(1, 5))
-            back = from_predictor_form(to_predictor_form(m))
-            # (A - KC) + KC recovers A only to the rounding of one add/subtract
-            for field in ("A", "B", "C", "D", "K"):
-                np.testing.assert_allclose(
-                    getattr(back, field), getattr(m, field), rtol=0, atol=1e-13
-                )
-            assert back.sigma_e2 == m.sigma_e2
-
-    def test_reverse_round_trip_exact(self):
-        rng = np.random.default_rng(1)
-        m = random_stable_model(rng, n_x=3)
-        pred = to_predictor_form(m)
-        again = to_predictor_form(from_predictor_form(pred))
-        np.testing.assert_allclose(again.A_bar, pred.A_bar, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(again.B_bar, pred.B_bar, rtol=0, atol=1e-13)
 
 
 class TestSimulate:
