@@ -7,6 +7,7 @@ from scipy.signal import lfilter
 from parsimid import (
     ConfigError,
     Scenario,
+    default_aic_grid,
     error_g,
     fit_metric,
     gen_rbs,
@@ -15,6 +16,7 @@ from parsimid import (
     markov_h,
     monte_carlo,
     random_system,
+    select_order_aic,
     simulate,
     spectral_radius,
     write_aggregates_json,
@@ -24,8 +26,11 @@ from parsimid import (
 )
 from parsimid.benchmark import (
     EXAMPLE2_GAMMA,
+    _trial_data,
+    _trial_seeds,
     example1_scenario,
     example1_system,
+    example2_scenario,
     example2_system,
     example3_scenario,
 )
@@ -174,6 +179,30 @@ def noise_free_scenario():
     )
 
 
+class TestScenarios:
+    # the paper's settings for its three examples
+    @pytest.mark.parametrize(
+        "sc, name, source, N, f, n_x, noise_variance",
+        [
+            (example1_scenario(), "example1_N2000", "example1", 2000, 10, 3, 4.0),
+            (example1_scenario(N=800), "example1_N800", "example1", 800, 10, 3, 4.0),
+            (example2_scenario(), "example2_N2000", "example2", 2000, 7, 2, 217.1),
+            (example3_scenario(10.0), "example3_var10", "random", 1000, 20, 6, 10.0),
+        ],
+    )
+    def test_fixed_settings(self, sc, name, source, N, f, n_x, noise_variance):
+        assert (sc.name, sc.system_source, sc.N, sc.f, sc.n_x, sc.noise_variance) == (
+            name, source, N, f, n_x, noise_variance
+        )
+
+    def test_default_trials_and_methods(self):
+        assert example1_scenario().trials == example2_scenario().trials == 50
+        assert example3_scenario(1.0).trials == 50
+        assert example1_scenario().methods == ("parsim", "parsim_opt", "ssarx", "classical")
+        assert example2_scenario(methods=["ssarx"]).methods == ("ssarx",)
+        assert example3_scenario(1.0).methods == ("parsim", "parsim_opt")
+
+
 class TestMonteCarlo:
     def test_noise_free_single_trial(self):
         report = monte_carlo(noise_free_scenario(), master_seed=0)
@@ -219,6 +248,38 @@ class TestMonteCarlo:
         report = monte_carlo(sc, master_seed=1)
         assert all(r.failure is not None and r.failure.startswith("arx:") for r in report.rows)
         assert report.aggregates()["ssarx"]["failures"] == 2
+
+    @pytest.mark.parametrize(
+        "N, noise_variance, stage",
+        [
+            # the simulated output is not finite
+            (800, float("inf"), "data: simulation diverged"),
+            # 10 samples per ARX order: 30 samples allow no order above n_x
+            (30, 1.0, "aic: record of length 30"),
+        ],
+    )
+    def test_early_failure_fills_every_method_row(self, N, noise_variance, stage):
+        sc = Scenario(
+            name="early_failure", system_source="example1", N=N, f=10, n_x=3,
+            noise_variance=noise_variance, trials=2, methods=("parsim", "ssarx", "classical"),
+        )
+        report = monte_carlo(sc, master_seed=6)
+        assert [(r.trial, r.method) for r in report.rows] == [
+            (t, m) for t in range(2) for m in sc.methods
+        ]
+        for r in report.rows:
+            assert r.failure.startswith(stage)
+            assert r.seed == _trial_seeds(6, r.trial)[0]
+            assert r.p == -1 and np.isnan(r.fit) and np.isnan(r.error_g)
+        assert report.aggregates()["ssarx"]["failures"] == 2
+
+    def test_every_trial_picks_p_by_aic(self):
+        sc = example1_scenario(N=800, trials=3, methods=("parsim", "ssarx"))
+        report = monte_carlo(sc, master_seed=12)
+        for trial in range(sc.trials):
+            rec = _trial_data(sc, 12, trial)[1]
+            p = select_order_aic(rec, default_aic_grid(sc.n_x, sc.N))
+            assert [r.p for r in report.rows if r.trial == trial] == [p, p]
 
     def test_error_g_only_for_bank_methods(self):
         sc = example1_scenario(N=800, trials=2, methods=("parsim", "parsim_opt", "classical", "ssarx"))

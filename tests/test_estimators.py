@@ -81,6 +81,18 @@ class TestNoiseToeplitz:
             np.testing.assert_array_equal(col[j : j + i], [0.2, -0.3, 0.5, 1.0])
             assert np.count_nonzero(col) == i
 
+    def test_gram_band_pads_missing_lags(self):
+        # H_m beyond the given h count as 0, as in the dense T of the padded h
+        h = [0.5, -0.3]
+        i, N = 5, 9
+        dense, _ = noise_toeplitz(np.r_[h, 0.0, 0.0], i, N)
+        M = dense.T @ dense
+        ab = toeplitz_gram_band(h, i, N)
+        np.testing.assert_array_equal(ab, toeplitz_gram_band(np.r_[h, 0.0, 0.0], i, N))
+        for d in range(i):
+            np.testing.assert_allclose(ab[i - 1 - d, d:], np.diagonal(M, d), atol=1e-13)
+        np.testing.assert_array_equal(ab[:2], 0.0)
+
     def test_gram_band_matches_dense(self):
         rng = np.random.default_rng(1)
         for i, N in ((2, 6), (4, 12), (7, 20)):
