@@ -45,7 +45,7 @@ for name, factory in (("example1", ps.example1_scenario), ("example2", ps.exampl
 # Study 3: random sixth-order systems at increasing noise levels; the
 # joint FIT pairs show how often the weighted bank wins per system.
 # ----------------------------------------------------------------------
-joint = ps.run_joint_fit(noise_levels=(1.0, 10.0, 100.0), trials=TRIALS, master_seed=3)
+joint = ps.run_joint_fit(trials=TRIALS, master_seed=3)
 ps.write_joint_fit_csv(joint, out / "joint_fit.csv")
 print("\nrandom systems: share of trials with weighted >= plain")
 for var, report in sorted(joint.items()):

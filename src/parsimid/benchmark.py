@@ -20,7 +20,7 @@ from scipy.signal import butter, lfilter, sosfilt
 from .arx_pre import default_aic_grid, select_order_aic
 from .errors import ConfigError, ParsimidError
 from .realization import RealizationConfig, identify
-from .ss_model import SignalRecord, StateSpaceModel, impulse_response, markov_g, simulate
+from .ss_model import SignalRecord, StateSpaceModel, impulse_response, markov_g, observability, simulate
 
 __all__ = [
     "Scenario",
@@ -48,6 +48,9 @@ EXAMPLE2_GAMMA = 0.9184
 
 # Impulse-response lags that the FIT metric compares.
 FIT_LAGS = 100
+
+# Innovations variances of the random-system joint FIT study.
+JOINT_FIT_NOISE_LEVELS = (1.0, 10.0, 100.0)
 
 # random_system draws: dominant-pole magnitude range, B and K entry scales,
 # and the rejection-sampling budget.
@@ -93,17 +96,9 @@ def example2_system() -> tuple[StateSpaceModel, np.ndarray]:
 
 def _minimal(A, B, C, K) -> bool:
     n = A.shape[0]
-    gains = np.hstack([B, K])
-    ctrb = gains
-    blk = gains
-    obs = C
-    row = C
-    for _ in range(n - 1):
-        blk = A @ blk
-        ctrb = np.hstack([ctrb, blk])
-        row = row @ A
-        obs = np.vstack([obs, row])
-    return np.linalg.matrix_rank(ctrb) == n and np.linalg.matrix_rank(obs) == n
+    # controllability of (A, [B K]) is observability of (A', [B K]')
+    ctrb = observability(A.T, np.hstack([B, K]).T, n)
+    return np.linalg.matrix_rank(ctrb) == n and np.linalg.matrix_rank(observability(A, C, n)) == n
 
 
 def random_system(seed, n_x: int = 6) -> StateSpaceModel:
@@ -204,6 +199,8 @@ class Scenario:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.system_source not in ("example1", "example2", "random"):
             raise ConfigError(f"unknown system source {self.system_source!r}")
+        if self.f < 2:
+            raise ConfigError(f"future horizon must be >= 2, got {self.f}")
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
@@ -229,25 +226,18 @@ class BenchReport:
     def aggregates(self) -> dict:
         out = {}
         for method in self.scenario.methods:
-            fits = np.array([r.fit for r in self.rows if r.method == method and r.failure is None])
-            errs = np.array([
-                r.error_g for r in self.rows if r.method == method and r.failure is None
-            ])
-            errs = errs[np.isfinite(errs)]
+            ok = [r for r in self.rows if r.method == method and r.failure is None]
             n_fail = sum(1 for r in self.rows if r.method == method and r.failure is not None)
-            entry = {"failures": n_fail, "successes": int(fits.size)}
-            if fits.size:
-                entry.update(
-                    fit_mean=float(np.mean(fits)),
-                    fit_median=float(np.median(fits)),
-                    fit_var=float(np.var(fits, ddof=1)) if fits.size > 1 else 0.0,
-                )
-            if errs.size:
-                entry.update(
-                    error_g_mean=float(np.mean(errs)),
-                    error_g_median=float(np.median(errs)),
-                    error_g_var=float(np.var(errs, ddof=1)) if errs.size > 1 else 0.0,
-                )
+            entry = {"failures": n_fail, "successes": len(ok)}
+            errs = np.array([r.error_g for r in ok])
+            # error_g is NaN for the methods that estimate no Markov rows
+            for key, vals in (("fit", np.array([r.fit for r in ok])), ("error_g", errs[np.isfinite(errs)])):
+                if vals.size:
+                    entry.update({
+                        f"{key}_mean": float(np.mean(vals)),
+                        f"{key}_median": float(np.median(vals)),
+                        f"{key}_var": float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0,
+                    })
             out[method] = entry
         return out
 
@@ -290,10 +280,7 @@ def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
         return failed(seed, f"aic: {err}")
 
     g_true = impulse_response(system, FIT_LAGS)
-    if sc.f > 1:
-        gff_true = np.append(markov_g(system, sc.f - 1)[::-1], system.D[0, 0])
-    else:
-        gff_true = np.array([system.D[0, 0]])
+    gff_true = np.append(markov_g(system, sc.f - 1)[::-1], system.D[0, 0])
 
     rows = []
     for method in sc.methods:
@@ -388,16 +375,15 @@ def run_error_vs_n(
 
 
 def run_joint_fit(
-    noise_levels=(1.0, 10.0, 100.0),
     trials: int = 50,
     master_seed: int = 0,
     methods=("parsim", "parsim_opt"),
     jobs: int = 1,
 ) -> dict[float, BenchReport]:
-    """Random-system joint FIT study, one report per noise level."""
+    """Random-system joint FIT study, one report per ``JOINT_FIT_NOISE_LEVELS`` entry."""
     return {
         var: monte_carlo(example3_scenario(var, trials=trials, methods=methods), master_seed, jobs)
-        for var in noise_levels
+        for var in JOINT_FIT_NOISE_LEVELS
     }
 
 

@@ -82,12 +82,6 @@ class RangeEstimate:
                 raise ConfigError(f"g_rows[{i - 1}] must have {i} entries, got {row.size}")
 
 
-def _band_from_h(h, i: int) -> np.ndarray:
-    """Column band [H_{i-1}, ..., H_1, H_0]; missing high lags count as 0."""
-    h = np.asarray(h, dtype=float).ravel()[: i - 1]
-    return np.r_[np.zeros(i - 1 - h.size), h[::-1], 1.0]
-
-
 def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
     """Upper-banded LAPACK storage of T'T (as ``dpbtrf`` and ``solveh_banded`` read it).
 
@@ -96,8 +90,9 @@ def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
     is symmetric positive definite, banded with bandwidth i - 1, and
     Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.
     """
-    band = _band_from_h(h, i)
-    b_nat = band[::-1]  # [H_0, H_1, ..., H_{i-1}]
+    h = np.asarray(h, dtype=float).ravel()[: i - 1]
+    # [H_0, H_1, ..., H_{i-1}]; missing high lags count as 0
+    b_nat = np.r_[np.zeros(i - 1 - h.size), h[::-1], 1.0][::-1]
     ab = np.empty((i, N))
     for d in range(i):
         ab[i - 1 - d, :] = b_nat[d:] @ b_nat[: i - d]

@@ -31,7 +31,7 @@ from .estimators import (
     parsim_wls,
     ssarx_estimate,
 )
-from .ss_model import SignalRecord, StateSpaceModel, is_stable, spectral_radius
+from .ss_model import SignalRecord, StateSpaceModel, is_stable, observability, spectral_radius
 
 __all__ = [
     "RealizationConfig",
@@ -175,10 +175,8 @@ def _fit_markov_gain(A: np.ndarray, C: np.ndarray, observations) -> tuple[np.nda
     if not obs:
         raise ConfigError("no Markov-parameter observations to fit a gain from")
     n_x = A.shape[0]
-    powers = [C[0]]  # C A^(lag-1) for lag = 1..max lag
-    for _ in range(obs[-1][0] - 1):
-        powers.append(powers[-1] @ A)
-    R = np.vstack([powers[lag - 1] for lag, _ in obs])
+    lags = np.array([lag for lag, _ in obs])
+    R = observability(A, C, lags[-1])[lags - 1]
     t = np.array([val for _, val in obs])
     gain, _, rank, _ = np.linalg.lstsq(R, t, rcond=None)
     if rank < n_x:
@@ -207,21 +205,6 @@ def estimate_bk(
     B, b_rms = _fit_markov_gain(A, C, b_obs)
     K, k_rms = _fit_markov_gain(A, C, _lagged(k_seq))
     return B, K, b_rms, k_rms
-
-
-def _weighting_markov(rec: SignalRecord, p: int, pm) -> InnovationsMarkov:
-    """Innovations Markov sequence for the WLS weighting.
-
-    Refits the ARX at ``max_arx_order`` when that exceeds ``p``; otherwise
-    reuses the horizon-order fit.
-    """
-    # The noise-weighting pre-estimate needs a genuinely high-order ARX: with a
-    # slowly decaying predictor, an ARX truncated at the (often short) past
-    # horizon biases the leading Markov parameters enough to cancel the
-    # variance gain of the weighted bank.
-    n_w = max(p, max_arx_order(len(rec)))
-    pm_w = pm if n_w == p else fit_arx(rec, n_w)
-    return predictor_to_innovations(pm_w)
 
 
 @contextmanager
@@ -256,7 +239,7 @@ def identify(
         cfg: Realization settings.
         weighting_markov: Optional override for the Markov parameters that
             drive the WLS weighting (parsim_opt only); defaults to the
-            ARX-estimated sequence.
+            innovations sequence of an ARX of order max(p, max_arx_order(N)).
 
     Returns:
         IdentifiedModel.  An unstable estimate is not an error; it is
@@ -285,8 +268,13 @@ def identify(
             est = parsim_ols(blocks)
         elif cfg.method == "parsim_opt":
             if weighting_markov is None:
-                weighting_markov = _weighting_markov(rec, cfg.p, pm)
-                weighting_order = weighting_markov.h.size
+                # The noise-weighting pre-estimate needs a genuinely high-order ARX:
+                # with a slowly decaying predictor, an ARX truncated at the (often
+                # short) past horizon biases the leading Markov parameters enough
+                # to cancel the variance gain of the weighted bank.
+                weighting_order = max(cfg.p, max_arx_order(len(rec)))
+                pm_w = pm if weighting_order == cfg.p else fit_arx(rec, weighting_order)
+                weighting_markov = predictor_to_innovations(pm_w)
             est = parsim_wls(blocks, weighting_markov)
         elif cfg.method == "classical":
             est = classical_projection(blocks)

@@ -56,18 +56,11 @@ def _as_square(x, name: str) -> np.ndarray:
     return a
 
 
-def _as_col(x, n: int, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float).reshape(-1, 1)
-    if a.shape != (n, 1):
-        raise ConfigError(f"{name} must have shape ({n}, 1), got {np.shape(x)}")
-    return a
-
-
-def _as_row(x, n: int, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float).reshape(1, -1)
-    if a.shape != (1, n):
-        raise ConfigError(f"{name} must have shape (1, {n}), got {np.shape(x)}")
-    return a
+def _as_shape(x, shape: tuple[int, int], name: str) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if a.size != shape[0] * shape[1]:
+        raise ConfigError(f"{name} must have shape {shape}, got {np.shape(x)}")
+    return a.reshape(shape)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -102,12 +95,12 @@ class StateSpaceModel:
     def __post_init__(self):
         A = _as_square(self.A, "A")
         n = A.shape[0]
-        B = _as_col(self.B, n, "B")
-        C = _as_row(self.C, n, "C")
+        B = _as_shape(self.B, (n, 1), "B")
+        C = _as_shape(self.C, (1, n), "C")
         D = np.atleast_2d(np.asarray(self.D, dtype=float))
         if D.shape != (1, 1):
             raise ConfigError(f"D must be scalar (SISO), got shape {D.shape}")
-        K = _as_col(self.K, n, "K")
+        K = _as_shape(self.K, (n, 1), "K")
         if not np.isfinite(self.sigma_e2) or self.sigma_e2 < 0:
             raise ConfigError(f"sigma_e2 must be a nonnegative real, got {self.sigma_e2}")
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D), ("K", K)):
@@ -209,7 +202,7 @@ def markov_g(m: StateSpaceModel, count: int) -> np.ndarray:
     Index i of the result (1-based) is C A^(i-1) B; the lag-zero term is
     the feedthrough D and is not included.
     """
-    return _markov(m.A, m.B, m.C, count)
+    return _markov(m, m.B, count)
 
 
 def markov_h(m: StateSpaceModel, count: int) -> np.ndarray:
@@ -218,19 +211,21 @@ def markov_h(m: StateSpaceModel, count: int) -> np.ndarray:
     Index i of the result (1-based) is C A^(i-1) K; the lag-zero term is
     the identity and is not included.
     """
-    return _markov(m.A, m.K, m.C, count)
+    return _markov(m, m.K, count)
 
 
-def _markov(A: np.ndarray, gain: np.ndarray, C: np.ndarray, count: int) -> np.ndarray:
+def observability(A: np.ndarray, C: np.ndarray, count: int) -> np.ndarray:
+    """Extended observability stack [C; C A; ...; C A^(count-1)] for a C of any row count."""
+    rows = [C]
+    for _ in range(count - 1):
+        rows.append(rows[-1] @ A)
+    return np.vstack(rows)
+
+
+def _markov(m: StateSpaceModel, gain: np.ndarray, count: int) -> np.ndarray:
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    out = np.empty(count)
-    v = gain[:, 0].copy()
-    c = C[0]
-    for i in range(count):
-        out[i] = c @ v
-        v = A @ v
-    return out
+    return (observability(m.A, m.C, count) @ gain)[:, 0]
 
 
 def impulse_response(m: StateSpaceModel, count: int) -> np.ndarray:

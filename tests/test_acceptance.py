@@ -160,7 +160,9 @@ def test_c08_fit_ordering_second_benchmark():
     med = {m: agg[m]["fit_median"] for m in sc.methods}
     assert med["parsim"] > med["ssarx"], med
     # reported, not asserted: the weighted bank tends to land slightly below
-    # the plain bank here because the noisy pre-estimates degrade the weights
+    # the plain bank here; weighting with the true noise Markov parameters
+    # lands below it too (median FIT 60.9 against 63.8), so the estimated
+    # weights are not the cause
     print(f"  (reported) example2 medians: parsim {med['parsim']:.1f}, "
           f"parsim_opt {med['parsim_opt']:.1f}, ssarx {med['ssarx']:.1f}")
     assert time.perf_counter() - start < 600.0
@@ -169,7 +171,7 @@ def test_c08_fit_ordering_second_benchmark():
 
 def test_c09_random_system_robustness():
     start = time.perf_counter()
-    reports = ps.run_joint_fit(noise_levels=(1.0, 10.0, 100.0), trials=50, master_seed=3)
+    reports = ps.run_joint_fit(trials=50, master_seed=3)
     shares = {}
     for var, report in reports.items():
         by_trial = {}

@@ -26,6 +26,7 @@ from parsimid import (
 )
 from parsimid.benchmark import (
     EXAMPLE2_GAMMA,
+    _minimal,
     _trial_data,
     _trial_seeds,
     example1_scenario,
@@ -110,6 +111,13 @@ class TestRandomSystem:
         m = random_system(7)
         assert m.D[0, 0] == 0.0
         assert m.n_x == 6
+
+    def test_minimal_rejects_lost_controllability_or_observability(self):
+        m = example1_system()
+        zero_gain, zero_c = np.zeros((3, 1)), np.zeros((1, 3))
+        assert _minimal(m.A, m.B, m.C, m.K)
+        assert not _minimal(m.A, zero_gain, m.C, zero_gain)
+        assert not _minimal(m.A, m.B, zero_c, m.K)
 
 
 class TestGenRbs:
@@ -201,6 +209,13 @@ class TestScenarios:
         assert example1_scenario().methods == ("parsim", "parsim_opt", "ssarx", "classical")
         assert example2_scenario(methods=["ssarx"]).methods == ("ssarx",)
         assert example3_scenario(1.0).methods == ("parsim", "parsim_opt")
+
+    def test_future_horizon_below_two_rejected(self):
+        with pytest.raises(ConfigError, match="future horizon must be >= 2, got 1"):
+            Scenario(
+                name="f1", system_source="example1", N=2000, f=1, n_x=1,
+                noise_variance=4.0, trials=1, methods=("parsim",),
+            )
 
 
 class TestMonteCarlo:

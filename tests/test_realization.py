@@ -21,6 +21,7 @@ from parsimid import (
     impulse_response,
     markov_g,
     markov_h,
+    predictor_to_innovations,
     select_order_aic,
     simulate,
     weight_w2,
@@ -28,7 +29,6 @@ from parsimid import (
 )
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
 from parsimid import arx_pre, data_blocks, estimators, realization
-from parsimid.realization import _weighting_markov
 
 from helpers import (
     example_record,
@@ -275,9 +275,8 @@ class TestIdentify:
         rec = SignalRecord(u=u, y=simulate(m, u, e))
         cfg = RealizationConfig(n_x=3, f=10, p=12, method="parsim_opt")
         default = identify(rec, cfg)
-        injected = identify(
-            rec, cfg, weighting_markov=_weighting_markov(rec, cfg.p, fit_arx(rec, cfg.p))
-        )
+        pm_w = fit_arx(rec, max(cfg.p, arx_pre.max_arx_order(len(rec))))
+        injected = identify(rec, cfg, weighting_markov=predictor_to_innovations(pm_w))
         np.testing.assert_array_equal(injected.model.A, default.model.A)
         np.testing.assert_array_equal(injected.model.B, default.model.B)
         np.testing.assert_array_equal(injected.model.K, default.model.K)

@@ -19,8 +19,9 @@ from parsimid import (
     spectral_radius,
 )
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
+from parsimid.ss_model import observability
 
-from helpers import random_stable_model, ref_simulate
+from helpers import gamma_f, random_stable_model, ref_simulate
 
 
 def scalar_model(a, b, c, k, d=0.0, var=1.0):
@@ -76,6 +77,24 @@ class TestSimulate:
         lhs = simulate(m, a * u1 + b * u2, a * e1 + b * e2)
         rhs = a * simulate(m, u1, e1) + b * simulate(m, u2, e2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+class TestObservability:
+    def test_one_row_c_matches_reference(self):
+        rng = np.random.default_rng(3)
+        for n_x in (1, 3, 6):
+            m = random_stable_model(rng, n_x=n_x)
+            np.testing.assert_allclose(
+                observability(m.A, m.C, 12), gamma_f(m.A, m.C, 12), rtol=1e-14, atol=0
+            )
+
+    def test_two_row_c_stacks_block_rows(self):
+        A = np.array([[0.5, 1.0], [0.0, -0.25]])
+        C = np.array([[1.0, 0.0], [0.0, 2.0]])
+        O = observability(A, C, 3)
+        assert O.shape == (6, 2)
+        for k in range(3):
+            np.testing.assert_array_equal(O[2 * k : 2 * k + 2], C @ np.linalg.matrix_power(A, k))
 
 
 class TestMarkov:
