@@ -23,7 +23,7 @@ from scipy.signal import lfilter
 
 from ._lstsq import NestedLstsq
 from .errors import ConfigError, ExcitationError
-from .ss_model import SignalRecord
+from .ss_model import SignalRecord, _freeze
 
 __all__ = [
     "PredictorMarkov",
@@ -53,21 +53,14 @@ class PredictorMarkov:
     residual_variance: float
 
     def __post_init__(self):
-        h = np.array(self.h_bar, dtype=float).ravel()
-        g = np.array(self.g_bar, dtype=float).ravel()
+        h, g = _freeze(np.ravel(self.h_bar)), _freeze(np.ravel(self.g_bar))
         if h.shape != g.shape:
             raise ConfigError("h_bar and g_bar must have equal length")
         if self.residual_variance < 0:
             raise ConfigError("residual_variance must be >= 0")
-        h.setflags(write=False)
-        g.setflags(write=False)
         object.__setattr__(self, "h_bar", h)
         object.__setattr__(self, "g_bar", g)
         object.__setattr__(self, "residual_variance", float(self.residual_variance))
-
-    @property
-    def n(self) -> int:
-        return self.h_bar.size
 
 
 @dataclass(frozen=True)
@@ -77,9 +70,7 @@ class InnovationsMarkov:
     h: np.ndarray
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=float).ravel()
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", _freeze(np.ravel(self.h)))
 
 
 def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int) -> np.ndarray:

@@ -199,9 +199,12 @@ class Scenario:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.system_source not in ("example1", "example2", "random"):
             raise ConfigError(f"unknown system source {self.system_source!r}")
-        if self.f < 2:
-            raise ConfigError(f"future horizon must be >= 2, got {self.f}")
         object.__setattr__(self, "methods", tuple(self.methods))
+        if not self.methods:
+            raise ConfigError("scenario needs at least one method")
+        # p = n_x + 1 is the smallest order the default AIC grid can pick.
+        for method in self.methods:
+            RealizationConfig(n_x=self.n_x, f=self.f, p=self.n_x + 1, method=method)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import numpy as np
 from . import benchmark as bench
 from .arx_pre import default_aic_grid, select_order_aic
 from .errors import ConfigError, ParsimidError
+from .estimators import METHODS
 from .realization import RealizationConfig, identify
 from .ss_model import SignalRecord, load_model, save_model, simulate
 
@@ -29,12 +30,7 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_NOINPUT = 66  # sysexits EX_NOINPUT: an input file does not exist
 
-_METHOD_FLAGS = {
-    "parsim": "parsim",
-    "parsim-opt": "parsim_opt",
-    "classical": "classical",
-    "ssarx": "ssarx",
-}
+_METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
 _SCENARIOS = ("example1", "example2", "example1-sweep", "example3")
 
 
@@ -196,17 +192,17 @@ def _run_benchmark(args: argparse.Namespace) -> int:
         "example1-sweep": (bench.run_error_vs_n, bench.write_error_vs_n_csv, "error_g_vs_n", "n{}"),
         "example3": (bench.run_joint_fit, bench.write_joint_fit_csv, "joint_fit", "var{:g}"),
     }
+    methods = {"methods": args.methods} if args.methods else {}
     if args.scenario in sweeps:
         run_sweep, write_plot_data, plot_file, label = sweeps[args.scenario]
-        methods = args.methods or ("parsim", "parsim_opt")
-        reports = run_sweep(trials=args.trials, master_seed=args.seed, methods=methods, jobs=args.jobs)
+        reports = run_sweep(trials=args.trials, master_seed=args.seed, jobs=args.jobs, **methods)
         write_plot_data(reports, out / f"{plot_file}.csv")
         for key, rep in sorted(reports.items()):
             bench.write_trials_csv(rep, out / f"trials_{label.format(key)}.csv")
             bench.write_aggregates_json(rep, out / f"aggregates_{label.format(key)}.json")
     else:
         factory = bench.example1_scenario if args.scenario == "example1" else bench.example2_scenario
-        sc = factory(trials=args.trials, methods=args.methods) if args.methods else factory(trials=args.trials)
+        sc = factory(trials=args.trials, **methods)
         report = bench.monte_carlo(sc, args.seed, jobs=args.jobs)
         bench.write_trials_csv(report, out / "trials.csv")
         bench.write_aggregates_json(report, out / "aggregates.json")

@@ -202,8 +202,8 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
             Input excitation is checked by :func:`assemble_blocks`.
     """
     f = blocks.f
-    if pm.n < f - 1:
-        raise ConfigError(f"need at least {f - 1} predictor Markov parameters, got {pm.n}")
+    if pm.h_bar.size < f - 1:
+        raise ConfigError(f"need at least {f - 1} predictor Markov parameters, got {pm.h_bar.size}")
 
     G_bar = toeplitz(np.r_[0.0, pm.g_bar[: f - 1]], np.zeros(f))
     H_bar = toeplitz(np.r_[0.0, pm.h_bar[: f - 1]], np.zeros(f))

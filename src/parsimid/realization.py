@@ -160,24 +160,12 @@ def extract_ac(Gamma_hat: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray]
     return A, G[:1].copy()
 
 
-def _lagged(seq) -> list[tuple[int, float]]:
-    """(lag, value) pairs of a Markov sequence that starts at lag 1."""
-    return [(j, float(v)) for j, v in enumerate(seq, start=1)]
+def _fit_markov_gain(R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares gain X from observations t ~= R X, R rows of an observability stack.
 
-
-def _fit_markov_gain(A: np.ndarray, C: np.ndarray, observations) -> tuple[np.ndarray, float]:
-    """Least-squares gain X from observations value ~= C A^(lag-1) X.
-
-    ``observations`` is an iterable of (lag, value) pairs with lag >= 1.
     Returns the gain column and the fit RMS.
     """
-    obs = sorted(observations, key=lambda t: t[0])
-    if not obs:
-        raise ConfigError("no Markov-parameter observations to fit a gain from")
-    n_x = A.shape[0]
-    lags = np.array([lag for lag, _ in obs])
-    R = observability(A, C, lags[-1])[lags - 1]
-    t = np.array([val for _, val in obs])
+    n_x = R.shape[1]
     gain, _, rank, _ = np.linalg.lstsq(R, t, rcond=None)
     if rank < n_x:
         raise RankError(
@@ -190,20 +178,25 @@ def _fit_markov_gain(A: np.ndarray, C: np.ndarray, observations) -> tuple[np.nda
 def estimate_bk(
     A: np.ndarray,
     C: np.ndarray,
-    b_obs,
+    b_seqs,
     k_seq,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(B, K) and the RMS of each fit, from estimated Markov parameters.
 
-    ``b_obs`` holds (lag, value) pairs observing C A^(lag-1) B, lag >= 1 (a
-    lag may repeat); ``k_seq`` is the sequence C A^(i-1) K, i = 1, 2, ...
+    Each member of ``b_seqs`` is a sequence C A^(i-1) B, i = 1, 2, ...; B
+    fits all of them jointly.  ``k_seq`` is the sequence C A^(i-1) K,
+    i = 1, 2, ...  Both fits read one observability stack of (A, C).
 
     Raises:
-        ConfigError: If ``b_obs`` or ``k_seq`` is empty.
+        ConfigError: If ``b_seqs`` or ``k_seq`` holds no value.
         RankError: If the observability stack of (A, C) is rank deficient.
     """
-    B, b_rms = _fit_markov_gain(A, C, b_obs)
-    K, k_rms = _fit_markov_gain(A, C, _lagged(k_seq))
+    b_seqs, k_seq = [np.ravel(s) for s in b_seqs], np.ravel(k_seq)
+    if not k_seq.size or not sum(s.size for s in b_seqs):
+        raise ConfigError("no Markov-parameter observations to fit a gain from")
+    O = observability(A, C, max(s.size for s in [*b_seqs, k_seq]))
+    B, b_rms = _fit_markov_gain(np.vstack([O[: s.size] for s in b_seqs]), np.concatenate(b_seqs))
+    K, k_rms = _fit_markov_gain(O[: k_seq.size], k_seq)
     return B, K, b_rms, k_rms
 
 
@@ -290,16 +283,15 @@ def identify(
 
     with _stage("gains"):
         if cfg.method == "ssarx":
-            b_obs, k_seq = _lagged(pm.g_bar), pm.h_bar
+            b_seqs, k_seq = [pm.g_bar], pm.h_bar
         else:
             if cfg.method == "classical":
-                b_obs = _lagged(predictor_to_innovations_g(pm))
+                b_seqs = [predictor_to_innovations_g(pm)]
             else:
-                # Entry m of bank row i estimates G_{i-1-m}; lag 0 is the feedthrough.
-                b_obs = [(i - 1 - m, float(v)) for i, row in enumerate(est.g_rows, start=1)
-                         for m, v in enumerate(row) if i - 1 - m >= 1]
+                # Bank row i holds [G_{i-1}, ..., G_1, G_0]; G_0 is the feedthrough, D = 0.
+                b_seqs = [row[-2::-1] for row in est.g_rows[1:]]
             k_seq = predictor_to_innovations(pm).h
-        B_hat, K_hat, b_rms, k_rms = estimate_bk(A_like, C_hat, b_obs, k_seq)
+        B_hat, K_hat, b_rms, k_rms = estimate_bk(A_like, C_hat, b_seqs, k_seq)
         # SSARX realizes the predictor form, whose transition matrix is A - K C.
         A_hat = A_like + K_hat @ C_hat if cfg.method == "ssarx" else A_like
         model = StateSpaceModel(

@@ -217,6 +217,22 @@ class TestScenarios:
                 noise_variance=4.0, trials=1, methods=("parsim",),
             )
 
+    # each would otherwise record the same ConfigError in every trial row
+    @pytest.mark.parametrize(
+        "n_x, f, methods, message",
+        [
+            (3, 10, ("parsim_ols",), "unknown method 'parsim_ols'"),
+            (12, 10, ("parsim",), "model order must satisfy 1 <= n_x <= f - 1, got n_x=12, f=10"),
+            (3, 10, (), "scenario needs at least one method"),
+        ],
+    )
+    def test_unrunnable_settings_rejected(self, n_x, f, methods, message):
+        with pytest.raises(ConfigError, match=message):
+            Scenario(
+                name="bad", system_source="example1", N=2000, f=f, n_x=n_x,
+                noise_variance=4.0, trials=2, methods=methods,
+            )
+
 
 class TestMonteCarlo:
     def test_noise_free_single_trial(self):
@@ -335,6 +351,24 @@ class TestWriters:
         assert doc["master_seed"] == 7
         assert "parsim" in doc["aggregates"]
         assert len(doc["chosen_p"]) == 2
+
+    def test_aggregates_json_lists_failures(self, tmp_path):
+        # 30 samples allow no ARX order above n_x, so every row fails at AIC
+        sc = Scenario(
+            name="early_failure", system_source="example1", N=30, f=10, n_x=3,
+            noise_variance=1.0, trials=2, methods=("parsim", "ssarx", "classical"),
+        )
+        report = monte_carlo(sc, master_seed=6)
+        path = tmp_path / "agg.json"
+        write_aggregates_json(report, path)
+        failures = json.loads(path.read_text())["failures"]
+        failed = [r for r in report.rows if r.failure is not None]
+        assert len(failed) == 6
+        assert [(f["trial"], f["method"], f["reason"]) for f in failures] == [
+            (r.trial, r.method, r.failure) for r in failed
+        ]
+        assert all(f["reason"].startswith("aic:") for f in failures)
+        assert all(set(f) == {"trial", "method", "reason"} for f in failures)
 
     def test_sweep_csv(self, tmp_path):
         reports = {

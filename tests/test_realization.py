@@ -209,10 +209,10 @@ class TestEstimateBK:
     def test_exact_markov_inputs_recover_gains(self):
         rng = np.random.default_rng(7)
         m = random_stable_model(rng, n_x=3)
-        # Bank-style observations: rows i = 2..8 each observe G_1..G_{i-1}.
+        # Bank-style sequences: rows i = 2..8 each observe G_1..G_{i-1}.
         g = markov_g(m, 8)
-        b_obs = [(lag, g[lag - 1]) for i in range(2, 9) for lag in range(1, i)]
-        B, K, b_rms, k_rms = estimate_bk(m.A, m.C, b_obs, markov_h(m, 10))
+        b_seqs = [g[: i - 1] for i in range(2, 9)]
+        B, K, b_rms, k_rms = estimate_bk(m.A, m.C, b_seqs, markov_h(m, 10))
         np.testing.assert_allclose(B, m.B, atol=1e-9)
         np.testing.assert_allclose(K, m.K, atol=1e-9)
         assert b_rms < 1e-9 and k_rms < 1e-9
@@ -220,8 +220,7 @@ class TestEstimateBK:
     def test_zero_estimates_give_zero_gains(self):
         rng = np.random.default_rng(8)
         m = random_stable_model(rng, n_x=2)
-        b_obs = [(lag, 0.0) for lag in range(1, 5)]
-        B, K, b_rms, k_rms = estimate_bk(m.A, m.C, b_obs, np.zeros(6))
+        B, K, b_rms, k_rms = estimate_bk(m.A, m.C, [np.zeros(4)], np.zeros(6))
         np.testing.assert_array_equal(B, np.zeros((2, 1)))
         np.testing.assert_array_equal(K, np.zeros((2, 1)))
         assert b_rms == 0.0 and k_rms == 0.0
@@ -231,13 +230,15 @@ class TestEstimateBK:
         m = random_stable_model(rng, n_x=2)
         g, h = markov_g(m, 8), markov_h(m, 8)
         g_obs, h_obs = (seq + 1e-3 * rng.standard_normal(8) for seq in (g, h))
-        B, K, b_rms, k_rms = estimate_bk(m.A, m.C, list(enumerate(g_obs, start=1)), h_obs)
+        B, K, b_rms, k_rms = estimate_bk(m.A, m.C, [g_obs], h_obs)
         O = gamma_f(m.A, m.C, 8)
         assert b_rms == pytest.approx(np.sqrt(np.mean(((O @ B).ravel() - g_obs) ** 2)), rel=1e-9)
         assert k_rms == pytest.approx(np.sqrt(np.mean(((O @ K).ravel() - h_obs) ** 2)), rel=1e-9)
         assert 0.0 < b_rms < 1e-3 and 0.0 < k_rms < 1e-3
 
-    @pytest.mark.parametrize("b_obs,k_seq", [([], np.ones(4)), ([(1, 1.0), (2, 0.5)], [])])
+    @pytest.mark.parametrize(
+        "b_obs,k_seq", [([], np.ones(4)), ([[1.0, 0.5]], []), ([[]], np.ones(4))]
+    )
     def test_no_observations(self, b_obs, k_seq):
         rng = np.random.default_rng(10)
         m = random_stable_model(rng, n_x=1)
