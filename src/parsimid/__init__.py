@@ -55,6 +55,7 @@ from .estimators import (
 )
 from .realization import (
     IdentifiedModel,
+    PreparedRecord,
     RealizationConfig,
     estimate_bk,
     extract_ac,

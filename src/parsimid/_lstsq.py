@@ -8,11 +8,11 @@ solution.  If X clears its own cutoff, interlacing puts every leading
 block above its cutoff too, and a triangular solve gives that same
 solution.  Likewise R[:, cols] has the singular values of any set of
 design columns, so their numerical rank needs no pass over the m rows.
+R is read-only, as every method identifying a record reads the same one.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgeqrf, dtrtrs
 
 _EPS = np.finfo(float).eps
 
@@ -27,6 +27,7 @@ class NestedLstsq:
         # than np.linalg.qr(mode="r").
         qr = dgeqrf(A, overwrite_a=True)[0]
         self.R = np.triu(qr[: qr.shape[1]])
+        self.R.setflags(write=False)
         self.full_rank = self.rank(slice(0, k)) == k
 
     def rank(self, cols) -> int:
@@ -39,7 +40,14 @@ class NestedLstsq:
         """Minimum-norm coefficients of the columns ``cols`` of [X | T] on X[:, :q]."""
         R11, b = self.R[:q, :q], self.R[:q, cols]
         if self.full_rank:
-            return solve_triangular(R11, b)
+            # The LAPACK routine behind scipy's solve_triangular, called
+            # without its argument checks, which cost several times the
+            # solve at these sizes.  R is C-ordered, so R11.T is the
+            # Fortran-ordered lower triangle and is passed without a copy.
+            x, info = dtrtrs(R11.T, b, lower=1, trans=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+            return x
         return np.linalg.lstsq(R11, b, rcond=_EPS * max(self.m, q))[0]
 
     def solve(self, q: int, j: int = 0) -> tuple[np.ndarray, float]:

@@ -19,7 +19,7 @@ from scipy.signal import butter, lfilter, sosfilt
 
 from .arx_pre import default_aic_grid, select_order_aic
 from .errors import ConfigError, ParsimidError
-from .realization import RealizationConfig, identify
+from .realization import PreparedRecord, RealizationConfig, identify
 from .ss_model import SignalRecord, StateSpaceModel, impulse_response, markov_g, observability, simulate
 
 __all__ = [
@@ -285,11 +285,14 @@ def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
     g_true = impulse_response(system, FIT_LAGS)
     gff_true = np.append(markov_g(system, sc.f - 1)[::-1], system.D[0, 0])
 
+    # Every method reads the one preparation of the record; the first one
+    # asking for a piece makes it inside its own identify call.
+    prepared = PreparedRecord(rec, sc.f, p)
     rows = []
     for method in sc.methods:
         try:
             cfg = RealizationConfig(n_x=sc.n_x, f=sc.f, p=p, method=method)
-            result = identify(rec, cfg)
+            result = identify(prepared, cfg)
             fit = fit_metric(g_true, impulse_response(result.model, FIT_LAGS))
             # only the two banks estimate Markov rows
             last_row = result.diagnostics["markov_last_row"]

@@ -121,7 +121,7 @@ def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
     thetas = []
     for i in range(1, blocks.f + 1):
         try:
-            thetas.append(blocks.ls.solve(2 * blocks.p + i, i - 1)[0])
+            thetas.append(blocks.ls.regress(2 * blocks.p + i, blocks.ls.k + i - 1))
         except np.linalg.LinAlgError as err:
             raise ExcitationError(f"least-squares failure at row {i}: {err}") from err
     return _bank_estimate(thetas, blocks)
@@ -151,7 +151,7 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
             excitation is checked by :func:`assemble_blocks`, as for every
             method.
     """
-    thetas = [blocks.ls.solve(2 * blocks.p + 1)[0]]
+    thetas = [blocks.ls.regress(2 * blocks.p + 1, blocks.ls.k)]
     ranks, conds = [], []
     for i in range(2, blocks.f + 1):
         q = 2 * blocks.p + i

@@ -5,6 +5,8 @@ to its leading rank-n_x part; the observability factor U S^(1/2) then
 yields (A, C) by shift invariance, and (B, K) follow from linear fits to
 estimated Markov parameters.  Every method shares this realization; SSARX
 realizes the predictor form, so its A = A_bar + K C is formed at the end.
+Every method identifying one record reads one :class:`PreparedRecord`: its
+data blocks, W2 weighting, ARX fits and their conversions are made once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .arx_pre import (
     InnovationsMarkov,
+    PredictorMarkov,
     fit_arx,
     max_arx_order,
     predictor_to_innovations,
@@ -36,6 +39,7 @@ from .ss_model import SignalRecord, StateSpaceModel, is_stable, observability, s
 __all__ = [
     "RealizationConfig",
     "IdentifiedModel",
+    "PreparedRecord",
     "weight_w2",
     "weighted_svd_realize",
     "extract_ac",
@@ -95,12 +99,56 @@ def weight_w2(blocks: DataBlocks) -> np.ndarray:
     Z_p P Z_p' by an orthogonal factor on the right, so the weighted SVD
     gives the same singular values and left vectors with either.  When
     N < 2p + f the QR has fewer than 2p rows below U_f's, and W2 is padded
-    with zero columns.
+    with zero columns.  W2 is read-only, as every method identifying a
+    :class:`PreparedRecord` reads the same one.
     """
     p2, f = 2 * blocks.p, blocks.f
     R = blocks.ls.R
     R22 = np.linalg.qr(np.hstack([R[:, p2 : p2 + f], R[:, :p2]]), mode="r")[f:, f:]
-    return np.vstack([R22, np.zeros((p2 - R22.shape[0], p2))]).T
+    w2 = np.vstack([R22, np.zeros((p2 - R22.shape[0], p2))]).T
+    w2.setflags(write=False)
+    return w2
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedRecord:
+    """One record prepared for horizons (f, p), shared by every method identifying it.
+
+    Each piece is made on first use and kept: the data blocks (design, QR
+    and excitation check), the W2 weighting, the ARX fit of each order
+    asked for, and the innovations conversions of each fit.  A piece whose
+    preparation raises is not kept, so every later call raises afresh.
+    The pieces are made through this module's names (``assemble_blocks``,
+    ``weight_w2``, ``fit_arx`` and the conversions), so a wrapper put in
+    their place here sees every call.
+    """
+
+    rec: SignalRecord
+    f: int
+    p: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _kept(self, key, make, *args):
+        if key not in self._memo:
+            self._memo[key] = make(*args)
+        return self._memo[key]
+
+    def blocks(self) -> DataBlocks:
+        return self._kept("blocks", assemble_blocks, self.rec, self.f, self.p)
+
+    def w2(self) -> np.ndarray:
+        return self._kept("w2", weight_w2, self.blocks())
+
+    def arx(self, n: int) -> PredictorMarkov:
+        return self._kept(("arx", n), fit_arx, self.rec, n)
+
+    def innovations(self, n: int) -> InnovationsMarkov:
+        """Innovations noise sequence of the order-n ARX fit."""
+        return self._kept(("h", n), predictor_to_innovations, self.arx(n))
+
+    def innovations_g(self, n: int) -> np.ndarray:
+        """Innovations input sequence of the order-n ARX fit."""
+        return self._kept(("g", n), predictor_to_innovations_g, self.arx(n))
 
 
 def weighted_svd_realize(
@@ -212,7 +260,7 @@ def _stage(name: str):
 
 
 def identify(
-    rec: SignalRecord,
+    rec: SignalRecord | PreparedRecord,
     cfg: RealizationConfig,
     weighting_markov: InnovationsMarkov | None = None,
 ) -> IdentifiedModel:
@@ -228,7 +276,10 @@ def identify(
     as its (A, C) are the predictor form's, and returns A = A_bar + K C.
 
     Args:
-        rec: Input/output record.
+        rec: Input/output record, or a :class:`PreparedRecord` of it that
+            other calls share: the blocks, W2, ARX fits and conversions it
+            has already made are reused, and the result is the same as on
+            the bare record.  A bare record is prepared for this call alone.
         cfg: Realization settings.
         weighting_markov: Optional override for the Markov parameters that
             drive the WLS weighting (parsim_opt only); defaults to the
@@ -245,15 +296,21 @@ def identify(
         [G_{f-1}, ..., G_0] (parsim and parsim_opt, else None).
 
     Raises:
+        ConfigError: If a prepared record's (f, p) differ from the config's.
         ParsimidError subclasses labeled with the failing stage; a record
             not persistently exciting of order f + p fails at ``blocks:``.
     """
+    prep = rec if isinstance(rec, PreparedRecord) else PreparedRecord(rec, cfg.f, cfg.p)
+    if (prep.f, prep.p) != (cfg.f, cfg.p):
+        raise ConfigError(
+            f"record prepared for f={prep.f}, p={prep.p} but the config has f={cfg.f}, p={cfg.p}"
+        )
     with _stage("blocks"):
-        blocks = assemble_blocks(rec, cfg.f, cfg.p)
+        blocks = prep.blocks()
     with _stage("arx"):
         # SSARX subtracts f - 1 predictor Markov parameters.
         arx_order = max(cfg.p, cfg.f - 1) if cfg.method == "ssarx" else cfg.p
-        pm = fit_arx(rec, arx_order)
+        pm = prep.arx(arx_order)
 
     weighting_order = None
     with _stage("estimate"):
@@ -265,9 +322,8 @@ def identify(
                 # with a slowly decaying predictor, an ARX truncated at the (often
                 # short) past horizon biases the leading Markov parameters enough
                 # to cancel the variance gain of the weighted bank.
-                weighting_order = max(cfg.p, max_arx_order(len(rec)))
-                pm_w = pm if weighting_order == cfg.p else fit_arx(rec, weighting_order)
-                weighting_markov = predictor_to_innovations(pm_w)
+                weighting_order = max(cfg.p, max_arx_order(len(prep.rec)))
+                weighting_markov = prep.innovations(weighting_order)
             est = parsim_wls(blocks, weighting_markov)
         elif cfg.method == "classical":
             est = classical_projection(blocks)
@@ -275,7 +331,7 @@ def identify(
             est = ssarx_estimate(blocks, pm)
 
     with _stage("svd"):
-        Gamma_hat, svals = weighted_svd_realize(est, cfg, weight_w2(blocks))
+        Gamma_hat, svals = weighted_svd_realize(est, cfg, prep.w2())
 
     with _stage("shift"):
         A_like, C_hat = extract_ac(Gamma_hat, cfg.n_x)
@@ -286,11 +342,11 @@ def identify(
             b_seqs, k_seq = [pm.g_bar], pm.h_bar
         else:
             if cfg.method == "classical":
-                b_seqs = [predictor_to_innovations_g(pm)]
+                b_seqs = [prep.innovations_g(arx_order)]
             else:
                 # Bank row i holds [G_{i-1}, ..., G_1, G_0]; G_0 is the feedthrough, D = 0.
                 b_seqs = [row[-2::-1] for row in est.g_rows[1:]]
-            k_seq = predictor_to_innovations(pm).h
+            k_seq = prep.innovations(arx_order).h
         B_hat, K_hat, b_rms, k_rms = estimate_bk(A_like, C_hat, b_seqs, k_seq)
         # SSARX realizes the predictor form, whose transition matrix is A - K C.
         A_hat = A_like + K_hat @ C_hat if cfg.method == "ssarx" else A_like

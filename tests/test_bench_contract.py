@@ -43,3 +43,15 @@ def test_every_workload_runs_a_clean_round(monkeypatch):
         assert stats.attempted > 0, name
         assert stats.failures == [], name
         assert stats.problems == [], name
+
+
+def test_mc_example1_times_one_identify_call_per_method(monkeypatch):
+    # identify_<method>_ms reads the calls IdentifyLog sees on
+    # parsimid.benchmark.identify; a trial reaching identify another way
+    # would leave those metrics empty.
+    monkeypatch.syspath_prepend(str(BENCH))
+    load(monkeypatch, "checks")
+    workloads = load(monkeypatch, "workloads")
+    monkeypatch.setattr(parsimid.benchmark, "identify", parsimid.benchmark.identify)
+    stats = workloads.McExample1(parsimid, 0).run_round(0)
+    assert sorted(method for method, _ in stats.identify_s) == ["classical", "parsim", "parsim_opt"]

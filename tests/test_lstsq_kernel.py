@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgeqrf
 
 from parsimid import (
@@ -129,6 +130,25 @@ class TestNestedLstsq:
         assert not ls.full_rank
         want = np.linalg.lstsq(X, t, rcond=None)[0]
         np.testing.assert_allclose(ls.solve(k)[0], want, rtol=0, atol=TOL * np.linalg.norm(want))
+
+    @pytest.mark.parametrize("q,cols", [(24, 45), (24, slice(40, 50)), (40, slice(40, 60)), (39, 41)])
+    def test_full_rank_regression_is_scipys_triangular_solve_bit_for_bit(self, q, cols):
+        rng = np.random.default_rng(3)
+        ls = NestedLstsq(np.asfortranarray(rng.standard_normal((2000, 60))), 40)
+        assert ls.full_rank
+        want = solve_triangular(ls.R[:q, :q], ls.R[:q, cols])
+        got = ls.regress(q, cols)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_zero_pivot_in_the_triangular_solve_raises(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((50, 3))
+        X[:, 1] = 0.0
+        ls = factor(X, rng.standard_normal(50))
+        assert not ls.full_rank
+        ls.full_rank = True  # send the singular block down the triangular path
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            ls.regress(3, 3)
 
     def test_fewer_rows_than_columns_is_not_full_rank(self):
         rng = np.random.default_rng(1)

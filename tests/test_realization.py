@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -7,6 +9,7 @@ from parsimid import (
     ConfigError,
     ExcitationError,
     InnovationsMarkov,
+    PreparedRecord,
     RangeEstimate,
     RankError,
     RealizationConfig,
@@ -27,8 +30,8 @@ from parsimid import (
     weight_w2,
     weighted_svd_realize,
 )
-from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
-from parsimid import arx_pre, data_blocks, estimators, realization
+from parsimid.benchmark import EXAMPLE2_GAMMA, example1_scenario, example1_system, example2_system
+from parsimid import arx_pre, benchmark, data_blocks, estimators, realization
 
 from helpers import (
     example_record,
@@ -486,3 +489,82 @@ class TestPreparedRecord:
         N = len(rec) - 10 - 20 + 1
         assert [b for b in built if b[1] == N] == [("parsimid.data_blocks", N)]
         assert not [b for b in built if b[0] == "parsimid.estimators"]
+
+    def test_a_failed_preparation_fails_every_method_sharing_it(self):
+        prepared = PreparedRecord(two_sine_record(noise=2.0, n_total=2000), 3, 3)
+        for method in METHODS:
+            with pytest.raises(ExcitationError, match="^blocks: input is not persistently exciting"):
+                identify(prepared, RealizationConfig(n_x=2, f=3, p=3, method=method))
+
+    def test_a_record_prepared_for_other_horizons_is_rejected(self):
+        _, rec = seed2_example1_record()
+        prepared = PreparedRecord(rec, 10, 8)
+        for f, p in [(10, 12), (9, 8)]:
+            with pytest.raises(ConfigError, match="^record prepared for f=10, p=8"):
+                identify(prepared, RealizationConfig(n_x=3, f=f, p=p, method="parsim"))
+
+    def test_shared_arrays_are_read_only(self):
+        _, rec = seed2_example1_record()
+        blocks = assemble_blocks(rec, 10, 8)
+        for shared in (blocks.ls.R, weight_w2(blocks)):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "p,inject",
+        [(8, False), (12, False), (8, True)],
+        ids=["p8-ssarx-fits-order-9", "p12", "p8-injected-weighting"],
+    )
+    def test_methods_sharing_a_record_match_a_bare_record_in_any_order(self, p, inject):
+        _, rec = seed2_example1_record()
+        cfgs = {m: RealizationConfig(n_x=3, f=10, p=p, method=m) for m in METHODS}
+        kwargs = {m: {} for m in METHODS}
+        if inject:
+            h = predictor_to_innovations(fit_arx(rec, 20))
+            kwargs["parsim_opt"] = {"weighting_markov": h}
+        alone = {m: identify(rec, cfgs[m], **kwargs[m]) for m in METHODS}
+        for order in permutations(METHODS):
+            prepared = PreparedRecord(rec, 10, p)
+            for m in order:
+                assert_same_bytes(identify(prepared, cfgs[m], **kwargs[m]), alone[m])
+
+    def test_one_trial_prepares_its_record_once(self, monkeypatch):
+        calls = {"assemble_blocks": [], "weight_w2": [], "fit_arx": []}
+        for name, log in calls.items():
+            def counted(*args, _fn=getattr(realization, name), _log=log):
+                _log.append(args)
+                return _fn(*args)
+
+            monkeypatch.setattr(realization, name, counted)
+        built = []
+        original = arx_pre.NestedLstsq
+        for module in (data_blocks, estimators, arx_pre):
+            def counted_ls(A, k, _module=module.__name__):
+                built.append((_module, A.shape[0]))
+                return original(A, k)
+
+            monkeypatch.setattr(module, "NestedLstsq", counted_ls, raising=False)
+        sc = example1_scenario(trials=1, methods=("parsim", "parsim_opt", "classical"))
+        rows = benchmark._run_trial(sc, 0, 0)
+        assert [r.failure for r in rows] == [None, None, None]
+        p = rows[0].p
+        assert len(calls["assemble_blocks"]) == 1
+        assert len(calls["weight_w2"]) == 1
+        assert [args[1] for args in calls["fit_arx"]] == [p, 30]
+        assert [b for b in built if b[0] == "parsimid.data_blocks"] == [
+            ("parsimid.data_blocks", sc.N - sc.f - p + 1)
+        ]
+        assert not [b for b in built if b[0] == "parsimid.estimators"]
+
+
+def assert_same_bytes(got, want):
+    """The same model, singular values and diagnostics, to the last bit."""
+    for name in ("A", "B", "C", "K", "sigma_e2"):
+        assert np.asarray(getattr(got.model, name)).tobytes() == np.asarray(getattr(want.model, name)).tobytes(), name
+    assert got.singular_values.tobytes() == want.singular_values.tobytes()
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key, value in want.diagnostics.items():
+        if value is None or isinstance(value, str):
+            assert got.diagnostics[key] == value, key
+        else:
+            assert np.asarray(got.diagnostics[key]).tobytes() == np.asarray(value).tobytes(), key
