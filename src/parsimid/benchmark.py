@@ -20,7 +20,7 @@ from scipy.signal import butter, lfilter, sosfilt
 from .arx_pre import default_aic_grid, select_order_aic
 from .errors import ConfigError, ParsimidError
 from .realization import PreparedRecord, RealizationConfig, identify
-from .ss_model import SignalRecord, StateSpaceModel, impulse_response, markov_g, observability, simulate
+from .ss_model import SignalRecord, StateSpaceModel, impulse_response, observability, simulate
 
 __all__ = [
     "Scenario",
@@ -283,11 +283,11 @@ def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
         return failed(seed, f"aic: {err}")
 
     g_true = impulse_response(system, FIT_LAGS)
-    gff_true = np.append(markov_g(system, sc.f - 1)[::-1], system.D[0, 0])
+    gff_true = g_true[: sc.f][::-1]
 
     # Every method reads the one preparation of the record; the first one
     # asking for a piece makes it inside its own identify call.
-    prepared = PreparedRecord(rec, sc.f, p)
+    prepared = PreparedRecord(rec)
     rows = []
     for method in sc.methods:
         try:
@@ -449,13 +449,10 @@ def write_error_vs_n_csv(reports: dict[int, BenchReport], path) -> None:
 
 def write_joint_fit_csv(reports: dict[float, BenchReport], path) -> None:
     """Plot data: per noise level, paired FIT values of the configured methods."""
-    methods = None
-    lines = None
+    methods = reports[min(reports)].scenario.methods
+    lines = ["noise_variance,trial," + ",".join(f"fit_{m}" for m in methods)]
     for var in sorted(reports):
         rep = reports[var]
-        if methods is None:
-            methods = rep.scenario.methods
-            lines = ["noise_variance,trial," + ",".join(f"fit_{m}" for m in methods)]
         by_trial: dict[int, dict[str, float]] = {}
         for r in rep.rows:
             by_trial.setdefault(r.trial, {})[r.method] = r.fit

@@ -126,8 +126,11 @@ def _read_record(path: str) -> SignalRecord:
         header = fh.readline().strip()
         if header.replace(" ", "") != "t,u,y":
             raise ConfigError(f"expected CSV header 't,u,y', got {header!r}")
+        rows = fh.readlines()
+        if not any(line.split("#")[0].strip() for line in rows):
+            raise ConfigError(f"{path} has no samples below its 't,u,y' header")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            data = np.loadtxt(rows, delimiter=",", ndmin=2)
         except ValueError as err:
             raise ConfigError(f"could not parse {path}: {err}") from err
     if data.shape[1] != 3:

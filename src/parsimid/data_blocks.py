@@ -26,7 +26,7 @@ __all__ = ["DataBlocks", "assemble_blocks"]
 
 @dataclass(frozen=True)
 class DataBlocks:
-    """Past/future Hankel blocks of one record, made once per ``PreparedRecord``.
+    """Past/future Hankel blocks of one record, made once per (f, p) of a ``PreparedRecord``.
 
     ``design`` is the read-only, Fortran-ordered N x (2p + 2f) matrix
     [Y_p' U_p' U_f' Y_f']: its columns are the block rows, and column 0 of

@@ -5,8 +5,8 @@ to its leading rank-n_x part; the observability factor U S^(1/2) then
 yields (A, C) by shift invariance, and (B, K) follow from linear fits to
 estimated Markov parameters.  Every method shares this realization; SSARX
 realizes the predictor form, so its A = A_bar + K C is formed at the end.
-Every method identifying one record reads one :class:`PreparedRecord`: its
-data blocks, W2 weighting, ARX fits and their conversions are made once.
+Every method identifying one record reads one :class:`PreparedRecord`, which
+keeps its data blocks and W2 per horizon pair and its ARX fits per order.
 """
 
 from __future__ import annotations
@@ -112,20 +112,18 @@ def weight_w2(blocks: DataBlocks) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PreparedRecord:
-    """One record prepared for horizons (f, p), shared by every method identifying it.
+    """One record, shared by every method identifying it.
 
-    Each piece is made on first use and kept: the data blocks (design, QR
-    and excitation check), the W2 weighting, the ARX fit of each order
-    asked for, and the innovations conversions of each fit.  A piece whose
-    preparation raises is not kept, so every later call raises afresh.
-    The pieces are made through this module's names (``assemble_blocks``,
-    ``weight_w2``, ``fit_arx`` and the conversions), so a wrapper put in
+    Each piece is made on first use and kept, keyed by what it is made
+    from: the data blocks (design, QR and excitation check) and the W2
+    weighting per horizon pair (f, p), and the ARX fit per order.  A piece
+    whose preparation raises is not kept, so every later call raises
+    afresh.  The pieces are made through this module's names
+    (``assemble_blocks``, ``weight_w2``, ``fit_arx``), so a wrapper put in
     their place here sees every call.
     """
 
     rec: SignalRecord
-    f: int
-    p: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def _kept(self, key, make, *args):
@@ -133,22 +131,14 @@ class PreparedRecord:
             self._memo[key] = make(*args)
         return self._memo[key]
 
-    def blocks(self) -> DataBlocks:
-        return self._kept("blocks", assemble_blocks, self.rec, self.f, self.p)
+    def blocks(self, f: int, p: int) -> DataBlocks:
+        return self._kept(("blocks", f, p), assemble_blocks, self.rec, f, p)
 
-    def w2(self) -> np.ndarray:
-        return self._kept("w2", weight_w2, self.blocks())
+    def w2(self, f: int, p: int) -> np.ndarray:
+        return self._kept(("w2", f, p), weight_w2, self.blocks(f, p))
 
     def arx(self, n: int) -> PredictorMarkov:
         return self._kept(("arx", n), fit_arx, self.rec, n)
-
-    def innovations(self, n: int) -> InnovationsMarkov:
-        """Innovations noise sequence of the order-n ARX fit."""
-        return self._kept(("h", n), predictor_to_innovations, self.arx(n))
-
-    def innovations_g(self, n: int) -> np.ndarray:
-        """Innovations input sequence of the order-n ARX fit."""
-        return self._kept(("g", n), predictor_to_innovations_g, self.arx(n))
 
 
 def weighted_svd_realize(
@@ -277,9 +267,10 @@ def identify(
 
     Args:
         rec: Input/output record, or a :class:`PreparedRecord` of it that
-            other calls share: the blocks, W2, ARX fits and conversions it
-            has already made are reused, and the result is the same as on
-            the bare record.  A bare record is prepared for this call alone.
+            other calls share: its blocks and W2 for (cfg.f, cfg.p) and its
+            ARX fits are reused, their conversions are not kept, and the
+            result is the same as on the bare record.  A bare record is
+            prepared for this call alone.
         cfg: Realization settings.
         weighting_markov: Optional override for the Markov parameters that
             drive the WLS weighting (parsim_opt only); defaults to the
@@ -296,17 +287,12 @@ def identify(
         [G_{f-1}, ..., G_0] (parsim and parsim_opt, else None).
 
     Raises:
-        ConfigError: If a prepared record's (f, p) differ from the config's.
         ParsimidError subclasses labeled with the failing stage; a record
             not persistently exciting of order f + p fails at ``blocks:``.
     """
-    prep = rec if isinstance(rec, PreparedRecord) else PreparedRecord(rec, cfg.f, cfg.p)
-    if (prep.f, prep.p) != (cfg.f, cfg.p):
-        raise ConfigError(
-            f"record prepared for f={prep.f}, p={prep.p} but the config has f={cfg.f}, p={cfg.p}"
-        )
+    prep = rec if isinstance(rec, PreparedRecord) else PreparedRecord(rec)
     with _stage("blocks"):
-        blocks = prep.blocks()
+        blocks = prep.blocks(cfg.f, cfg.p)
     with _stage("arx"):
         # SSARX subtracts f - 1 predictor Markov parameters.
         arx_order = max(cfg.p, cfg.f - 1) if cfg.method == "ssarx" else cfg.p
@@ -323,7 +309,7 @@ def identify(
                 # short) past horizon biases the leading Markov parameters enough
                 # to cancel the variance gain of the weighted bank.
                 weighting_order = max(cfg.p, max_arx_order(len(prep.rec)))
-                weighting_markov = prep.innovations(weighting_order)
+                weighting_markov = predictor_to_innovations(prep.arx(weighting_order))
             est = parsim_wls(blocks, weighting_markov)
         elif cfg.method == "classical":
             est = classical_projection(blocks)
@@ -331,7 +317,7 @@ def identify(
             est = ssarx_estimate(blocks, pm)
 
     with _stage("svd"):
-        Gamma_hat, svals = weighted_svd_realize(est, cfg, prep.w2())
+        Gamma_hat, svals = weighted_svd_realize(est, cfg, prep.w2(cfg.f, cfg.p))
 
     with _stage("shift"):
         A_like, C_hat = extract_ac(Gamma_hat, cfg.n_x)
@@ -342,11 +328,11 @@ def identify(
             b_seqs, k_seq = [pm.g_bar], pm.h_bar
         else:
             if cfg.method == "classical":
-                b_seqs = [prep.innovations_g(arx_order)]
+                b_seqs = [predictor_to_innovations_g(pm)]
             else:
                 # Bank row i holds [G_{i-1}, ..., G_1, G_0]; G_0 is the feedthrough, D = 0.
                 b_seqs = [row[-2::-1] for row in est.g_rows[1:]]
-            k_seq = prep.innovations(arx_order).h
+            k_seq = predictor_to_innovations(pm).h
         B_hat, K_hat, b_rms, k_rms = estimate_bk(A_like, C_hat, b_seqs, k_seq)
         # SSARX realizes the predictor form, whose transition matrix is A - K C.
         A_hat = A_like + K_hat @ C_hat if cfg.method == "ssarx" else A_like

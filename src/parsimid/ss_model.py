@@ -106,11 +106,7 @@ class StateSpaceModel:
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D), ("K", K)):
             if not np.all(np.isfinite(M)):
                 raise ConfigError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "B", _freeze(B))
-        object.__setattr__(self, "C", _freeze(C))
-        object.__setattr__(self, "D", _freeze(D))
-        object.__setattr__(self, "K", _freeze(K))
+            object.__setattr__(self, name, _freeze(M))
         object.__setattr__(self, "sigma_e2", float(self.sigma_e2))
 
     @property

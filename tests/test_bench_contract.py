@@ -55,3 +55,23 @@ def test_mc_example1_times_one_identify_call_per_method(monkeypatch):
     monkeypatch.setattr(parsimid.benchmark, "identify", parsimid.benchmark.identify)
     stats = workloads.McExample1(parsimid, 0).run_round(0)
     assert sorted(method for method, _ in stats.identify_s) == ["classical", "parsim", "parsim_opt"]
+
+
+def test_a_traced_round_of_each_workload_reaches_every_layer(monkeypatch):
+    # A layer called other than through the names bench/tracing.py wraps
+    # would leave its per-layer metric empty without failing anything else.
+    monkeypatch.syspath_prepend(str(BENCH))
+    load(monkeypatch, "checks")
+    workloads = load(monkeypatch, "workloads")
+    tracing = load(monkeypatch, "tracing")
+    monkeypatch.setattr(parsimid.benchmark, "identify", parsimid.benchmark.identify)
+    names = {}
+    for name, build in workloads.WORKLOADS.items():
+        tracer = tracing.Tracer(parsimid)
+        build(parsimid, 0).run_round(0, tracer)
+        assert tracer.missing == [], name
+        names[name] = [s.name for s in tracer.spans]
+    assert set(tracing.LAYERS) <= {n for spans in names.values() for n in spans}
+    # One mc-example1 trial prepares its record once for its three methods.
+    want = {"data_blocks.assemble_blocks": 1, "realization.weight_w2": 1, "arx_pre.fit_arx": 2}
+    assert {layer: names["mc-example1"].count(layer) for layer in want} == want

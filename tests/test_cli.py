@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ class TestIdentifyCommand:
         ])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("CONFIG:")
+
+    @pytest.mark.parametrize("body", ["t,u,y\n", "t,u,y", "t,u,y\n\n  \n"])
+    def test_header_only_record_rejected_without_warning(self, tmp_path, capsys, body):
+        data = tmp_path / "empty.csv"
+        data.write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "identify", "--method", "parsim", "--order", "2",
+                "--in", str(data), "--out", str(tmp_path / "m.json"),
+            ])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"CONFIG: {data} has no samples below its 't,u,y' header\n"
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestBenchmarkCommand:

@@ -491,17 +491,25 @@ class TestPreparedRecord:
         assert not [b for b in built if b[0] == "parsimid.estimators"]
 
     def test_a_failed_preparation_fails_every_method_sharing_it(self):
-        prepared = PreparedRecord(two_sine_record(noise=2.0, n_total=2000), 3, 3)
+        prepared = PreparedRecord(two_sine_record(noise=2.0, n_total=2000))
         for method in METHODS:
             with pytest.raises(ExcitationError, match="^blocks: input is not persistently exciting"):
                 identify(prepared, RealizationConfig(n_x=2, f=3, p=3, method=method))
 
-    def test_a_record_prepared_for_other_horizons_is_rejected(self):
+    def test_one_record_serves_two_horizon_pairs(self, monkeypatch):
+        calls = count_calls(monkeypatch, "assemble_blocks", "weight_w2", "fit_arx")
         _, rec = seed2_example1_record()
-        prepared = PreparedRecord(rec, 10, 8)
-        for f, p in [(10, 12), (9, 8)]:
-            with pytest.raises(ConfigError, match="^record prepared for f=10, p=8"):
-                identify(prepared, RealizationConfig(n_x=3, f=f, p=p, method="parsim"))
+        cfgs = [RealizationConfig(n_x=3, f=10, p=p, method=m) for p in (8, 12) for m in METHODS]
+        alone = [identify(rec, cfg) for cfg in cfgs]
+        for log in calls.values():
+            log.clear()
+        prepared = PreparedRecord(rec)
+        for cfg, want in zip(cfgs, alone):
+            assert_same_bytes(identify(prepared, cfg), want)
+        assert [args[1:] for args in calls["assemble_blocks"]] == [(10, 8), (10, 12)]
+        assert len(calls["weight_w2"]) == 2
+        # p, the weighting order 30 (kept across both pairs), SSARX's max(p, f - 1).
+        assert [args[1] for args in calls["fit_arx"]] == [8, 30, 9, 12]
 
     def test_shared_arrays_are_read_only(self):
         _, rec = seed2_example1_record()
@@ -524,18 +532,12 @@ class TestPreparedRecord:
             kwargs["parsim_opt"] = {"weighting_markov": h}
         alone = {m: identify(rec, cfgs[m], **kwargs[m]) for m in METHODS}
         for order in permutations(METHODS):
-            prepared = PreparedRecord(rec, 10, p)
+            prepared = PreparedRecord(rec)
             for m in order:
                 assert_same_bytes(identify(prepared, cfgs[m], **kwargs[m]), alone[m])
 
     def test_one_trial_prepares_its_record_once(self, monkeypatch):
-        calls = {"assemble_blocks": [], "weight_w2": [], "fit_arx": []}
-        for name, log in calls.items():
-            def counted(*args, _fn=getattr(realization, name), _log=log):
-                _log.append(args)
-                return _fn(*args)
-
-            monkeypatch.setattr(realization, name, counted)
+        calls = count_calls(monkeypatch, "assemble_blocks", "weight_w2", "fit_arx")
         built = []
         original = arx_pre.NestedLstsq
         for module in (data_blocks, estimators, arx_pre):
@@ -555,6 +557,18 @@ class TestPreparedRecord:
             ("parsimid.data_blocks", sc.N - sc.f - p + 1)
         ]
         assert not [b for b in built if b[0] == "parsimid.estimators"]
+
+
+def count_calls(monkeypatch, *names):
+    """The arguments of every call made through each of ``realization``'s ``names``."""
+    calls = {name: [] for name in names}
+    for name, log in calls.items():
+        def counted(*args, _fn=getattr(realization, name), _log=log):
+            _log.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(realization, name, counted)
+    return calls
 
 
 def assert_same_bytes(got, want):
