@@ -36,6 +36,11 @@ class NestedLstsq:
         s = np.linalg.svd(Rc, compute_uv=False)
         return int(np.sum(s > _EPS * max(self.m, Rc.shape[1]) * s[0]))
 
+    def rank_below(self, cols, need: int) -> int | None:
+        """Rank of the X columns ``cols`` if below ``need``, else None; a full-rank X takes no SVD (interlacing)."""
+        rank = need if self.full_rank else self.rank(cols)
+        return rank if rank < need else None
+
     def regress(self, q: int, cols) -> np.ndarray:
         """Minimum-norm coefficients of the columns ``cols`` of [X | T] on X[:, :q]."""
         R11, b = self.R[:q, :q], self.R[:q, cols]

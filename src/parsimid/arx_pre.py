@@ -53,7 +53,7 @@ class PredictorMarkov:
     residual_variance: float
 
     def __post_init__(self):
-        h, g = _freeze(np.ravel(self.h_bar)), _freeze(np.ravel(self.g_bar))
+        h, g = _freeze(np.ravel(self.h_bar), "h_bar"), _freeze(np.ravel(self.g_bar), "g_bar")
         if h.shape != g.shape:
             raise ConfigError("h_bar and g_bar must have equal length")
         if self.residual_variance < 0:
@@ -70,7 +70,7 @@ class InnovationsMarkov:
     h: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _freeze(np.ravel(self.h)))
+        object.__setattr__(self, "h", _freeze(np.ravel(self.h), "h"))
 
 
 def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int) -> np.ndarray:
@@ -91,7 +91,7 @@ def _check_input_lags(ls: NestedLstsq, n: int) -> None:
     minimum-norm solution is still right there; a deficient input-lag
     block is a genuine excitation failure.
     """
-    if ls.rank(slice(1, 2 * n, 2)) < n:
+    if ls.rank_below(slice(1, 2 * n, 2), n) is not None:
         raise ExcitationError(
             f"input-lag regressor of ARX order {n} is rank deficient: input is not persistently exciting"
         )
@@ -127,8 +127,7 @@ def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
     """
     _check_order(n, len(rec), n)
     ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start=n), 2 * n)
-    if not ls.full_rank:
-        _check_input_lags(ls, n)
+    _check_input_lags(ls, n)
     theta, rss = ls.solve(2 * n)
     return PredictorMarkov(
         h_bar=theta[0::2], g_bar=theta[1::2], residual_variance=rss / (ls.m - 2 * n)
@@ -143,9 +142,9 @@ def select_order_aic(rec: SignalRecord, grid) -> int:
     AIC(n) = n_eff * ln(RSS / n_eff) + 2 * (2 n).  Ties break toward the
     smaller order.
 
-    One QR of the largest fittable order's interleaved design holds every
-    fit (``NestedLstsq``).  Only when that design is rank deficient (e.g. a
-    noise-free record) does each order get the input-lag excitation check.
+    The grid is walked from the largest order down.  One QR of the largest
+    fittable order's interleaved design holds every fit (``NestedLstsq``),
+    and each order takes the input-lag excitation check on it.
 
     Raises:
         ConfigError: If the grid is empty or no candidate can be fitted.
@@ -156,24 +155,17 @@ def select_order_aic(rec: SignalRecord, grid) -> int:
     if orders[0] < 1:
         raise ConfigError(f"orders must be >= 1, got {orders[0]}")
     n_total, start = len(rec), orders[-1]
-    failures = {}
-    for n in orders:
+    failures, aic, ls = {}, {}, None
+    for n in reversed(orders):
         try:
             _check_order(n, n_total, start)
-        except ConfigError as err:
+            # Both checks bound n from above, so the first order to pass is the largest fittable one.
+            if ls is None:
+                ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start), 2 * n)
+            _check_input_lags(ls, n)
+        except (ConfigError, ExcitationError) as err:
             failures[n] = err
-    # Both checks bound n from above, so the fittable orders form a prefix.
-    fittable = [n for n in orders if n not in failures]
-    if fittable:
-        ls = NestedLstsq(_arx_design(rec.u, rec.y, fittable[-1], start), 2 * fittable[-1])
-    aic = {}
-    for n in fittable:
-        if not ls.full_rank:
-            try:
-                _check_input_lags(ls, n)
-            except ExcitationError as err:
-                failures[n] = err
-                continue
+            continue
         with np.errstate(divide="ignore"):
             aic[n] = ls.m * np.log(ls.solve(2 * n)[1] / ls.m) + 2.0 * (2 * n)
     if not aic:
@@ -181,7 +173,7 @@ def select_order_aic(rec: SignalRecord, grid) -> int:
             "no ARX order in the grid could be fitted: "
             + "; ".join(f"n={n}: {failures[n]}" for n in sorted(failures))
         )
-    return min(aic, key=aic.get)
+    return min(sorted(aic), key=aic.get)
 
 
 def max_arx_order(n_total: int) -> int:

@@ -199,6 +199,8 @@ class Scenario:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.system_source not in ("example1", "example2", "random"):
             raise ConfigError(f"unknown system source {self.system_source!r}")
+        if np.isnan(self.noise_variance) or self.noise_variance < 0:
+            raise ConfigError(f"noise_variance must be >= 0, got {self.noise_variance}")
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ConfigError("scenario needs at least one method")

@@ -38,6 +38,10 @@ class UsageError(Exception):
     pass
 
 
+class _MissingInput(Exception):
+    """An input file named on the command line does not exist (exit 66)."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parsimid",
@@ -121,7 +125,7 @@ def parse_args(argv) -> argparse.Namespace:
 def _read_record(path: str) -> SignalRecord:
     p = Path(path)
     if not p.exists():
-        raise FileNotFoundError(path)
+        raise _MissingInput(path)
     with p.open() as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "t,u,y":
@@ -166,7 +170,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     if args.model_path is not None:
         p = Path(args.model_path)
         if not p.exists():
-            raise FileNotFoundError(args.model_path)
+            raise _MissingInput(args.model_path)
         model = load_model(p)
     elif args.system == "example1":
         model = bench.example1_system()
@@ -224,7 +228,7 @@ def run(args: argparse.Namespace) -> int:
         if args.command == "simulate":
             return _run_simulate(args)
         return _run_benchmark(args)
-    except FileNotFoundError as err:
+    except _MissingInput as err:
         print(f"IO: input file not found: {err}", file=sys.stderr)
         return EXIT_NOINPUT
     except OSError as err:

@@ -77,12 +77,10 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
     design.setflags(write=False)
     ls = NestedLstsq(design.copy(order="F"), 2 * p + f)
     # The U_p and U_f columns are the (f + p) x N input Hankel; with N < f + p
-    # it has fewer than f + p singular values.  A full-rank design keeps them
-    # above their own cutoff by interlacing (see _lstsq), as in fit_arx.
-    if not ls.full_rank:
-        rank = ls.rank(slice(p, 2 * p + f))
-        if rank < f + p:
-            raise ExcitationError(
-                f"input is not persistently exciting of order {f + p} (rank {rank})"
-            )
+    # it has fewer than f + p singular values.
+    rank = ls.rank_below(slice(p, 2 * p + f), f + p)
+    if rank is not None:
+        raise ExcitationError(
+            f"input is not persistently exciting of order {f + p} (rank {rank})"
+        )
     return DataBlocks(design=design, ls=ls, f=f, p=p, N=N)

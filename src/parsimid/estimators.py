@@ -39,7 +39,7 @@ from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .arx_pre import InnovationsMarkov, PredictorMarkov
 from .data_blocks import DataBlocks
-from .errors import ConfigError, ExcitationError, RankError
+from .errors import ConfigError, RankError
 
 __all__ = [
     "RangeEstimate",
@@ -113,17 +113,10 @@ def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
     Row i regresses future output row i on [Z_p; U_i], the first 2p + i
     columns of ``blocks.design``, estimating [Gamma_fi L_p, G_fi] jointly;
     stacking the f first parts gives the range-space estimate.
-
-    Raises:
-        ExcitationError: If a row's solve fails (named with the row).  The
-            input excitation check itself runs in :func:`assemble_blocks`.
     """
     thetas = []
     for i in range(1, blocks.f + 1):
-        try:
-            thetas.append(blocks.ls.regress(2 * blocks.p + i, blocks.ls.k + i - 1))
-        except np.linalg.LinAlgError as err:
-            raise ExcitationError(f"least-squares failure at row {i}: {err}") from err
+        thetas.append(blocks.ls.regress(2 * blocks.p + i, blocks.ls.k + i - 1))
     return _bank_estimate(thetas, blocks)
 
 
@@ -147,9 +140,7 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
 
     Raises:
         RankError: If a row's banded Cholesky factorization fails (guarded;
-            cannot occur for finite weights since H_0 = 1).  Input
-            excitation is checked by :func:`assemble_blocks`, as for every
-            method.
+            cannot occur for finite weights since H_0 = 1).
     """
     thetas = [blocks.ls.regress(2 * blocks.p + 1, blocks.ls.k)]
     ranks, conds = [], []
@@ -199,7 +190,6 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
 
     Raises:
         ConfigError: If ``pm`` supplies fewer than f - 1 parameters.
-            Input excitation is checked by :func:`assemble_blocks`.
     """
     f = blocks.f
     if pm.h_bar.size < f - 1:

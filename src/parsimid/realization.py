@@ -273,8 +273,9 @@ def identify(
             prepared for this call alone.
         cfg: Realization settings.
         weighting_markov: Optional override for the Markov parameters that
-            drive the WLS weighting (parsim_opt only); defaults to the
-            innovations sequence of an ARX of order max(p, max_arx_order(N)).
+            drive the WLS weighting (parsim_opt only, else ConfigError);
+            defaults to the innovations sequence of an ARX of order
+            max(p, max_arx_order(N)).
 
     Returns:
         IdentifiedModel.  An unstable estimate is not an error; it is
@@ -290,6 +291,8 @@ def identify(
         ParsimidError subclasses labeled with the failing stage; a record
             not persistently exciting of order f + p fails at ``blocks:``.
     """
+    if weighting_markov is not None and cfg.method != "parsim_opt":
+        raise ConfigError(f"weighting_markov applies to parsim_opt only, got method {cfg.method!r}")
     prep = rec if isinstance(rec, PreparedRecord) else PreparedRecord(rec)
     with _stage("blocks"):
         blocks = prep.blocks(cfg.f, cfg.p)

@@ -63,8 +63,10 @@ def _as_shape(x, shape: tuple[int, int], name: str) -> np.ndarray:
     return a.reshape(shape)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a: np.ndarray, name: str) -> np.ndarray:
     out = np.array(a, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{name} contains non-finite entries")
     out.setflags(write=False)
     return out
 
@@ -104,9 +106,7 @@ class StateSpaceModel:
         if not np.isfinite(self.sigma_e2) or self.sigma_e2 < 0:
             raise ConfigError(f"sigma_e2 must be a nonnegative real, got {self.sigma_e2}")
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D), ("K", K)):
-            if not np.all(np.isfinite(M)):
-                raise ConfigError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, _freeze(M))
+            object.__setattr__(self, name, _freeze(M, name))
         object.__setattr__(self, "sigma_e2", float(self.sigma_e2))
 
     @property
@@ -134,10 +134,8 @@ class SignalRecord:
         y = np.asarray(self.y, dtype=float).ravel()
         if u.shape != y.shape:
             raise ConfigError(f"u and y must have equal length, got {u.size} and {y.size}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
-            raise ConfigError("record contains non-finite samples")
-        object.__setattr__(self, "u", _freeze(u))
-        object.__setattr__(self, "y", _freeze(y))
+        object.__setattr__(self, "u", _freeze(u, "u"))
+        object.__setattr__(self, "y", _freeze(y, "y"))
 
     def __len__(self) -> int:
         return self.u.size
@@ -264,17 +262,19 @@ def model_to_dict(m: StateSpaceModel) -> dict:
 
 
 def model_from_dict(d: dict) -> StateSpaceModel:
-    """Inverse of :func:`model_to_dict`, with dimension validation."""
+    """Inverse of :func:`model_to_dict`, with validation; a malformed document raises ConfigError."""
     try:
         m = StateSpaceModel(
             A=d["A"], B=d["B"], C=d["C"], D=d["D"], K=d["K"],
             sigma_e2=d["sigma_e2"],
         )
+        for key in ("n_x", "n_u", "n_y"):
+            if key in d and int(d[key]) != getattr(m, key):
+                raise ConfigError(f"model document {key}={d[key]} does not match matrices ({getattr(m, key)})")
     except KeyError as missing:
         raise ConfigError(f"model document missing key {missing}") from missing
-    for key in ("n_x", "n_u", "n_y"):
-        if key in d and int(d[key]) != getattr(m, key):
-            raise ConfigError(f"model document {key}={d[key]} does not match matrices ({getattr(m, key)})")
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"malformed model document: {err}") from err
     return m
 
 
@@ -284,5 +284,9 @@ def save_model(m: StateSpaceModel, path) -> None:
 
 
 def load_model(path) -> StateSpaceModel:
-    """Read a model written by :func:`save_model`."""
-    return model_from_dict(json.loads(Path(path).read_text()))
+    """Read a model written by :func:`save_model`; a malformed file raises ConfigError."""
+    try:
+        d = json.loads(Path(path).read_text())
+    except ValueError as err:
+        raise ConfigError(f"could not parse model file {path}: {err}") from err
+    return model_from_dict(d)

@@ -117,6 +117,12 @@ class TestSelectOrderAic:
         rec = SignalRecord(u=rng.standard_normal(5000), y=rng.standard_normal(5000))
         assert select_order_aic(rec, range(2, 12)) == 2
 
+    def test_exact_tie_selects_smallest(self):
+        # A zero output fits with zero RSS at every order, so every AIC value is -inf.
+        rng = np.random.default_rng(12)
+        rec = SignalRecord(u=rng.standard_normal(400), y=np.zeros(400))
+        assert select_order_aic(rec, range(1, 8)) == 1
+
     def test_scale_invariance(self):
         rec = gen_arx([0.4, 0.3], [1.0, -0.5], 2000, 0.5, seed=9)
         chosen = select_order_aic(rec, range(1, 15))

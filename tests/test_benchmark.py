@@ -219,18 +219,20 @@ class TestScenarios:
 
     # each would otherwise record the same ConfigError in every trial row
     @pytest.mark.parametrize(
-        "n_x, f, methods, message",
+        "n_x, f, methods, message, noise_variance",
         [
-            (3, 10, ("parsim_ols",), "unknown method 'parsim_ols'"),
-            (12, 10, ("parsim",), "model order must satisfy 1 <= n_x <= f - 1, got n_x=12, f=10"),
-            (3, 10, (), "scenario needs at least one method"),
+            (3, 10, ("parsim_ols",), "unknown method 'parsim_ols'", 4.0),
+            (12, 10, ("parsim",), "model order must satisfy 1 <= n_x <= f - 1, got n_x=12, f=10", 4.0),
+            (3, 10, (), "scenario needs at least one method", 4.0),
+            (3, 10, ("parsim",), "noise_variance must be >= 0, got -1.0", -1.0),
+            (3, 10, ("parsim",), "noise_variance must be >= 0, got nan", float("nan")),
         ],
     )
-    def test_unrunnable_settings_rejected(self, n_x, f, methods, message):
+    def test_unrunnable_settings_rejected(self, n_x, f, methods, message, noise_variance):
         with pytest.raises(ConfigError, match=message):
             Scenario(
                 name="bad", system_source="example1", N=2000, f=f, n_x=n_x,
-                noise_variance=4.0, trials=2, methods=methods,
+                noise_variance=noise_variance, trials=2, methods=methods,
             )
 
 

@@ -106,6 +106,29 @@ class TestSimulateCommand:
         ])
         assert code == EXIT_NOINPUT
 
+    def test_output_in_missing_directory_is_io_error(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--system", "example1", "--n-samples", "10",
+            "--out", str(tmp_path / "nodir" / "x.csv"),
+        ])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("IO: ") and "nodir" in err and "input file not found" not in err
+
+    @pytest.mark.parametrize(
+        "body",
+        ["{not json", json.dumps({"A": "abc", "B": 1, "C": 1, "D": 0, "K": 0, "sigma_e2": 1}), "[1, 2]"],
+        ids=["invalid-json", "string-matrix", "list"],
+    )
+    def test_malformed_model_file_is_config_error(self, tmp_path, capsys, body):
+        model = tmp_path / "bad.json"
+        model.write_text(body)
+        code = main(["simulate", "--model", str(model), "--n-samples", "10", "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG: ") and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestIdentifyCommand:
     def test_noise_free_round_trip(self, tmp_path):
@@ -131,6 +154,18 @@ class TestIdentifyCommand:
             "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.json"),
         ])
         assert code == EXIT_NOINPUT
+
+    def test_output_in_missing_directory_is_io_error(self, tmp_path, capsys):
+        u = np.random.default_rng(0).standard_normal(600)
+        data = tmp_path / "data.csv"
+        write_record_csv(data, u, simulate(example1_system(), u))
+        code = main([
+            "identify", "--method", "parsim", "--order", "2", "--p", "12",
+            "--in", str(data), "--out", str(tmp_path / "nodir" / "model.json"),
+        ])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("IO: ") and "nodir" in err and "input file not found" not in err
 
     def test_short_record_fails_with_config_prefix(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"

@@ -71,6 +71,7 @@ class TestNestedLstsq:
         T = rng.standard_normal((m, 3))
         ls = factor(X, T)
         assert ls.full_rank == (rank == k)
+        assert ls.rank_below(slice(0, k), k) == (None if rank == k else rank)
         for q in range(1, k + 1):
             for j in range(3):
                 want, *_ = np.linalg.lstsq(X[:, :q], T[:, j], rcond=None)
@@ -105,6 +106,7 @@ class TestNestedLstsq:
         ls = NestedLstsq(A.copy(order="F"), 20)
         for n in range(1, 11):
             assert ls.rank(slice(1, 2 * n, 2)) == np.linalg.matrix_rank(A[:, 1 : 2 * n : 2]) == min(n, 4)
+            assert ls.rank_below(slice(1, 2 * n, 2), n) == (None if n <= 4 else 4)
 
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_input_rank_of_noise_free_designs(self, name):

@@ -414,6 +414,13 @@ class TestArxOrder:
         result = identify(rec, cfg, weighting_markov=InnovationsMarkov(h=np.zeros(9)))
         assert result.diagnostics["weighting_arx_order"] is None
 
+    @pytest.mark.parametrize("method", ["parsim", "classical", "ssarx"])
+    def test_injected_weighting_rejected_for_other_methods(self, method):
+        _, rec = seed2_example1_record()
+        cfg = RealizationConfig(n_x=3, f=10, p=8, method=method)
+        with pytest.raises(ConfigError, match=f"weighting_markov applies to parsim_opt only, got method '{method}'"):
+            identify(rec, cfg, weighting_markov=InnovationsMarkov(h=np.zeros(9)))
+
 
 class TestGains:
     def test_classical_b_comes_from_the_arx_input_sequence(self, monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -5,6 +7,8 @@ from scipy.signal import lfilter
 from parsimid import (
     ConfigError,
     DivergenceError,
+    InnovationsMarkov,
+    PredictorMarkov,
     SignalRecord,
     StateSpaceModel,
     impulse_response,
@@ -168,6 +172,30 @@ class TestSerialization:
         assert set(d) == {"A", "B", "C", "D", "K", "sigma_e2", "n_x", "n_u", "n_y"}
         assert d["n_x"] == 1 and d["n_u"] == 1 and d["n_y"] == 1
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1.0, 2.0], "malformed model document"),
+            ({"A": "abc", "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0}, "could not convert string"),
+            ({"A": 0.5, "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0, "n_x": None}, "malformed"),
+            ({"A": 0.5, "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0, "n_x": float("inf")}, "malformed"),
+        ],
+        ids=["list", "string-matrix", "null-n_x", "infinite-n_x"],
+    )
+    def test_malformed_document_is_config_error(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            model_from_dict(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            load_model(path)
+
+    def test_invalid_json_is_config_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"A": [[0.5]')
+        with pytest.raises(ConfigError, match="could not parse model file .*model.json"):
+            load_model(path)
+
     def test_dict_validation(self):
         d = model_to_dict(scalar_model(0.5, 1.0, 1.0, 0.2))
         d["n_x"] = 3
@@ -198,6 +226,22 @@ class TestValidation:
             SignalRecord(u=[1.0, 2.0], y=[1.0])
         with pytest.raises(ConfigError):
             SignalRecord(u=[1.0, np.nan], y=[1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [*"ABCDK", "u", "y", "h_bar", "g_bar", "h"])
+    def test_non_finite_entries_rejected(self, name, bad):
+        # Every value type takes the one finiteness rule, named after the offending field.
+        matrices = dict(A=0.5, B=1.0, C=1.0, D=0.0, K=0.2)
+        makers = {
+            **{m: lambda v, m=m: StateSpaceModel(**{**matrices, m: v}) for m in matrices},
+            "u": lambda v: SignalRecord(u=[1.0, v], y=[1.0, 2.0]),
+            "y": lambda v: SignalRecord(u=[1.0, 2.0], y=[v, 2.0]),
+            "h_bar": lambda v: PredictorMarkov(h_bar=[0.5, v], g_bar=[1.0, 0.0], residual_variance=1.0),
+            "g_bar": lambda v: PredictorMarkov(h_bar=[0.5, 0.1], g_bar=[v, 0.0], residual_variance=1.0),
+            "h": lambda v: InnovationsMarkov(h=[0.5, v, 0.1]),
+        }
+        with pytest.raises(ConfigError, match=f"^{name} contains non-finite entries$"):
+            makers[name](bad)
 
     def test_immutability(self):
         m = scalar_model(0.5, 1.0, 1.0, 0.2)
