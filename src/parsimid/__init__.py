@@ -13,7 +13,6 @@ from .arx_pre import (
     fit_arx,
     predictor_to_innovations,
     predictor_to_innovations_g,
-    select_order_aic,
 )
 from .benchmark import (
     BenchReport,
@@ -60,6 +59,7 @@ from .realization import (
     estimate_bk,
     extract_ac,
     identify,
+    select_order_aic,
     weight_w2,
     weighted_svd_realize,
 )

@@ -10,8 +10,9 @@ h_bar[i] = C A_bar^(i-1) K and g_bar[i] = C A_bar^(i-1) B_bar.  A recursion
 converts them to the innovations-form parameters H_i = C A^(i-1) K (and
 G_i = C A^(i-1) B), which drive the noise weighting of the row-wise
 weighted-least-squares bank; the recursion is a scipy.signal.lfilter
-impulse response.  An ARX fit, and the whole AIC order search, come from
-one QR factorization of an interleaved lag design (``_lstsq.NestedLstsq``).
+impulse response.  An ARX fit comes from one QR factorization of an
+interleaved lag design (``_lstsq.NestedLstsq``); the AIC order search
+(``realization.select_order_aic``) reads every order from one such QR.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "PredictorMarkov",
     "InnovationsMarkov",
     "fit_arx",
-    "select_order_aic",
     "predictor_to_innovations",
     "predictor_to_innovations_g",
     "default_aic_grid",
@@ -56,8 +56,8 @@ class PredictorMarkov:
         h, g = _freeze(np.ravel(self.h_bar), "h_bar"), _freeze(np.ravel(self.g_bar), "g_bar")
         if h.shape != g.shape:
             raise ConfigError("h_bar and g_bar must have equal length")
-        if self.residual_variance < 0:
-            raise ConfigError("residual_variance must be >= 0")
+        if not (np.isfinite(self.residual_variance) and self.residual_variance >= 0):
+            raise ConfigError(f"residual_variance must be finite and >= 0, got {self.residual_variance}")
         object.__setattr__(self, "h_bar", h)
         object.__setattr__(self, "g_bar", g)
         object.__setattr__(self, "residual_variance", float(self.residual_variance))
@@ -128,52 +128,12 @@ def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
     _check_order(n, len(rec), n)
     ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start=n), 2 * n)
     _check_input_lags(ls, n)
-    theta, rss = ls.solve(2 * n)
-    return PredictorMarkov(
-        h_bar=theta[0::2], g_bar=theta[1::2], residual_variance=rss / (ls.m - 2 * n)
-    )
+    return _arx_markov(*ls.solve(2 * n), ls.m, n)
 
 
-def select_order_aic(rec: SignalRecord, grid) -> int:
-    """Pick the ARX order from ``grid`` by the Akaike criterion.
-
-    Every candidate is fitted on the common window starting at the largest
-    grid order so the criterion values compare identical samples:
-    AIC(n) = n_eff * ln(RSS / n_eff) + 2 * (2 n).  Ties break toward the
-    smaller order.
-
-    The grid is walked from the largest order down.  One QR of the largest
-    fittable order's interleaved design holds every fit (``NestedLstsq``),
-    and each order takes the input-lag excitation check on it.
-
-    Raises:
-        ConfigError: If the grid is empty or no candidate can be fitted.
-    """
-    orders = sorted({int(n) for n in grid})
-    if not orders:
-        raise ConfigError("order grid is empty")
-    if orders[0] < 1:
-        raise ConfigError(f"orders must be >= 1, got {orders[0]}")
-    n_total, start = len(rec), orders[-1]
-    failures, aic, ls = {}, {}, None
-    for n in reversed(orders):
-        try:
-            _check_order(n, n_total, start)
-            # Both checks bound n from above, so the first order to pass is the largest fittable one.
-            if ls is None:
-                ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start), 2 * n)
-            _check_input_lags(ls, n)
-        except (ConfigError, ExcitationError) as err:
-            failures[n] = err
-            continue
-        with np.errstate(divide="ignore"):
-            aic[n] = ls.m * np.log(ls.solve(2 * n)[1] / ls.m) + 2.0 * (2 * n)
-    if not aic:
-        raise ConfigError(
-            "no ARX order in the grid could be fitted: "
-            + "; ".join(f"n={n}: {failures[n]}" for n in sorted(failures))
-        )
-    return min(sorted(aic), key=aic.get)
+def _arx_markov(theta: np.ndarray, rss: float, m: int, n: int) -> PredictorMarkov:
+    """The order-n fit from its interleaved coefficients and RSS on m samples."""
+    return PredictorMarkov(h_bar=theta[0::2], g_bar=theta[1::2], residual_variance=rss / (m - 2 * n))
 
 
 def max_arx_order(n_total: int) -> int:

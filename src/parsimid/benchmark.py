@@ -11,15 +11,16 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import butter, lfilter, sosfilt
 
-from .arx_pre import default_aic_grid, select_order_aic
+from .arx_pre import default_aic_grid
 from .errors import ConfigError, ParsimidError
-from .realization import PreparedRecord, RealizationConfig, identify
+from .realization import PreparedRecord, RealizationConfig, identify, select_order_aic
 from .ss_model import SignalRecord, StateSpaceModel, impulse_response, observability, simulate
 
 __all__ = [
@@ -137,6 +138,12 @@ def random_system(seed, n_x: int = 6) -> StateSpaceModel:
     raise ConfigError(f"random system rejection sampling exhausted after {RANDOM_MAX_DRAWS} draws")
 
 
+@lru_cache
+def _rbs_sos(band_high: float) -> np.ndarray:
+    """The order-8 Butterworth low-pass of :func:`gen_rbs`, designed once per band."""
+    return butter(8, band_high, output="sos")
+
+
 def gen_rbs(N: int, band_high: float, seed) -> np.ndarray:
     """Band-limited random binary sequence of +/- 1 values.
 
@@ -150,8 +157,7 @@ def gen_rbs(N: int, band_high: float, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(N)
     if band_high < 1.0:
-        sos = butter(8, band_high, output="sos")
-        w = sosfilt(sos, w)
+        w = sosfilt(_rbs_sos(band_high), w)
     s = np.sign(w)
     s[s == 0] = 1.0
     return s
@@ -204,7 +210,9 @@ class Scenario:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ConfigError("scenario needs at least one method")
-        # p = n_x + 1 is the smallest order the default AIC grid can pick.
+        # Every trial picks p from the default AIC grid; p = n_x + 1 is the
+        # smallest order it can pick.
+        default_aic_grid(self.n_x, self.N)
         for method in self.methods:
             RealizationConfig(n_x=self.n_x, f=self.f, p=self.n_x + 1, method=method)
 
@@ -279,17 +287,19 @@ def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
         system, rec, seed = _trial_data(sc, master_seed, trial)
     except ParsimidError as err:
         return failed(_trial_seeds(master_seed, trial)[0], f"data: {err}")
+    # AIC and every method read the one preparation of the record.  AIC
+    # leaves its top-order fit there, the parsim_opt weighting fit; any
+    # other piece is made by the first method asking for it, inside its
+    # own identify call.
+    prepared = PreparedRecord(rec)
     try:
-        p = select_order_aic(rec, default_aic_grid(sc.n_x, len(rec)))
+        p = select_order_aic(prepared, default_aic_grid(sc.n_x, len(rec)))
     except ParsimidError as err:
         return failed(seed, f"aic: {err}")
 
     g_true = impulse_response(system, FIT_LAGS)
     gff_true = g_true[: sc.f][::-1]
 
-    # Every method reads the one preparation of the record; the first one
-    # asking for a piece makes it inside its own identify call.
-    prepared = PreparedRecord(rec)
     rows = []
     for method in sc.methods:
         try:

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark as bench
-from .arx_pre import default_aic_grid, select_order_aic
+from .arx_pre import default_aic_grid
 from .errors import ConfigError, ParsimidError
 from .estimators import METHODS
-from .realization import RealizationConfig, identify
+from .realization import PreparedRecord, RealizationConfig, identify, select_order_aic
 from .ss_model import SignalRecord, load_model, save_model, simulate
 
 log = logging.getLogger("parsimid")
@@ -151,12 +151,14 @@ def _write_record(path: str, u: np.ndarray, y: np.ndarray) -> None:
 
 def _run_identify(args: argparse.Namespace) -> int:
     rec = _read_record(args.in_path)
+    # AIC leaves its top-order fit in the prepared record for identify.
+    prepared = PreparedRecord(rec)
     p = args.p
     if p == "aic":
         grid = default_aic_grid(args.order, len(rec))
-        p = select_order_aic(rec, grid)
+        p = select_order_aic(prepared, grid)
         log.info("AIC selected past horizon p=%d from grid %d..%d", p, grid[0], grid[-1])
-    result = identify(rec, RealizationConfig(n_x=args.order, f=args.f, p=p, method=args.method))
+    result = identify(prepared, RealizationConfig(n_x=args.order, f=args.f, p=p, method=args.method))
     save_model(result.model, args.out_path)
     log.info("singular values: %s", np.array2string(result.singular_values, precision=4))
     if not result.diagnostics["stable"]:

@@ -19,14 +19,15 @@ Every unweighted regression is of a block of the record on leading rows
 of [Y_p; U_p; U_f], so the one QR of the design [Y_p' U_p' U_f' Y_f'] that
 :func:`data_blocks.assemble_blocks` makes (``blocks.ls``) answers the OLS
 rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  WLS
-rows 2..f each factor their banded T'T = U'U once (LAPACK ``dpbtrf``),
-whiten the row's regressor and target columns of ``blocks.design`` with
-one banded triangular sweep W = U^(-T) [Z' y'] (``dtbtrs``), and solve on
-the small Gram W'W.  All solves keep pseudo-inverse (minimum-norm)
-semantics with the machine-epsilon * max-dimension *
-largest-singular-value cutoff: noise-free records make the output-side
-rows exactly collinear.  Input excitation is checked once, for every
-method, by :func:`data_blocks.assemble_blocks`.
+rows 2..f each factor their banded T'T = L L' once (LAPACK ``dpbtrf`` on
+lower-band storage, which factors faster than upper), whiten the row's
+regressor and target columns of ``blocks.design`` with one banded
+triangular sweep W = L^(-1) [Z' y'] (``dtbtrs``), and solve on the small
+Gram W'W.  All solves keep pseudo-inverse (minimum-norm) semantics with
+the machine-epsilon * max-dimension * largest-singular-value cutoff:
+noise-free records make the output-side rows exactly collinear.  Input
+excitation is checked once, for every method, by
+:func:`data_blocks.assemble_blocks`.
 """
 
 from __future__ import annotations
@@ -88,15 +89,14 @@ def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
     T, (N + i - 1) x N, maps a white innovations row onto row i's noise:
     column j carries [H_{i-1}, ..., H_1, H_0 = 1] in rows j..j+i-1.  T'T
     is symmetric positive definite, banded with bandwidth i - 1, and
-    Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.
+    Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.  As every
+    diagonal is constant, the rows reversed are the lower-band storage.
     """
     h = np.asarray(h, dtype=float).ravel()[: i - 1]
     # [H_0, H_1, ..., H_{i-1}]; missing high lags count as 0
     b_nat = np.r_[np.zeros(i - 1 - h.size), h[::-1], 1.0][::-1]
-    ab = np.empty((i, N))
-    for d in range(i):
-        ab[i - 1 - d, :] = b_nat[d:] @ b_nat[: i - d]
-    return ab
+    diagonals = [b_nat[d:] @ b_nat[: i - d] for d in range(i)]
+    return np.repeat(np.array(diagonals[::-1])[:, None], N, axis=1)
 
 
 def _bank_estimate(thetas, blocks: DataBlocks, **gram) -> RangeEstimate:
@@ -125,13 +125,15 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
 
     Uses the inverse of the row noise covariance T'T as the weighting;
     the innovations variance cancels and is never applied.  Row i factors
-    the banded T'T = U'U (bandwidth i - 1) once, whitens [Z' y'] with one
-    banded triangular sweep W = U^(-T) [Z' y'] into an N x (q + 1) buffer,
-    and solves the normal equations of the small Gram W'W by lstsq; the
-    N x N inverse is never formed.  Row 1 has white row noise and
-    coincides with the OLS row.  The rank and condition of each row's
-    weighted Gram, from that lstsq, are returned as ``gram_rank`` and
-    ``gram_cond``.
+    the banded T'T = L L' (bandwidth i - 1, lower-band storage) once,
+    whitens [Z' y'] with one banded triangular sweep W = L^(-1) [Z' y']
+    into an N x (q + 1) buffer, and solves the normal equations of the
+    small Gram W'W by lstsq; the N x N inverse is never formed.  The band
+    is ``toeplitz_gram_band``'s upper storage with its rows reversed, and
+    the lower-band factor is faster to make than the upper one.  Row 1 has
+    white row noise and coincides with the OLS row.  The rank and
+    condition of each row's weighted Gram, from that lstsq, are returned
+    as ``gram_rank`` and ``gram_cond``.
 
     Args:
         blocks: Data blocks.
@@ -146,13 +148,13 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     ranks, conds = [], []
     for i in range(2, blocks.f + 1):
         q = 2 * blocks.p + i
-        U, info = dpbtrf(toeplitz_gram_band(h.h, i, blocks.N))
+        L, info = dpbtrf(toeplitz_gram_band(h.h, i, blocks.N)[::-1], lower=1)
         if info != 0:
             raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
         W = np.empty((blocks.N, q + 1), order="F")
         W[:, :q] = blocks.design[:, :q]
         W[:, q] = blocks.design[:, 2 * blocks.p + blocks.f + i - 1]
-        W = dtbtrs(U, W, trans="T", overwrite_b=True)[0]
+        W = dtbtrs(L, W, uplo="L", overwrite_b=True)[0]
         G = W.T @ W
         theta, _, rank, s = np.linalg.lstsq(G[:q, :q], G[:q, q], rcond=None)
         thetas.append(theta)

@@ -7,25 +7,32 @@ estimated Markov parameters.  Every method shares this realization; SSARX
 realizes the predictor form, so its A = A_bar + K C is formed at the end.
 Every method identifying one record reads one :class:`PreparedRecord`, which
 keeps its data blocks and W2 per horizon pair and its ARX fits per order.
+The AIC order search (:func:`select_order_aic`) solves its largest grid
+order on the way, and leaves that fit in the record it is given.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._lstsq import NestedLstsq
 from .arx_pre import (
     InnovationsMarkov,
     PredictorMarkov,
+    _arx_design,
+    _arx_markov,
+    _check_input_lags,
+    _check_order,
     fit_arx,
     max_arx_order,
     predictor_to_innovations,
     predictor_to_innovations_g,
 )
 from .data_blocks import DataBlocks, assemble_blocks
-from .errors import ConfigError, ParsimidError, RankError
+from .errors import ConfigError, ExcitationError, ParsimidError, RankError
 from .estimators import (
     METHODS,
     RangeEstimate,
@@ -40,6 +47,7 @@ __all__ = [
     "RealizationConfig",
     "IdentifiedModel",
     "PreparedRecord",
+    "select_order_aic",
     "weight_w2",
     "weighted_svd_realize",
     "extract_ac",
@@ -120,7 +128,10 @@ class PreparedRecord:
     whose preparation raises is not kept, so every later call raises
     afresh.  The pieces are made through this module's names
     (``assemble_blocks``, ``weight_w2``, ``fit_arx``), so a wrapper put in
-    their place here sees every call.
+    their place here sees every call.  The one exception is the fit of the
+    largest order of an AIC grid: :func:`select_order_aic` solves it from
+    the same design ``fit_arx`` would build, and keeps it here, bit for
+    bit the fit ``fit_arx`` makes.
     """
 
     rec: SignalRecord
@@ -139,6 +150,59 @@ class PreparedRecord:
 
     def arx(self, n: int) -> PredictorMarkov:
         return self._kept(("arx", n), fit_arx, self.rec, n)
+
+
+def select_order_aic(rec: SignalRecord | PreparedRecord, grid) -> int:
+    """Pick the ARX order from ``grid`` by the Akaike criterion.
+
+    Every candidate is fitted on the common window starting at the largest
+    grid order so the criterion values compare identical samples:
+    AIC(n) = n_eff * ln(RSS / n_eff) + 2 * (2 n).  Ties break toward the
+    smaller order.
+
+    The grid is walked from the largest order down.  One QR of the largest
+    fittable order's interleaved design holds every fit (``NestedLstsq``),
+    and each order takes the input-lag excitation check on it.  When the
+    largest grid order is fittable, its window is the one ``fit_arx``
+    uses, so its fit is ``fit_arx(rec, n)``; given a :class:`PreparedRecord`,
+    AIC keeps that fit there for the methods that read the record.  The
+    chosen order is the same for a bare record and a prepared one.
+
+    Raises:
+        ConfigError: If the grid is empty or no candidate can be fitted.
+    """
+    prep = rec if isinstance(rec, PreparedRecord) else PreparedRecord(rec)
+    orders = sorted({int(n) for n in grid})
+    if not orders:
+        raise ConfigError("order grid is empty")
+    if orders[0] < 1:
+        raise ConfigError(f"orders must be >= 1, got {orders[0]}")
+    n_total, start = len(prep.rec), orders[-1]
+    failures, aic, ls = {}, {}, None
+    for n in reversed(orders):
+        try:
+            _check_order(n, n_total, start)
+            # Both checks bound n from above, so the first order to pass is the largest fittable one.
+            if ls is None:
+                ls = NestedLstsq(_arx_design(prep.rec.u, prep.rec.y, n, start), 2 * n)
+            _check_input_lags(ls, n)
+        except (ConfigError, ExcitationError) as err:
+            failures[n] = err
+            continue
+        theta, rss = ls.solve(2 * n)
+        if n == start:
+            # The top order's QR and window are fit_arx's.  As in ``_kept``, a
+            # fit that fails validation is not kept.
+            with suppress(ConfigError):
+                prep._kept(("arx", n), _arx_markov, theta, rss, ls.m, n)
+        with np.errstate(divide="ignore"):
+            aic[n] = ls.m * np.log(rss / ls.m) + 2.0 * (2 * n)
+    if not aic:
+        raise ConfigError(
+            "no ARX order in the grid could be fitted: "
+            + "; ".join(f"n={n}: {failures[n]}" for n in sorted(failures))
+        )
+    return min(sorted(aic), key=aic.get)
 
 
 def weighted_svd_realize(

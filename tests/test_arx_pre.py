@@ -141,6 +141,13 @@ class TestSelectOrderAic:
             select_order_aic(rec, [20, 30])
 
 
+class TestPredictorMarkov:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_residual_variance_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ConfigError, match="^residual_variance must be finite and >= 0"):
+            PredictorMarkov(h_bar=[0.1], g_bar=[1.0], residual_variance=bad)
+
+
 class TestMarkovRecursion:
     def test_first_term_passthrough(self):
         pm = PredictorMarkov(h_bar=[0.7, 0.1], g_bar=[0.0, 0.0], residual_variance=1.0)

@@ -72,6 +72,7 @@ def test_a_traced_round_of_each_workload_reaches_every_layer(monkeypatch):
         assert tracer.missing == [], name
         names[name] = [s.name for s in tracer.spans]
     assert set(tracing.LAYERS) <= {n for spans in names.values() for n in spans}
-    # One mc-example1 trial prepares its record once for its three methods.
-    want = {"data_blocks.assemble_blocks": 1, "realization.weight_w2": 1, "arx_pre.fit_arx": 2}
+    # One mc-example1 trial prepares its record once for its three methods,
+    # and AIC leaves the order-30 weighting fit in it.
+    want = {"data_blocks.assemble_blocks": 1, "realization.weight_w2": 1, "arx_pre.fit_arx": 1}
     assert {layer: names["mc-example1"].count(layer) for layer in want} == want

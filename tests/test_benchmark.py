@@ -6,6 +6,7 @@ from scipy.signal import lfilter
 
 from parsimid import (
     ConfigError,
+    ExcitationError,
     Scenario,
     default_aic_grid,
     error_g,
@@ -24,6 +25,7 @@ from parsimid import (
     write_joint_fit_csv,
     write_trials_csv,
 )
+from parsimid import benchmark
 from parsimid.benchmark import (
     EXAMPLE2_GAMMA,
     _minimal,
@@ -235,6 +237,15 @@ class TestScenarios:
                 noise_variance=noise_variance, trials=2, methods=methods,
             )
 
+    # 10 samples per ARX order: the default AIC grid of every trial would be empty
+    @pytest.mark.parametrize("N, n_x", [(30, 3), (80, 8)])
+    def test_record_too_short_for_the_aic_grid_rejected(self, N, n_x):
+        with pytest.raises(ConfigError, match=f"^record of length {N} cannot support any ARX order above {n_x}$"):
+            Scenario(
+                name="bad", system_source="example1", N=N, f=10, n_x=n_x,
+                noise_variance=1.0, trials=2, methods=("parsim",),
+            )
+
 
 class TestMonteCarlo:
     def test_noise_free_single_trial(self):
@@ -287,11 +298,19 @@ class TestMonteCarlo:
         [
             # the simulated output is not finite
             (800, float("inf"), "data: simulation diverged"),
-            # 10 samples per ARX order: 30 samples allow no order above n_x
-            (30, 1.0, "aic: record of length 30"),
+            # an input that is not persistently exciting fails every order
+            (800, 1.0, "aic: input-lag regressor"),
         ],
     )
-    def test_early_failure_fills_every_method_row(self, N, noise_variance, stage):
+    def test_early_failure_fills_every_method_row(self, monkeypatch, N, noise_variance, stage):
+        # A scenario's record always fits its default AIC grid, so AIC is made
+        # to fail here; the data stage fails before AIC is reached.
+        def not_exciting(rec, grid):
+            raise ExcitationError(
+                "input-lag regressor of ARX order 4 is rank deficient: input is not persistently exciting"
+            )
+
+        monkeypatch.setattr(benchmark, "select_order_aic", not_exciting)
         sc = Scenario(
             name="early_failure", system_source="example1", N=N, f=10, n_x=3,
             noise_variance=noise_variance, trials=2, methods=("parsim", "ssarx", "classical"),
@@ -355,10 +374,10 @@ class TestWriters:
         assert len(doc["chosen_p"]) == 2
 
     def test_aggregates_json_lists_failures(self, tmp_path):
-        # 30 samples allow no ARX order above n_x, so every row fails at AIC
+        # the simulated output is not finite, so every row fails at the data stage
         sc = Scenario(
-            name="early_failure", system_source="example1", N=30, f=10, n_x=3,
-            noise_variance=1.0, trials=2, methods=("parsim", "ssarx", "classical"),
+            name="early_failure", system_source="example1", N=800, f=10, n_x=3,
+            noise_variance=float("inf"), trials=2, methods=("parsim", "ssarx", "classical"),
         )
         report = monte_carlo(sc, master_seed=6)
         path = tmp_path / "agg.json"
@@ -369,7 +388,7 @@ class TestWriters:
         assert [(f["trial"], f["method"], f["reason"]) for f in failures] == [
             (r.trial, r.method, r.failure) for r in failed
         ]
-        assert all(f["reason"].startswith("aic:") for f in failures)
+        assert all(f["reason"].startswith("data:") for f in failures)
         assert all(set(f) == {"trial", "method", "reason"} for f in failures)
 
     def test_sweep_csv(self, tmp_path):

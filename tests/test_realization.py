@@ -9,6 +9,7 @@ from parsimid import (
     ConfigError,
     ExcitationError,
     InnovationsMarkov,
+    ParsimidError,
     PreparedRecord,
     RangeEstimate,
     RankError,
@@ -30,7 +31,15 @@ from parsimid import (
     weight_w2,
     weighted_svd_realize,
 )
-from parsimid.benchmark import EXAMPLE2_GAMMA, example1_scenario, example1_system, example2_system
+from parsimid.benchmark import (
+    EXAMPLE2_GAMMA,
+    _trial_data,
+    example1_scenario,
+    example1_system,
+    example2_scenario,
+    example2_system,
+    example3_scenario,
+)
 from parsimid import arx_pre, benchmark, data_blocks, estimators, realization
 
 from helpers import (
@@ -559,11 +568,97 @@ class TestPreparedRecord:
         p = rows[0].p
         assert len(calls["assemble_blocks"]) == 1
         assert len(calls["weight_w2"]) == 1
-        assert [args[1] for args in calls["fit_arx"]] == [p, 30]
+        # AIC leaves its top-order fit, the weighting fit of order 30, in the record.
+        assert [args[1] for args in calls["fit_arx"]] == [p]
         assert [b for b in built if b[0] == "parsimid.data_blocks"] == [
             ("parsimid.data_blocks", sc.N - sc.f - p + 1)
         ]
         assert not [b for b in built if b[0] == "parsimid.estimators"]
+
+
+AIC_SCENARIOS = {
+    "example1": example1_scenario(trials=1),
+    "example2": example2_scenario(trials=1),
+    "example3": example3_scenario(10.0, trials=1),
+}
+
+
+class TestAicHandoff:
+    """AIC leaves its top-order fit in a prepared record, and changes nothing else."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", AIC_SCENARIOS)
+    def test_kept_fit_is_fit_arx_of_the_top_order(self, monkeypatch, name, seed):
+        sc = AIC_SCENARIOS[name]
+        rec = _trial_data(sc, seed, 0)[1]
+        grid = default_aic_grid(sc.n_x, len(rec))
+        prepared = PreparedRecord(rec)
+        select_order_aic(prepared, grid)
+        calls = count_calls(monkeypatch, "fit_arx")
+        kept, want = prepared.arx(grid[-1]), fit_arx(rec, grid[-1])
+        assert calls["fit_arx"] == []
+        assert kept.h_bar.tobytes() == want.h_bar.tobytes()
+        assert kept.g_bar.tobytes() == want.g_bar.tobytes()
+        assert repr(kept.residual_variance) == repr(want.residual_variance)
+
+    @pytest.mark.parametrize("name", ["example1", "example3"])
+    def test_identify_on_an_aic_prepared_record_matches_a_bare_record(self, name):
+        sc = AIC_SCENARIOS[name]
+        for seed in (0, 1):
+            rec = _trial_data(sc, seed, 0)[1]
+            prepared = PreparedRecord(rec)
+            p = select_order_aic(prepared, default_aic_grid(sc.n_x, len(rec)))
+            for method in METHODS:
+                cfg = RealizationConfig(n_x=sc.n_x, f=sc.f, p=p, method=method)
+                got, want = outcome(identify, prepared, cfg), outcome(identify, rec, cfg)
+                if isinstance(want, str):
+                    assert got == want, method
+                else:
+                    assert_same_bytes(got, want)
+
+    # Two Example 1 sines excite input lags up to order 4 only.
+    @pytest.mark.parametrize(
+        "grid,error",
+        [([4, 5, 6, 300], ConfigError), (range(1, 11), ExcitationError)],
+        ids=["top-order-too-long", "top-order-not-exciting"],
+    )
+    def test_nothing_kept_when_the_top_order_cannot_be_fitted(self, monkeypatch, grid, error):
+        prepared = PreparedRecord(two_sine_record(noise=0.5))
+        assert select_order_aic(prepared, grid) == 4
+        calls = count_calls(monkeypatch, "fit_arx")
+        with pytest.raises(error):
+            prepared.arx(max(grid))
+        assert [args[1] for args in calls["fit_arx"]] == [max(grid)]
+
+    def test_a_top_order_fit_failing_validation_is_not_kept(self, monkeypatch):
+        _, rec = seed2_example1_record()
+        grid = default_aic_grid(3, len(rec))
+
+        def invalid(*args):
+            raise ConfigError("residual_variance must be finite and >= 0, got nan")
+
+        monkeypatch.setattr(realization, "_arx_markov", invalid)
+        prepared = PreparedRecord(rec)
+        assert select_order_aic(prepared, grid) == 8
+        calls = count_calls(monkeypatch, "fit_arx")
+        prepared.arx(grid[-1])
+        assert [args[1] for args in calls["fit_arx"]] == [grid[-1]]
+
+    @pytest.mark.parametrize("name", AIC_SCENARIOS)
+    def test_bare_and_prepared_records_pick_the_same_order(self, name):
+        sc = AIC_SCENARIOS[name]
+        for seed in range(4):
+            rec = _trial_data(sc, seed, 0)[1]
+            for grid in (default_aic_grid(sc.n_x, len(rec)), range(sc.n_x + 1, 12), [sc.n_x + 1]):
+                assert select_order_aic(PreparedRecord(rec), grid) == select_order_aic(rec, grid)
+
+
+def outcome(call, *args):
+    """The call's result, or its error as ``"Type: message"``."""
+    try:
+        return call(*args)
+    except ParsimidError as err:
+        return f"{type(err).__name__}: {err}"
 
 
 def count_calls(monkeypatch, *names):
