@@ -12,6 +12,8 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,14 @@ EXIT_USAGE = 2
 EXIT_NOINPUT = 66  # sysexits EX_NOINPUT: an input file does not exist
 
 _METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
-_SCENARIOS = ("example1", "example2", "example1-sweep", "example3")
+# Each --scenario's Scenario.  A sweep's stands for all of its scenarios,
+# which take the same trials and methods.
+_SCENARIOS = {
+    "example1": bench.example1_scenario,
+    "example2": bench.example2_scenario,
+    "example1-sweep": bench.example1_scenario,
+    "example3": partial(bench.example3_scenario, bench.JOINT_FIT_NOISE_LEVELS[0]),
+}
 
 
 class UsageError(Exception):
@@ -81,24 +90,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _built(make, **kwargs):
+    """``make(**kwargs)``, its ConfigError raised as a UsageError (exit 2)."""
+    try:
+        return make(**kwargs)
+    except ConfigError as err:
+        raise UsageError(str(err)) from None
+
+
 def parse_args(argv) -> argparse.Namespace:
-    """Parse, validate and normalise ``method``, ``methods`` and ``p``; raises UsageError (exit 2)."""
+    """Parse, validate and normalise; raises UsageError (exit 2).
+
+    ``method``, ``methods`` and ``p`` are normalised.  The library objects
+    own their rules: ``identify`` gets ``config``, its RealizationConfig
+    (p = order + 1, the lowest AIC order, stands in until AIC picks p), and
+    ``benchmark`` gets ``scenario_run``, the Scenario it runs (for a sweep,
+    one that stands for all of its scenarios).
+    """
     ns = build_parser().parse_args(argv)
     if ns.command == "identify":
-        if ns.order < 1:
-            raise UsageError(f"--order must be >= 1, got {ns.order}")
-        if ns.f < 2:
-            raise UsageError(f"--f must be >= 2, got {ns.f}")
-        if ns.order > ns.f - 1:
-            raise UsageError(f"--order must be <= f - 1 = {ns.f - 1}, got {ns.order}")
         if ns.p != "aic":
             try:
                 ns.p = int(ns.p)
             except ValueError:
                 raise UsageError(f"--p must be an integer or 'aic', got {ns.p!r}") from None
-            if ns.p < 1:
-                raise UsageError(f"--p must be >= 1, got {ns.p}")
         ns.method = _METHOD_FLAGS[ns.method]
+        p = ns.order + 1 if ns.p == "aic" else ns.p
+        ns.config = _built(RealizationConfig, n_x=ns.order, f=ns.f, p=p, method=ns.method)
         return ns
     if ns.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {ns.seed}")
@@ -110,8 +128,6 @@ def parse_args(argv) -> argparse.Namespace:
         if not 0.0 < ns.rbs_band <= 1.0:
             raise UsageError(f"--rbs-band must be in (0, 1], got {ns.rbs_band}")
         return ns
-    if ns.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {ns.trials}")
     if ns.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
     parts = [m.strip() for m in (ns.methods or "").split(",") if m.strip()]
@@ -119,6 +135,8 @@ def parse_args(argv) -> argparse.Namespace:
     if unknown:
         raise UsageError(f"unknown methods: {', '.join(unknown)}")
     ns.methods = tuple(_METHOD_FLAGS[m] for m in parts)
+    methods = {"methods": ns.methods} if ns.methods else {}
+    ns.scenario_run = _built(_SCENARIOS[ns.scenario], trials=ns.trials, **methods)
     return ns
 
 
@@ -153,12 +171,12 @@ def _run_identify(args: argparse.Namespace) -> int:
     rec = _read_record(args.in_path)
     # AIC leaves its top-order fit in the prepared record for identify.
     prepared = PreparedRecord(rec)
-    p = args.p
-    if p == "aic":
+    config = args.config
+    if args.p == "aic":
         grid = default_aic_grid(args.order, len(rec))
-        p = select_order_aic(prepared, grid)
-        log.info("AIC selected past horizon p=%d from grid %d..%d", p, grid[0], grid[-1])
-    result = identify(prepared, RealizationConfig(n_x=args.order, f=args.f, p=p, method=args.method))
+        config = replace(config, p=select_order_aic(prepared, grid))
+        log.info("AIC selected past horizon p=%d from grid %d..%d", config.p, grid[0], grid[-1])
+    result = identify(prepared, config)
     save_model(result.model, args.out_path)
     log.info("singular values: %s", np.array2string(result.singular_values, precision=4))
     if not result.diagnostics["stable"]:
@@ -210,9 +228,7 @@ def _run_benchmark(args: argparse.Namespace) -> int:
             bench.write_trials_csv(rep, out / f"trials_{label.format(key)}.csv")
             bench.write_aggregates_json(rep, out / f"aggregates_{label.format(key)}.json")
     else:
-        factory = bench.example1_scenario if args.scenario == "example1" else bench.example2_scenario
-        sc = factory(trials=args.trials, **methods)
-        report = bench.monte_carlo(sc, args.seed, jobs=args.jobs)
+        report = bench.monte_carlo(args.scenario_run, args.seed, jobs=args.jobs)
         bench.write_trials_csv(report, out / "trials.csv")
         bench.write_aggregates_json(report, out / "aggregates.json")
         for method, entry in sorted(report.aggregates().items()):

@@ -22,11 +22,14 @@ rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  WLS
 rows 2..f each factor their banded T'T = L L' once (LAPACK ``dpbtrf`` on
 lower-band storage, which factors faster than upper), whiten the row's
 regressor and target columns of ``blocks.design`` with one banded
-triangular sweep W = L^(-1) [Z' y'] (``dtbtrs``), and solve on the small
-Gram W'W.  All solves keep pseudo-inverse (minimum-norm) semantics with
-the machine-epsilon * max-dimension * largest-singular-value cutoff:
-noise-free records make the output-side rows exactly collinear.  Input
-excitation is checked once, for every method, by
+triangular sweep W = L^(-1) [Z' y'] (``dtbtrs`` on the unit-diagonal
+factor D^(-1) L, D = diag(L), with the columns divided by D as they are
+copied in), and solve on the small Gram W'W by :func:`_lstsq.gram_solve`:
+its eigenvalues give the rank and condition, and a full-rank Gram is
+solved by Cholesky.  All solves keep pseudo-inverse (minimum-norm)
+semantics with the machine-epsilon * max-dimension * largest-singular-value
+cutoff: noise-free records make the output-side rows exactly collinear.
+Input excitation is checked once, for every method, by
 :func:`data_blocks.assemble_blocks`.
 """
 
@@ -38,6 +41,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 
+from ._lstsq import gram_solve
 from .arx_pre import InnovationsMarkov, PredictorMarkov
 from .data_blocks import DataBlocks
 from .errors import ConfigError, RankError
@@ -67,9 +71,10 @@ class RangeEstimate:
             parameters [G_{i-1}, ..., G_1, G_0] (the two banks); empty for
             the classical projection and SSARX, which estimate none.
         gram_rank: WLS bank only: the numerical rank of the weighted Gram
-            Z (T'T)^(-1) Z' of rows 2..f, as its lstsq solve found it.
-        gram_cond: WLS bank only: s_max / s_min of the same Grams (inf
-            for a singular one).
+            Z (T'T)^(-1) Z' of rows 2..f, the count of its singular values
+            (absolute eigenvalues) above lstsq's cutoff.
+        gram_cond: WLS bank only: s_max / s_min of the same Grams, from
+            the same eigenvalues (inf for a singular one).
     """
 
     gamma_lp: np.ndarray
@@ -126,14 +131,19 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     Uses the inverse of the row noise covariance T'T as the weighting;
     the innovations variance cancels and is never applied.  Row i factors
     the banded T'T = L L' (bandwidth i - 1, lower-band storage) once,
-    whitens [Z' y'] with one banded triangular sweep W = L^(-1) [Z' y']
-    into an N x (q + 1) buffer, and solves the normal equations of the
-    small Gram W'W by lstsq; the N x N inverse is never formed.  The band
-    is ``toeplitz_gram_band``'s upper storage with its rows reversed, and
-    the lower-band factor is faster to make than the upper one.  Row 1 has
-    white row noise and coincides with the OLS row.  The rank and
-    condition of each row's weighted Gram, from that lstsq, are returned
-    as ``gram_rank`` and ``gram_cond``.
+    whitens [Z' y'] with one banded triangular sweep into an N x (q + 1)
+    buffer W = L^(-1) [Z' y'], and solves the normal equations of the
+    small Gram W'W; the N x N inverse is never formed.  The band is
+    ``toeplitz_gram_band``'s upper storage with its rows reversed, and the
+    lower-band factor is faster to make than the upper one.  The sweep
+    runs on the unit-diagonal D^(-1) L (D = diag(L)) over the columns
+    divided by D, which is the same L^(-1) [Z' y'] with no division on its
+    critical path.  :func:`_lstsq.gram_solve` takes the Gram's eigenvalues
+    (the singular values lstsq would find), returns its rank and
+    condition as ``gram_rank`` and ``gram_cond``, and solves a full-rank
+    Gram by Cholesky; a rank-deficient one, or one whose Cholesky
+    factorization fails, is solved by lstsq for the minimum-norm answer.
+    Row 1 has white row noise and coincides with the OLS row.
 
     Args:
         blocks: Data blocks.
@@ -151,15 +161,19 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
         L, info = dpbtrf(toeplitz_gram_band(h.h, i, blocks.N)[::-1], lower=1)
         if info != 0:
             raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
+        # L^(-1) X = (D^(-1) L)^(-1) (D^(-1) X), D = diag(L): the sweep on the
+        # unit-diagonal factor makes no division on its critical path.
+        d = L[0].copy()
+        for k in range(1, i):
+            L[k, : blocks.N - k] /= d[k:]
         W = np.empty((blocks.N, q + 1), order="F")
-        W[:, :q] = blocks.design[:, :q]
-        W[:, q] = blocks.design[:, 2 * blocks.p + blocks.f + i - 1]
-        W = dtbtrs(L, W, uplo="L", overwrite_b=True)[0]
-        G = W.T @ W
-        theta, _, rank, s = np.linalg.lstsq(G[:q, :q], G[:q, q], rcond=None)
+        np.divide(blocks.design[:, :q], d[:, None], out=W[:, :q])
+        np.divide(blocks.design[:, 2 * blocks.p + blocks.f + i - 1], d, out=W[:, q])
+        W = dtbtrs(L, W, uplo="L", diag="U", overwrite_b=True)[0]
+        theta, rank, cond = gram_solve(W.T @ W, q)
         thetas.append(theta)
-        ranks.append(int(rank))
-        conds.append(float(s[0] / s[-1]) if s[-1] > 0 else float("inf"))
+        ranks.append(rank)
+        conds.append(cond)
     return _bank_estimate(thetas, blocks, gram_rank=tuple(ranks), gram_cond=tuple(conds))
 
 

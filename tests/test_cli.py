@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from parsimid import fit_metric, impulse_response, load_model, simulate
-from parsimid.benchmark import example1_system
+from parsimid import RealizationConfig, fit_metric, impulse_response, load_model, simulate
+from parsimid.benchmark import example1_system, example2_scenario
 from parsimid.cli import EXIT_NOINPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_args
 
 from helpers import child_env
@@ -25,6 +25,8 @@ class TestParseArgs:
         assert cfg.command == "identify"
         assert cfg.method == "parsim_opt"
         assert cfg.order == 2 and cfg.f == 10 and cfg.p == "aic"
+        # p = order + 1, the lowest order AIC can pick, until AIC picks it
+        assert cfg.config == RealizationConfig(n_x=2, f=10, p=3, method="parsim_opt")
 
     def test_explicit_past_horizon(self):
         cfg = parse_args([
@@ -32,6 +34,7 @@ class TestParseArgs:
             "--in", "a.csv", "--out", "m.json",
         ])
         assert cfg.p == 20
+        assert cfg.config == RealizationConfig(n_x=2, f=10, p=20, method="parsim")
 
     def test_benchmark_flags(self):
         cfg = parse_args(["benchmark", "--scenario", "example1", "--trials", "50", "--seed", "7", "--out", "d"])
@@ -49,6 +52,14 @@ class TestParseArgs:
             (["simulate", "--system", "example1", "--input-kind", "rbs", "--rbs-band", "2"],
              "--rbs-band must be in (0, 1]"),
             (["simulate", "--system", "example1", "--rbs-band", "0"], "--rbs-band must be in (0, 1]"),
+            # RealizationConfig and Scenario own these rules.
+            (["identify", "--method", "parsim", "--order", "2", "--p", "0", "--in", "a.csv"],
+             "past horizon must be >= 1"),
+            (["identify", "--method", "parsim", "--order", "1", "--f", "1", "--in", "a.csv"],
+             "future horizon must be >= 2"),
+            (["benchmark", "--scenario", "example1", "--trials", "0"], "trials must be >= 1"),
+            (["benchmark", "--scenario", "example3", "--trials", "0"], "trials must be >= 1"),
+            (["benchmark", "--scenario", "example1-sweep", "--trials", "-2"], "trials must be >= 1"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv, message):
@@ -68,6 +79,10 @@ class TestParseArgs:
             "identify", "--method", "parsim", "--order", "10", "--f", "10",
             "--in", "a.csv", "--out", "m.json",
         ]) == EXIT_USAGE
+
+    def test_benchmark_scenario_is_built(self):
+        cfg = parse_args(["benchmark", "--scenario", "example2", "--trials", "3", "--methods", "ssarx", "--out", "d"])
+        assert cfg.scenario_run == example2_scenario(trials=3, methods=("ssarx",))
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import subspace_angles
+from scipy.linalg import solveh_banded, subspace_angles
 
 from parsimid import (
     ConfigError,
@@ -26,7 +26,7 @@ from parsimid import (
     ssarx_estimate,
     toeplitz_gram_band,
 )
-from parsimid import estimators
+from parsimid import _lstsq, estimators
 from parsimid.benchmark import _trial_data, example1_system, example3_scenario
 
 from helpers import (
@@ -189,6 +189,17 @@ def bank_record(name, seed, noisy):
     return example_record(name, seed, noisy=noisy), 10
 
 
+def svd_gram_health(blocks, h):
+    """(rank, cond) of each explicitly whitened Gram Z (T'T)^(-1) Z', rows 2..f, by SVD."""
+    b, eps = row_blocks(blocks), np.finfo(float).eps
+    out = []
+    for i in range(2, blocks.f + 1):
+        Z = np.vstack([b.Z_p, b.U_f[:i]])
+        s = np.linalg.svd(Z @ solveh_banded(toeplitz_gram_band(h.h, i, blocks.N), Z.T), compute_uv=False)
+        out.append((int(np.sum(s > eps * Z.shape[0] * s[0])), s[0] / s[-1]))
+    return out
+
+
 class TestWlsBankReference:
     """The one-sweep WLS bank against the two-solve ``solveh_banded`` bank."""
 
@@ -208,6 +219,12 @@ class TestWlsBankReference:
             assert rel(est.g_rows[i], g_rows[i]) < 1e-10, i
         assert est.gram_rank == tuple(2 * p + i for i in range(2, f + 1))
         assert len(est.gram_cond) == f - 1
+        # The eigenvalues of the bank's Gram are the singular values of the
+        # explicitly whitened one to about eps * s_max, so cond agrees to
+        # about eps * cond relative (0.7 eps * cond at most on these rows).
+        for (rank, cond), est_rank, est_cond in zip(svd_gram_health(blocks, h), est.gram_rank, est.gram_cond):
+            assert est_rank == rank
+            assert abs(est_cond / cond - 1) < 100 * np.finfo(float).eps * cond
 
     @pytest.mark.parametrize("name,p", [("example1", 10), ("example1", 20), ("example2", 20)])
     def test_noise_free_bank_keeps_minimum_norm(self, name, p):
@@ -222,6 +239,8 @@ class TestWlsBankReference:
         assert rel(est.gamma_lp, gamma) < 1e-10
         assert rel(np.concatenate(est.g_rows), np.concatenate(g_rows)) < 1e-10
         assert min(est.gram_rank) < 2 * p + 2
+        assert all(rank < 2 * p + i for i, rank in enumerate(est.gram_rank, start=2))
+        assert est.gram_rank == tuple(rank for rank, _ in svd_gram_health(blocks, h))
 
     # Noise-free records excite only the input-driven states (two for
     # Examples 1 and 2), and their output rows are exactly collinear: the
@@ -234,6 +253,42 @@ class TestWlsBankReference:
         rec, f = bank_record(name, 0, noisy=False)
         s = identify(rec, RealizationConfig(n_x=n_x, f=f, p=p, method="parsim_opt")).singular_values
         assert s[n_x] / s[0] < bound
+
+    def test_failed_gram_cholesky_falls_back_to_lstsq(self, monkeypatch):
+        # A full-rank Gram whose dpotrf reports failure is solved by lstsq,
+        # with the same answer.
+        rec, f = bank_record("example1", 0, noisy=True)
+        blocks = assemble_blocks(rec, f, p=9)
+        h = predictor_to_innovations(fit_arx(rec, 30))
+        calls = {"dpotrf": 0, "lstsq": 0}
+
+        def failing_dpotrf(a, **kwargs):
+            calls["dpotrf"] += 1
+            return a, 1
+
+        def counted_lstsq(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(_lstsq, "dpotrf", failing_dpotrf)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        est = parsim_wls(blocks, h)
+        monkeypatch.undo()
+        assert calls == {"dpotrf": f - 1, "lstsq": f - 1}
+        assert est.gram_rank == tuple(2 * 9 + i for i in range(2, f + 1))
+        gamma, g_rows = ref_parsim_wls(blocks, h)
+        for i in range(f):
+            assert rel(est.gamma_lp[i], gamma[i]) < 1e-10, i
+            assert rel(est.g_rows[i], g_rows[i]) < 1e-10, i
+
+    def test_factorable_gram_below_the_cutoff_keeps_minimum_norm(self):
+        # dpotrf factors this Gram, but its second singular value is under
+        # lstsq's cutoff, so the solve drops that direction as lstsq does.
+        G = np.array([[1.0, 0.0, 1.0], [0.0, 1e-20, 1.0], [1.0, 1.0, 3.0]])
+        theta, rank, cond = _lstsq.gram_solve(G, 2)
+        np.testing.assert_array_equal(theta, np.linalg.lstsq(G[:2, :2], G[:2, 2], rcond=None)[0])
+        assert (rank, cond) == (1, 1e20)
 
     def test_failed_cholesky_names_the_row(self, monkeypatch):
         _, rec = example1_record(600, 1.5, seed=6)
