@@ -26,11 +26,11 @@ triangular sweep W = L^(-1) [Z' y'] (``dtbtrs`` on the unit-diagonal
 factor D^(-1) L, D = diag(L), with the columns divided by D as they are
 copied in), and solve on the small Gram W'W by :func:`_lstsq.gram_solve`:
 its eigenvalues give the rank and condition, and a full-rank Gram is
-solved by Cholesky.  All solves keep pseudo-inverse (minimum-norm)
-semantics with the machine-epsilon * max-dimension * largest-singular-value
-cutoff: noise-free records make the output-side rows exactly collinear.
-Input excitation is checked once, for every method, by
-:func:`data_blocks.assemble_blocks`.
+solved by Cholesky and refined once against W.  All solves keep
+pseudo-inverse (minimum-norm) semantics with the machine-epsilon *
+max-dimension * largest-singular-value cutoff: noise-free records make
+the output-side rows exactly collinear.  Input excitation is checked
+once, for every method, by :func:`data_blocks.assemble_blocks`.
 """
 
 from __future__ import annotations
@@ -141,8 +141,10 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     critical path.  :func:`_lstsq.gram_solve` takes the Gram's eigenvalues
     (the singular values lstsq would find), returns its rank and
     condition as ``gram_rank`` and ``gram_cond``, and solves a full-rank
-    Gram by Cholesky; a rank-deficient one, or one whose Cholesky
-    factorization fails, is solved by lstsq for the minimum-norm answer.
+    Gram by Cholesky with one refinement step against W, which brings the
+    row to the accuracy of a QR solve of the whitened design; a
+    rank-deficient one, or one whose Cholesky factorization fails, is
+    solved by lstsq for the minimum-norm answer.
     Row 1 has white row noise and coincides with the OLS row.
 
     Args:
@@ -170,7 +172,7 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
         np.divide(blocks.design[:, :q], d[:, None], out=W[:, :q])
         np.divide(blocks.design[:, 2 * blocks.p + blocks.f + i - 1], d, out=W[:, q])
         W = dtbtrs(L, W, uplo="L", diag="U", overwrite_b=True)[0]
-        theta, rank, cond = gram_solve(W.T @ W, q)
+        theta, rank, cond = gram_solve(W, q)
         thetas.append(theta)
         ranks.append(rank)
         conds.append(cond)

@@ -13,6 +13,7 @@ order on the way, and leaves that fit in the record it is given.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
@@ -56,9 +57,19 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """``operator.index(value)``: numpy integers pass, and 2.5 or 10.0 is a ConfigError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RealizationConfig:
     """Settings for one identification run.
+
+    Integer fields take any integer type (``operator.index``), numpy's too.
 
     Attributes:
         n_x: Target model order, 1 <= n_x <= f - 1.
@@ -76,6 +87,8 @@ class RealizationConfig:
     method: str = "parsim_opt"
 
     def __post_init__(self):
+        for name in ("n_x", "f", "p"):
+            _integer(getattr(self, name), name)
         if self.f < 2:
             raise ConfigError(f"future horizon must be >= 2, got {self.f}")
         if not 1 <= self.n_x <= self.f - 1:
@@ -169,10 +182,11 @@ def select_order_aic(rec: SignalRecord | PreparedRecord, grid) -> int:
     chosen order is the same for a bare record and a prepared one.
 
     Raises:
-        ConfigError: If the grid is empty or no candidate can be fitted.
+        ConfigError: If the grid is empty, holds a non-integer order, or no
+            candidate can be fitted.
     """
     prep = rec if isinstance(rec, PreparedRecord) else PreparedRecord(rec)
-    orders = sorted({int(n) for n in grid})
+    orders = sorted({_integer(n, "ARX order") for n in grid})
     if not orders:
         raise ConfigError("order grid is empty")
     if orders[0] < 1:

@@ -130,6 +130,17 @@ class TestSelectOrderAic:
             scaled = SignalRecord(u=rec.u, y=scale * rec.y)
             assert select_order_aic(scaled, range(1, 15)) == chosen
 
+    @pytest.mark.parametrize("grid,value", [([4.5, 6], "4.5"), ([6.9], "6.9")])
+    def test_non_integer_order_rejected(self, grid, value):
+        # int() used to truncate these: [4.5, 6] fitted order 4, and [6.9] picked 6.
+        rec = gen_arx([0.5], [1.0], 500, 0.1, seed=7)
+        with pytest.raises(ConfigError, match=f"^ARX order must be an integer, got {value}$"):
+            select_order_aic(rec, grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        rec = gen_arx([0.4, 0.3], [1.0, -0.5], 3000, 0.02, seed=6)
+        assert select_order_aic(rec, np.arange(1, 11)) == select_order_aic(rec, range(1, 11)) == 2
+
     def test_empty_grid(self):
         rec = gen_arx([0.5], [1.0], 500, 0.1, seed=10)
         with pytest.raises(ConfigError):

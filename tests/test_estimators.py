@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded, subspace_angles
+from scipy.linalg import cholesky_banded, solve_banded, solveh_banded, subspace_angles
 
 from parsimid import (
     ConfigError,
@@ -226,6 +226,26 @@ class TestWlsBankReference:
             assert est_rank == rank
             assert abs(est_cond / cond - 1) < 100 * np.finfo(float).eps * cond
 
+    @pytest.mark.parametrize("name,aic_n_x", [("example1", 3), ("example2", None), ("example3", 6)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_bank_matches_a_qr_solve_of_the_whitened_design(self, name, aic_n_x, seed):
+        # Each row against lstsq on L^(-1) [Z' y'], with T'T = L L' factored
+        # and swept by scipy's banded routines.  The one refinement step
+        # brings the Gram solve to a QR solve's accuracy; without it,
+        # Example 2 rows miss by up to 5e-11.
+        rec, f = bank_record(name, seed, noisy=True)
+        p = 20 if aic_n_x is None else select_order_aic(rec, default_aic_grid(aic_n_x, len(rec)))
+        blocks = assemble_blocks(rec, f, p)
+        h = predictor_to_innovations(fit_arx(rec, 30))
+        b = row_blocks(blocks)
+        est = parsim_wls(blocks, h)
+        for i in range(2, f + 1):
+            L = cholesky_banded(toeplitz_gram_band(h.h, i, blocks.N)[::-1], lower=True)
+            Z = np.vstack([b.Z_p, b.U_f[:i]])
+            W = solve_banded((i - 1, 0), L, np.column_stack([Z.T, b.Y_f[i - 1]]))
+            want = np.linalg.lstsq(W[:, :-1], W[:, -1], rcond=None)[0]
+            assert rel(np.r_[est.gamma_lp[i - 1], est.g_rows[i - 1]], want) <= 1e-12, i
+
     @pytest.mark.parametrize("name,p", [("example1", 10), ("example1", 20), ("example2", 20)])
     def test_noise_free_bank_keeps_minimum_norm(self, name, p):
         # The weighted Grams are rank deficient here (cond near 1e16); only
@@ -285,10 +305,13 @@ class TestWlsBankReference:
     def test_factorable_gram_below_the_cutoff_keeps_minimum_norm(self):
         # dpotrf factors this Gram, but its second singular value is under
         # lstsq's cutoff, so the solve drops that direction as lstsq does.
-        G = np.array([[1.0, 0.0, 1.0], [0.0, 1e-20, 1.0], [1.0, 1.0, 3.0]])
-        theta, rank, cond = _lstsq.gram_solve(G, 2)
+        # The columns e1, 2^-35 e2 and e1 + 2^35 e2 give G[:2, :3] =
+        # [[1, 0, 1], [0, 2^-70, 1]] exactly.
+        W = np.array([[1.0, 0.0, 1.0], [0.0, 2.0**-35, 2.0**35]])
+        G = W.T @ W
+        theta, rank, cond = _lstsq.gram_solve(W, 2)
         np.testing.assert_array_equal(theta, np.linalg.lstsq(G[:2, :2], G[:2, 2], rcond=None)[0])
-        assert (rank, cond) == (1, 1e20)
+        assert (rank, cond) == (1, 2.0**70)
 
     def test_failed_cholesky_names_the_row(self, monkeypatch):
         _, rec = example1_record(600, 1.5, seed=6)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgeqrf, dgeqrt
 
 from parsimid import (
     ConfigError,
@@ -87,16 +87,43 @@ class TestNestedLstsq:
             assert ls.rank(cols) == np.linalg.matrix_rank(A[:, cols])
 
     def test_r_is_bit_identical_to_the_qr_of_the_stacked_design(self):
-        # dgeqrf overwrites a Fortran-ordered float64 A, and R is bit-identical
+        # dgeqrt overwrites a Fortran-ordered float64 A, and R is bit-identical
         # to the factor of a copy.
         rec = example_record("example1", 0, noisy=True)
         A = _arx_design(rec.u, rec.y, 30, 30)
         assert A.flags.f_contiguous and A.dtype == np.float64
-        want = np.triu(dgeqrf(A.copy())[0][:61])
+        want = np.triu(dgeqrt(8, A.copy())[0][:61])
         for buf in (np.ascontiguousarray(A), A):
             ls = NestedLstsq(buf, 60)
             np.testing.assert_array_equal(ls.R, want)
         np.testing.assert_array_equal(np.triu(A[:61]), want)
+
+    # The designs the library factors (ARX at orders 10 and 30 for AIC and
+    # the weighting, data blocks of Examples 1-3), then designs with fewer
+    # rows or columns than the kernel's block of 8, or fewer rows than columns.
+    @pytest.mark.parametrize(
+        "design",
+        [("arx", "example1", 10), ("arx", "example2", 30), ("arx", "example3", 30)]
+        + [("blocks", "example1", 10, 8), ("blocks", "example2", 10, 20), ("blocks", "example3", 20, 10)]
+        + [("random", m, n) for m, n in [(5, 3), (7, 7), (40, 5), (3, 9), (12, 30), (1, 1)]],
+        ids=lambda design: "-".join(map(str, design)),
+    )
+    def test_r_matches_dgeqrf(self, design):
+        # R differs from the level-2 Householder QR only by rounding.
+        kind, *args = design
+        if kind == "arx":
+            _, rec = trial_record(args[0], 0)
+            A = _arx_design(rec.u, rec.y, args[1], args[1])
+        elif kind == "blocks":
+            _, rec = trial_record(args[0], 0)
+            A = assemble_blocks(rec, args[1], args[2]).design
+        else:
+            A = np.random.default_rng(args[0] * args[1]).standard_normal(args)
+        m, n = A.shape
+        want = np.triu(dgeqrf(np.asfortranarray(A))[0][:n])
+        got = NestedLstsq(np.asfortranarray(A), min(m, n)).R
+        assert got.shape == want.shape == (min(m, n), n)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("noise", [0.0, 0.5])
     def test_input_lag_rank_of_a_two_sine_record(self, noise):

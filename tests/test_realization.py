@@ -373,6 +373,25 @@ class TestIdentify:
         with pytest.raises(ConfigError):
             RealizationConfig(n_x=2, f=10, p=5, method="other")
 
+    @pytest.mark.parametrize(
+        "settings,name,value",
+        [
+            (dict(n_x=2.5, f=10, p=8), "n_x", "2.5"),
+            (dict(n_x=3, f=10.0, p=8), "f", "10.0"),
+            (dict(n_x=3, f=10, p=8.5), "p", "8.5"),
+        ],
+    )
+    def test_non_integer_setting_rejected(self, settings, name, value):
+        # identify used to fail on these with "slice indices must be integers".
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value}$"):
+            RealizationConfig(**settings)
+
+    def test_numpy_integer_settings_accepted(self):
+        _, rec = seed2_example1_record()
+        cfg = RealizationConfig(n_x=np.int64(3), f=np.int32(10), p=np.int64(8), method="parsim")
+        want = identify(rec, RealizationConfig(n_x=3, f=10, p=8, method="parsim"))
+        np.testing.assert_array_equal(identify(rec, cfg).singular_values, want.singular_values)
+
 
 def seed2_example1_record():
     """The record of ``parsimid simulate --system example1 --noise-variance 4 --seed 2``."""
