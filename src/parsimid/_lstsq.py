@@ -63,9 +63,9 @@ class NestedLstsq:
             return x
         return np.linalg.lstsq(R11, b, rcond=_EPS * max(self.m, q))[0]
 
-    def solve(self, q: int, j: int = 0) -> tuple[np.ndarray, float]:
-        """Minimum-norm coefficients and residual sum of squares of target j on X[:, :q]."""
-        c = self.k + j
+    def solve(self, q: int) -> tuple[np.ndarray, float]:
+        """Minimum-norm coefficients and residual sum of squares of the first target on X[:, :q]."""
+        c = self.k
         theta = self.regress(q, c)
         r = self.R[:q, :q] @ theta - self.R[:q, c]
         tail = self.R[q:, c]

@@ -24,7 +24,7 @@ from scipy.signal import lfilter
 
 from ._lstsq import NestedLstsq
 from .errors import ConfigError, ExcitationError
-from .ss_model import SignalRecord, _freeze
+from .ss_model import SignalRecord, _freeze, _integer, _variance
 
 __all__ = [
     "PredictorMarkov",
@@ -56,11 +56,9 @@ class PredictorMarkov:
         h, g = _freeze(np.ravel(self.h_bar), "h_bar"), _freeze(np.ravel(self.g_bar), "g_bar")
         if h.shape != g.shape:
             raise ConfigError("h_bar and g_bar must have equal length")
-        if not (np.isfinite(self.residual_variance) and self.residual_variance >= 0):
-            raise ConfigError(f"residual_variance must be finite and >= 0, got {self.residual_variance}")
+        object.__setattr__(self, "residual_variance", _variance(self.residual_variance, "residual_variance"))
         object.__setattr__(self, "h_bar", h)
         object.__setattr__(self, "g_bar", g)
-        object.__setattr__(self, "residual_variance", float(self.residual_variance))
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,7 @@ def _check_input_lags(ls: NestedLstsq, n: int) -> None:
 
 def _check_order(n: int, n_total: int, start: int) -> None:
     """Raise unless order n can be fitted on the samples from ``start`` on."""
-    if n < 1:
-        raise ConfigError(f"ARX order must be >= 1, got {n}")
+    _integer(n, "ARX order", 1)
     if n_total < MIN_SAMPLES_PER_ORDER * n:
         raise ConfigError(
             f"record of length {n_total} too short for ARX order {n}: need at least {MIN_SAMPLES_PER_ORDER * n} samples"
@@ -122,7 +119,7 @@ def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
         RSS / (n_eff - 2 n).
 
     Raises:
-        ConfigError: If n is too large for the record.
+        ConfigError: If n is not an integer >= 1 or is too large for the record.
         ExcitationError: If the input-lag block is rank deficient.
     """
     _check_order(n, len(rec), n)
@@ -138,11 +135,12 @@ def _arx_markov(theta: np.ndarray, rss: float, m: int, n: int) -> PredictorMarko
 
 def max_arx_order(n_total: int) -> int:
     """Largest order of the default AIC grid: AIC_MAX_ORDER, pruned by the data-length rule."""
-    return min(AIC_MAX_ORDER, n_total // MIN_SAMPLES_PER_ORDER)
+    return min(AIC_MAX_ORDER, _integer(n_total, "record length", 1) // MIN_SAMPLES_PER_ORDER)
 
 
 def default_aic_grid(n_x: int, n_total: int) -> list[int]:
-    """Default order grid {n_x + 1, ..., max_arx_order(n_total)}."""
+    """Default order grid {n_x + 1, ..., max_arx_order(n_total)}, for integers n_x >= 1 and n_total >= 1."""
+    n_x = _integer(n_x, "n_x", 1)
     grid = list(range(n_x + 1, max_arx_order(n_total) + 1))
     if not grid:
         raise ConfigError(

@@ -21,7 +21,7 @@ from scipy.signal import butter, lfilter, sosfilt
 from .arx_pre import default_aic_grid
 from .errors import ConfigError, ParsimidError
 from .realization import PreparedRecord, RealizationConfig, identify, select_order_aic
-from .ss_model import SignalRecord, StateSpaceModel, impulse_response, observability, simulate
+from .ss_model import SignalRecord, StateSpaceModel, _integer, _variance, impulse_response, observability, simulate
 
 __all__ = [
     "Scenario",
@@ -112,8 +112,10 @@ def random_system(seed, n_x: int = 6) -> StateSpaceModel:
     draws are rejected.  The result is a bit-exact function of the seed.
 
     Raises:
-        ConfigError: When the rejection-sampling budget is exhausted.
+        ConfigError: If n_x is not an integer >= 1, or when the
+            rejection-sampling budget is exhausted.
     """
+    n_x = _integer(n_x, "n_x", 1)
     rng = np.random.default_rng(seed)
     draws = 0
     while draws < RANDOM_MAX_DRAWS:
@@ -152,6 +154,7 @@ def gen_rbs(N: int, band_high: float, seed) -> np.ndarray:
     taken.  ``band_high = 1`` skips the filter and returns sign of white
     noise.
     """
+    N = _integer(N, "N", 1)
     if not 0.0 < band_high <= 1.0:
         raise ConfigError(f"band_high must be in (0, 1], got {band_high}")
     rng = np.random.default_rng(seed)
@@ -201,12 +204,10 @@ class Scenario:
     methods: tuple[str, ...]
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        _integer(self.trials, "trials", 1)
         if self.system_source not in ("example1", "example2", "random"):
             raise ConfigError(f"unknown system source {self.system_source!r}")
-        if np.isnan(self.noise_variance) or self.noise_variance < 0:
-            raise ConfigError(f"noise_variance must be >= 0, got {self.noise_variance}")
+        _variance(self.noise_variance, "noise_variance")
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ConfigError("scenario needs at least one method")
@@ -256,7 +257,7 @@ class BenchReport:
 
 
 def _trial_seeds(master_seed: int, trial: int) -> tuple[int, int, int, int]:
-    state = np.random.SeedSequence([int(master_seed), int(trial)]).generate_state(4)
+    state = np.random.SeedSequence([master_seed, trial]).generate_state(4)
     return tuple(int(v) for v in state)
 
 
@@ -322,10 +323,10 @@ def monte_carlo(sc: Scenario, master_seed: int, jobs: int = 1) -> BenchReport:
     Individual trial failures are recorded per row (with the failing stage
     in the message) and never abort the run.  Results are independent of
     ``jobs`` because every trial is a pure function of
-    (scenario, master_seed, trial index).
+    (scenario, master_seed, trial index).  ``master_seed`` is an integer
+    >= 0 and ``jobs`` one >= 1, else ConfigError.
     """
-    if master_seed < 0:
-        raise ConfigError("master seed must be a nonnegative integer")
+    master_seed, jobs = _integer(master_seed, "master seed", 0), _integer(jobs, "jobs", 1)
     args = (repeat(sc), repeat(master_seed), range(sc.trials))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

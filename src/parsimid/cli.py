@@ -23,7 +23,7 @@ from .arx_pre import default_aic_grid
 from .errors import ConfigError, ParsimidError
 from .estimators import METHODS
 from .realization import PreparedRecord, RealizationConfig, identify, select_order_aic
-from .ss_model import SignalRecord, load_model, save_model, simulate
+from .ss_model import SignalRecord, _integer, _variance, load_model, save_model, simulate
 
 log = logging.getLogger("parsimid")
 
@@ -90,10 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _built(make, **kwargs):
-    """``make(**kwargs)``, its ConfigError raised as a UsageError (exit 2)."""
+def _built(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ConfigError raised as a UsageError (exit 2)."""
     try:
-        return make(**kwargs)
+        return make(*args, **kwargs)
     except ConfigError as err:
         raise UsageError(str(err)) from None
 
@@ -105,7 +105,9 @@ def parse_args(argv) -> argparse.Namespace:
     own their rules: ``identify`` gets ``config``, its RealizationConfig
     (p = order + 1, the lowest AIC order, stands in until AIC picks p), and
     ``benchmark`` gets ``scenario_run``, the Scenario it runs (for a sweep,
-    one that stands for all of its scenarios).
+    one that stands for all of its scenarios).  ``--seed``, ``--n-samples``,
+    ``--jobs`` and ``--noise-variance`` take the library's integer and
+    variance rules.
     """
     ns = build_parser().parse_args(argv)
     if ns.command == "identify":
@@ -118,18 +120,14 @@ def parse_args(argv) -> argparse.Namespace:
         p = ns.order + 1 if ns.p == "aic" else ns.p
         ns.config = _built(RealizationConfig, n_x=ns.order, f=ns.f, p=p, method=ns.method)
         return ns
-    if ns.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {ns.seed}")
+    _built(_integer, ns.seed, "--seed", 0)
     if ns.command == "simulate":
-        if ns.n_samples < 1:
-            raise UsageError(f"--n-samples must be >= 1, got {ns.n_samples}")
-        if ns.noise_variance < 0:
-            raise UsageError(f"--noise-variance must be >= 0, got {ns.noise_variance}")
+        _built(_integer, ns.n_samples, "--n-samples", 1)
+        _built(_variance, ns.noise_variance, "--noise-variance")
         if not 0.0 < ns.rbs_band <= 1.0:
             raise UsageError(f"--rbs-band must be in (0, 1], got {ns.rbs_band}")
         return ns
-    if ns.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
+    _built(_integer, ns.jobs, "--jobs", 1)
     parts = [m.strip() for m in (ns.methods or "").split(",") if m.strip()]
     unknown = [m for m in parts if m not in _METHOD_FLAGS]
     if unknown:

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lstsq import NestedLstsq
 from .errors import ConfigError, ExcitationError
-from .ss_model import SignalRecord
+from .ss_model import SignalRecord, _integer
 
 __all__ = ["DataBlocks", "assemble_blocks"]
 
@@ -57,11 +57,10 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
         future blocks sits at absolute time ``p``.
 
     Raises:
-        ConfigError: If the record is shorter than f + p.
+        ConfigError: If f or p is not an integer >= 1, or the record is shorter than f + p.
         ExcitationError: If the input Hankel [U_p; U_f] has rank below f + p.
     """
-    if f < 1 or p < 1:
-        raise ConfigError(f"horizons must be >= 1, got f={f}, p={p}")
+    f, p = _integer(f, "future horizon", 1), _integer(p, "past horizon", 1)
     n_total = len(rec)
     if n_total < f + p:
         raise ConfigError(

@@ -45,6 +45,7 @@ from ._lstsq import gram_solve
 from .arx_pre import InnovationsMarkov, PredictorMarkov
 from .data_blocks import DataBlocks
 from .errors import ConfigError, RankError
+from .ss_model import _integer
 
 __all__ = [
     "RangeEstimate",
@@ -97,6 +98,7 @@ def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
     Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.  As every
     diagonal is constant, the rows reversed are the lower-band storage.
     """
+    i, N = _integer(i, "bank row", 1), _integer(N, "N", 1)
     h = np.asarray(h, dtype=float).ravel()[: i - 1]
     # [H_0, H_1, ..., H_{i-1}]; missing high lags count as 0
     b_nat = np.r_[np.zeros(i - 1 - h.size), h[::-1], 1.0][::-1]

@@ -13,7 +13,6 @@ order on the way, and leaves that fit in the record it is given.
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
@@ -42,7 +41,7 @@ from .estimators import (
     parsim_wls,
     ssarx_estimate,
 )
-from .ss_model import SignalRecord, StateSpaceModel, is_stable, observability, spectral_radius
+from .ss_model import SignalRecord, StateSpaceModel, _integer, is_stable, observability, spectral_radius
 
 __all__ = [
     "RealizationConfig",
@@ -57,24 +56,14 @@ __all__ = [
 ]
 
 
-def _integer(value, name: str) -> int:
-    """``operator.index(value)``: numpy integers pass, and 2.5 or 10.0 is a ConfigError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class RealizationConfig:
     """Settings for one identification run.
 
-    Integer fields take any integer type (``operator.index``), numpy's too.
-
     Attributes:
         n_x: Target model order, 1 <= n_x <= f - 1.
         f: Future horizon, >= 2.
-        p: Past horizon (also the ARX pre-estimation order).
+        p: Past horizon, >= 1 (also the ARX pre-estimation order).
         method: One of "parsim", "parsim_opt", "classical", "ssarx".
 
     The SVD step always weights columns by a square-root factor of the
@@ -87,16 +76,13 @@ class RealizationConfig:
     method: str = "parsim_opt"
 
     def __post_init__(self):
-        for name in ("n_x", "f", "p"):
-            _integer(getattr(self, name), name)
-        if self.f < 2:
-            raise ConfigError(f"future horizon must be >= 2, got {self.f}")
-        if not 1 <= self.n_x <= self.f - 1:
+        _integer(self.f, "future horizon", 2)
+        _integer(self.n_x, "n_x", 1)
+        _integer(self.p, "past horizon", 1)
+        if self.n_x > self.f - 1:
             raise ConfigError(
                 f"model order must satisfy 1 <= n_x <= f - 1, got n_x={self.n_x}, f={self.f}"
             )
-        if self.p < 1:
-            raise ConfigError(f"past horizon must be >= 1, got {self.p}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
 
@@ -182,15 +168,13 @@ def select_order_aic(rec: SignalRecord | PreparedRecord, grid) -> int:
     chosen order is the same for a bare record and a prepared one.
 
     Raises:
-        ConfigError: If the grid is empty, holds a non-integer order, or no
-            candidate can be fitted.
+        ConfigError: If the grid is empty, holds an order that is not an
+            integer >= 1, or no candidate can be fitted.
     """
     prep = rec if isinstance(rec, PreparedRecord) else PreparedRecord(rec)
-    orders = sorted({_integer(n, "ARX order") for n in grid})
+    orders = sorted({_integer(n, "ARX order", 1) for n in grid})
     if not orders:
         raise ConfigError("order grid is empty")
-    if orders[0] < 1:
-        raise ConfigError(f"orders must be >= 1, got {orders[0]}")
     n_total, start = len(prep.rec), orders[-1]
     failures, aic, ls = {}, {}, None
     for n in reversed(orders):

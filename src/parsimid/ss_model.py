@@ -16,12 +16,17 @@ the predictor form the natural home for high-order regression models:
 the ARX pre-estimates and SSARX work with its Markov parameters.
 
 All objects in this module are immutable value types; operations are pure
-functions of their inputs and safe to share between workers.
+functions of their inputs and safe to share between workers.  The module
+owns the three value rules every entry point of the package applies:
+``_freeze`` (finite, read-only arrays), ``_integer`` (sizes, counts and
+seeds: an integer type, at least a lower bound) and ``_variance`` (a
+finite value >= 0).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +76,24 @@ def _freeze(a: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
+def _integer(value, name: str, low: int) -> int:
+    """``operator.index(value)`` if at least ``low``: numpy integers pass, and 2.5 or 10.0 is a ConfigError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _variance(value, name: str) -> float:
+    """``float(value)`` if finite and >= 0; NaN, inf or a negative value is a ConfigError."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Innovations-form model (A, B, C, D, K) with innovations variance.
@@ -103,11 +126,9 @@ class StateSpaceModel:
         if D.shape != (1, 1):
             raise ConfigError(f"D must be scalar (SISO), got shape {D.shape}")
         K = _as_shape(self.K, (n, 1), "K")
-        if not np.isfinite(self.sigma_e2) or self.sigma_e2 < 0:
-            raise ConfigError(f"sigma_e2 must be a nonnegative real, got {self.sigma_e2}")
+        object.__setattr__(self, "sigma_e2", _variance(self.sigma_e2, "sigma_e2"))
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D), ("K", K)):
             object.__setattr__(self, name, _freeze(M, name))
-        object.__setattr__(self, "sigma_e2", float(self.sigma_e2))
 
     @property
     def n_x(self) -> int:
@@ -217,15 +238,12 @@ def observability(A: np.ndarray, C: np.ndarray, count: int) -> np.ndarray:
 
 
 def _markov(m: StateSpaceModel, gain: np.ndarray, count: int) -> np.ndarray:
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
-    return (observability(m.A, m.C, count) @ gain)[:, 0]
+    return (observability(m.A, m.C, _integer(count, "count", 1)) @ gain)[:, 0]
 
 
 def impulse_response(m: StateSpaceModel, count: int) -> np.ndarray:
     """First ``count`` lags of the u -> y impulse response, [D, G_1, G_2, ...]."""
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
+    count = _integer(count, "count", 1)
     out = np.empty(count)
     out[0] = m.D[0, 0]
     if count > 1:

@@ -6,6 +6,7 @@ from scipy.signal import lfilter
 
 from parsimid import (
     ConfigError,
+    DivergenceError,
     ExcitationError,
     Scenario,
     default_aic_grid,
@@ -226,8 +227,10 @@ class TestScenarios:
             (3, 10, ("parsim_ols",), "unknown method 'parsim_ols'", 4.0),
             (12, 10, ("parsim",), "model order must satisfy 1 <= n_x <= f - 1, got n_x=12, f=10", 4.0),
             (3, 10, (), "scenario needs at least one method", 4.0),
-            (3, 10, ("parsim",), "noise_variance must be >= 0, got -1.0", -1.0),
-            (3, 10, ("parsim",), "noise_variance must be >= 0, got nan", float("nan")),
+            (3, 10, ("parsim",), "noise_variance must be finite and >= 0, got -1.0", -1.0),
+            (3, 10, ("parsim",), "noise_variance must be finite and >= 0, got nan", float("nan")),
+            # every simulated record would diverge
+            (3, 10, ("parsim",), "noise_variance must be finite and >= 0, got inf", float("inf")),
         ],
     )
     def test_unrunnable_settings_rejected(self, n_x, f, methods, message, noise_variance):
@@ -294,26 +297,26 @@ class TestMonteCarlo:
         assert report.aggregates()["ssarx"]["failures"] == 2
 
     @pytest.mark.parametrize(
-        "N, noise_variance, stage",
+        "patched, error, stage",
         [
             # the simulated output is not finite
-            (800, float("inf"), "data: simulation diverged"),
+            ("simulate", DivergenceError("simulation diverged at step 0"), "data: simulation diverged"),
             # an input that is not persistently exciting fails every order
-            (800, 1.0, "aic: input-lag regressor"),
+            ("select_order_aic", ExcitationError(
+                "input-lag regressor of ARX order 4 is rank deficient: input is not persistently exciting"
+            ), "aic: input-lag regressor"),
         ],
     )
-    def test_early_failure_fills_every_method_row(self, monkeypatch, N, noise_variance, stage):
-        # A scenario's record always fits its default AIC grid, so AIC is made
-        # to fail here; the data stage fails before AIC is reached.
-        def not_exciting(rec, grid):
-            raise ExcitationError(
-                "input-lag regressor of ARX order 4 is rank deficient: input is not persistently exciting"
-            )
+    def test_early_failure_fills_every_method_row(self, monkeypatch, patched, error, stage):
+        # A scenario's settings always give a finite record that fits its
+        # default AIC grid, so the stage is made to fail here.
+        def fail(*args):
+            raise error
 
-        monkeypatch.setattr(benchmark, "select_order_aic", not_exciting)
+        monkeypatch.setattr(benchmark, patched, fail)
         sc = Scenario(
-            name="early_failure", system_source="example1", N=N, f=10, n_x=3,
-            noise_variance=noise_variance, trials=2, methods=("parsim", "ssarx", "classical"),
+            name="early_failure", system_source="example1", N=800, f=10, n_x=3,
+            noise_variance=1.0, trials=2, methods=("parsim", "ssarx", "classical"),
         )
         report = monte_carlo(sc, master_seed=6)
         assert [(r.trial, r.method) for r in report.rows] == [
@@ -373,11 +376,15 @@ class TestWriters:
         assert "parsim" in doc["aggregates"]
         assert len(doc["chosen_p"]) == 2
 
-    def test_aggregates_json_lists_failures(self, tmp_path):
+    def test_aggregates_json_lists_failures(self, monkeypatch, tmp_path):
         # the simulated output is not finite, so every row fails at the data stage
+        def diverged(*args):
+            raise DivergenceError("simulation diverged at step 0")
+
+        monkeypatch.setattr(benchmark, "simulate", diverged)
         sc = Scenario(
             name="early_failure", system_source="example1", N=800, f=10, n_x=3,
-            noise_variance=float("inf"), trials=2, methods=("parsim", "ssarx", "classical"),
+            noise_variance=1.0, trials=2, methods=("parsim", "ssarx", "classical"),
         )
         report = monte_carlo(sc, master_seed=6)
         path = tmp_path / "agg.json"

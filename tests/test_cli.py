@@ -60,6 +60,15 @@ class TestParseArgs:
             (["benchmark", "--scenario", "example1", "--trials", "0"], "trials must be >= 1"),
             (["benchmark", "--scenario", "example3", "--trials", "0"], "trials must be >= 1"),
             (["benchmark", "--scenario", "example1-sweep", "--trials", "-2"], "trials must be >= 1"),
+            # ss_model's integer and variance rules.
+            (["simulate", "--system", "example1", "--n-samples", "0"], "--n-samples must be >= 1, got 0"),
+            (["benchmark", "--scenario", "example1", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["simulate", "--system", "example1", "--noise-variance", "-1"],
+             "--noise-variance must be finite and >= 0, got -1.0"),
+            (["simulate", "--system", "example1", "--noise-variance", "nan"],
+             "--noise-variance must be finite and >= 0, got nan"),
+            (["simulate", "--system", "example1", "--noise-variance", "inf"],
+             "--noise-variance must be finite and >= 0, got inf"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv, message):

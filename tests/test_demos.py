@@ -1,7 +1,7 @@
 """The demos run to completion from a clean working directory.
 
-``demos/03_monte_carlo_studies.py`` is left out: it takes about 20 s and
-writes ``demo_output/``.
+Each runs in its own temporary directory, so the ``demo_output/`` that
+``demos/03_monte_carlo_studies.py`` writes lands there.
 """
 
 import subprocess
@@ -17,7 +17,12 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_simulate_and_identify.py", "02_weighted_bank_vs_plain.py", "04_models_blocks_and_io.py"],
+    [
+        "01_simulate_and_identify.py",
+        "02_weighted_bank_vs_plain.py",
+        "03_monte_carlo_studies.py",
+        "04_models_blocks_and_io.py",
+    ],
 )
 def test_demo_runs(demo, tmp_path):
     proc = subprocess.run(

@@ -75,10 +75,16 @@ class TestNestedLstsq:
         for q in range(1, k + 1):
             for j in range(3):
                 want, *_ = np.linalg.lstsq(X[:, :q], T[:, j], rcond=None)
-                theta, rss = ls.solve(q, j)
+                # Target j is design column k + j; R maps its residual isometrically.
+                theta = ls.regress(q, k + j)
+                rss = float(np.sum((ls.R[:, k + j] - ls.R[:, :q] @ theta) ** 2))
                 np.testing.assert_allclose(theta, want, rtol=0, atol=TOL * max(1.0, np.linalg.norm(want)))
                 r = T[:, j] - X[:, :q] @ want
                 assert rss == pytest.approx(r @ r, rel=1e-9)
+                if j == 0:
+                    solved = ls.solve(q)
+                    np.testing.assert_array_equal(solved[0], theta)
+                    assert solved[1] == pytest.approx(rss, rel=1e-12)
         # Any set of design columns, leading or not, has the rank of its raw columns.
         A = np.column_stack([X, T])
         subsets = [slice(0, q) for q in range(1, k + 1)] + [slice(1, None, 2), slice(k - 1, None)]

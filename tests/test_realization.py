@@ -377,8 +377,8 @@ class TestIdentify:
         "settings,name,value",
         [
             (dict(n_x=2.5, f=10, p=8), "n_x", "2.5"),
-            (dict(n_x=3, f=10.0, p=8), "f", "10.0"),
-            (dict(n_x=3, f=10, p=8.5), "p", "8.5"),
+            (dict(n_x=3, f=10.0, p=8), "future horizon", "10.0"),
+            (dict(n_x=3, f=10, p=8.5), "past horizon", "8.5"),
         ],
     )
     def test_non_integer_setting_rejected(self, settings, name, value):
