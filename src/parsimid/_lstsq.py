@@ -13,12 +13,29 @@ R is read-only, as every method identifying a record reads the same one.
 :func:`gram_solve` answers the same minimum-norm question on the Gram
 G = W'W of a tall W, whose eigenvalues are the singular values of the
 system G[:q, :q] theta = G[:q, q], and refines a full-rank solve against W.
+Every rank of the pipeline is :func:`numerical_rank`'s, by lstsq's cutoff,
+and every fit that needs full column rank is :func:`full_rank_lstsq`'s.
 """
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrt, dpotrf, dpotrs, dsyev, dtrtrs
 
+from .errors import RankError
+
 _EPS = np.finfo(float).eps
+
+
+def numerical_rank(s: np.ndarray, m: int, n: int) -> int:
+    """Count of the singular values ``s`` of an (m, n) matrix above lstsq's cutoff eps * max(m, n) * s_max."""
+    return int(np.sum(s > _EPS * max(m, n) * s.max()))
+
+
+def full_rank_lstsq(M: np.ndarray, T: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """lstsq's X and the RMS of M X - T; RankError "{what} has rank r < n" unless M's n columns have rank n."""
+    X, _, rank, _ = np.linalg.lstsq(M, T, rcond=None)
+    if rank < M.shape[1]:
+        raise RankError(f"{what} has rank {rank} < {M.shape[1]}")
+    return X, float(np.sqrt(np.mean((M @ X - T) ** 2)))
 
 
 class NestedLstsq:
@@ -41,8 +58,7 @@ class NestedLstsq:
     def rank(self, cols) -> int:
         """``np.linalg.matrix_rank`` of the design columns ``cols``, read from R."""
         Rc = self.R[:, cols]
-        s = np.linalg.svd(Rc, compute_uv=False)
-        return int(np.sum(s > _EPS * max(self.m, Rc.shape[1]) * s[0]))
+        return numerical_rank(np.linalg.svd(Rc, compute_uv=False), self.m, Rc.shape[1])
 
     def rank_below(self, cols, need: int) -> int | None:
         """Rank of the X columns ``cols`` if below ``need``, else None; a full-rank X takes no SVD (interlacing)."""
@@ -77,8 +93,8 @@ def gram_solve(W: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
 
     The singular values of the symmetric G[:q, :q] are the absolute values
     of its eigenvalues, which LAPACK ``dsyev`` computes without vectors in
-    a fraction of the SVD's time.  The rank counts those above lstsq's own
-    cutoff eps * q * s_max, and cond is s_max / s_min (inf when s_min is
+    a fraction of the SVD's time.  The rank is their
+    :func:`numerical_rank`, and cond is s_max / s_min (inf when s_min is
     0).  At full rank the Cholesky solve (``dpotrf``/``dpotrs``) gives the
     same solution, and one fixed-precision refinement step against W
     (Bjorck), theta += G^(-1) W_q'(w - W_q theta) with W_q = W[:, :q] and
@@ -92,9 +108,8 @@ def gram_solve(W: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
     if info != 0:
         raise np.linalg.LinAlgError(f"Gram eigenvalues did not converge (dsyev info {info})")
     s = np.abs(ev)
-    s_max, s_min = s.max(), s.min()
-    rank = int(np.sum(s > _EPS * q * s_max))
-    cond = float(s_max / s_min) if s_min > 0 else float("inf")
+    rank, s_min = numerical_rank(s, q, q), s.min()
+    cond = float(s.max() / s_min) if s_min > 0 else float("inf")
     if rank == q:
         c, info = dpotrf(A, lower=1, clean=0)
         if info == 0:

@@ -97,6 +97,8 @@ def example2_system() -> tuple[StateSpaceModel, np.ndarray]:
 
 def _minimal(A, B, C, K) -> bool:
     n = A.shape[0]
+    # np.linalg.matrix_rank applies _lstsq.numerical_rank's rule, so the
+    # draws random_system accepts stay a bit-exact function of the seed.
     # controllability of (A, [B K]) is observability of (A', [B K]')
     ctrb = observability(A.T, np.hstack([B, K]).T, n)
     return np.linalg.matrix_rank(ctrb) == n and np.linalg.matrix_rank(observability(A, C, n)) == n
@@ -204,18 +206,23 @@ class Scenario:
     methods: tuple[str, ...]
 
     def __post_init__(self):
-        _integer(self.trials, "trials", 1)
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", 1))
         if self.system_source not in ("example1", "example2", "random"):
             raise ConfigError(f"unknown system source {self.system_source!r}")
-        _variance(self.noise_variance, "noise_variance")
+        object.__setattr__(self, "noise_variance", _variance(self.noise_variance, "noise_variance"))
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ConfigError("scenario needs at least one method")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"each method may be listed once, got {self.methods}")
+        object.__setattr__(self, "N", _integer(self.N, "record length", 1))
         # Every trial picks p from the default AIC grid; p = n_x + 1 is the
         # smallest order it can pick.
         default_aic_grid(self.n_x, self.N)
         for method in self.methods:
-            RealizationConfig(n_x=self.n_x, f=self.f, p=self.n_x + 1, method=method)
+            cfg = RealizationConfig(n_x=self.n_x, f=self.f, p=self.n_x + 1, method=method)
+        object.__setattr__(self, "n_x", cfg.n_x)
+        object.__setattr__(self, "f", cfg.f)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ factor D^(-1) L, D = diag(L), with the columns divided by D as they are
 copied in), and solve on the small Gram W'W by :func:`_lstsq.gram_solve`:
 its eigenvalues give the rank and condition, and a full-rank Gram is
 solved by Cholesky and refined once against W.  All solves keep
-pseudo-inverse (minimum-norm) semantics with the machine-epsilon *
-max-dimension * largest-singular-value cutoff: noise-free records make
-the output-side rows exactly collinear.  Input excitation is checked
+pseudo-inverse (minimum-norm) semantics, and every rank is decided by
+:func:`_lstsq.numerical_rank`'s cutoff, eps * max dimension * s_max:
+noise-free records make the output-side rows exactly collinear.  Input excitation is checked
 once, for every method, by :func:`data_blocks.assemble_blocks`.
 """
 

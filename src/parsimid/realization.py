@@ -5,6 +5,8 @@ to its leading rank-n_x part; the observability factor U S^(1/2) then
 yields (A, C) by shift invariance, and (B, K) follow from linear fits to
 estimated Markov parameters.  Every method shares this realization; SSARX
 realizes the predictor form, so its A = A_bar + K C is formed at the end.
+Ranks are decided in ``_lstsq``: the SVD's by ``numerical_rank``, and the
+shift's and the gain fits' by ``full_rank_lstsq``, which solves them.
 Every method identifying one record reads one :class:`PreparedRecord`, which
 keeps its data blocks and W2 per horizon pair and its ARX fits per order.
 The AIC order search (:func:`select_order_aic`) solves its largest grid
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lstsq import NestedLstsq
+from ._lstsq import NestedLstsq, full_rank_lstsq, numerical_rank
 from .arx_pre import (
     InnovationsMarkov,
     PredictorMarkov,
@@ -76,9 +78,8 @@ class RealizationConfig:
     method: str = "parsim_opt"
 
     def __post_init__(self):
-        _integer(self.f, "future horizon", 2)
-        _integer(self.n_x, "n_x", 1)
-        _integer(self.p, "past horizon", 1)
+        for name, what, low in (("f", "future horizon", 2), ("n_x", "n_x", 1), ("p", "past horizon", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), what, low))
         if self.n_x > self.f - 1:
             raise ConfigError(
                 f"model order must satisfy 1 <= n_x <= f - 1, got n_x={self.n_x}, f={self.f}"
@@ -227,12 +228,9 @@ def weighted_svd_realize(
     """
     M = est.gamma_lp @ w2
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    tol = np.finfo(float).eps * max(M.shape) * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
+    rank = numerical_rank(s, *M.shape)
     if cfg.n_x > rank:
-        raise RankError(
-            f"requested order {cfg.n_x} exceeds numerical rank {rank}; singular values: {s}"
-        )
+        raise RankError(f"requested order {cfg.n_x} exceeds numerical rank {rank}; singular values: {s}")
     Gamma_hat = U[:, : cfg.n_x] * np.sqrt(s[: cfg.n_x])
     return Gamma_hat, s
 
@@ -254,25 +252,8 @@ def extract_ac(Gamma_hat: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray]
         raise ConfigError(
             f"need at least n_x + 1 = {n_x + 1} block rows for the shift, got {G.shape[0]}"
         )
-    A, _, rank, _ = np.linalg.lstsq(G[:-1], G[1:], rcond=None)
-    if rank < n_x:
-        raise RankError(f"top block of the observability factor has rank {rank} < {n_x}")
+    A, _ = full_rank_lstsq(G[:-1], G[1:], "top block of the observability factor")
     return A, G[:1].copy()
-
-
-def _fit_markov_gain(R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares gain X from observations t ~= R X, R rows of an observability stack.
-
-    Returns the gain column and the fit RMS.
-    """
-    n_x = R.shape[1]
-    gain, _, rank, _ = np.linalg.lstsq(R, t, rcond=None)
-    if rank < n_x:
-        raise RankError(
-            f"observability stack has rank {rank} < {n_x}: (A, C) pair is not observable enough"
-        )
-    rms = float(np.sqrt(np.mean((R @ gain - t) ** 2)))
-    return gain.reshape(-1, 1), rms
 
 
 def estimate_bk(
@@ -295,9 +276,10 @@ def estimate_bk(
     if not k_seq.size or not sum(s.size for s in b_seqs):
         raise ConfigError("no Markov-parameter observations to fit a gain from")
     O = observability(A, C, max(s.size for s in [*b_seqs, k_seq]))
-    B, b_rms = _fit_markov_gain(np.vstack([O[: s.size] for s in b_seqs]), np.concatenate(b_seqs))
-    K, k_rms = _fit_markov_gain(O[: k_seq.size], k_seq)
-    return B, K, b_rms, k_rms
+    what = "observability stack of (A, C)"
+    B, b_rms = full_rank_lstsq(np.vstack([O[: s.size] for s in b_seqs]), np.concatenate(b_seqs), what)
+    K, k_rms = full_rank_lstsq(O[: k_seq.size], k_seq, what)
+    return B[:, None], K[:, None], b_rms, k_rms
 
 
 @contextmanager

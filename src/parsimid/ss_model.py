@@ -287,7 +287,7 @@ def model_from_dict(d: dict) -> StateSpaceModel:
             sigma_e2=d["sigma_e2"],
         )
         for key in ("n_x", "n_u", "n_y"):
-            if key in d and int(d[key]) != getattr(m, key):
+            if key in d and _integer(d[key], f"malformed model document: {key}", 1) != getattr(m, key):
                 raise ConfigError(f"model document {key}={d[key]} does not match matrices ({getattr(m, key)})")
     except KeyError as missing:
         raise ConfigError(f"model document missing key {missing}") from missing

@@ -231,6 +231,8 @@ class TestScenarios:
             (3, 10, ("parsim",), "noise_variance must be finite and >= 0, got nan", float("nan")),
             # every simulated record would diverge
             (3, 10, ("parsim",), "noise_variance must be finite and >= 0, got inf", float("inf")),
+            # every trial would score the method twice
+            (3, 10, ("parsim", "ssarx", "parsim"), "each method may be listed once", 4.0),
         ],
     )
     def test_unrunnable_settings_rejected(self, n_x, f, methods, message, noise_variance):

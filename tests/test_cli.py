@@ -69,6 +69,9 @@ class TestParseArgs:
              "--noise-variance must be finite and >= 0, got nan"),
             (["simulate", "--system", "example1", "--noise-variance", "inf"],
              "--noise-variance must be finite and >= 0, got inf"),
+            # Scenario owns this rule too.
+            (["benchmark", "--scenario", "example1", "--methods", "parsim,parsim"],
+             "each method may be listed once, got ('parsim', 'parsim')"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv, message):

@@ -13,6 +13,7 @@ from scipy.linalg.lapack import dgeqrf, dgeqrt
 
 from parsimid import (
     ConfigError,
+    RankError,
     SignalRecord,
     assemble_blocks,
     default_aic_grid,
@@ -21,7 +22,7 @@ from parsimid import (
     select_order_aic,
     simulate,
 )
-from parsimid._lstsq import NestedLstsq
+from parsimid._lstsq import NestedLstsq, full_rank_lstsq, numerical_rank
 from parsimid.arx_pre import _arx_design
 from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario, example3_scenario
 
@@ -191,6 +192,42 @@ class TestNestedLstsq:
         ls = factor(X, t)
         assert not ls.full_rank
         np.testing.assert_allclose(ls.solve(5)[0], np.linalg.lstsq(X, t, rcond=None)[0], atol=1e-12)
+
+
+class TestRankOwner:
+    """``numerical_rank`` is lstsq's cutoff; ``full_rank_lstsq`` is lstsq behind a full-rank check."""
+
+    @SETTINGS
+    @given(
+        seed=seeds, short=st.integers(2, 12), extra=st.integers(0, 40), deficit=st.integers(1, 3), tall=st.booleans()
+    )
+    def test_numerical_rank_is_matrix_rank(self, seed, short, extra, deficit, tall):
+        rng = np.random.default_rng(seed)
+        m, n = (short + extra, short) if tall else (short, short + extra)
+        rank = max(1, short - deficit)
+        M = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        got = numerical_rank(np.linalg.svd(M, compute_uv=False), *M.shape)
+        assert got == np.linalg.matrix_rank(M) == rank
+
+    @SETTINGS
+    @given(seed=seeds, n=st.integers(1, 8), extra=st.integers(0, 30), targets=st.sampled_from([None, 1, 3]))
+    def test_full_rank_lstsq_matches_lstsq(self, seed, n, extra, targets):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n + extra, n))
+        T = rng.standard_normal(n + extra if targets is None else (n + extra, targets))
+        X, rms = full_rank_lstsq(M, T, "design")
+        want = np.linalg.lstsq(M, T, rcond=None)[0]
+        np.testing.assert_array_equal(X, want)
+        assert rms == pytest.approx(np.linalg.norm(T - M @ want) / np.sqrt(T.size), rel=1e-12, abs=1e-300)
+
+    @SETTINGS
+    @given(seed=seeds, n=st.integers(2, 8), extra=st.integers(0, 30), deficit=st.integers(1, 3))
+    def test_full_rank_lstsq_refuses_a_deficient_design(self, seed, n, extra, deficit):
+        rng = np.random.default_rng(seed)
+        rank = max(1, n - deficit)
+        M = rng.standard_normal((n + extra, rank)) @ rng.standard_normal((rank, n))
+        with pytest.raises(RankError, match=f"^design has rank {rank} < {n}$"):
+            full_rank_lstsq(M, rng.standard_normal(n + extra), "design")
 
 
 class TestAicOrder:

@@ -179,8 +179,11 @@ class TestSerialization:
             ({"A": "abc", "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0}, "could not convert string"),
             ({"A": 0.5, "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0, "n_x": None}, "malformed"),
             ({"A": 0.5, "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0, "n_x": float("inf")}, "malformed"),
+            # Example 1 has 3 states; a size is never truncated or parsed.
+            ({**model_to_dict(example1_system()), "n_x": 3.9}, "malformed model document: n_x must be an integer, got 3.9"),
+            ({**model_to_dict(example1_system()), "n_x": "3"}, "malformed model document: n_x must be an integer, got '3'"),
         ],
-        ids=["list", "string-matrix", "null-n_x", "infinite-n_x"],
+        ids=["list", "string-matrix", "null-n_x", "infinite-n_x", "fractional-n_x", "string-n_x"],
     )
     def test_malformed_document_is_config_error(self, tmp_path, doc, message):
         with pytest.raises(ConfigError, match=message):

@@ -3,10 +3,13 @@
 ``ss_model._integer`` owns the integer rule: any integer type, numpy's too,
 at least a lower bound.  ``ss_model._variance`` owns the variance rule: a
 finite value >= 0.  A float size such as 2.5 or 10.0 is a ConfigError with
-the owner's text, never a bare TypeError and never a silent truncation.
+the owner's text, never a bare TypeError and never a silent truncation.  An
+object that validates a value stores the rule's result, so a numpy integer
+gives the same Python values as an int.
 """
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -16,6 +19,7 @@ from parsimid import (
     ConfigError,
     PredictorMarkov,
     RealizationConfig,
+    Scenario,
     StateSpaceModel,
     assemble_blocks,
     default_aic_grid,
@@ -24,6 +28,7 @@ from parsimid import (
     example3_scenario,
     fit_arx,
     gen_rbs,
+    identify,
     impulse_response,
     markov_g,
     markov_h,
@@ -31,6 +36,7 @@ from parsimid import (
     random_system,
     select_order_aic,
     toeplitz_gram_band,
+    write_aggregates_json,
 )
 from parsimid.arx_pre import max_arx_order
 
@@ -83,7 +89,7 @@ VARIANCES = {
 
 
 def same(a, b) -> bool:
-    """Equal values: arrays bit for bit, dataclasses field by field, NaN equal to NaN."""
+    """Equal values of one type: arrays bit for bit, dataclasses field by field, NaN equal to NaN."""
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
     if dataclasses.is_dataclass(a):
@@ -92,7 +98,7 @@ def same(a, b) -> bool:
         )
     if isinstance(a, (list, tuple)):
         return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
-    return a == b or (a != a and b != b)
+    return type(a) is type(b) and (a == b or (a != a and b != b))
 
 
 @pytest.mark.parametrize("value", [2.5, 10.0])
@@ -129,3 +135,24 @@ def test_variance_outside_its_range_rejected(entry, value):
 def test_zero_variance_accepted(entry):
     call, _ = VARIANCES[entry]
     call(0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_scenario_and_diagnostics_hold_python_numbers(dtype):
+    # ``same`` checks the other config fields: RealizationConfig's, and Scenario's N and trials.
+    sc = Scenario(
+        name="s", system_source="example1", N=300, f=dtype(10), n_x=dtype(3),
+        noise_variance=np.float32(4.0), trials=1, methods=("parsim",),
+    )
+    assert type(sc.f) is int and type(sc.n_x) is int and type(sc.noise_variance) is float
+    diagnostics = identify(REC, RealizationConfig(n_x=dtype(3), f=dtype(10), p=dtype(8))).diagnostics
+    assert type(diagnostics["f"]) is int and type(diagnostics["p"]) is int
+
+
+def test_numpy_integer_scenario_writes_the_same_aggregates(tmp_path):
+    path = tmp_path / "numpy.json"
+    write_aggregates_json(monte_carlo(example1_scenario(N=np.int64(300), trials=1, methods=("parsim",)), 1), path)
+    want = tmp_path / "int.json"
+    write_aggregates_json(_small_run(), want)
+    assert path.read_bytes() == want.read_bytes()
+    assert json.loads(path.read_text())["scenario"]["N"] == 300
