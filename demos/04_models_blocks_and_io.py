@@ -31,8 +31,9 @@ print("impulse via simulate  :", np.round(ps.simulate(model, imp), 4))
 print("impulse via markov    :", np.round(ps.impulse_response(model, 6), 4))
 
 # ----------------------------------------------------------------------
-# Data blocks: the past/future Hankel blocks share their N columns and are
-# held transposed, side by side, in one N x (2p + 2f) design.  The SVD's
+# Data blocks: the past/future Hankel blocks share their N columns.  They are
+# kept as windows of the record, and `design` lays them out transposed, side
+# by side, in one N x (2p + 2f) matrix.  The SVD's
 # column weighting W2 is a (2p, 2p) square-root factor of the past Gram
 # matrix with the future inputs projected out, read from one QR of the record.
 # ----------------------------------------------------------------------

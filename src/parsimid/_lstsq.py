@@ -6,8 +6,11 @@ R[q:, c].  R[:q, :q] has the singular values of X[:, :q], so lstsq with the
 cutoff eps * max(m, q) * s_max keeps the full problem's minimum-norm
 solution.  If X clears its own cutoff, interlacing puts every leading
 block above its cutoff too, and a triangular solve gives that same
-solution.  Likewise R[:, cols] has the singular values of any set of
-design columns, so their numerical rank needs no pass over the m rows.
+solution.  X's full column rank is certified without an SVD, by the
+bound cond(R11) <= ||R11||_F ||R11^(-1)||_F of a triangular inverse; only
+a design that the bound cannot clear takes the SVD.  Likewise R[:, cols]
+has the singular values of any set of design columns, so their numerical
+rank needs no pass over the m rows.
 R is read-only, as every method identifying a record reads the same one.
 
 :func:`gram_solve` answers the same minimum-norm question on the Gram
@@ -18,16 +21,40 @@ and every fit that needs full column rank is :func:`full_rank_lstsq`'s.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt, dpotrf, dpotrs, dsyev, dtrtrs
+from scipy.linalg.lapack import dgeqrt, dlange, dpotrf, dpotrs, dsyev, dtrtri, dtrtrs
 
 from .errors import RankError
 
 _EPS = np.finfo(float).eps
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def numerical_rank(s: np.ndarray, m: int, n: int) -> int:
     """Count of the singular values ``s`` of an (m, n) matrix above lstsq's cutoff eps * max(m, n) * s_max."""
     return int(np.sum(s > _EPS * max(m, n) * s.max()))
+
+
+def certified_full_rank(R: np.ndarray, m: int) -> bool:
+    """True if the (k, k) upper-triangular R of m rows certifiably clears lstsq's cutoff.
+
+    cond(R) <= ||R||_F ||R^(-1)||_F (LAPACK ``dtrtri`` and ``dlange``), and
+    the bound must sit a thousand times inside the cutoff 1 / (eps *
+    max(m, k)), far beyond the rounding of the inverse and of an SVD.  A
+    False is no verdict: m < k, a zero, subnormal or non-finite diagonal, a
+    non-finite inverse or a bound near the cutoff all leave it to the SVD.
+    """
+    k = R.shape[1]
+    if m < k:
+        return False
+    d = np.abs(np.diagonal(R))
+    if not np.all((d >= _TINY) & (d <= _HUGE)):
+        return False
+    # R.T is the same triangle, lower and in Fortran order.
+    inv, info = dtrtri(R.T, lower=1)
+    if info != 0 or not np.isfinite(inv).all():
+        return False
+    # Python floats: an overflowing product is inf, with no warning.
+    return float(dlange("F", R.T)) * float(dlange("F", inv)) * _EPS * max(m, k) <= 1e-3
 
 
 def full_rank_lstsq(M: np.ndarray, T: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -53,7 +80,7 @@ class NestedLstsq:
         qr = dgeqrt(min(8, *A.shape), A, overwrite_a=True)[0]
         self.R = np.triu(qr[: qr.shape[1]])
         self.R.setflags(write=False)
-        self.full_rank = self.rank(slice(0, k)) == k
+        self.full_rank = certified_full_rank(self.R[:k, :k], self.m) or self.rank(slice(0, k)) == k
 
     def rank(self, cols) -> int:
         """``np.linalg.matrix_rank`` of the design columns ``cols``, read from R."""

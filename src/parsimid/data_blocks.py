@@ -1,4 +1,4 @@
-"""Hankel data blocks of a record, as one design matrix, and its one QR factorization.
+"""Hankel data blocks of a record, as windows of its signals, and one QR of their design.
 
 Given a record of length ``N_total`` and horizons ``f`` (future) and ``p``
 (past), the blocks share N = N_total - f - p + 1 columns.  Column c of a
@@ -7,7 +7,9 @@ depends only on r + c (constant anti-diagonals).  The past stack
 ``Z_p = [Y_p; U_p]`` is the regressor that summarizes the state.  Every
 estimator regresses a block of the record on leading rows of
 [Y_p; U_p; U_f], so one N x (2p + 2f) design [Y_p' U_p' U_f' Y_f'] and
-one QR of it serve them all.
+one QR of it serve them all.  The design is built straight into the
+buffer that the QR overwrites, and is not kept: the blocks keep the
+record's windows, which hold every block without a copy.
 """
 
 from __future__ import annotations
@@ -24,24 +26,43 @@ from .ss_model import SignalRecord, _integer
 __all__ = ["DataBlocks", "assemble_blocks"]
 
 
+def _hankel_design(Y: np.ndarray, U: np.ndarray, p: int) -> np.ndarray:
+    """A new Fortran-ordered [Y_p' U_p' U_f' Y_f'] from the windows Y and U."""
+    N, width = Y.shape
+    design = np.empty((N, 2 * width), order="F")
+    design[:, :p] = Y[:, :p]
+    design[:, p : p + width] = U
+    design[:, p + width :] = Y[:, p:]
+    return design
+
+
 @dataclass(frozen=True)
 class DataBlocks:
     """Past/future Hankel blocks of one record, made once per (f, p) of a ``PreparedRecord``.
 
-    ``design`` is the read-only, Fortran-ordered N x (2p + 2f) matrix
-    [Y_p' U_p' U_f' Y_f']: its columns are the block rows, and column 0 of
-    the future blocks sits at absolute time ``p``.  Row i (1-based) of a
-    bank regresses column 2p + f + i - 1 on the first 2p + i columns.
-    ``ls`` holds the QR of ``design`` with X = [Y_p' U_p' U_f'], whose R
-    factor answers every regression the estimators make and the W2
-    weighting.
+    ``Y`` and ``U`` are the read-only N x (f + p) windows of y and u: column
+    r is Hankel row r, the samples r .. r + N - 1, so the first p columns
+    are the past blocks' rows and the last f the future blocks' (column 0
+    of the future blocks sits at absolute time ``p``).  Row i (1-based) of
+    a bank regresses column 2p + f + i - 1 of the design [Y_p' U_p' U_f'
+    Y_f'] on its first 2p + i columns.  ``ls`` holds the QR of the design
+    with X = [Y_p' U_p' U_f'], whose R factor answers every regression the
+    estimators make and the W2 weighting.
     """
 
-    design: np.ndarray
+    Y: np.ndarray
+    U: np.ndarray
     ls: NestedLstsq
     f: int
     p: int
     N: int
+
+    @property
+    def design(self) -> np.ndarray:
+        """The read-only, Fortran-ordered N x (2p + 2f) design, built anew on each access."""
+        design = _hankel_design(self.Y, self.U, self.p)
+        design.setflags(write=False)
+        return design
 
 
 def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
@@ -66,15 +87,9 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
         raise ConfigError(
             f"record of length {n_total} too short: need at least f + p = {f + p} samples"
         )
-    N = n_total - f - p + 1
-    # Window j of a signal is its Hankel row j: samples j .. j + N - 1.
     Y, U = (sliding_window_view(s, f + p) for s in (rec.y, rec.u))
-    design = np.empty((N, 2 * (f + p)), order="F")
-    design[:, :p] = Y[:, :p]
-    design[:, p : 2 * p + f] = U
-    design[:, 2 * p + f :] = Y[:, p:]
-    design.setflags(write=False)
-    ls = NestedLstsq(design.copy(order="F"), 2 * p + f)
+    # NestedLstsq factors the new design in place, so it is never copied.
+    ls = NestedLstsq(_hankel_design(Y, U, p), 2 * p + f)
     # The U_p and U_f columns are the (f + p) x N input Hankel; with N < f + p
     # it has fewer than f + p singular values.
     rank = ls.rank_below(slice(p, 2 * p + f), f + p)
@@ -82,4 +97,4 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
         raise ExcitationError(
             f"input is not persistently exciting of order {f + p} (rank {rank})"
         )
-    return DataBlocks(design=design, ls=ls, f=f, p=p, N=N)
+    return DataBlocks(Y=Y, U=U, ls=ls, f=f, p=p, N=n_total - f - p + 1)

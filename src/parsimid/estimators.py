@@ -21,10 +21,12 @@ of [Y_p; U_p; U_f], so the one QR of the design [Y_p' U_p' U_f' Y_f'] that
 rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  WLS
 rows 2..f each factor their banded T'T = L L' once (LAPACK ``dpbtrf`` on
 lower-band storage, which factors faster than upper), whiten the row's
-regressor and target columns of ``blocks.design`` with one banded
-triangular sweep W = L^(-1) [Z' y'] (``dtbtrs`` on the unit-diagonal
-factor D^(-1) L, D = diag(L), with the columns divided by D as they are
-copied in), and solve on the small Gram W'W by :func:`_lstsq.gram_solve`:
+regressor and target columns, read from the record's windows
+(``blocks.Y``, ``blocks.U``), into the leading columns of one workspace
+per bank with one banded triangular sweep W = L^(-1) [Z' y'] (``dtbtrs``
+on the unit-diagonal factor D^(-1) L, D = diag(L), with the columns
+divided by D as they are copied in), and solve on the small Gram W'W by
+:func:`_lstsq.gram_solve`:
 its eigenvalues give the rank and condition, and a full-rank Gram is
 solved by Cholesky and refined once against W.  All solves keep
 pseudo-inverse (minimum-norm) semantics, and every rank is decided by
@@ -133,8 +135,9 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     Uses the inverse of the row noise covariance T'T as the weighting;
     the innovations variance cancels and is never applied.  Row i factors
     the banded T'T = L L' (bandwidth i - 1, lower-band storage) once,
-    whitens [Z' y'] with one banded triangular sweep into an N x (q + 1)
-    buffer W = L^(-1) [Z' y'], and solves the normal equations of the
+    whitens [Z' y'] with one banded triangular sweep into the leading
+    q + 1 columns of the bank's one N x (2p + f + 1) workspace,
+    W = L^(-1) [Z' y'], and solves the normal equations of the
     small Gram W'W; the N x N inverse is never formed.  The band is
     ``toeplitz_gram_band``'s upper storage with its rows reversed, and the
     lower-band factor is faster to make than the upper one.  The sweep
@@ -158,23 +161,28 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
         RankError: If a row's banded Cholesky factorization fails (guarded;
             cannot occur for finite weights since H_0 = 1).
     """
-    thetas = [blocks.ls.regress(2 * blocks.p + 1, blocks.ls.k)]
+    p, f, N = blocks.p, blocks.f, blocks.N
+    thetas = [blocks.ls.regress(2 * p + 1, blocks.ls.k)]
     ranks, conds = [], []
-    for i in range(2, blocks.f + 1):
-        q = 2 * blocks.p + i
-        L, info = dpbtrf(toeplitz_gram_band(h.h, i, blocks.N)[::-1], lower=1)
+    # Row i whitens [Y_p' U_p' U_i' y_i'] into W's leading 2p + i + 1 columns.
+    W = np.empty((N, 2 * p + f + 1), order="F")
+    for i in range(2, f + 1):
+        q = 2 * p + i
+        L, info = dpbtrf(toeplitz_gram_band(h.h, i, N)[::-1], lower=1)
         if info != 0:
             raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
         # L^(-1) X = (D^(-1) L)^(-1) (D^(-1) X), D = diag(L): the sweep on the
         # unit-diagonal factor makes no division on its critical path.
         d = L[0].copy()
         for k in range(1, i):
-            L[k, : blocks.N - k] /= d[k:]
-        W = np.empty((blocks.N, q + 1), order="F")
-        np.divide(blocks.design[:, :q], d[:, None], out=W[:, :q])
-        np.divide(blocks.design[:, 2 * blocks.p + blocks.f + i - 1], d, out=W[:, q])
-        W = dtbtrs(L, W, uplo="L", diag="U", overwrite_b=True)[0]
-        theta, rank, cond = gram_solve(W, q)
+            L[k, : N - k] /= d[k:]
+        # Through the transposes, each window column is read and written in
+        # one contiguous pass (the untransposed views stride across W).
+        np.divide(blocks.Y[:, :p].T, d, out=W[:, :p].T)
+        np.divide(blocks.U[:, : p + i].T, d, out=W[:, p:q].T)
+        np.divide(blocks.Y[:, p + i - 1], d, out=W[:, q])
+        Wi = dtbtrs(L, W[:, : q + 1], uplo="L", diag="U", overwrite_b=True)[0]
+        theta, rank, cond = gram_solve(Wi, q)
         thetas.append(theta)
         ranks.append(rank)
         conds.append(cond)

@@ -43,7 +43,7 @@ from .estimators import (
     parsim_wls,
     ssarx_estimate,
 )
-from .ss_model import SignalRecord, StateSpaceModel, _integer, is_stable, observability, spectral_radius
+from .ss_model import STABILITY_MARGIN, SignalRecord, StateSpaceModel, _integer, observability, spectral_radius
 
 __all__ = [
     "RealizationConfig",
@@ -162,7 +162,10 @@ def select_order_aic(rec: SignalRecord | PreparedRecord, grid) -> int:
 
     The grid is walked from the largest order down.  One QR of the largest
     fittable order's interleaved design holds every fit (``NestedLstsq``),
-    and each order takes the input-lag excitation check on it.  When the
+    and each order takes the input-lag excitation check on it.  Below the
+    top order only the RSS is needed; a full-rank design gives it as the
+    squared norm of R's target column below row 2n, and a rank-deficient
+    one by the minimum-norm solve.  When the
     largest grid order is fittable, its window is the one ``fit_arx``
     uses, so its fit is ``fit_arx(rec, n)``; given a :class:`PreparedRecord`,
     AIC keeps that fit there for the methods that read the record.  The
@@ -188,12 +191,18 @@ def select_order_aic(rec: SignalRecord | PreparedRecord, grid) -> int:
         except (ConfigError, ExcitationError) as err:
             failures[n] = err
             continue
-        theta, rss = ls.solve(2 * n)
         if n == start:
+            theta, rss = ls.solve(2 * n)
             # The top order's QR and window are fit_arx's.  As in ``_kept``, a
             # fit that fails validation is not kept.
             with suppress(ConfigError):
                 prep._kept(("arx", n), _arx_markov, theta, rss, ls.m, n)
+        elif ls.full_rank:
+            # The residual of a full-rank fit is R's tail below its regressors.
+            tail = ls.R[2 * n :, ls.k]
+            rss = float(tail @ tail)
+        else:
+            rss = ls.solve(2 * n)[1]
         with np.errstate(divide="ignore"):
             aic[n] = ls.m * np.log(rss / ls.m) + 2.0 * (2 * n)
     if not aic:
@@ -235,11 +244,11 @@ def weighted_svd_realize(
     return Gamma_hat, s
 
 
-def extract_ac(Gamma_hat: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, C) from the shift structure of the observability factor.
+def extract_ac(Gamma_hat: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A, C) from the shift structure of the observability factor, and the shift's RMS residual.
 
     C is the first block row; A solves Gamma[:-1] A = Gamma[1:] in the
-    least-squares sense.
+    least-squares sense, and the RMS is that of Gamma[:-1] A - Gamma[1:].
 
     Raises:
         ConfigError: If the factor has fewer than n_x + 1 rows.
@@ -252,8 +261,8 @@ def extract_ac(Gamma_hat: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray]
         raise ConfigError(
             f"need at least n_x + 1 = {n_x + 1} block rows for the shift, got {G.shape[0]}"
         )
-    A, _ = full_rank_lstsq(G[:-1], G[1:], "top block of the observability factor")
-    return A, G[:1].copy()
+    A, rms = full_rank_lstsq(G[:-1], G[1:], "top block of the observability factor")
+    return A, G[:1].copy(), rms
 
 
 def estimate_bk(
@@ -367,8 +376,7 @@ def identify(
         Gamma_hat, svals = weighted_svd_realize(est, cfg, prep.w2(cfg.f, cfg.p))
 
     with _stage("shift"):
-        A_like, C_hat = extract_ac(Gamma_hat, cfg.n_x)
-        shift_rms = float(np.sqrt(np.mean((Gamma_hat[:-1] @ A_like - Gamma_hat[1:]) ** 2)))
+        A_like, C_hat, shift_rms = extract_ac(Gamma_hat, cfg.n_x)
 
     with _stage("gains"):
         if cfg.method == "ssarx":
@@ -388,12 +396,13 @@ def identify(
         )
 
     tail = float(np.sum(svals[cfg.n_x :]) / np.sum(svals)) if np.sum(svals) > 0 else 0.0
+    rho = spectral_radius(model)
     diagnostics = {
         "method": cfg.method,
         "f": cfg.f,
         "p": cfg.p,
-        "stable": is_stable(model),
-        "spectral_radius": spectral_radius(model),
+        "stable": rho < 1.0 - STABILITY_MARGIN,
+        "spectral_radius": rho,
         "arx_order": arx_order,
         "weighting_arx_order": weighting_order,
         "arx_residual_variance": pm.residual_variance,

@@ -1,0 +1,65 @@
+"""Allocation budgets of the two largest buffers, on an identify-n2000-shaped record.
+
+The data blocks build the N x (2p + 2f) design straight into the buffer
+their QR overwrites, and the WLS bank whitens every row into one
+workspace.  ``tracemalloc`` sees numpy's buffers, so the budgets are in
+units of the design's bytes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.signal import lfilter
+
+from parsimid import (
+    SignalRecord,
+    assemble_blocks,
+    example2_system,
+    fit_arx,
+    parsim_wls,
+    predictor_to_innovations,
+    simulate,
+)
+
+F, P, N_TOTAL = 10, 20, 2000
+
+
+@pytest.fixture(scope="module")
+def record():
+    system, input_filter = example2_system()
+    rng = np.random.default_rng(0)
+    u = lfilter(input_filter, [1.0], rng.standard_normal(N_TOTAL))
+    return SignalRecord(u=u, y=simulate(system, u, np.sqrt(system.sigma_e2) * rng.standard_normal(N_TOTAL)))
+
+
+def traced(make):
+    """make()'s result, and the bytes it allocated at its peak and still holds after."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = make()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, held - base
+
+
+def design_bytes(blocks) -> int:
+    return blocks.N * 2 * (blocks.f + blocks.p) * 8
+
+
+def test_blocks_factor_the_design_without_a_copy(record):
+    blocks, peak, held = traced(lambda: assemble_blocks(record, F, P))
+    assert peak <= 1.25 * design_bytes(blocks)
+    # The windows are views of the record; only the small R is kept.
+    assert held <= 0.1 * design_bytes(blocks)
+    assert np.shares_memory(blocks.Y, record.y) and np.shares_memory(blocks.U, record.u)
+
+
+def test_wls_bank_whitens_into_one_workspace(record):
+    blocks = assemble_blocks(record, F, P)
+    h = predictor_to_innovations(fit_arx(record, P))
+    _, peak, _ = traced(lambda: parsim_wls(blocks, h))
+    assert peak <= 1.5 * design_bytes(blocks)

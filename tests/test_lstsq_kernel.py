@@ -8,8 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf, dgeqrt
+from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg.lapack import (
+    dgeqrf,
+    dgeqrt,
+    dlange,
+    dpbtrf,
+    dpotrf,
+    dpotrs,
+    dsyev,
+    dtbtrs,
+    dtrtri,
+    dtrtrs,
+)
 
 from parsimid import (
     ConfigError,
@@ -21,8 +32,9 @@ from parsimid import (
     parsim_ols,
     select_order_aic,
     simulate,
+    toeplitz_gram_band,
 )
-from parsimid._lstsq import NestedLstsq, full_rank_lstsq, numerical_rank
+from parsimid._lstsq import NestedLstsq, certified_full_rank, full_rank_lstsq, numerical_rank
 from parsimid.arx_pre import _arx_design
 from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario, example3_scenario
 
@@ -192,6 +204,143 @@ class TestNestedLstsq:
         ls = factor(X, t)
         assert not ls.full_rank
         np.testing.assert_allclose(ls.solve(5)[0], np.linalg.lstsq(X, t, rcond=None)[0], atol=1e-12)
+
+
+class TestFullRankCertificate:
+    """``full_rank`` is the SVD's verdict on X, reached without an SVD wherever the certificate holds."""
+
+    @settings(SETTINGS, max_examples=150)
+    @given(
+        seed=seeds,
+        m=st.integers(1, 80),
+        k=st.integers(1, 10),
+        log_cond=st.integers(0, 68).map(lambda t: t / 4),
+        kind=st.sampled_from(["conditioned", "duplicate", "zero"]),
+        scale=st.sampled_from([None, 1e300, 1e-300]),
+        every_column=st.booleans(),
+    )
+    def test_full_rank_is_the_svd_verdict(self, seed, m, k, log_cond, kind, scale, every_column):
+        rng = np.random.default_rng(seed)
+        X = self.conditioned(rng, m, k, log_cond)
+        if kind != "conditioned" and k >= 2:
+            i, j = rng.choice(k, 2, replace=False)
+            X[:, j] = X[:, i] if kind == "duplicate" else 0.0
+        if scale is not None:
+            X[:, slice(None) if every_column else rng.choice(k, rng.integers(1, k + 1), replace=False)] *= scale
+        certified, _ = self.check_verdict(X, rng)
+        if kind == "conditioned" and scale is None and m >= k and log_cond <= 6:
+            assert certified
+
+    @pytest.mark.parametrize("m", [8, 60, 2000])
+    def test_condition_sweep_meets_every_verdict(self, m):
+        rng = np.random.default_rng(m)
+        verdicts = {self.check_verdict(self.conditioned(rng, m, 6, log_cond), rng) for log_cond in np.arange(0, 17.25, 0.25)}
+        # Certified; full rank by the SVD alone, between the certificate's
+        # limit and the cutoff; and rank deficient.
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    @staticmethod
+    def conditioned(rng, m, k, log_cond):
+        """An (m, k) X whose min(m, k) singular values run log-evenly from 1 down to 10^-log_cond."""
+        r = min(m, k)
+        Q1 = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        Q2 = np.linalg.qr(rng.standard_normal((k, r)))[0]
+        return (Q1 * np.logspace(0, -log_cond, r)) @ Q2.T
+
+    @staticmethod
+    def check_verdict(X, rng):
+        """Assert that ``full_rank`` of [X | T] is the SVD's verdict on X; return (certified, full_rank)."""
+        (m, k), s = X.shape, np.linalg.svd(X, compute_uv=False)
+        ls = factor(X, rng.standard_normal((m, 2)))
+        certified = certified_full_rank(ls.R[:k, :k], m)
+        if m >= k and 0.5 < s.min() / (np.finfo(float).eps * max(m, k) * s.max()) < 2:
+            # So near the cutoff, the SVDs of X and of R may round to
+            # different sides of it.  The certificate gives no verdict there,
+            # and R's SVD decides, as it did before the certificate.
+            assert not certified
+        else:
+            assert ls.full_rank == (numerical_rank(s, m, k) == k)
+        return certified, bool(ls.full_rank)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_the_library_designs_are_certified(self, name):
+        _, rec = trial_record(name, 0)
+        for ls in (NestedLstsq(_arx_design(rec.u, rec.y, 30, 30), 60), assemble_blocks(rec, 10, 20).ls):
+            assert certified_full_rank(ls.R[: ls.k, : ls.k], ls.m)
+
+    def test_non_finite_or_subnormal_diagonal_gives_no_verdict(self):
+        R = np.triu(np.ones((3, 3)))
+        for bad in (0.0, 1e-310, np.inf, np.nan):
+            R[1, 1] = bad
+            assert not certified_full_rank(R, 10)
+        R[1, 1] = 1.0
+        assert certified_full_rank(R, 10)
+        # An inverse that overflows, and a bound past the cutoff.
+        assert not certified_full_rank(np.array([[1e-300, 1e300], [0.0, 1e-300]]), 10)
+        assert not certified_full_rank(np.array([[1.0, 1.0], [0.0, 1e-13]]), 10)
+
+
+class TestLapackWrappers:
+    """Each LAPACK wrapper the kernels call, on a 3 x 3 input, with the kernels' arguments.
+
+    The floor's scipy may differ in a wrapper's signature; each test names one wrapper.
+    """
+
+    A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 2.0]])  # symmetric positive definite
+    R = np.triu(A)
+
+    def check_dgeqrt(self):
+        buf = np.asfortranarray(self.A)
+        qr = dgeqrt(min(8, *buf.shape), buf, overwrite_a=True)[0]
+        np.testing.assert_allclose(np.triu(qr).T @ np.triu(qr), self.A.T @ self.A, atol=1e-12)
+
+    def check_dtrtri(self):
+        inv, info = dtrtri(self.R.T, lower=1)
+        assert info == 0
+        np.testing.assert_allclose(inv, np.linalg.inv(self.R.T), atol=1e-14)
+
+    def check_dlange(self):
+        assert dlange("F", self.R.T) == pytest.approx(np.linalg.norm(self.R))
+
+    def check_dtrtrs(self):
+        b = np.array([1.0, 2.0, 3.0])
+        x, info = dtrtrs(self.R.T, b, lower=1, trans=1)
+        assert info == 0
+        np.testing.assert_allclose(self.R @ x, b, atol=1e-14)
+
+    def check_dsyev(self):
+        ev, _, info = dsyev(self.A, compute_v=0)
+        assert info == 0
+        np.testing.assert_allclose(ev, np.linalg.eigvalsh(self.A), atol=1e-14)
+
+    def check_dpotrf(self):
+        c, info = dpotrf(self.A, lower=1, clean=0)
+        assert info == 0
+        L = np.tril(c)
+        np.testing.assert_allclose(L @ L.T, self.A, atol=1e-14)
+
+    def check_dpotrs(self):
+        b = np.array([1.0, 2.0, 3.0])
+        x = dpotrs(np.linalg.cholesky(self.A), b, lower=1)[0]
+        np.testing.assert_allclose(self.A @ x, b, atol=1e-14)
+
+    def check_dpbtrf(self):
+        # The bank's lower-band storage: T'T of one Markov parameter 0.5, a tridiagonal Toeplitz.
+        L, info = dpbtrf(toeplitz_gram_band([0.5], 2, 3)[::-1], lower=1)
+        assert info == 0
+        lower = np.diag(L[0]) + np.diag(L[1, :2], -1)
+        np.testing.assert_allclose(lower @ lower.T, toeplitz([1.25, 0.5, 0.0]), atol=1e-14)
+
+    def check_dtbtrs(self):
+        L = np.array([[1.0, 1.0, 1.0], [0.5, 0.25, 0.0]])  # unit diagonal, one subdiagonal
+        W = np.asfortranarray(self.A)
+        x = dtbtrs(L, W, uplo="L", diag="U", overwrite_b=True)[0]
+        dense = np.eye(3) + np.diag([0.5, 0.25], -1)
+        np.testing.assert_allclose(dense @ x, self.A, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["dgeqrt", "dtrtri", "dlange", "dtrtrs", "dsyev", "dpotrf", "dpotrs", "dpbtrf", "dtbtrs"])
+    def test_wrapper_takes_the_kernels_arguments(self, name):
+        getattr(self, f"check_{name}")()
 
 
 class TestRankOwner:

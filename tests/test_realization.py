@@ -181,7 +181,7 @@ class TestWeightedSvd:
 class TestExtractAc:
     def test_scalar_shift(self):
         Gamma = np.array([[1.0], [0.5], [0.25]])
-        A, C = extract_ac(Gamma, 1)
+        A, C, _ = extract_ac(Gamma, 1)
         assert A[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert C[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -190,7 +190,7 @@ class TestExtractAc:
         m = random_stable_model(rng, n_x=3)
         T = rng.standard_normal((3, 3)) + 3 * np.eye(3)
         Gamma = gamma_f(m.A, m.C, 7) @ T
-        A, C = extract_ac(Gamma, 3)
+        A, C, _ = extract_ac(Gamma, 3)
         np.testing.assert_allclose(
             np.sort_complex(np.linalg.eigvals(A)),
             np.sort_complex(np.linalg.eigvals(m.A)),
@@ -199,7 +199,7 @@ class TestExtractAc:
 
     def test_example2_double_pole(self):
         m, _ = example2_system()
-        A, _ = extract_ac(gamma_f(m.A, m.C, 7), 2)
+        A, _, _ = extract_ac(gamma_f(m.A, m.C, 7), 2)
         roots = np.roots([1.0, -2 * EXAMPLE2_GAMMA, EXAMPLE2_GAMMA**2])
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvals(A).real), np.sort(roots.real), atol=1e-8
