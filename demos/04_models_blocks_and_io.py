@@ -32,9 +32,9 @@ print("impulse via markov    :", np.round(ps.impulse_response(model, 6), 4))
 
 # ----------------------------------------------------------------------
 # Data blocks: the past/future Hankel blocks share their N columns.  They are
-# kept as windows of the record, and `design` lays them out transposed, side
-# by side, in one N x (2p + 2f) matrix.  The SVD's
-# column weighting W2 is a (2p, 2p) square-root factor of the past Gram
+# kept as windows of the record; their design, built only to be factored,
+# lays them out transposed, side by side, in one N x (2p + 2f) matrix.  The
+# SVD's column weighting W2 is a (2p, 2p) square-root factor of the past Gram
 # matrix with the future inputs projected out, read from one QR of the record.
 # ----------------------------------------------------------------------
 rng = np.random.default_rng(5)
@@ -42,7 +42,7 @@ u = rng.standard_normal(400)
 rec = ps.SignalRecord(u=u, y=ps.simulate(model, u, 0.5 * rng.standard_normal(400)))
 blocks = ps.assemble_blocks(rec, f=4, p=6)
 print(f"\nblocks: f={blocks.f}, p={blocks.p}, shared columns N={blocks.N}")
-print("design [Y_p' U_p' U_f' Y_f'] (columns p, p, f, f):", blocks.design.shape)
+print("design [Y_p' U_p' U_f' Y_f'] (columns p, p, f, f):", (blocks.N, 2 * (blocks.p + blocks.f)))
 
 W2 = ps.weight_w2(blocks)
 print("column weighting W2:", W2.shape)

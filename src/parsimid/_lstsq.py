@@ -114,6 +114,13 @@ class NestedLstsq:
         tail = self.R[q:, c]
         return theta, float(r @ r + tail @ tail)
 
+    def rss(self, q: int) -> float:
+        """``solve(q)``'s residual sum of squares; at full rank, the squared norm of R's target below row q."""
+        if not self.full_rank:
+            return self.solve(q)[1]
+        tail = self.R[q:, self.k]
+        return float(tail @ tail)
+
 
 def gram_solve(W: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
     """``np.linalg.lstsq(G[:q, :q], G[:q, q], rcond=None)`` on the Gram G = W'W: (theta, rank, cond).

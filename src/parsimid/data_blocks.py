@@ -57,13 +57,6 @@ class DataBlocks:
     p: int
     N: int
 
-    @property
-    def design(self) -> np.ndarray:
-        """The read-only, Fortran-ordered N x (2p + 2f) design, built anew on each access."""
-        design = _hankel_design(self.Y, self.U, self.p)
-        design.setflags(write=False)
-        return design
-
 
 def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
     """Build the data blocks of one record, whose input must be persistently exciting.

@@ -19,8 +19,8 @@ Every unweighted regression is of a block of the record on leading rows
 of [Y_p; U_p; U_f], so the one QR of the design [Y_p' U_p' U_f' Y_f'] that
 :func:`data_blocks.assemble_blocks` makes (``blocks.ls``) answers the OLS
 rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  WLS
-rows 2..f each factor their banded T'T = L L' once (LAPACK ``dpbtrf`` on
-lower-band storage, which factors faster than upper), whiten the row's
+rows 2..f each factor the band of T'T = L L' once, in place (LAPACK
+``dpbtrf``; :func:`toeplitz_gram_band` decides the storage), whiten the row's
 regressor and target columns, read from the record's windows
 (``blocks.Y``, ``blocks.U``), into the leading columns of one workspace
 per bank with one banded triangular sweep W = L^(-1) [Z' y'] (``dtbtrs``
@@ -47,7 +47,7 @@ from ._lstsq import gram_solve
 from .arx_pre import InnovationsMarkov, PredictorMarkov
 from .data_blocks import DataBlocks
 from .errors import ConfigError, RankError
-from .ss_model import _integer
+from .ss_model import _freeze, _integer
 
 __all__ = [
     "RangeEstimate",
@@ -92,20 +92,24 @@ class RangeEstimate:
 
 
 def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
-    """Upper-banded LAPACK storage of T'T (as ``dpbtrf`` and ``solveh_banded`` read it).
+    """Upper-banded LAPACK storage of T'T (as ``solveh_banded`` reads it), a view of the lower band.
 
     T, (N + i - 1) x N, maps a white innovations row onto row i's noise:
     column j carries [H_{i-1}, ..., H_1, H_0 = 1] in rows j..j+i-1.  T'T
     is symmetric positive definite, banded with bandwidth i - 1, and
-    Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.  As every
-    diagonal is constant, the rows reversed are the lower-band storage.
+    Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.  The WLS bank's
+    band storage is decided here: one Fortran-ordered lower band (row d
+    holds diagonal d), which ``dpbtrf`` factors in place and faster than
+    the upper; as every diagonal is constant, its rows reversed, the view
+    returned, are the upper storage.
     """
     i, N = _integer(i, "bank row", 1), _integer(N, "N", 1)
-    h = np.asarray(h, dtype=float).ravel()[: i - 1]
+    h = _freeze(np.ravel(h)[: i - 1], "h")
     # [H_0, H_1, ..., H_{i-1}]; missing high lags count as 0
     b_nat = np.r_[np.zeros(i - 1 - h.size), h[::-1], 1.0][::-1]
-    diagonals = [b_nat[d:] @ b_nat[: i - d] for d in range(i)]
-    return np.repeat(np.array(diagonals[::-1])[:, None], N, axis=1)
+    band = np.empty((i, N), order="F")
+    band[:] = np.array([b_nat[d:] @ b_nat[: i - d] for d in range(i)])[:, None]
+    return band[::-1]
 
 
 def _bank_estimate(thetas, blocks: DataBlocks, **gram) -> RangeEstimate:
@@ -120,7 +124,7 @@ def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
     """Row-wise ordinary least-squares bank.
 
     Row i regresses future output row i on [Z_p; U_i], the first 2p + i
-    columns of ``blocks.design``, estimating [Gamma_fi L_p, G_fi] jointly;
+    columns of the blocks' design, estimating [Gamma_fi L_p, G_fi] jointly;
     stacking the f first parts gives the range-space estimate.
     """
     thetas = []
@@ -134,13 +138,11 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
 
     Uses the inverse of the row noise covariance T'T as the weighting;
     the innovations variance cancels and is never applied.  Row i factors
-    the banded T'T = L L' (bandwidth i - 1, lower-band storage) once,
+    the band of T'T = L L' (bandwidth i - 1) in place, once,
     whitens [Z' y'] with one banded triangular sweep into the leading
     q + 1 columns of the bank's one N x (2p + f + 1) workspace,
     W = L^(-1) [Z' y'], and solves the normal equations of the
-    small Gram W'W; the N x N inverse is never formed.  The band is
-    ``toeplitz_gram_band``'s upper storage with its rows reversed, and the
-    lower-band factor is faster to make than the upper one.  The sweep
+    small Gram W'W; the N x N inverse is never formed.  The sweep
     runs on the unit-diagonal D^(-1) L (D = diag(L)) over the columns
     divided by D, which is the same L^(-1) [Z' y'] with no division on its
     critical path.  :func:`_lstsq.gram_solve` takes the Gram's eigenvalues
@@ -168,11 +170,12 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     W = np.empty((N, 2 * p + f + 1), order="F")
     for i in range(2, f + 1):
         q = 2 * p + i
-        L, info = dpbtrf(toeplitz_gram_band(h.h, i, N)[::-1], lower=1)
+        L, info = dpbtrf(toeplitz_gram_band(h.h, i, N)[::-1], lower=1, overwrite_ab=1)
         if info != 0:
             raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
         # L^(-1) X = (D^(-1) L)^(-1) (D^(-1) X), D = diag(L): the sweep on the
-        # unit-diagonal factor makes no division on its critical path.
+        # unit-diagonal factor makes no division on its critical path.  D is
+        # read 2(p + i) times, faster from a copy than from the band's strided row.
         d = L[0].copy()
         for k in range(1, i):
             L[k, : N - k] /= d[k:]

@@ -163,13 +163,12 @@ def select_order_aic(rec: SignalRecord | PreparedRecord, grid) -> int:
     The grid is walked from the largest order down.  One QR of the largest
     fittable order's interleaved design holds every fit (``NestedLstsq``),
     and each order takes the input-lag excitation check on it.  Below the
-    top order only the RSS is needed; a full-rank design gives it as the
-    squared norm of R's target column below row 2n, and a rank-deficient
-    one by the minimum-norm solve.  When the
-    largest grid order is fittable, its window is the one ``fit_arx``
-    uses, so its fit is ``fit_arx(rec, n)``; given a :class:`PreparedRecord`,
-    AIC keeps that fit there for the methods that read the record.  The
-    chosen order is the same for a bare record and a prepared one.
+    top order only the RSS is needed, and ``NestedLstsq.rss`` reads it
+    from R.  When the largest grid order is fittable, its window is the
+    one ``fit_arx`` uses, so its fit is ``fit_arx(rec, n)``; given a
+    :class:`PreparedRecord`, AIC keeps that fit there for the methods that
+    read the record.  The chosen order is the same for a bare record and a
+    prepared one.
 
     Raises:
         ConfigError: If the grid is empty, holds an order that is not an
@@ -197,12 +196,8 @@ def select_order_aic(rec: SignalRecord | PreparedRecord, grid) -> int:
             # fit that fails validation is not kept.
             with suppress(ConfigError):
                 prep._kept(("arx", n), _arx_markov, theta, rss, ls.m, n)
-        elif ls.full_rank:
-            # The residual of a full-rank fit is R's tail below its regressors.
-            tail = ls.R[2 * n :, ls.k]
-            rss = float(tail @ tail)
         else:
-            rss = ls.solve(2 * n)[1]
+            rss = ls.rss(2 * n)
         with np.errstate(divide="ignore"):
             aic[n] = ls.m * np.log(rss / ls.m) + 2.0 * (2 * n)
     if not aic:

@@ -187,15 +187,12 @@ def simulate(
         y[k] = C x[k] + D u[k] + e[k] and x[k+1] = A x[k] + B u[k] + K e[k].
 
     Raises:
-        ConfigError: On length or dimension mismatch.
+        ConfigError: On length or dimension mismatch, or a non-finite u or e.
         DivergenceError: If the output leaves the finite range; the message
             reports the first offending step index.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    if e is None:
-        e = np.zeros_like(u)
-    else:
-        e = np.asarray(e, dtype=float).ravel()
+    u = _freeze(np.ravel(u), "u")
+    e = np.zeros_like(u) if e is None else _freeze(np.ravel(e), "e")
     if u.shape != e.shape:
         raise ConfigError(f"u and e must have equal length, got {u.size} and {e.size}")
     B_k = np.hstack([m.B, m.K])

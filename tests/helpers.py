@@ -23,6 +23,7 @@ from parsimid import (
     toeplitz_gram_band,
 )
 from parsimid.benchmark import example1_system, example2_system
+from parsimid.data_blocks import _hankel_design
 
 
 def child_env(**overrides):
@@ -36,9 +37,16 @@ def child_env(**overrides):
     return {**os.environ, "PYTHONPATH": path, **overrides}
 
 
+def design(blocks):
+    """The read-only, Fortran-ordered N x (2p + 2f) design [Y_p' U_p' U_f' Y_f'] that ``blocks.ls`` factored."""
+    D = _hankel_design(blocks.Y, blocks.U, blocks.p)
+    D.setflags(write=False)
+    return D
+
+
 def row_blocks(blocks):
-    """Row blocks Y_p, U_p, Z_p = [Y_p; U_p], U_f, Y_f: read-only views of ``blocks.design``."""
-    p, f, D = blocks.p, blocks.f, blocks.design.T
+    """Row blocks Y_p, U_p, Z_p = [Y_p; U_p], U_f, Y_f: read-only views of ``design(blocks)``."""
+    p, f, D = blocks.p, blocks.f, design(blocks).T
     return SimpleNamespace(
         Y_p=D[:p], U_p=D[p : 2 * p], Z_p=D[: 2 * p], U_f=D[2 * p : 2 * p + f], Y_f=D[2 * p + f :]
     )

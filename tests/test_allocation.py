@@ -1,9 +1,9 @@
-"""Allocation budgets of the two largest buffers, on an identify-n2000-shaped record.
+"""Allocation budgets of the two largest buffers, on identify-n2000- and mc-example3-shaped records.
 
 The data blocks build the N x (2p + 2f) design straight into the buffer
 their QR overwrites, and the WLS bank whitens every row into one
-workspace.  ``tracemalloc`` sees numpy's buffers, so the budgets are in
-units of the design's bytes.
+workspace and factors each row's one band in place.  ``tracemalloc``
+sees numpy's buffers, so the budgets are in units of the design's bytes.
 """
 
 import tracemalloc
@@ -25,12 +25,16 @@ from parsimid import (
 F, P, N_TOTAL = 10, 20, 2000
 
 
-@pytest.fixture(scope="module")
-def record():
+def example2_record(n_total):
     system, input_filter = example2_system()
     rng = np.random.default_rng(0)
-    u = lfilter(input_filter, [1.0], rng.standard_normal(N_TOTAL))
-    return SignalRecord(u=u, y=simulate(system, u, np.sqrt(system.sigma_e2) * rng.standard_normal(N_TOTAL)))
+    u = lfilter(input_filter, [1.0], rng.standard_normal(n_total))
+    return SignalRecord(u=u, y=simulate(system, u, np.sqrt(system.sigma_e2) * rng.standard_normal(n_total)))
+
+
+@pytest.fixture(scope="module")
+def record():
+    return example2_record(N_TOTAL)
 
 
 def traced(make):
@@ -58,8 +62,14 @@ def test_blocks_factor_the_design_without_a_copy(record):
     assert np.shares_memory(blocks.Y, record.y) and np.shares_memory(blocks.U, record.u)
 
 
-def test_wls_bank_whitens_into_one_workspace(record):
-    blocks = assemble_blocks(record, F, P)
-    h = predictor_to_innovations(fit_arx(record, P))
+# (N_total, f, p, budget): identify-n2000's shape, and mc-example3's N and f,
+# whose 20 rows make the bands the largest share of the bank's allocation.
+@pytest.mark.parametrize(
+    "n_total, f, p, budget", [(N_TOTAL, F, P, 1.25), (1000, 20, 10, 1.45)], ids=["identify-n2000", "mc-example3"]
+)
+def test_wls_bank_whitens_into_one_workspace(n_total, f, p, budget):
+    rec = example2_record(n_total)
+    blocks = assemble_blocks(rec, f, p)
+    h = predictor_to_innovations(fit_arx(rec, p))
     _, peak, _ = traced(lambda: parsim_wls(blocks, h))
-    assert peak <= 1.5 * design_bytes(blocks)
+    assert peak <= budget * design_bytes(blocks)

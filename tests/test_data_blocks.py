@@ -10,7 +10,7 @@ from parsimid import (
 )
 from parsimid.benchmark import example1_system
 
-from helpers import row_blocks, toeplitz_gf, true_gamma_lp, two_sine_record
+from helpers import design, row_blocks, toeplitz_gf, true_gamma_lp, two_sine_record
 
 
 class TestAssembleBlocks:
@@ -19,7 +19,7 @@ class TestAssembleBlocks:
         blocks = assemble_blocks(rec, f=1, p=1)
         assert blocks.N == 2
         # Columns Y_p', U_p', U_f', Y_f'.
-        np.testing.assert_array_equal(blocks.design, [[1, 1, 2, 2], [2, 2, 3, 3]])
+        np.testing.assert_array_equal(design(blocks), [[1, 1, 2, 2], [2, 2, 3, 3]])
         b = row_blocks(blocks)
         np.testing.assert_array_equal(b.Z_p, [[1, 2], [1, 2]])
         np.testing.assert_array_equal(b.Y_f, [[2, 3]])
@@ -30,7 +30,7 @@ class TestAssembleBlocks:
         for f, p in ((1, 1), (5, 7), (10, 20)):
             blocks = assemble_blocks(rec, f, p)
             assert blocks.N == 100 - f - p + 1
-            assert blocks.design.shape == (blocks.N, 2 * (f + p))
+            assert design(blocks).shape == (blocks.N, 2 * (f + p))
 
     def test_anti_diagonal_property(self):
         # Within each block, design entry (c, r) depends only on r + c.
@@ -39,7 +39,7 @@ class TestAssembleBlocks:
         f, p = 4, 6
         blocks = assemble_blocks(rec, f=f, p=p)
         for lo, hi in ((0, p), (p, 2 * p), (2 * p, 2 * p + f), (2 * p + f, 2 * (p + f))):
-            M = blocks.design[:, lo:hi]
+            M = design(blocks)[:, lo:hi]
             np.testing.assert_array_equal(M[1:, :-1], M[:-1, 1:])
 
     def test_ls_factors_the_design(self):
@@ -48,7 +48,7 @@ class TestAssembleBlocks:
         f, p = 3, 4
         blocks = assemble_blocks(rec, f=f, p=p)
         assert blocks.ls.k == 2 * p + f and blocks.ls.m == blocks.N
-        R, D = blocks.ls.R, blocks.design
+        R, D = blocks.ls.R, design(blocks)
         np.testing.assert_allclose(R.T @ R, D.T @ D, rtol=0, atol=1e-12 * np.linalg.norm(D) ** 2)
 
     def test_row_partitions(self):
@@ -58,7 +58,7 @@ class TestAssembleBlocks:
         rec = SignalRecord(u=rng.standard_normal(50), y=rng.standard_normal(50))
         f, p = 5, 3
         blocks = assemble_blocks(rec, f=f, p=p)
-        N, D = blocks.N, blocks.design
+        N, D = blocks.N, design(blocks)
         for i in range(1, f + 1):
             np.testing.assert_array_equal(D[:, 2 * p + f + i - 1], rec.y[p + i - 1 : p + i - 1 + N])
             np.testing.assert_array_equal(D[:, 2 * p + i - 1], rec.u[p + i - 1 : p + i - 1 + N])
@@ -66,14 +66,12 @@ class TestAssembleBlocks:
             np.testing.assert_array_equal(D[:, j - 1], rec.y[j - 1 : j - 1 + N])
             np.testing.assert_array_equal(D[:, p + j - 1], rec.u[j - 1 : j - 1 + N])
 
-    def test_design_is_read_only_and_fortran_ordered(self):
+    def test_windows_are_read_only(self):
         rng = np.random.default_rng(9)
         rec = SignalRecord(u=rng.standard_normal(60), y=rng.standard_normal(60))
         blocks = assemble_blocks(rec, f=4, p=3)
-        assert blocks.design.flags.f_contiguous
-        assert not blocks.design.flags.writeable
-        for block in vars(row_blocks(blocks)).values():
-            assert not block.flags.writeable
+        assert not blocks.Y.flags.writeable
+        assert not blocks.U.flags.writeable
 
     def test_excitation_of_order_f_plus_p(self):
         # Two sinusoids excite order 4: f + p = 4 passes, f + p = 5 does not.

@@ -39,6 +39,7 @@ from parsimid.arx_pre import _arx_design
 from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario, example3_scenario
 
 from helpers import (
+    design,
     example_record,
     ref_parsim_ols,
     ref_select_order_aic,
@@ -98,6 +99,7 @@ class TestNestedLstsq:
                     solved = ls.solve(q)
                     np.testing.assert_array_equal(solved[0], theta)
                     assert solved[1] == pytest.approx(rss, rel=1e-12)
+                    assert ls.rss(q) == pytest.approx(rss, rel=1e-9)
         # Any set of design columns, leading or not, has the rank of its raw columns.
         A = np.column_stack([X, T])
         subsets = [slice(0, q) for q in range(1, k + 1)] + [slice(1, None, 2), slice(k - 1, None)]
@@ -121,21 +123,21 @@ class TestNestedLstsq:
     # the weighting, data blocks of Examples 1-3), then designs with fewer
     # rows or columns than the kernel's block of 8, or fewer rows than columns.
     @pytest.mark.parametrize(
-        "design",
+        "case",
         [("arx", "example1", 10), ("arx", "example2", 30), ("arx", "example3", 30)]
         + [("blocks", "example1", 10, 8), ("blocks", "example2", 10, 20), ("blocks", "example3", 20, 10)]
         + [("random", m, n) for m, n in [(5, 3), (7, 7), (40, 5), (3, 9), (12, 30), (1, 1)]],
-        ids=lambda design: "-".join(map(str, design)),
+        ids=lambda case: "-".join(map(str, case)),
     )
-    def test_r_matches_dgeqrf(self, design):
+    def test_r_matches_dgeqrf(self, case):
         # R differs from the level-2 Householder QR only by rounding.
-        kind, *args = design
+        kind, *args = case
         if kind == "arx":
             _, rec = trial_record(args[0], 0)
             A = _arx_design(rec.u, rec.y, args[1], args[1])
         elif kind == "blocks":
             _, rec = trial_record(args[0], 0)
-            A = assemble_blocks(rec, args[1], args[2]).design
+            A = design(assemble_blocks(rec, args[1], args[2]))
         else:
             A = np.random.default_rng(args[0] * args[1]).standard_normal(args)
         m, n = A.shape
@@ -159,7 +161,7 @@ class TestNestedLstsq:
         rec = example_record(name, 5)
         blocks = assemble_blocks(rec, 10, 20)
         for cols in (slice(20, 50), slice(0, 50)):
-            assert blocks.ls.rank(cols) == np.linalg.matrix_rank(blocks.design[:, cols])
+            assert blocks.ls.rank(cols) == np.linalg.matrix_rank(design(blocks)[:, cols])
         A = _arx_design(rec.u, rec.y, 30, 30)
         ls = NestedLstsq(A.copy(order="F"), 60)
         for n in (5, 20, 30):
@@ -326,8 +328,9 @@ class TestLapackWrappers:
 
     def check_dpbtrf(self):
         # The bank's lower-band storage: T'T of one Markov parameter 0.5, a tridiagonal Toeplitz.
-        L, info = dpbtrf(toeplitz_gram_band([0.5], 2, 3)[::-1], lower=1)
-        assert info == 0
+        band = toeplitz_gram_band([0.5], 2, 3)[::-1]
+        L, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        assert info == 0 and np.shares_memory(L, band)
         lower = np.diag(L[0]) + np.diag(L[1, :2], -1)
         np.testing.assert_allclose(lower @ lower.T, toeplitz([1.25, 0.5, 0.0]), atol=1e-14)
 

@@ -21,6 +21,7 @@ from parsimid import (
     save_model,
     simulate,
     spectral_radius,
+    toeplitz_gram_band,
 )
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
 from parsimid.ss_model import observability
@@ -231,9 +232,12 @@ class TestValidation:
             SignalRecord(u=[1.0, np.nan], y=[1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("name", [*"ABCDK", "u", "y", "h_bar", "g_bar", "h"])
+    @pytest.mark.parametrize(
+        "name", [*"ABCDK", "u", "y", "h_bar", "g_bar", "h", "simulate-u", "simulate-e", "toeplitz_gram_band-h"]
+    )
     def test_non_finite_entries_rejected(self, name, bad):
-        # Every value type takes the one finiteness rule, named after the offending field.
+        # Every value type, and every function taking a signal or weight, takes
+        # the one finiteness rule, named after the offending field.
         matrices = dict(A=0.5, B=1.0, C=1.0, D=0.0, K=0.2)
         makers = {
             **{m: lambda v, m=m: StateSpaceModel(**{**matrices, m: v}) for m in matrices},
@@ -242,8 +246,12 @@ class TestValidation:
             "h_bar": lambda v: PredictorMarkov(h_bar=[0.5, v], g_bar=[1.0, 0.0], residual_variance=1.0),
             "g_bar": lambda v: PredictorMarkov(h_bar=[0.5, 0.1], g_bar=[v, 0.0], residual_variance=1.0),
             "h": lambda v: InnovationsMarkov(h=[0.5, v, 0.1]),
+            "simulate-u": lambda v: simulate(example1_system(), [0.0, v, 0.0, 1.0]),
+            "simulate-e": lambda v: simulate(example1_system(), np.ones(4), [0.0, v, 0.0, 0.0]),
+            "toeplitz_gram_band-h": lambda v: toeplitz_gram_band([v], 2, 3),
         }
-        with pytest.raises(ConfigError, match=f"^{name} contains non-finite entries$"):
+        field = name.split("-")[-1]
+        with pytest.raises(ConfigError, match=f"^{field} contains non-finite entries$"):
             makers[name](bad)
 
     def test_immutability(self):

@@ -40,7 +40,7 @@ from parsimid import (
 )
 from parsimid.arx_pre import max_arx_order
 
-from helpers import example_record
+from helpers import design, example_record
 
 MODEL = example1_system()
 REC = example_record("example1", 0, noisy=True, n_total=500)
@@ -48,7 +48,7 @@ REC = example_record("example1", 0, noisy=True, n_total=500)
 
 def _blocks(f, p):
     b = assemble_blocks(REC, f, p)
-    return b.design, b.ls.R, b.f, b.p, b.N
+    return design(b), b.ls.R, b.f, b.p, b.N
 
 
 def _small_run(master_seed=1, jobs=1):
