@@ -10,8 +10,10 @@ solution.  X's full column rank is certified without an SVD, by the
 bound cond(R11) <= ||R11||_F ||R11^(-1)||_F of a triangular inverse; only
 a design that the bound cannot clear takes the SVD.  Likewise R[:, cols]
 has the singular values of any set of design columns, so their numerical
-rank needs no pass over the m rows.
-R is read-only, as every method identifying a record reads the same one.
+rank needs no pass over the m rows.  ``NestedLstsq.regress`` reads every
+such fit and ``NestedLstsq.rss`` every RSS; the designs and their rules
+are the callers' (``data_blocks``, ``arx_pre``).  R is read-only, as
+every method identifying a record reads the same one.
 
 :func:`gram_solve` answers the same minimum-norm question on the Gram
 G = W'W of a tall W, whose eigenvalues are the singular values of the
@@ -106,20 +108,17 @@ class NestedLstsq:
             return x
         return np.linalg.lstsq(R11, b, rcond=_EPS * max(self.m, q))[0]
 
-    def solve(self, q: int) -> tuple[np.ndarray, float]:
-        """Minimum-norm coefficients and residual sum of squares of the first target on X[:, :q]."""
-        c = self.k
-        theta = self.regress(q, c)
-        r = self.R[:q, :q] @ theta - self.R[:q, c]
-        tail = self.R[q:, c]
-        return theta, float(r @ r + tail @ tail)
-
     def rss(self, q: int) -> float:
-        """``solve(q)``'s residual sum of squares; at full rank, the squared norm of R's target below row q."""
-        if not self.full_rank:
-            return self.solve(q)[1]
+        """RSS of the first target on X[:, :q]: at full rank, the squared norm of R's target below row q.
+
+        Below full rank Q's first q columns span more than X[:, :q], so the
+        minimum-norm fit's residual on R's first q rows is added.
+        """
         tail = self.R[q:, self.k]
-        return float(tail @ tail)
+        if self.full_rank:
+            return float(tail @ tail)
+        r = self.R[:q, :q] @ self.regress(q, self.k) - self.R[:q, self.k]
+        return float(r @ r + tail @ tail)
 
 
 def gram_solve(W: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:

@@ -10,9 +10,11 @@ h_bar[i] = C A_bar^(i-1) K and g_bar[i] = C A_bar^(i-1) B_bar.  A recursion
 converts them to the innovations-form parameters H_i = C A^(i-1) K (and
 G_i = C A^(i-1) B), which drive the noise weighting of the row-wise
 weighted-least-squares bank; the recursion is a scipy.signal.lfilter
-impulse response.  An ARX fit comes from one QR factorization of an
-interleaved lag design (``_lstsq.NestedLstsq``); the AIC order search
-(``realization.select_order_aic``) reads every order from one such QR.
+impulse response.  Every ARX rule is this module's: ``_arx_qr`` bounds
+the order, factors the interleaved lag design (``_lstsq.NestedLstsq``) and
+checks its input lags, and ``_arx_fit`` reads a fit and its RSS from that
+factor.  ``fit_arx`` is the two in turn; the AIC order search
+(``realization.select_order_aic``) reads every order through them.
 """
 
 from __future__ import annotations
@@ -82,32 +84,37 @@ def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int) -> np.ndarray:
     return A
 
 
-def _check_input_lags(ls: NestedLstsq, n: int) -> None:
-    """Raise unless the input lags 1..n of a factored interleaved design have full rank.
+def _arx_qr(rec: SignalRecord, n: int, start: int) -> NestedLstsq:
+    """The factored order-n design on the samples from ``start`` on, if order n passes every ARX check.
 
-    Noise-free records make the output lags exactly collinear, and the
-    minimum-norm solution is still right there; a deficient input-lag
-    block is a genuine excitation failure.
+    Order n needs 10 n samples and more than 2 n rows, else ConfigError,
+    and input lags 1..n of full rank, else ExcitationError.  Noise-free
+    records make the output lags exactly collinear, and the minimum-norm
+    fit is still right there.
     """
-    if ls.rank_below(slice(1, 2 * n, 2), n) is not None:
-        raise ExcitationError(
-            f"input-lag regressor of ARX order {n} is rank deficient: input is not persistently exciting"
-        )
-
-
-def _check_order(n: int, n_total: int, start: int) -> None:
-    """Raise unless order n can be fitted on the samples from ``start`` on."""
-    _integer(n, "ARX order", 1)
+    n, n_total = _integer(n, "ARX order", 1), len(rec)
     if n_total < MIN_SAMPLES_PER_ORDER * n:
         raise ConfigError(
             f"record of length {n_total} too short for ARX order {n}: need at least {MIN_SAMPLES_PER_ORDER * n} samples"
         )
     if n_total - start <= 2 * n:
         raise ConfigError(f"ARX order {n} leaves no degrees of freedom on {n_total - start} samples")
+    ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start), 2 * n)
+    if ls.rank_below(slice(1, 2 * n, 2), n) is not None:
+        raise ExcitationError(f"input-lag regressor of ARX order {n} is rank deficient: input is not persistently exciting")
+    return ls
+
+
+def _arx_fit(ls: NestedLstsq, n: int) -> PredictorMarkov:
+    """The order-n fit read from a factored design of order n or more, with its RSS on ``ls.m`` samples."""
+    theta = ls.regress(2 * n, ls.k)
+    return PredictorMarkov(h_bar=theta[0::2], g_bar=theta[1::2], residual_variance=ls.rss(2 * n) / (ls.m - 2 * n))
 
 
 def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
     """Least-squares fit of the order-n ARX model (feedthrough fixed to 0).
+
+    ``_arx_qr`` checks n and factors the design; ``_arx_fit`` reads the fit.
 
     Args:
         rec: Data record with at least 10 * n samples.
@@ -122,15 +129,7 @@ def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
         ConfigError: If n is not an integer >= 1 or is too large for the record.
         ExcitationError: If the input-lag block is rank deficient.
     """
-    _check_order(n, len(rec), n)
-    ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start=n), 2 * n)
-    _check_input_lags(ls, n)
-    return _arx_markov(*ls.solve(2 * n), ls.m, n)
-
-
-def _arx_markov(theta: np.ndarray, rss: float, m: int, n: int) -> PredictorMarkov:
-    """The order-n fit from its interleaved coefficients and RSS on m samples."""
-    return PredictorMarkov(h_bar=theta[0::2], g_bar=theta[1::2], residual_variance=rss / (m - 2 * n))
+    return _arx_fit(_arx_qr(rec, n, n), n)
 
 
 def max_arx_order(n_total: int) -> int:

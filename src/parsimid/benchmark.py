@@ -148,6 +148,16 @@ def _rbs_sos(band_high: float) -> np.ndarray:
     return butter(8, band_high, output="sos")
 
 
+def _band(value, name: str) -> float:
+    """``float(value)`` if in (0, 1]; a value outside or a non-number is a ConfigError."""
+    try:
+        if 0.0 < value <= 1.0:
+            return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    raise ConfigError(f"{name} must be in (0, 1], got {value}")
+
+
 def gen_rbs(N: int, band_high: float, seed) -> np.ndarray:
     """Band-limited random binary sequence of +/- 1 values.
 
@@ -156,9 +166,7 @@ def gen_rbs(N: int, band_high: float, seed) -> np.ndarray:
     taken.  ``band_high = 1`` skips the filter and returns sign of white
     noise.
     """
-    N = _integer(N, "N", 1)
-    if not 0.0 < band_high <= 1.0:
-        raise ConfigError(f"band_high must be in (0, 1], got {band_high}")
+    N, band_high = _integer(N, "N", 1), _band(band_high, "band_high")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(N)
     if band_high < 1.0:

@@ -106,8 +106,8 @@ def parse_args(argv) -> argparse.Namespace:
     (p = order + 1, the lowest AIC order, stands in until AIC picks p), and
     ``benchmark`` gets ``scenario_run``, the Scenario it runs (for a sweep,
     one that stands for all of its scenarios).  ``--seed``, ``--n-samples``,
-    ``--jobs`` and ``--noise-variance`` take the library's integer and
-    variance rules.
+    ``--jobs``, ``--noise-variance`` and ``--rbs-band`` take the library's
+    integer, variance and band rules.
     """
     ns = build_parser().parse_args(argv)
     if ns.command == "identify":
@@ -124,8 +124,7 @@ def parse_args(argv) -> argparse.Namespace:
     if ns.command == "simulate":
         _built(_integer, ns.n_samples, "--n-samples", 1)
         _built(_variance, ns.noise_variance, "--noise-variance")
-        if not 0.0 < ns.rbs_band <= 1.0:
-            raise UsageError(f"--rbs-band must be in (0, 1], got {ns.rbs_band}")
+        _built(bench._band, ns.rbs_band, "--rbs-band")
         return ns
     _built(_integer, ns.jobs, "--jobs", 1)
     parts = [m.strip() for m in (ns.methods or "").split(",") if m.strip()]

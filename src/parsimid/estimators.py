@@ -160,9 +160,12 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
             the available length are treated as zero.
 
     Raises:
+        ConfigError: If h is not an InnovationsMarkov.
         RankError: If a row's banded Cholesky factorization fails (guarded;
             cannot occur for finite weights since H_0 = 1).
     """
+    if not isinstance(h, InnovationsMarkov):
+        raise ConfigError(f"weighting must be an InnovationsMarkov, got {type(h).__name__}")
     p, f, N = blocks.p, blocks.f, blocks.N
     thetas = [blocks.ls.regress(2 * p + 1, blocks.ls.k)]
     ranks, conds = [], []

@@ -9,8 +9,8 @@ Ranks are decided in ``_lstsq``: the SVD's by ``numerical_rank``, and the
 shift's and the gain fits' by ``full_rank_lstsq``, which solves them.
 Every method identifying one record reads one :class:`PreparedRecord`, which
 keeps its data blocks and W2 per horizon pair and its ARX fits per order.
-The AIC order search (:func:`select_order_aic`) solves its largest grid
-order on the way, and leaves that fit in the record it is given.
+The AIC order search (:func:`select_order_aic`) reads its largest grid
+order's fit on the way, and leaves that fit in the record it is given.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lstsq import NestedLstsq, full_rank_lstsq, numerical_rank
+from ._lstsq import full_rank_lstsq, numerical_rank
 from .arx_pre import (
     InnovationsMarkov,
     PredictorMarkov,
-    _arx_design,
-    _arx_markov,
-    _check_input_lags,
-    _check_order,
+    _arx_fit,
+    _arx_qr,
     fit_arx,
     max_arx_order,
     predictor_to_innovations,
@@ -43,7 +41,7 @@ from .estimators import (
     parsim_wls,
     ssarx_estimate,
 )
-from .ss_model import STABILITY_MARGIN, SignalRecord, StateSpaceModel, _integer, observability, spectral_radius
+from .ss_model import STABILITY_MARGIN, SignalRecord, StateSpaceModel, _freeze, _integer, observability, spectral_radius
 
 __all__ = [
     "RealizationConfig",
@@ -129,9 +127,9 @@ class PreparedRecord:
     afresh.  The pieces are made through this module's names
     (``assemble_blocks``, ``weight_w2``, ``fit_arx``), so a wrapper put in
     their place here sees every call.  The one exception is the fit of the
-    largest order of an AIC grid: :func:`select_order_aic` solves it from
-    the same design ``fit_arx`` would build, and keeps it here, bit for
-    bit the fit ``fit_arx`` makes.
+    largest order of an AIC grid: :func:`select_order_aic` reads it through
+    ``arx_pre``'s ``_arx_qr`` and ``_arx_fit`` on the window ``fit_arx``
+    uses, as ``fit_arx`` does, and keeps it here.
     """
 
     rec: SignalRecord
@@ -160,52 +158,42 @@ def select_order_aic(rec: SignalRecord | PreparedRecord, grid) -> int:
     AIC(n) = n_eff * ln(RSS / n_eff) + 2 * (2 n).  Ties break toward the
     smaller order.
 
-    The grid is walked from the largest order down.  One QR of the largest
-    fittable order's interleaved design holds every fit (``NestedLstsq``),
-    and each order takes the input-lag excitation check on it.  Below the
-    top order only the RSS is needed, and ``NestedLstsq.rss`` reads it
-    from R.  When the largest grid order is fittable, its window is the
-    one ``fit_arx`` uses, so its fit is ``fit_arx(rec, n)``; given a
-    :class:`PreparedRecord`, AIC keeps that fit there for the methods that
-    read the record.  The chosen order is the same for a bare record and a
-    prepared one.
+    The walk is this function's, and every ARX rule ``arx_pre``'s.  The grid
+    is walked down to the first order that ``_arx_qr`` accepts, whose one
+    factor holds every lower order with no further check: the length bounds
+    fall with n, and a leading set of input lags has no smaller singular
+    value and no larger cutoff than the whole set (interlacing).  Each RSS
+    is read from R.  When the largest grid order is fittable, its factor is
+    ``fit_arx``'s; given a :class:`PreparedRecord`, AIC keeps its fit there,
+    ``fit_arx(rec, n)`` bit for bit.  Both kinds of record pick one order.
 
     Raises:
-        ConfigError: If the grid is empty, holds an order that is not an
-            integer >= 1, or no candidate can be fitted.
+        ConfigError: If the grid is not an iterable of integers >= 1, is
+            empty, or no candidate can be fitted.
     """
     prep = rec if isinstance(rec, PreparedRecord) else PreparedRecord(rec)
-    orders = sorted({_integer(n, "ARX order", 1) for n in grid})
+    try:
+        orders = sorted({_integer(n, "ARX order", 1) for n in grid}, reverse=True)
+    except TypeError:
+        raise ConfigError(f"order grid must be an iterable of integers, got {grid!r}") from None
     if not orders:
         raise ConfigError("order grid is empty")
-    n_total, start = len(prep.rec), orders[-1]
-    failures, aic, ls = {}, {}, None
-    for n in reversed(orders):
+    failures = []
+    for top in orders:
         try:
-            _check_order(n, n_total, start)
-            # Both checks bound n from above, so the first order to pass is the largest fittable one.
-            if ls is None:
-                ls = NestedLstsq(_arx_design(prep.rec.u, prep.rec.y, n, start), 2 * n)
-            _check_input_lags(ls, n)
+            ls = _arx_qr(prep.rec, top, orders[0])
+            break
         except (ConfigError, ExcitationError) as err:
-            failures[n] = err
-            continue
-        if n == start:
-            theta, rss = ls.solve(2 * n)
-            # The top order's QR and window are fit_arx's.  As in ``_kept``, a
-            # fit that fails validation is not kept.
-            with suppress(ConfigError):
-                prep._kept(("arx", n), _arx_markov, theta, rss, ls.m, n)
-        else:
-            rss = ls.rss(2 * n)
-        with np.errstate(divide="ignore"):
-            aic[n] = ls.m * np.log(rss / ls.m) + 2.0 * (2 * n)
-    if not aic:
-        raise ConfigError(
-            "no ARX order in the grid could be fitted: "
-            + "; ".join(f"n={n}: {failures[n]}" for n in sorted(failures))
-        )
-    return min(sorted(aic), key=aic.get)
+            failures.insert(0, f"n={top}: {err}")
+    else:
+        raise ConfigError("no ARX order in the grid could be fitted: " + "; ".join(failures))
+    if top == orders[0]:
+        # As in ``_kept``, a fit that fails validation is not kept.
+        with suppress(ConfigError):
+            prep._kept(("arx", top), _arx_fit, ls, top)
+    with np.errstate(divide="ignore"):
+        aic = {n: ls.m * np.log(ls.rss(2 * n) / ls.m) + 2.0 * (2 * n) for n in reversed(orders) if n <= top}
+    return min(aic, key=aic.get)
 
 
 def weighted_svd_realize(
@@ -273,10 +261,10 @@ def estimate_bk(
     i = 1, 2, ...  Both fits read one observability stack of (A, C).
 
     Raises:
-        ConfigError: If ``b_seqs`` or ``k_seq`` holds no value.
+        ConfigError: If ``b_seqs`` or ``k_seq`` holds no value or a non-finite one.
         RankError: If the observability stack of (A, C) is rank deficient.
     """
-    b_seqs, k_seq = [np.ravel(s) for s in b_seqs], np.ravel(k_seq)
+    b_seqs, k_seq = [np.ravel(_freeze(s, "b_seqs")) for s in b_seqs], np.ravel(_freeze(k_seq, "k_seq"))
     if not k_seq.size or not sum(s.size for s in b_seqs):
         raise ConfigError("no Markov-parameter observations to fit a gain from")
     O = observability(A, C, max(s.size for s in [*b_seqs, k_seq]))

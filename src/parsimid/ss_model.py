@@ -88,10 +88,13 @@ def _integer(value, name: str, low: int) -> int:
 
 
 def _variance(value, name: str) -> float:
-    """``float(value)`` if finite and >= 0; NaN, inf or a negative value is a ConfigError."""
-    if not (np.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-    return float(value)
+    """``float(value)`` if finite and >= 0; NaN, inf, a negative value or a non-number is a ConfigError."""
+    try:
+        if np.isfinite(value) and value >= 0:
+            return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -139,10 +139,9 @@ class TestGenRbs:
         assert rho1 > 0.5
 
     def test_band_validation(self):
-        with pytest.raises(ConfigError):
-            gen_rbs(100, 0.0, seed=0)
-        with pytest.raises(ConfigError):
-            gen_rbs(100, 1.5, seed=0)
+        for band in (0.0, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match=rf"^band_high must be in \(0, 1\], got {band}$"):
+                gen_rbs(100, band, seed=0)
 
 
 class TestMetrics:

@@ -52,6 +52,7 @@ class TestParseArgs:
             (["simulate", "--system", "example1", "--input-kind", "rbs", "--rbs-band", "2"],
              "--rbs-band must be in (0, 1]"),
             (["simulate", "--system", "example1", "--rbs-band", "0"], "--rbs-band must be in (0, 1]"),
+            (["simulate", "--system", "example1", "--rbs-band", "nan"], "--rbs-band must be in (0, 1], got nan"),
             # RealizationConfig and Scenario own these rules.
             (["identify", "--method", "parsim", "--order", "2", "--p", "0", "--in", "a.csv"],
              "past horizon must be >= 1"),

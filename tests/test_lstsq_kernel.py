@@ -24,6 +24,7 @@ from scipy.linalg.lapack import (
 
 from parsimid import (
     ConfigError,
+    ExcitationError,
     RankError,
     SignalRecord,
     assemble_blocks,
@@ -35,7 +36,7 @@ from parsimid import (
     toeplitz_gram_band,
 )
 from parsimid._lstsq import NestedLstsq, certified_full_rank, full_rank_lstsq, numerical_rank
-from parsimid.arx_pre import _arx_design
+from parsimid.arx_pre import _arx_design, _arx_qr
 from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario, example3_scenario
 
 from helpers import (
@@ -96,10 +97,7 @@ class TestNestedLstsq:
                 r = T[:, j] - X[:, :q] @ want
                 assert rss == pytest.approx(r @ r, rel=1e-9)
                 if j == 0:
-                    solved = ls.solve(q)
-                    np.testing.assert_array_equal(solved[0], theta)
-                    assert solved[1] == pytest.approx(rss, rel=1e-12)
-                    assert ls.rss(q) == pytest.approx(rss, rel=1e-9)
+                    assert ls.rss(q) == pytest.approx(rss, rel=1e-12)
         # Any set of design columns, leading or not, has the rank of its raw columns.
         A = np.column_stack([X, T])
         subsets = [slice(0, q) for q in range(1, k + 1)] + [slice(1, None, 2), slice(k - 1, None)]
@@ -179,7 +177,7 @@ class TestNestedLstsq:
         ls = factor(X, t)
         assert not ls.full_rank
         want = np.linalg.lstsq(X, t, rcond=None)[0]
-        np.testing.assert_allclose(ls.solve(k)[0], want, rtol=0, atol=TOL * np.linalg.norm(want))
+        np.testing.assert_allclose(ls.regress(k, k), want, rtol=0, atol=TOL * np.linalg.norm(want))
 
     @pytest.mark.parametrize("q,cols", [(24, 45), (24, slice(40, 50)), (40, slice(40, 60)), (39, 41)])
     def test_full_rank_regression_is_scipys_triangular_solve_bit_for_bit(self, q, cols):
@@ -205,7 +203,22 @@ class TestNestedLstsq:
         X, t = rng.standard_normal((3, 5)), rng.standard_normal(3)
         ls = factor(X, t)
         assert not ls.full_rank
-        np.testing.assert_allclose(ls.solve(5)[0], np.linalg.lstsq(X, t, rcond=None)[0], atol=1e-12)
+        np.testing.assert_allclose(ls.regress(5, 5), np.linalg.lstsq(X, t, rcond=None)[0], atol=1e-12)
+        # Three rows are fitted exactly.
+        assert ls.rss(5) == pytest.approx(0.0, abs=1e-24)
+
+    def test_rank_deficient_rss_is_not_the_tail_alone(self):
+        # Below full rank Q's first q columns span more than X, and a target
+        # outside X's span keeps part of its residual in R's first q rows.
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 5))
+        t = rng.standard_normal(40)
+        ls = factor(X, t)
+        assert not ls.full_rank
+        want = t - X @ np.linalg.lstsq(X, t, rcond=None)[0]
+        tail = ls.R[5:, 5]
+        assert ls.rss(5) == pytest.approx(want @ want, rel=1e-12)
+        assert tail @ tail < 0.99 * ls.rss(5)
 
 
 class TestFullRankCertificate:
@@ -407,6 +420,33 @@ class TestAicOrder:
     def test_fallback_raises_when_no_order_is_excited(self):
         with pytest.raises(ConfigError, match="n=6: input-lag regressor.*n=8: input-lag"):
             select_order_aic(two_sine_record(noise=0.5), [6, 8])
+
+    @settings(SETTINGS, max_examples=40)
+    @given(
+        kind=st.sampled_from(["noisy", "noise-free", "two-sine"]),
+        name=scenario_names,
+        noise=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 3),
+        n=st.integers(1, 30),
+        extra=st.integers(0, 10),
+    )
+    def test_an_accepted_order_holds_every_lower_order(self, kind, name, noise, seed, n, extra):
+        # AIC checks only the largest order that _arx_qr accepts: on its factor
+        # every leading input-lag set clears its own cutoff too (interlacing),
+        # with an SVD wherever the design is not certified full rank.
+        if kind == "noisy":
+            rec = trial_record(name, seed)[1]
+        elif kind == "noise-free":
+            rec = example_record("example1" if name == "example3" else name, seed)
+        else:
+            # Excites input lags up to order 4 only.
+            rec, n = two_sine_record(noise=noise), min(n, 4)
+        try:
+            ls = _arx_qr(rec, n, n + extra)
+        except (ConfigError, ExcitationError):
+            return
+        for m in range(1, n):
+            assert ls.rank_below(slice(1, 2 * m, 2), m) is None
 
 
 class TestOlsBank:

@@ -593,6 +593,11 @@ class TestPreparedRecord:
             ("parsimid.data_blocks", sc.N - sc.f - p + 1)
         ]
         assert not [b for b in built if b[0] == "parsimid.estimators"]
+        # Every ARX factor is arx_pre's: AIC's on the window of its largest
+        # order, 30, and fit_arx(p)'s.
+        assert [b for b in built if b[0] == "parsimid.arx_pre"] == [
+            ("parsimid.arx_pre", sc.N - 30), ("parsimid.arx_pre", sc.N - p)
+        ]
 
 
 AIC_SCENARIOS = {
@@ -656,7 +661,7 @@ class TestAicHandoff:
         def invalid(*args):
             raise ConfigError("residual_variance must be finite and >= 0, got nan")
 
-        monkeypatch.setattr(realization, "_arx_markov", invalid)
+        monkeypatch.setattr(realization, "_arx_fit", invalid)
         prepared = PreparedRecord(rec)
         assert select_order_aic(prepared, grid) == 8
         calls = count_calls(monkeypatch, "fit_arx")

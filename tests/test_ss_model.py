@@ -11,6 +11,7 @@ from parsimid import (
     PredictorMarkov,
     SignalRecord,
     StateSpaceModel,
+    estimate_bk,
     impulse_response,
     is_stable,
     load_model,
@@ -233,7 +234,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
-        "name", [*"ABCDK", "u", "y", "h_bar", "g_bar", "h", "simulate-u", "simulate-e", "toeplitz_gram_band-h"]
+        "name",
+        [*"ABCDK", "u", "y", "h_bar", "g_bar", "h", "simulate-u", "simulate-e", "toeplitz_gram_band-h",
+         "estimate_bk-b_seqs", "estimate_bk-k_seq"],
     )
     def test_non_finite_entries_rejected(self, name, bad):
         # Every value type, and every function taking a signal or weight, takes
@@ -249,6 +252,8 @@ class TestValidation:
             "simulate-u": lambda v: simulate(example1_system(), [0.0, v, 0.0, 1.0]),
             "simulate-e": lambda v: simulate(example1_system(), np.ones(4), [0.0, v, 0.0, 0.0]),
             "toeplitz_gram_band-h": lambda v: toeplitz_gram_band([v], 2, 3),
+            "estimate_bk-b_seqs": lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [[1.0, v]], [0.5]),
+            "estimate_bk-k_seq": lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [[1.0, 0.5]], [v]),
         }
         field = name.split("-")[-1]
         with pytest.raises(ConfigError, match=f"^{field} contains non-finite entries$"):

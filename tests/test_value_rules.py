@@ -33,6 +33,7 @@ from parsimid import (
     markov_g,
     markov_h,
     monte_carlo,
+    parsim_wls,
     random_system,
     select_order_aic,
     toeplitz_gram_band,
@@ -88,6 +89,36 @@ VARIANCES = {
 }
 
 
+# (call with a value of the wrong kind, its ConfigError's message)
+WRONG_KINDS = {
+    "StateSpaceModel-str": (
+        lambda: StateSpaceModel(A=0.5, B=1.0, C=1.0, D=0.0, K=0.0, sigma_e2="1"), "sigma_e2 must be a number, got '1'"
+    ),
+    "StateSpaceModel-None": (
+        lambda: StateSpaceModel(A=0.5, B=1.0, C=1.0, D=0.0, K=0.0, sigma_e2=None), "sigma_e2 must be a number, got None"
+    ),
+    "Scenario-str": (
+        lambda: Scenario(
+            name="s", system_source="example1", N=300, f=10, n_x=3, noise_variance="4", trials=1, methods=("parsim",)
+        ),
+        "noise_variance must be a number, got '4'",
+    ),
+    "gen_rbs-band": (lambda: gen_rbs(100, "0.1", 0), "band_high must be a number, got '0.1'"),
+    "select_order_aic-None": (
+        lambda: select_order_aic(REC, None), "order grid must be an iterable of integers, got None"
+    ),
+    "select_order_aic-int": (lambda: select_order_aic(REC, 5), "order grid must be an iterable of integers, got 5"),
+    "parsim_wls": (
+        lambda: parsim_wls(assemble_blocks(REC, 10, 8), np.zeros(9)),
+        "weighting must be an InnovationsMarkov, got ndarray",
+    ),
+    "identify-weighting_markov": (
+        lambda: identify(REC, RealizationConfig(n_x=3, f=10, p=8), weighting_markov=np.zeros(9)),
+        "estimate: weighting must be an InnovationsMarkov, got ndarray",
+    ),
+}
+
+
 def same(a, b) -> bool:
     """Equal values of one type: arrays bit for bit, dataclasses field by field, NaN equal to NaN."""
     if isinstance(a, np.ndarray):
@@ -129,6 +160,13 @@ def test_variance_outside_its_range_rejected(entry, value):
     call, name = VARIANCES[entry]
     with pytest.raises(ConfigError, match=f"^{name} must be finite and >= 0, got {value}$"):
         call(value)
+
+
+@pytest.mark.parametrize("entry", WRONG_KINDS)
+def test_wrong_kind_of_value_rejected(entry):
+    call, message = WRONG_KINDS[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("entry", VARIANCES)
