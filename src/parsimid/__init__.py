@@ -67,7 +67,6 @@ from .ss_model import (
     SignalRecord,
     StateSpaceModel,
     impulse_response,
-    is_stable,
     load_model,
     markov_g,
     markov_h,

@@ -55,7 +55,7 @@ class PredictorMarkov:
     residual_variance: float
 
     def __post_init__(self):
-        h, g = _freeze(np.ravel(self.h_bar), "h_bar"), _freeze(np.ravel(self.g_bar), "g_bar")
+        h, g = _freeze(self.h_bar, "h_bar", -1), _freeze(self.g_bar, "g_bar", -1)
         if h.shape != g.shape:
             raise ConfigError("h_bar and g_bar must have equal length")
         object.__setattr__(self, "residual_variance", _variance(self.residual_variance, "residual_variance"))
@@ -70,7 +70,7 @@ class InnovationsMarkov:
     h: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _freeze(np.ravel(self.h), "h"))
+        object.__setattr__(self, "h", _freeze(self.h, "h", -1))
 
 
 def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from scipy.signal import butter, lfilter, sosfilt
 from .arx_pre import default_aic_grid
 from .errors import ConfigError, ParsimidError
 from .realization import PreparedRecord, RealizationConfig, identify, select_order_aic
-from .ss_model import SignalRecord, StateSpaceModel, _integer, _variance, impulse_response, observability, simulate
+from .ss_model import SignalRecord, StateSpaceModel, _freeze, _integer, _variance, impulse_response, observability, simulate
 
 __all__ = [
     "Scenario",
@@ -118,7 +118,7 @@ def random_system(seed, n_x: int = 6) -> StateSpaceModel:
             rejection-sampling budget is exhausted.
     """
     n_x = _integer(n_x, "n_x", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     draws = 0
     while draws < RANDOM_MAX_DRAWS:
         draws += 1
@@ -167,7 +167,7 @@ def gen_rbs(N: int, band_high: float, seed) -> np.ndarray:
     noise.
     """
     N, band_high = _integer(N, "N", 1), _band(band_high, "band_high")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     w = rng.standard_normal(N)
     if band_high < 1.0:
         w = sosfilt(_rbs_sos(band_high), w)
@@ -178,8 +178,7 @@ def gen_rbs(N: int, band_high: float, seed) -> np.ndarray:
 
 def fit_metric(g_o, g_hat) -> float:
     """Normalized impulse-response match: 100 (1 - |g_o - g_hat| / |g_o - mean(g_o)|)."""
-    g_o = np.asarray(g_o, dtype=float).ravel()
-    g_hat = np.asarray(g_hat, dtype=float).ravel()
+    g_o, g_hat = _freeze(g_o, "g_o", -1), _freeze(g_hat, "g_hat", -1)
     if g_o.shape != g_hat.shape:
         raise ConfigError(f"length mismatch: {g_o.size} vs {g_hat.size}")
     denom = float(np.linalg.norm(g_o - np.mean(g_o)))
@@ -190,8 +189,7 @@ def fit_metric(g_o, g_hat) -> float:
 
 def error_g(G_hat, G_true) -> float:
     """Relative 2-norm error of a Markov-parameter row estimate."""
-    G_hat = np.asarray(G_hat, dtype=float).ravel()
-    G_true = np.asarray(G_true, dtype=float).ravel()
+    G_hat, G_true = _freeze(G_hat, "G_hat", -1), _freeze(G_true, "G_true", -1)
     if G_hat.shape != G_true.shape:
         raise ConfigError(f"length mismatch: {G_hat.size} vs {G_true.size}")
     denom = float(np.linalg.norm(G_true))

@@ -104,7 +104,7 @@ def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
     returned, are the upper storage.
     """
     i, N = _integer(i, "bank row", 1), _integer(N, "N", 1)
-    h = _freeze(np.ravel(h)[: i - 1], "h")
+    h = _freeze(h, "h", -1)[: i - 1]
     # [H_0, H_1, ..., H_{i-1}]; missing high lags count as 0
     b_nat = np.r_[np.zeros(i - 1 - h.size), h[::-1], 1.0][::-1]
     band = np.empty((i, N), order="F")

@@ -234,10 +234,11 @@ def extract_ac(Gamma_hat: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray,
     least-squares sense, and the RMS is that of Gamma[:-1] A - Gamma[1:].
 
     Raises:
-        ConfigError: If the factor has fewer than n_x + 1 rows.
+        ConfigError: If the factor is not a finite numeric array of n_x
+            columns and at least n_x + 1 rows.
         RankError: If the top block is column-rank deficient.
     """
-    G = np.asarray(Gamma_hat, dtype=float)
+    G = _freeze(Gamma_hat, "Gamma_hat")
     if G.ndim != 2 or G.shape[1] != n_x:
         raise ConfigError(f"observability factor must have {n_x} columns, got {G.shape}")
     if G.shape[0] < n_x + 1:
@@ -261,10 +262,10 @@ def estimate_bk(
     i = 1, 2, ...  Both fits read one observability stack of (A, C).
 
     Raises:
-        ConfigError: If ``b_seqs`` or ``k_seq`` holds no value or a non-finite one.
+        ConfigError: If ``b_seqs`` or ``k_seq`` holds no value, a non-number or a non-finite one.
         RankError: If the observability stack of (A, C) is rank deficient.
     """
-    b_seqs, k_seq = [np.ravel(_freeze(s, "b_seqs")) for s in b_seqs], np.ravel(_freeze(k_seq, "k_seq"))
+    b_seqs, k_seq = [_freeze(s, "b_seqs", -1) for s in b_seqs], _freeze(k_seq, "k_seq", -1)
     if not k_seq.size or not sum(s.size for s in b_seqs):
         raise ConfigError("no Markov-parameter observations to fit a gain from")
     O = observability(A, C, max(s.size for s in [*b_seqs, k_seq]))

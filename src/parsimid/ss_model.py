@@ -18,9 +18,10 @@ the ARX pre-estimates and SSARX work with its Markov parameters.
 All objects in this module are immutable value types; operations are pure
 functions of their inputs and safe to share between workers.  The module
 owns the three value rules every entry point of the package applies:
-``_freeze`` (finite, read-only arrays), ``_integer`` (sizes, counts and
-seeds: an integer type, at least a lower bound) and ``_variance`` (a
-finite value >= 0).
+``_freeze`` (the one conversion of an outside value to a float array: it
+converts, reshapes, and returns it finite and read-only), ``_integer``
+(sizes, counts and seeds: an integer type other than bool, at least a
+lower bound) and ``_variance`` (a finite value >= 0).
 """
 
 from __future__ import annotations
@@ -43,33 +44,29 @@ __all__ = [
     "markov_h",
     "impulse_response",
     "spectral_radius",
-    "is_stable",
     "model_to_dict",
     "model_from_dict",
     "save_model",
     "load_model",
 ]
 
-# is_stable requires the spectral radius to stay this far inside the unit circle.
+# identify's diagnostics["stable"] requires the spectral radius to stay this far inside the unit circle.
 STABILITY_MARGIN = 1e-9
 
 
-def _as_square(x, name: str) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConfigError(f"{name} must be square, got shape {a.shape}")
-    return a
+def _freeze(a, name: str, shape=None) -> np.ndarray:
+    """``a`` as a finite, read-only float array, reshaped to ``shape`` (``-1``: flat) if one is given.
 
-
-def _as_shape(x, shape: tuple[int, int], name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.size != shape[0] * shape[1]:
-        raise ConfigError(f"{name} must have shape {shape}, got {np.shape(x)}")
-    return a.reshape(shape)
-
-
-def _freeze(a: np.ndarray, name: str) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    The package's one conversion of an outside value: a non-number, a ragged
+    sequence or a size that does not fit ``shape`` is a ConfigError naming
+    ``name`` with numpy's text, and so is a NaN or infinite entry.
+    """
+    try:
+        out = np.array(a, dtype=float)
+        if shape is not None:
+            out = out.reshape(shape)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{name}: {err}") from None
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"{name} contains non-finite entries")
     out.setflags(write=False)
@@ -77,8 +74,10 @@ def _freeze(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def _integer(value, name: str, low: int) -> int:
-    """``operator.index(value)`` if at least ``low``: numpy integers pass, and 2.5 or 10.0 is a ConfigError."""
+    """``operator.index(value)`` if at least ``low``: numpy integers pass, and a bool, 2.5 or 10.0 is a ConfigError."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
@@ -121,17 +120,14 @@ class StateSpaceModel:
     sigma_e2: float = 1.0
 
     def __post_init__(self):
-        A = _as_square(self.A, "A")
+        A = np.atleast_2d(_freeze(self.A, "A"))
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ConfigError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
-        B = _as_shape(self.B, (n, 1), "B")
-        C = _as_shape(self.C, (1, n), "C")
-        D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        if D.shape != (1, 1):
-            raise ConfigError(f"D must be scalar (SISO), got shape {D.shape}")
-        K = _as_shape(self.K, (n, 1), "K")
+        object.__setattr__(self, "A", A)
+        for name, shape in (("B", (n, 1)), ("C", (1, n)), ("D", (1, 1)), ("K", (n, 1))):
+            object.__setattr__(self, name, _freeze(getattr(self, name), name, shape))
         object.__setattr__(self, "sigma_e2", _variance(self.sigma_e2, "sigma_e2"))
-        for name, M in (("A", A), ("B", B), ("C", C), ("D", D), ("K", K)):
-            object.__setattr__(self, name, _freeze(M, name))
 
     @property
     def n_x(self) -> int:
@@ -154,12 +150,11 @@ class SignalRecord:
     y: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).ravel()
-        y = np.asarray(self.y, dtype=float).ravel()
+        u, y = _freeze(self.u, "u", -1), _freeze(self.y, "y", -1)
         if u.shape != y.shape:
             raise ConfigError(f"u and y must have equal length, got {u.size} and {y.size}")
-        object.__setattr__(self, "u", _freeze(u, "u"))
-        object.__setattr__(self, "y", _freeze(y, "y"))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "y", y)
 
     def __len__(self) -> int:
         return self.u.size
@@ -190,12 +185,13 @@ def simulate(
         y[k] = C x[k] + D u[k] + e[k] and x[k+1] = A x[k] + B u[k] + K e[k].
 
     Raises:
-        ConfigError: On length or dimension mismatch, or a non-finite u or e.
+        ConfigError: On length or dimension mismatch, or a u or e that is not
+            a sequence of finite numbers.
         DivergenceError: If the output leaves the finite range; the message
             reports the first offending step index.
     """
-    u = _freeze(np.ravel(u), "u")
-    e = np.zeros_like(u) if e is None else _freeze(np.ravel(e), "e")
+    u = _freeze(u, "u", -1)
+    e = np.zeros_like(u) if e is None else _freeze(e, "e", -1)
     if u.shape != e.shape:
         raise ConfigError(f"u and e must have equal length, got {u.size} and {e.size}")
     B_k = np.hstack([m.B, m.K])
@@ -254,14 +250,6 @@ def impulse_response(m: StateSpaceModel, count: int) -> np.ndarray:
 def spectral_radius(m: StateSpaceModel) -> float:
     """Largest eigenvalue magnitude of A."""
     return float(np.max(np.abs(np.linalg.eigvals(m.A))))
-
-
-def is_stable(m: StateSpaceModel) -> bool:
-    """True iff every eigenvalue of A lies strictly inside the unit disk.
-
-    The check uses a strict margin: spectral_radius(m) < 1 - STABILITY_MARGIN.
-    """
-    return spectral_radius(m) < 1.0 - STABILITY_MARGIN
 
 
 def model_to_dict(m: StateSpaceModel) -> dict:

@@ -11,9 +11,11 @@ from parsimid import (
     PredictorMarkov,
     SignalRecord,
     StateSpaceModel,
+    error_g,
     estimate_bk,
+    extract_ac,
+    fit_metric,
     impulse_response,
-    is_stable,
     load_model,
     markov_g,
     markov_h,
@@ -25,7 +27,7 @@ from parsimid import (
     toeplitz_gram_band,
 )
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
-from parsimid.ss_model import observability
+from parsimid.ss_model import STABILITY_MARGIN, observability
 
 from helpers import gamma_f, random_stable_model, ref_simulate
 
@@ -140,12 +142,12 @@ class TestMarkov:
 class TestStability:
     def test_scalar_stable(self):
         m = scalar_model(0.5, 1.0, 1.0, 0.0)
-        assert is_stable(m)
+        assert spectral_radius(m) < 1.0 - STABILITY_MARGIN
         assert spectral_radius(m) == pytest.approx(0.5, abs=1e-15)
 
     def test_boundary_unstable(self):
         m = StateSpaceModel(A=1.0, B=1.0, C=1.0, D=0.0, K=0.0)
-        assert not is_stable(m)
+        assert spectral_radius(m) >= 1.0 - STABILITY_MARGIN
 
     def test_example2_double_pole(self):
         # Characteristic polynomial of [[2g, -g^2], [1, 0]] is (z - g)^2.
@@ -153,7 +155,7 @@ class TestStability:
         roots = np.roots([1.0, -2 * EXAMPLE2_GAMMA, EXAMPLE2_GAMMA**2])
         np.testing.assert_allclose(roots, [EXAMPLE2_GAMMA, EXAMPLE2_GAMMA], atol=1e-12)
         assert spectral_radius(m) == pytest.approx(EXAMPLE2_GAMMA, abs=1e-7)
-        assert is_stable(m)
+        assert spectral_radius(m) < 1.0 - STABILITY_MARGIN
 
 
 class TestSerialization:
@@ -184,8 +186,11 @@ class TestSerialization:
             # Example 1 has 3 states; a size is never truncated or parsed.
             ({**model_to_dict(example1_system()), "n_x": 3.9}, "malformed model document: n_x must be an integer, got 3.9"),
             ({**model_to_dict(example1_system()), "n_x": "3"}, "malformed model document: n_x must be an integer, got '3'"),
+            # a bool is never a size, even where True would match the one state
+            ({"A": 0.5, "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0, "n_x": True},
+             "malformed model document: n_x must be an integer, got True"),
         ],
-        ids=["list", "string-matrix", "null-n_x", "infinite-n_x", "fractional-n_x", "string-n_x"],
+        ids=["list", "string-matrix", "null-n_x", "infinite-n_x", "fractional-n_x", "string-n_x", "bool-n_x"],
     )
     def test_malformed_document_is_config_error(self, tmp_path, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -236,7 +241,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "name",
         [*"ABCDK", "u", "y", "h_bar", "g_bar", "h", "simulate-u", "simulate-e", "toeplitz_gram_band-h",
-         "estimate_bk-b_seqs", "estimate_bk-k_seq"],
+         "estimate_bk-b_seqs", "estimate_bk-k_seq", "extract_ac-Gamma_hat", "fit_metric-g_o", "fit_metric-g_hat",
+         "error_g-G_hat", "error_g-G_true"],
     )
     def test_non_finite_entries_rejected(self, name, bad):
         # Every value type, and every function taking a signal or weight, takes
@@ -254,6 +260,11 @@ class TestValidation:
             "toeplitz_gram_band-h": lambda v: toeplitz_gram_band([v], 2, 3),
             "estimate_bk-b_seqs": lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [[1.0, v]], [0.5]),
             "estimate_bk-k_seq": lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [[1.0, 0.5]], [v]),
+            "extract_ac-Gamma_hat": lambda v: extract_ac([[1.0], [v]], 1),
+            "fit_metric-g_o": lambda v: fit_metric([1.0, v], [1.0, 0.0]),
+            "fit_metric-g_hat": lambda v: fit_metric([1.0, 0.0], [1.0, v]),
+            "error_g-G_hat": lambda v: error_g([1.0, v], [1.0, 0.0]),
+            "error_g-G_true": lambda v: error_g([1.0, 0.0], [1.0, v]),
         }
         field = name.split("-")[-1]
         with pytest.raises(ConfigError, match=f"^{field} contains non-finite entries$"):

@@ -1,11 +1,13 @@
-"""Every public entry point that takes a size or a variance applies ss_model's rules.
+"""Every public entry point that takes a size, a variance or an array applies ss_model's rules.
 
-``ss_model._integer`` owns the integer rule: any integer type, numpy's too,
-at least a lower bound.  ``ss_model._variance`` owns the variance rule: a
-finite value >= 0.  A float size such as 2.5 or 10.0 is a ConfigError with
-the owner's text, never a bare TypeError and never a silent truncation.  An
-object that validates a value stores the rule's result, so a numpy integer
-gives the same Python values as an int.
+``ss_model._integer`` owns the integer rule: any integer type but bool,
+numpy's too, at least a lower bound.  ``ss_model._variance`` owns the
+variance rule: a finite value >= 0.  ``ss_model._freeze`` owns the
+conversion of an array: a string or a ragged sequence is a ConfigError
+naming the field.  A float or bool size such as 2.5, 10.0 or True is a
+ConfigError with the owner's text, never a bare TypeError and never a
+silent truncation.  An object that validates a value stores the rule's
+result, so a numpy integer gives the same Python values as an int.
 """
 
 import dataclasses
@@ -17,16 +19,22 @@ import pytest
 
 from parsimid import (
     ConfigError,
+    InnovationsMarkov,
     PredictorMarkov,
     RealizationConfig,
     Scenario,
+    SignalRecord,
     StateSpaceModel,
     assemble_blocks,
     default_aic_grid,
+    error_g,
+    estimate_bk,
     example1_scenario,
     example1_system,
     example3_scenario,
+    extract_ac,
     fit_arx,
+    fit_metric,
     gen_rbs,
     identify,
     impulse_response,
@@ -36,6 +44,7 @@ from parsimid import (
     parsim_wls,
     random_system,
     select_order_aic,
+    simulate,
     toeplitz_gram_band,
     write_aggregates_json,
 )
@@ -74,7 +83,9 @@ INTEGERS = {
     "RealizationConfig-f": (lambda v: RealizationConfig(n_x=3, f=v, p=8), "future horizon", 2, 10),
     "RealizationConfig-p": (lambda v: RealizationConfig(n_x=3, f=10, p=v), "past horizon", 1, 8),
     "random_system": (lambda v: random_system(7, n_x=v), "n_x", 1, 3),
+    "random_system-seed": (lambda v: random_system(v, n_x=3), "seed", 0, 7),
     "gen_rbs": (lambda v: gen_rbs(v, 0.1, 4), "N", 1, 50),
+    "gen_rbs-seed": (lambda v: gen_rbs(50, 0.1, v), "seed", 0, 4),
     "Scenario-N": (lambda v: example1_scenario(N=v), "record length", 1, 2000),
     "Scenario-trials": (lambda v: example1_scenario(trials=v), "trials", 1, 3),
     "monte_carlo-master_seed": (lambda v: _small_run(master_seed=v), "master seed", 0, 1),
@@ -88,6 +99,27 @@ VARIANCES = {
     "Scenario": (lambda v: example3_scenario(v, trials=1), "noise_variance"),
 }
 
+MATRICES = dict(A=0.5, B=1.0, C=1.0, D=0.0, K=0.2)
+
+# (entry point given an array at one field, that field's name)
+CONVERSIONS = {
+    **{f"StateSpaceModel-{m}": (lambda v, m=m: StateSpaceModel(**{**MATRICES, m: v}), m) for m in MATRICES},
+    "SignalRecord-u": (lambda v: SignalRecord(u=v, y=[1.0, 2.0]), "u"),
+    "SignalRecord-y": (lambda v: SignalRecord(u=[1.0, 2.0], y=v), "y"),
+    "simulate-u": (lambda v: simulate(MODEL, v), "u"),
+    "simulate-e": (lambda v: simulate(MODEL, np.ones(2), v), "e"),
+    "PredictorMarkov-h_bar": (lambda v: PredictorMarkov(h_bar=v, g_bar=[1.0, 0.0], residual_variance=1.0), "h_bar"),
+    "PredictorMarkov-g_bar": (lambda v: PredictorMarkov(h_bar=[0.5, 0.1], g_bar=v, residual_variance=1.0), "g_bar"),
+    "InnovationsMarkov": (lambda v: InnovationsMarkov(h=v), "h"),
+    "toeplitz_gram_band": (lambda v: toeplitz_gram_band(v, 2, 3), "h"),
+    "estimate_bk-b_seqs": (lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [v], [0.5]), "b_seqs"),
+    "estimate_bk-k_seq": (lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [[1.0, 0.5]], v), "k_seq"),
+    "extract_ac": (lambda v: extract_ac(v, 1), "Gamma_hat"),
+    "fit_metric-g_o": (lambda v: fit_metric(v, [1.0, 0.0]), "g_o"),
+    "fit_metric-g_hat": (lambda v: fit_metric([1.0, 0.0], v), "g_hat"),
+    "error_g-G_hat": (lambda v: error_g(v, [1.0, 0.0]), "G_hat"),
+    "error_g-G_true": (lambda v: error_g([1.0, 0.0], v), "G_true"),
+}
 
 # (call with a value of the wrong kind, its ConfigError's message)
 WRONG_KINDS = {
@@ -132,7 +164,7 @@ def same(a, b) -> bool:
     return type(a) is type(b) and (a == b or (a != a and b != b))
 
 
-@pytest.mark.parametrize("value", [2.5, 10.0])
+@pytest.mark.parametrize("value", [2.5, 10.0, True])
 @pytest.mark.parametrize("entry", INTEGERS)
 def test_non_integer_size_rejected(entry, value):
     call, name, _, _ = INTEGERS[entry]
@@ -167,6 +199,14 @@ def test_wrong_kind_of_value_rejected(entry):
     call, message = WRONG_KINDS[entry]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("value", ["x", [[1.0], [1.0, 2.0]]], ids=["string", "ragged"])
+@pytest.mark.parametrize("entry", CONVERSIONS)
+def test_non_numeric_or_ragged_array_rejected(entry, value):
+    call, name = CONVERSIONS[entry]
+    with pytest.raises(ConfigError, match=f"^{name}: "):
+        call(value)
 
 
 @pytest.mark.parametrize("entry", VARIANCES)
