@@ -15,6 +15,9 @@ the order, factors the interleaved lag design (``_lstsq.NestedLstsq``) and
 checks its input lags, and ``_arx_fit`` reads a fit and its RSS from that
 factor.  ``fit_arx`` is the two in turn; the AIC order search
 (``realization.select_order_aic``) reads every order through them.
+``_fit_arx_from_blocks`` reads the order-p fit, after the same checks,
+from the R factor of the record's data blocks of past horizon p, which
+hold that regression on all but the last f - 1 samples (``_block_stack``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ._lstsq import NestedLstsq
+from .data_blocks import DataBlocks
 from .errors import ConfigError, ExcitationError
 from .ss_model import SignalRecord, _freeze, _integer, _variance
 
@@ -84,13 +88,37 @@ def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int) -> np.ndarray:
     return A
 
 
-def _arx_qr(rec: SignalRecord, n: int, start: int) -> NestedLstsq:
+def _block_stack(rec: SignalRecord, blocks: DataBlocks) -> np.ndarray:
+    """A (2n + f) x (2n + 1) stand-in, n = blocks.p, with the Gram of the order-n design from sample n on.
+
+    The blocks' design [Y_p' U_p' U_f' Y_f'] holds that regression on the
+    samples n .. N_total - f: y lag l is its column n - l, u lag l column
+    2n - l and y_t column 2n + f.  Their R factor's first 2n rows of those
+    columns, in ``_arx_design``'s order, and a row holding the norm of the
+    target's residual below them have the Gram of the design on those
+    samples; the f - 1 samples past the blocks are appended as rows, as in
+    a row-append update of a QR (Golub & Van Loan, section 12.5).  The
+    checks of ``_arx_qr`` and of the blocks leave R at least 2n rows.
+    """
+    n, f, R = blocks.p, blocks.f, blocks.ls.R
+    lags = np.arange(n - 1, -1, -1)
+    cols = np.append(np.column_stack([lags, n + lags]).ravel(), 2 * n + f)
+    S = np.zeros((2 * n + f, 2 * n + 1), order="F")
+    S[: 2 * n] = R[: 2 * n, cols]
+    S[2 * n, 2 * n] = np.linalg.norm(R[2 * n :, 2 * n + f])
+    S[2 * n + 1 :] = _arx_design(rec.u, rec.y, n, len(rec) - f + 1)
+    return S
+
+
+def _arx_qr(rec: SignalRecord, n: int, start: int, blocks: DataBlocks | None = None) -> NestedLstsq:
     """The factored order-n design on the samples from ``start`` on, if order n passes every ARX check.
 
     Order n needs 10 n samples and more than 2 n rows, else ConfigError,
     and input lags 1..n of full rank, else ExcitationError.  Noise-free
     records make the output lags exactly collinear, and the minimum-norm
-    fit is still right there.
+    fit is still right there.  Given the record's ``blocks`` of past
+    horizon n (and ``start`` = n), it factors their ``_block_stack`` in
+    place of the design.
     """
     n, n_total = _integer(n, "ARX order", 1), len(rec)
     if n_total < MIN_SAMPLES_PER_ORDER * n:
@@ -99,7 +127,10 @@ def _arx_qr(rec: SignalRecord, n: int, start: int) -> NestedLstsq:
         )
     if n_total - start <= 2 * n:
         raise ConfigError(f"ARX order {n} leaves no degrees of freedom on {n_total - start} samples")
-    ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start), 2 * n)
+    if blocks is None:
+        ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start), 2 * n)
+    else:
+        ls = NestedLstsq(_block_stack(rec, blocks), 2 * n, n_total - start)
     if ls.rank_below(slice(1, 2 * n, 2), n) is not None:
         raise ExcitationError(f"input-lag regressor of ARX order {n} is rank deficient: input is not persistently exciting")
     return ls
@@ -130,6 +161,11 @@ def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
         ExcitationError: If the input-lag block is rank deficient.
     """
     return _arx_fit(_arx_qr(rec, n, n), n)
+
+
+def _fit_arx_from_blocks(rec: SignalRecord, blocks: DataBlocks) -> PredictorMarkov:
+    """``fit_arx(rec, blocks.p)``, to rounding, read from the R factor of the record's ``blocks`` with no QR of its design."""
+    return _arx_fit(_arx_qr(rec, blocks.p, blocks.p, blocks), blocks.p)
 
 
 def max_arx_order(n_total: int) -> int:

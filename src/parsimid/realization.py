@@ -9,8 +9,10 @@ Ranks are decided in ``_lstsq``: the SVD's by ``numerical_rank``, and the
 shift's and the gain fits' by ``full_rank_lstsq``, which solves them.
 Every method identifying one record reads one :class:`PreparedRecord`, which
 keeps its data blocks and W2 per horizon pair and its ARX fits per order.
-The AIC order search (:func:`select_order_aic`) reads its largest grid
-order's fit on the way, and leaves that fit in the record it is given.
+The order-p fit of a horizon pair is read from that pair's blocks, whose
+one QR already holds the regression.  The AIC order search
+(:func:`select_order_aic`) reads its largest grid order's fit on the way,
+and leaves that fit in the record it is given.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .arx_pre import (
     PredictorMarkov,
     _arx_fit,
     _arx_qr,
+    _fit_arx_from_blocks,
     fit_arx,
     max_arx_order,
     predictor_to_innovations,
@@ -121,15 +124,20 @@ class PreparedRecord:
     """One record, shared by every method identifying it.
 
     Each piece is made on first use and kept, keyed by what it is made
-    from: the data blocks (design, QR and excitation check) and the W2
-    weighting per horizon pair (f, p), and the ARX fit per order.  A piece
-    whose preparation raises is not kept, so every later call raises
-    afresh.  The pieces are made through this module's names
-    (``assemble_blocks``, ``weight_w2``, ``fit_arx``), so a wrapper put in
-    their place here sees every call.  The one exception is the fit of the
-    largest order of an AIC grid: :func:`select_order_aic` reads it through
-    ``arx_pre``'s ``_arx_qr`` and ``_arx_fit`` on the window ``fit_arx``
-    uses, as ``fit_arx`` does, and keeps it here.
+    from: the data blocks (design, QR and excitation check), the W2
+    weighting and the order-p ARX fit per horizon pair (f, p), and any
+    other ARX fit per order.  ``arx(p, f)`` reads the order-p fit from the
+    blocks of (f, p) (``arx_pre._fit_arx_from_blocks``, ``fit_arx(rec, p)``
+    to rounding) and ``arx(n)`` is ``fit_arx(rec, n)``; the caller's (f, p)
+    alone picks which, so a shared record gives each method the bare
+    record's bits.  A piece whose preparation raises is not kept, so every
+    later call raises afresh.  The pieces are made through this module's
+    names (``assemble_blocks``, ``weight_w2``, ``fit_arx``,
+    ``_fit_arx_from_blocks``), so a wrapper put in their place here sees
+    every call.  The one exception is the fit of the largest order of an
+    AIC grid: :func:`select_order_aic` reads it through ``arx_pre``'s
+    ``_arx_qr`` and ``_arx_fit`` on the window ``fit_arx`` uses, as
+    ``fit_arx`` does, and keeps it here.
     """
 
     rec: SignalRecord
@@ -146,8 +154,10 @@ class PreparedRecord:
     def w2(self, f: int, p: int) -> np.ndarray:
         return self._kept(("w2", f, p), weight_w2, self.blocks(f, p))
 
-    def arx(self, n: int) -> PredictorMarkov:
-        return self._kept(("arx", n), fit_arx, self.rec, n)
+    def arx(self, n: int, f: int | None = None) -> PredictorMarkov:
+        if f is None:
+            return self._kept(("arx", n), fit_arx, self.rec, n)
+        return self._kept(("arx", f, n), _fit_arx_from_blocks, self.rec, self.blocks(f, n))
 
 
 def select_order_aic(rec: SignalRecord | PreparedRecord, grid) -> int:
@@ -293,8 +303,9 @@ def identify(
 ) -> IdentifiedModel:
     """End-to-end identification of one record.
 
-    Pipeline: data blocks -> high-order ARX pre-estimation (order p, or
-    max(p, f - 1) for SSARX) ->
+    Pipeline: data blocks -> high-order ARX pre-estimation (order p, read
+    from the blocks' R factor, or for SSARX with f - 1 > p a fit of order
+    f - 1) ->
     range-space estimate by the configured method -> weighted SVD ->
     shift-invariance (A, C) -> Markov-parameter fits for (B, K), D = 0
     (:func:`estimate_bk`).  B fits the bank's Markov rows, or for classical
@@ -334,9 +345,10 @@ def identify(
     with _stage("blocks"):
         blocks = prep.blocks(cfg.f, cfg.p)
     with _stage("arx"):
-        # SSARX subtracts f - 1 predictor Markov parameters.
+        # SSARX subtracts f - 1 predictor Markov parameters.  An order-p fit
+        # is read from the blocks, with fit_arx's checks and error texts.
         arx_order = max(cfg.p, cfg.f - 1) if cfg.method == "ssarx" else cfg.p
-        pm = prep.arx(arx_order)
+        pm = prep.arx(cfg.p, cfg.f) if arx_order == cfg.p else prep.arx(arx_order)
 
     weighting_order = None
     with _stage("estimate"):

@@ -19,9 +19,9 @@ All objects in this module are immutable value types; operations are pure
 functions of their inputs and safe to share between workers.  The module
 owns the three value rules every entry point of the package applies:
 ``_freeze`` (the one conversion of an outside value to a float array: it
-converts, reshapes, and returns it finite and read-only), ``_integer``
-(sizes, counts and seeds: an integer type other than bool, at least a
-lower bound) and ``_variance`` (a finite value >= 0).
+takes real numbers only, converts, reshapes, and returns them finite and
+read-only), ``_integer`` (sizes, counts and seeds: an integer type other
+than bool, at least a lower bound) and ``_variance`` (a finite value >= 0).
 """
 
 from __future__ import annotations
@@ -57,12 +57,18 @@ STABILITY_MARGIN = 1e-9
 def _freeze(a, name: str, shape=None) -> np.ndarray:
     """``a`` as a finite, read-only float array, reshaped to ``shape`` (``-1``: flat) if one is given.
 
-    The package's one conversion of an outside value: a non-number, a ragged
-    sequence or a size that does not fit ``shape`` is a ConfigError naming
-    ``name`` with numpy's text, and so is a NaN or infinite entry.
+    The package's one conversion of an outside value, which takes real
+    numbers only: entries of a numpy kind other than bool, integer or float
+    (strings, even numeric ones, bytes, complex numbers, objects such as
+    None), a ragged sequence or a size that does not fit ``shape`` is a
+    ConfigError naming ``name``, and so is a NaN or infinite entry.
     """
     try:
-        out = np.array(a, dtype=float)
+        raw = np.asarray(a)
+        if raw.dtype.kind not in "biuf":
+            what = {"U": "string", "S": "bytes"}.get(raw.dtype.kind, raw.dtype.name)
+            raise TypeError(f"could not convert {what} entries to float")
+        out = np.array(raw, dtype=float)
         if shape is not None:
             out = out.reshape(shape)
     except (TypeError, ValueError) as err:

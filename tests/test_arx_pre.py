@@ -1,12 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from parsimid import (
+    METHODS,
     ConfigError,
     ExcitationError,
     PredictorMarkov,
+    RealizationConfig,
     SignalRecord,
+    assemble_blocks,
     fit_arx,
+    identify,
     markov_g,
     markov_h,
     predictor_to_innovations,
@@ -14,9 +20,10 @@ from parsimid import (
     select_order_aic,
     simulate,
 )
-from parsimid.benchmark import example1_system
+from parsimid.arx_pre import _fit_arx_from_blocks
+from parsimid.benchmark import _trial_data, example1_system, example3_scenario
 
-from helpers import random_stable_model
+from helpers import example_record, random_stable_model
 
 
 def gen_arx(coeff_y, coeff_u, n_total, sigma_e, seed):
@@ -101,6 +108,66 @@ class TestFitArx:
         rec = SignalRecord(u=np.ones(500), y=rng.standard_normal(500))
         with pytest.raises(ExcitationError):
             fit_arx(rec, 3)
+
+
+def record(name, noisy, n_total):
+    """The first ``n_total`` samples of an Example 1 or 2 record of seed 0, or of Example 3's trial-0 record (N = 1000)."""
+    if name != "example3":
+        return example_record(name, 0, noisy, n_total)
+    rec = _trial_data(example3_scenario(10.0, trials=1), 0, 0)[1]
+    return SignalRecord(u=rec.u[:n_total], y=rec.y[:n_total])
+
+
+def block_cases(lengths, fs=(2, 10, 20)):
+    """(f, p, N_total) at every f whose blocks fit the record: N = N_total - f - p + 1 >= f + p."""
+    return [(f, p, n_total) for f in fs for p, n_total in lengths if n_total - f - p + 1 >= f + p]
+
+
+RECORDS = [("example1", True), ("example2", True), ("example3", True), ("example1", False), ("example2", False)]
+# The data-length bound N_total = 10 p, and longer records.  (10, 4, 40) and
+# (20, 8, 80) leave the blocks fewer rows than 2p + 2f.  Example 3's
+# band-limited binary input switches too rarely to excite the blocks of a
+# record under 100 samples long.
+BLOCK_CASES = [
+    (name, noisy, *case)
+    for name, noisy in RECORDS
+    for case in block_cases([(4, 40), (8, 80), (20, 200), (13, 1000)])
+    if name != "example3" or case[2] >= 100
+]
+
+
+class TestFitFromBlocks:
+    """The order-p fit read from the R factor of the record's blocks is ``fit_arx``'s."""
+
+    @pytest.mark.parametrize(
+        "name,noisy,f,p,n_total",
+        BLOCK_CASES,
+        ids=[f"{n}-{'noisy' if z else 'noise_free'}-f{f}-p{p}-N{t}" for n, z, f, p, t in BLOCK_CASES],
+    )
+    def test_matches_fit_arx(self, name, noisy, f, p, n_total):
+        rec = record(name, noisy, n_total)
+        blocks = assemble_blocks(rec, f, p)
+        got, want = _fit_arx_from_blocks(rec, blocks), fit_arx(rec, p)
+        theta_got, theta_want = (np.concatenate([pm.h_bar, pm.g_bar]) for pm in (got, want))
+        assert np.linalg.norm(theta_got - theta_want) <= 1e-12 * np.linalg.norm(theta_want)
+        # A noise-free record's RSS is rounding, so it is compared on the scale of y.
+        scale = want.residual_variance if noisy else np.mean(rec.y**2)
+        assert abs(got.residual_variance - want.residual_variance) <= 1e-12 * scale
+
+    def test_cases_reach_blocks_shorter_than_their_design(self):
+        assert any(n_total - f - p + 1 < 2 * p + 2 * f for _, _, f, p, n_total in BLOCK_CASES)
+
+    # N_total = 10p - 1, and N_total - p = 2p + 1 (which the 10p bound already refuses).
+    @pytest.mark.parametrize("f,p,n_total", block_cases([(8, 79), (20, 199), (8, 25), (20, 61)], fs=(2, 10)))
+    def test_identify_raises_fit_arx_text_at_arx(self, f, p, n_total):
+        rec = record("example1", True, n_total)
+        assemble_blocks(rec, f, p)
+        for method in METHODS:
+            order = max(p, f - 1) if method == "ssarx" else p
+            with pytest.raises(ConfigError) as want:
+                fit_arx(rec, order)
+            with pytest.raises(ConfigError, match=f"^arx: {re.escape(str(want.value))}$"):
+                identify(rec, RealizationConfig(n_x=1, f=f, p=p, method=method))
 
 
 class TestSelectOrderAic:

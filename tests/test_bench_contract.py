@@ -73,6 +73,7 @@ def test_a_traced_round_of_each_workload_reaches_every_layer(monkeypatch):
         names[name] = [s.name for s in tracer.spans]
     assert set(tracing.LAYERS) <= {n for spans in names.values() for n in spans}
     # One mc-example1 trial prepares its record once for its three methods,
-    # and AIC leaves the order-30 weighting fit in it.
-    want = {"data_blocks.assemble_blocks": 1, "realization.weight_w2": 1, "arx_pre.fit_arx": 1}
+    # AIC leaves the order-30 weighting fit in it, and the order-p fit is
+    # read from the blocks' R factor.
+    want = {"data_blocks.assemble_blocks": 1, "realization.weight_w2": 1, "arx_pre.fit_arx": 0}
     assert {layer: names["mc-example1"].count(layer) for layer in want} == want

@@ -179,6 +179,25 @@ class TestNestedLstsq:
         want = np.linalg.lstsq(X, t, rcond=None)[0]
         np.testing.assert_allclose(ls.regress(k, k), want, rtol=0, atol=TOL * np.linalg.norm(want))
 
+    def test_a_stand_in_takes_the_design_row_count(self):
+        # The same near-collinear design, given as the R factor of its first
+        # rows stacked with its last three.  The stand-in's R is the design's,
+        # and with the design's m it drops the direction as lstsq does; with
+        # its own 7 rows the cutoff would keep it.
+        rng = np.random.default_rng(2)
+        m, k = 2000, 4
+        X = rng.standard_normal((m, k))
+        X[:, 3] = X[:, 0] + 1e-14 * np.linalg.norm(X[:, 0]) * rng.standard_normal(m) / np.sqrt(m)
+        A = np.column_stack([X, rng.standard_normal(m)])
+        stand_in = np.vstack([np.linalg.qr(A[:-3], mode="r"), A[-3:]])
+        assert NestedLstsq(stand_in.copy(), k).full_rank
+        ls = NestedLstsq(stand_in, k, m)
+        assert ls.m == m and not ls.full_rank
+        want = np.linalg.lstsq(X, A[:, k], rcond=None)[0]
+        np.testing.assert_allclose(ls.regress(k, k), want, rtol=0, atol=TOL * np.linalg.norm(want))
+        r = X @ want - A[:, k]
+        assert ls.rss(k) == pytest.approx(r @ r, rel=1e-12)
+
     @pytest.mark.parametrize("q,cols", [(24, 45), (24, slice(40, 50)), (40, slice(40, 60)), (39, 41)])
     def test_full_rank_regression_is_scipys_triangular_solve_bit_for_bit(self, q, cols):
         rng = np.random.default_rng(3)

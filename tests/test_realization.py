@@ -514,9 +514,9 @@ class TestPreparedRecord:
         original = arx_pre.NestedLstsq
 
         for module in (data_blocks, estimators, arx_pre):
-            def counted(A, k, _module=module.__name__):
+            def counted(A, k, m=None, _module=module.__name__):
                 built.append((_module, A.shape[0]))
-                return original(A, k)
+                return original(A, k, m)
 
             monkeypatch.setattr(module, "NestedLstsq", counted, raising=False)
         _, rec = seed2_example1_record()
@@ -543,8 +543,9 @@ class TestPreparedRecord:
             assert_same_bytes(identify(prepared, cfg), want)
         assert [args[1:] for args in calls["assemble_blocks"]] == [(10, 8), (10, 12)]
         assert len(calls["weight_w2"]) == 2
-        # p, the weighting order 30 (kept across both pairs), SSARX's max(p, f - 1).
-        assert [args[1] for args in calls["fit_arx"]] == [8, 30, 9, 12]
+        # The weighting order 30 (kept across both pairs) and SSARX's
+        # f - 1 = 9 at p = 8; each order-p fit is read from its pair's blocks.
+        assert [args[1] for args in calls["fit_arx"]] == [30, 9]
 
     def test_shared_arrays_are_read_only(self):
         _, rec = seed2_example1_record()
@@ -576,9 +577,9 @@ class TestPreparedRecord:
         built = []
         original = arx_pre.NestedLstsq
         for module in (data_blocks, estimators, arx_pre):
-            def counted_ls(A, k, _module=module.__name__):
+            def counted_ls(A, k, m=None, _module=module.__name__):
                 built.append((_module, A.shape[0]))
-                return original(A, k)
+                return original(A, k, m)
 
             monkeypatch.setattr(module, "NestedLstsq", counted_ls, raising=False)
         sc = example1_scenario(trials=1, methods=("parsim", "parsim_opt", "classical"))
@@ -587,16 +588,18 @@ class TestPreparedRecord:
         p = rows[0].p
         assert len(calls["assemble_blocks"]) == 1
         assert len(calls["weight_w2"]) == 1
-        # AIC leaves its top-order fit, the weighting fit of order 30, in the record.
-        assert [args[1] for args in calls["fit_arx"]] == [p]
+        # AIC leaves its top-order fit, the weighting fit of order 30, in the
+        # record, and the order-p fit is read from the blocks.
+        assert [args[1] for args in calls["fit_arx"]] == []
         assert [b for b in built if b[0] == "parsimid.data_blocks"] == [
             ("parsimid.data_blocks", sc.N - sc.f - p + 1)
         ]
         assert not [b for b in built if b[0] == "parsimid.estimators"]
         # Every ARX factor is arx_pre's: AIC's on the window of its largest
-        # order, 30, and fit_arx(p)'s.
+        # order, 30, and the order-p fit's, of the (2p + f)-row stack of the
+        # blocks' R and the last f - 1 samples; none of N - p rows.
         assert [b for b in built if b[0] == "parsimid.arx_pre"] == [
-            ("parsimid.arx_pre", sc.N - 30), ("parsimid.arx_pre", sc.N - p)
+            ("parsimid.arx_pre", sc.N - 30), ("parsimid.arx_pre", 2 * p + sc.f)
         ]
 
 

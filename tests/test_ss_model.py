@@ -181,6 +181,9 @@ class TestSerialization:
         [
             ([1.0, 2.0], "malformed model document"),
             ({"A": "abc", "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0}, "could not convert string"),
+            # numeric strings are not parsed, as "sigma_e2": "1" is not
+            ({"A": [["0.5"]], "B": [["1"]], "C": [["1"]], "D": [["0"]], "K": [["0.2"]], "sigma_e2": 1.0},
+             "^A: could not convert string entries to float$"),
             ({"A": 0.5, "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0, "n_x": None}, "malformed"),
             ({"A": 0.5, "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0, "n_x": float("inf")}, "malformed"),
             # Example 1 has 3 states; a size is never truncated or parsed.
@@ -190,7 +193,7 @@ class TestSerialization:
             ({"A": 0.5, "B": 1.0, "C": 1.0, "D": 0.0, "K": 0.0, "sigma_e2": 1.0, "n_x": True},
              "malformed model document: n_x must be an integer, got True"),
         ],
-        ids=["list", "string-matrix", "null-n_x", "infinite-n_x", "fractional-n_x", "string-n_x", "bool-n_x"],
+        ids=["list", "string-matrix", "numeric-string-matrix", "null-n_x", "infinite-n_x", "fractional-n_x", "string-n_x", "bool-n_x"],
     )
     def test_malformed_document_is_config_error(self, tmp_path, doc, message):
         with pytest.raises(ConfigError, match=message):

@@ -3,8 +3,8 @@
 ``ss_model._integer`` owns the integer rule: any integer type but bool,
 numpy's too, at least a lower bound.  ``ss_model._variance`` owns the
 variance rule: a finite value >= 0.  ``ss_model._freeze`` owns the
-conversion of an array: a string or a ragged sequence is a ConfigError
-naming the field.  A float or bool size such as 2.5, 10.0 or True is a
+conversion of an array: a string (a numeric one too), bytes, a complex
+number or a ragged sequence is a ConfigError naming the field.  A float or bool size such as 2.5, 10.0 or True is a
 ConfigError with the owner's text, never a bare TypeError and never a
 silent truncation.  An object that validates a value stores the rule's
 result, so a numpy integer gives the same Python values as an int.
@@ -201,7 +201,13 @@ def test_wrong_kind_of_value_rejected(entry):
         call()
 
 
-@pytest.mark.parametrize("value", ["x", [[1.0], [1.0, 2.0]]], ids=["string", "ragged"])
+# A numeric string is not parsed and a complex array is not cut to its real
+# part: the conversion takes entries of numpy's bool, integer or float kinds.
+@pytest.mark.parametrize(
+    "value",
+    ["x", [[1.0], [1.0, 2.0]], "1", b"1", np.array(0.5 + 1j), np.array([1.0, 1j])],
+    ids=["string", "ragged", "numeric-string", "bytes", "complex", "complex-entry"],
+)
 @pytest.mark.parametrize("entry", CONVERSIONS)
 def test_non_numeric_or_ragged_array_rejected(entry, value):
     call, name = CONVERSIONS[entry]
