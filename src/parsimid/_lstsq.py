@@ -22,6 +22,9 @@ G = W'W of a tall W, whose eigenvalues are the singular values of the
 system G[:q, :q] theta = G[:q, q], and refines a full-rank solve against W.
 Every rank of the pipeline is :func:`numerical_rank`'s, by lstsq's cutoff,
 and every fit that needs full column rank is :func:`full_rank_lstsq`'s.
+The kernels' own failures (a zero pivot on the triangular path, a Gram
+whose eigenvalues do not converge) raise RankError; a LinAlgError from
+numpy itself is left to the caller's stage (``errors._stage``).
 """
 
 import numpy as np
@@ -110,7 +113,7 @@ class NestedLstsq:
             # Fortran-ordered lower triangle and is passed without a copy.
             x, info = dtrtrs(R11.T, b, lower=1, trans=1)
             if info > 0:
-                raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+                raise RankError(f"singular matrix: resolution failed at diagonal {info - 1}")
             return x
         return np.linalg.lstsq(R11, b, rcond=_EPS * max(self.m, q))[0]
 
@@ -145,7 +148,7 @@ def gram_solve(W: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
     A, b = G[:q, :q], G[:q, q]
     ev, _, info = dsyev(A, compute_v=0)
     if info != 0:
-        raise np.linalg.LinAlgError(f"Gram eigenvalues did not converge (dsyev info {info})")
+        raise RankError(f"Gram eigenvalues did not converge (dsyev info {info})")
     s = np.abs(ev)
     rank, s_min = numerical_rank(s, q, q), s.min()
     cond = float(s.max() / s_min) if s_min > 0 else float("inf")

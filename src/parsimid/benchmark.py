@@ -19,7 +19,7 @@ import numpy as np
 from scipy.signal import butter, lfilter, sosfilt
 
 from .arx_pre import default_aic_grid
-from .errors import ConfigError, ParsimidError
+from .errors import ConfigError, ParsimidError, _stage
 from .realization import PreparedRecord, RealizationConfig, identify, select_order_aic
 from .ss_model import SignalRecord, StateSpaceModel, _freeze, _integer, _variance, impulse_response, observability, simulate
 
@@ -275,8 +275,8 @@ def _trial_seeds(master_seed: int, trial: int) -> tuple[int, int, int, int]:
 
 
 def _trial_data(sc: Scenario, master_seed: int, trial: int):
-    """System, record, and reporting seed for one trial (method independent)."""
-    report_seed, sys_seed, input_seed, noise_seed = _trial_seeds(master_seed, trial)
+    """System and record of one trial (method independent); the reporting seed is ``_trial_seeds``' first."""
+    _, sys_seed, input_seed, noise_seed = _trial_seeds(master_seed, trial)
     if sc.system_source == "example1":
         system = example1_system()
         u = np.random.default_rng(input_seed).standard_normal(sc.N)
@@ -289,27 +289,25 @@ def _trial_data(sc: Scenario, master_seed: int, trial: int):
         u = gen_rbs(sc.N, 0.1, input_seed)
     e = np.sqrt(sc.noise_variance) * np.random.default_rng(noise_seed).standard_normal(sc.N)
     y = simulate(system, u, e)
-    return system, SignalRecord(u=u, y=y), report_seed
+    return system, SignalRecord(u=u, y=y)
 
 
 def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
-    def failed(seed: int, reason: str) -> list[TrialRow]:
+    """One trial's rows, one per method; a failed ``data`` or ``aic`` stage fills every row with p = -1."""
+    seed = _trial_seeds(master_seed, trial)[0]
+    try:
+        with _stage("data"):
+            system, rec = _trial_data(sc, master_seed, trial)
+        # AIC and every method read the one preparation of the record.  AIC
+        # leaves its top-order fit there, the parsim_opt weighting fit; any
+        # other piece is made by the first method asking for it, inside its
+        # own identify call.
+        prepared = PreparedRecord(rec)
+        with _stage("aic"):
+            p = select_order_aic(prepared, default_aic_grid(sc.n_x, len(rec)))
+    except ParsimidError as err:
         nan = float("nan")
-        return [TrialRow(trial, m, nan, nan, seed, -1, reason) for m in sc.methods]
-
-    try:
-        system, rec, seed = _trial_data(sc, master_seed, trial)
-    except ParsimidError as err:
-        return failed(_trial_seeds(master_seed, trial)[0], f"data: {err}")
-    # AIC and every method read the one preparation of the record.  AIC
-    # leaves its top-order fit there, the parsim_opt weighting fit; any
-    # other piece is made by the first method asking for it, inside its
-    # own identify call.
-    prepared = PreparedRecord(rec)
-    try:
-        p = select_order_aic(prepared, default_aic_grid(sc.n_x, len(rec)))
-    except ParsimidError as err:
-        return failed(seed, f"aic: {err}")
+        return [TrialRow(trial, m, nan, nan, seed, -1, str(err)) for m in sc.methods]
 
     g_true = impulse_response(system, FIT_LAGS)
     gff_true = g_true[: sc.f][::-1]
@@ -324,7 +322,7 @@ def _run_trial(sc: Scenario, master_seed: int, trial: int) -> list[TrialRow]:
             last_row = result.diagnostics["markov_last_row"]
             err_val = error_g(last_row, gff_true) if last_row is not None else float("nan")
             rows.append(TrialRow(trial, method, fit, err_val, seed, p))
-        except (ParsimidError, np.linalg.LinAlgError) as err:
+        except ParsimidError as err:
             rows.append(TrialRow(trial, method, float("nan"), float("nan"), seed, p, str(err)))
     return rows
 
@@ -333,8 +331,10 @@ def monte_carlo(sc: Scenario, master_seed: int, jobs: int = 1) -> BenchReport:
     """Run a scenario: per trial, derive seeds, generate one data record,
     score every configured method on it, and collect the table.
 
-    Individual trial failures are recorded per row (with the failing stage
-    in the message) and never abort the run.  Results are independent of
+    Individual trial failures are recorded per row and never abort the
+    run.  Each row's failure reads "{stage}: {message}": ``data`` or
+    ``aic`` for a failure before the methods run, which fills every
+    method's row, else ``identify``'s stage.  Results are independent of
     ``jobs`` because every trial is a pure function of
     (scenario, master_seed, trial index).  ``master_seed`` is an integer
     >= 0 and ``jobs`` one >= 1, else ConfigError.

@@ -1,8 +1,11 @@
 """Command-line front end: identify, simulate, and benchmark.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 66 missing input
-file.  Runtime failures print a stable category prefix (EXCITATION, RANK,
-IO, CONFIG) to stderr.  The PARSIM_LOG environment variable (error, info,
+file.  A runtime failure prints "CATEGORY: stage: message" to stderr: a
+stable category (EXCITATION, RANK, CONFIG, RUNTIME) and the stage that
+failed (``aic``, one of ``identify``'s, ``simulate``).  A malformed record
+or model file prints "CONFIG: message", and a file that cannot be read or
+written "IO: message".  The PARSIM_LOG environment variable (error, info,
 debug) sets the stderr log level.
 """
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import benchmark as bench
 from .arx_pre import default_aic_grid
-from .errors import ConfigError, ParsimidError
+from .errors import ConfigError, ParsimidError, _stage
 from .estimators import METHODS
 from .realization import PreparedRecord, RealizationConfig, identify, select_order_aic
 from .ss_model import SignalRecord, _integer, _variance, load_model, save_model, simulate
@@ -170,8 +173,9 @@ def _run_identify(args: argparse.Namespace) -> int:
     prepared = PreparedRecord(rec)
     config = args.config
     if args.p == "aic":
-        grid = default_aic_grid(args.order, len(rec))
-        config = replace(config, p=select_order_aic(prepared, grid))
+        with _stage("aic"):
+            grid = default_aic_grid(args.order, len(rec))
+            config = replace(config, p=select_order_aic(prepared, grid))
         log.info("AIC selected past horizon p=%d from grid %d..%d", config.p, grid[0], grid[-1])
     result = identify(prepared, config)
     save_model(result.model, args.out_path)
@@ -204,7 +208,8 @@ def _run_simulate(args: argparse.Namespace) -> int:
     else:
         u = bench.gen_rbs(n, args.rbs_band, args.seed)
     e = np.sqrt(args.noise_variance) * rng.standard_normal(n)
-    y = simulate(model, u, e)
+    with _stage("simulate"):
+        y = simulate(model, u, e)
     _write_record(args.out_path, u, y)
     return EXIT_OK
 
@@ -251,9 +256,6 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_RUNTIME
     except ParsimidError as err:
         print(f"{err.category}: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except np.linalg.LinAlgError as err:
-        print(f"RANK: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

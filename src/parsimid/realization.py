@@ -17,7 +17,7 @@ and leaves that fit in the record it is given.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +35,7 @@ from .arx_pre import (
     predictor_to_innovations_g,
 )
 from .data_blocks import DataBlocks, assemble_blocks
-from .errors import ConfigError, ExcitationError, ParsimidError, RankError
+from .errors import ConfigError, ExcitationError, RankError, _stage
 from .estimators import (
     METHODS,
     RangeEstimate,
@@ -285,17 +285,6 @@ def estimate_bk(
     return B[:, None], K[:, None], b_rms, k_rms
 
 
-@contextmanager
-def _stage(name: str):
-    """Context manager labeling errors with the pipeline stage."""
-    try:
-        yield
-    except ParsimidError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
-    except np.linalg.LinAlgError as exc:
-        raise RankError(f"{name}: {exc}") from exc
-
-
 def identify(
     rec: SignalRecord | PreparedRecord,
     cfg: RealizationConfig,
@@ -336,8 +325,11 @@ def identify(
         [G_{f-1}, ..., G_0] (parsim and parsim_opt, else None).
 
     Raises:
-        ParsimidError subclasses labeled with the failing stage; a record
-            not persistently exciting of order f + p fails at ``blocks:``.
+        ParsimidError: Labelled "{stage}: {message}" by ``errors._stage``,
+            with stage one of blocks, arx, estimate, svd, shift and gains
+            (the spectral radius is the last step of gains); numpy's
+            LinAlgError becomes a RankError.  A record not persistently
+            exciting of order f + p fails at ``blocks:``.
     """
     if weighting_markov is not None and cfg.method != "parsim_opt":
         raise ConfigError(f"weighting_markov applies to parsim_opt only, got method {cfg.method!r}")
@@ -390,9 +382,9 @@ def identify(
         model = StateSpaceModel(
             A=A_hat, B=B_hat, C=C_hat, D=0.0, K=K_hat, sigma_e2=pm.residual_variance,
         )
+        rho = spectral_radius(model)
 
     tail = float(np.sum(svals[cfg.n_x :]) / np.sum(svals)) if np.sum(svals) > 0 else 0.0
-    rho = spectral_radius(model)
     diagnostics = {
         "method": cfg.method,
         "f": cfg.f,

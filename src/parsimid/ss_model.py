@@ -139,14 +139,6 @@ class StateSpaceModel:
     def n_x(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def n_u(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def n_y(self) -> int:
-        return self.C.shape[0]
-
 
 @dataclass(frozen=True)
 class SignalRecord:
@@ -268,8 +260,8 @@ def model_to_dict(m: StateSpaceModel) -> dict:
         "K": m.K.tolist(),
         "sigma_e2": m.sigma_e2,
         "n_x": m.n_x,
-        "n_u": m.n_u,
-        "n_y": m.n_y,
+        "n_u": 1,  # SISO: B is (n_x, 1) and C is (1, n_x)
+        "n_y": 1,
     }
 
 
@@ -280,9 +272,9 @@ def model_from_dict(d: dict) -> StateSpaceModel:
             A=d["A"], B=d["B"], C=d["C"], D=d["D"], K=d["K"],
             sigma_e2=d["sigma_e2"],
         )
-        for key in ("n_x", "n_u", "n_y"):
-            if key in d and _integer(d[key], f"malformed model document: {key}", 1) != getattr(m, key):
-                raise ConfigError(f"model document {key}={d[key]} does not match matrices ({getattr(m, key)})")
+        for key, size in (("n_x", m.n_x), ("n_u", 1), ("n_y", 1)):
+            if key in d and _integer(d[key], f"malformed model document: {key}", 1) != size:
+                raise ConfigError(f"model document {key}={d[key]} does not match matrices ({size})")
     except KeyError as missing:
         raise ConfigError(f"model document missing key {missing}") from missing
     except (TypeError, ValueError, OverflowError) as err:

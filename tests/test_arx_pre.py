@@ -218,6 +218,17 @@ class TestSelectOrderAic:
         with pytest.raises(ConfigError):
             select_order_aic(rec, [20, 30])
 
+    def test_unfittable_grid_lists_each_order_from_the_lowest(self):
+        # Every order is fitted on the window the largest one leaves: 5 samples here.
+        rec = gen_arx([0.5], [1.0], 100, 0.1, seed=11)
+        with pytest.raises(ConfigError) as err:
+            select_order_aic(rec, [4, 95])
+        assert str(err.value) == (
+            "no ARX order in the grid could be fitted: "
+            "n=4: ARX order 4 leaves no degrees of freedom on 5 samples; "
+            "n=95: record of length 100 too short for ARX order 95: need at least 950 samples"
+        )
+
 
 class TestPredictorMarkov:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])

@@ -1,14 +1,29 @@
 import json
+import logging
 import warnings
 
 import numpy as np
 import pytest
 
-from parsimid import RealizationConfig, fit_metric, impulse_response, load_model, simulate
-from parsimid.benchmark import example1_system, example2_scenario
+from parsimid import (
+    METHODS,
+    PreparedRecord,
+    RealizationConfig,
+    StateSpaceModel,
+    default_aic_grid,
+    fit_metric,
+    identify,
+    impulse_response,
+    load_model,
+    save_model,
+    select_order_aic,
+    simulate,
+    ss_model,
+)
+from parsimid.benchmark import example1_system, example2_scenario, example2_system, gen_rbs
 from parsimid.cli import EXIT_NOINPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_args
 
-from helpers import child_env
+from helpers import child_env, example_record
 
 
 def write_record_csv(path, u, y):
@@ -53,6 +68,8 @@ class TestParseArgs:
              "--rbs-band must be in (0, 1]"),
             (["simulate", "--system", "example1", "--rbs-band", "0"], "--rbs-band must be in (0, 1]"),
             (["simulate", "--system", "example1", "--rbs-band", "nan"], "--rbs-band must be in (0, 1], got nan"),
+            (["identify", "--method", "parsim", "--order", "2", "--p", "five", "--in", "a.csv"],
+             "--p must be an integer or 'aic', got 'five'\n"),
             # RealizationConfig and Scenario own these rules.
             (["identify", "--method", "parsim", "--order", "2", "--p", "0", "--in", "a.csv"],
              "past horizon must be >= 1"),
@@ -144,6 +161,46 @@ class TestSimulateCommand:
         assert err.startswith("IO: ") and "nodir" in err and "input file not found" not in err
 
     @pytest.mark.parametrize(
+        "argv, system, make_input",
+        [
+            (["--system", "example2"], example2_system()[0], lambda rng, n: rng.standard_normal(n)),
+            (["--system", "example1", "--input-kind", "rbs", "--rbs-band", "0.3"], example1_system(),
+             lambda rng, n: gen_rbs(n, 0.3, 5)),
+        ],
+        ids=["example2", "rbs"],
+    )
+    def test_writes_the_simulation_of_the_seeded_input(self, tmp_path, argv, system, make_input):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", *argv, "--n-samples", "300", "--noise-variance", "2",
+                     "--seed", "5", "--out", str(out)]) == EXIT_OK
+        rng = np.random.default_rng(5)
+        u = make_input(rng, 300)
+        e = np.sqrt(2.0) * rng.standard_normal(300)
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(data[:, 0], np.arange(300))
+        np.testing.assert_array_equal(data[:, 1], u)
+        np.testing.assert_array_equal(data[:, 2], simulate(system, u, e))
+
+    def test_a_diverging_simulation_is_labelled(self, tmp_path, capsys):
+        model, out = tmp_path / "unstable.json", tmp_path / "o.csv"
+        save_model(StateSpaceModel(A=1.5, B=1.0, C=1.0, D=0.0, K=0.0), model)
+        code = main(["simulate", "--model", str(model), "--n-samples", "4000", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("RUNTIME: simulate: simulation diverged at step ")
+        assert not out.exists()
+
+    def test_a_linalg_error_in_the_simulation_is_a_rank_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(ss_model, "ss2tf", fail)
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--system", "example1", "--n-samples", "10", "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == "RANK: simulate: Eigenvalues did not converge\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "body",
         ["{not json", json.dumps({"A": "abc", "B": 1, "C": 1, "D": 0, "K": 0, "sigma_e2": 1}), "[1, 2]"],
         ids=["invalid-json", "string-matrix", "list"],
@@ -214,6 +271,56 @@ class TestIdentifyCommand:
         ])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("CONFIG:")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_default_past_horizon_is_picked_by_aic(self, tmp_path, caplog, method):
+        rec = example_record("example1", seed=3, noisy=True, n_total=2000)
+        data, out, want = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "want.json"
+        write_record_csv(data, rec.u, rec.y)
+        caplog.set_level(logging.INFO, logger="parsimid")
+        code = main(["identify", "--method", method.replace("_", "-"), "--order", "3",
+                     "--in", str(data), "--out", str(out)])
+        assert code == EXIT_OK
+        grid = default_aic_grid(3, len(rec))
+        p = select_order_aic(rec, grid)
+        save_model(identify(PreparedRecord(rec), RealizationConfig(n_x=3, f=10, p=p, method=method)).model, want)
+        assert out.read_bytes() == want.read_bytes()
+        assert f"AIC selected past horizon p={p} from grid 4..30" in caplog.messages
+
+    @pytest.mark.parametrize(
+        "u, message",
+        [
+            # a constant input excites no input lag
+            (np.ones(2000), "CONFIG: aic: no ARX order in the grid could be fitted: n=4: "),
+            # ten samples per order: 30 samples leave no order above n_x = 3
+            (np.arange(30.0), "CONFIG: aic: record of length 30 cannot support any ARX order above 3\n"),
+        ],
+        ids=["not-exciting", "too-short"],
+    )
+    def test_aic_failure_is_labelled(self, tmp_path, capsys, u, message):
+        data = tmp_path / "data.csv"
+        write_record_csv(data, u, np.random.default_rng(1).standard_normal(u.size))
+        code = main(["identify", "--method", "parsim", "--order", "3",
+                     "--in", str(data), "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("t,u,y\n0,1.0,2.0\n1,x,3.0\n", "CONFIG: could not parse {path}: "),
+            ("t,u,y\n0,1.0\n1,2.0\n", "CONFIG: expected 3 columns (t,u,y), got 2\n"),
+        ],
+        ids=["non-numeric-cell", "two-columns"],
+    )
+    def test_malformed_record_is_config_error(self, tmp_path, capsys, body, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(body)
+        code = main(["identify", "--method", "parsim", "--order", "2",
+                     "--in", str(data), "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(message.format(path=data))
 
     @pytest.mark.parametrize("body", ["t,u,y\n", "t,u,y", "t,u,y\n\n  \n"])
     def test_header_only_record_rejected_without_warning(self, tmp_path, capsys, body):

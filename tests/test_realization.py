@@ -40,7 +40,7 @@ from parsimid.benchmark import (
     example2_system,
     example3_scenario,
 )
-from parsimid import arx_pre, benchmark, data_blocks, estimators, realization
+from parsimid import _lstsq, arx_pre, benchmark, data_blocks, estimators, realization
 
 from helpers import (
     example_record,
@@ -319,6 +319,22 @@ class TestIdentify:
         rec = SignalRecord(u=np.ones(30), y=np.ones(30))
         with pytest.raises(ConfigError, match="blocks:"):
             identify(rec, RealizationConfig(n_x=2, f=20, p=20, method="parsim"))
+
+    def test_numpys_linalg_error_is_a_labelled_rank_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        rec = example_record("example1", seed=16, noisy=True, n_total=1200)
+        monkeypatch.setattr(realization.np.linalg, "svd", fail)
+        with pytest.raises(RankError, match="^svd: SVD did not converge$") as err:
+            identify(rec, RealizationConfig(n_x=3, f=10, p=12, method="parsim"))
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+    def test_gram_eigenvalues_that_do_not_converge_fail_the_estimate(self, monkeypatch):
+        monkeypatch.setattr(_lstsq, "dsyev", lambda A, compute_v=0: (np.zeros(A.shape[0]), None, 3))
+        rec = example_record("example1", seed=16, noisy=True, n_total=1200)
+        with pytest.raises(RankError, match=r"^estimate: Gram eigenvalues did not converge \(dsyev info 3\)$"):
+            identify(rec, RealizationConfig(n_x=3, f=10, p=12, method="parsim_opt"))
 
     def test_diagnostics_contents(self):
         m = example1_system()
