@@ -1,7 +1,9 @@
 """Command-line front end: identify, simulate, and benchmark.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error, 66 missing input
-file.  A runtime failure prints "CATEGORY: stage: message" to stderr: a
+Exit codes: 0 success, 1 runtime failure, 2 usage error (a ConfigError
+raised while parsing the command line), 66 missing input file.  The input
+file (``--in`` or ``--model``) is checked once, before any work.  A
+runtime failure prints "CATEGORY: stage: message" to stderr: a
 stable category (EXCITATION, RANK, CONFIG, RUNTIME) and the stage that
 failed (``aic``, one of ``identify``'s, ``simulate``).  A malformed record
 or model file prints "CONFIG: message", and a file that cannot be read or
@@ -36,22 +38,17 @@ EXIT_USAGE = 2
 EXIT_NOINPUT = 66  # sysexits EX_NOINPUT: an input file does not exist
 
 _METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
-# Each --scenario's Scenario.  A sweep's stands for all of its scenarios,
-# which take the same trials and methods.
+# Each --scenario's Scenario factory and, for a sweep, its runner, plot-data
+# writer, plot file stem and report label.  A sweep's Scenario stands for
+# all of its scenarios, which take the same trials and methods.
 _SCENARIOS = {
-    "example1": bench.example1_scenario,
-    "example2": bench.example2_scenario,
-    "example1-sweep": bench.example1_scenario,
-    "example3": partial(bench.example3_scenario, bench.JOINT_FIT_NOISE_LEVELS[0]),
+    "example1": (bench.example1_scenario,),
+    "example2": (bench.example2_scenario,),
+    "example1-sweep": (bench.example1_scenario, bench.run_error_vs_n,
+                       bench.write_error_vs_n_csv, "error_g_vs_n", "n{}"),
+    "example3": (partial(bench.example3_scenario, bench.JOINT_FIT_NOISE_LEVELS[0]),
+                 bench.run_joint_fit, bench.write_joint_fit_csv, "joint_fit", "var{:g}"),
 }
-
-
-class UsageError(Exception):
-    pass
-
-
-class _MissingInput(Exception):
-    """An input file named on the command line does not exist (exit 66)."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,13 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--f", type=int, default=10, help="future horizon (default 10)")
     ident.add_argument("--p", default="aic",
                        help="past horizon: integer, or 'aic' for automatic selection (default)")
-    ident.add_argument("--in", dest="in_path", required=True, metavar="CSV")
+    ident.add_argument("--in", dest="source", required=True, metavar="CSV")
     ident.add_argument("--out", dest="out_path", required=True, metavar="JSON")
 
     sim = sub.add_parser("simulate", help="simulate a model and write a t,u,y CSV record")
     src = sim.add_mutually_exclusive_group(required=True)
     src.add_argument("--system", choices=("example1", "example2"))
-    src.add_argument("--model", dest="model_path", metavar="JSON")
+    src.add_argument("--model", dest="source", metavar="JSON")
     sim.add_argument("--input-kind", choices=("impulse", "gaussian", "rbs"), default="gaussian")
     sim.add_argument("--n-samples", type=int, default=2000)
     sim.add_argument("--noise-variance", type=float, default=0.0)
@@ -93,16 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _built(make, *args, **kwargs):
-    """``make(*args, **kwargs)``, its ConfigError raised as a UsageError (exit 2)."""
-    try:
-        return make(*args, **kwargs)
-    except ConfigError as err:
-        raise UsageError(str(err)) from None
-
-
 def parse_args(argv) -> argparse.Namespace:
-    """Parse, validate and normalise; raises UsageError (exit 2).
+    """Parse, validate and normalise; raises ConfigError (exit 2).
 
     ``method``, ``methods`` and ``p`` are normalised.  The library objects
     own their rules: ``identify`` gets ``config``, its RealizationConfig
@@ -110,7 +99,7 @@ def parse_args(argv) -> argparse.Namespace:
     ``benchmark`` gets ``scenario_run``, the Scenario it runs (for a sweep,
     one that stands for all of its scenarios).  ``--seed``, ``--n-samples``,
     ``--jobs``, ``--noise-variance`` and ``--rbs-band`` take the library's
-    integer, variance and band rules.
+    integer, variance and band rules, whose ConfigErrors pass through.
     """
     ns = build_parser().parse_args(argv)
     if ns.command == "identify":
@@ -118,40 +107,38 @@ def parse_args(argv) -> argparse.Namespace:
             try:
                 ns.p = int(ns.p)
             except ValueError:
-                raise UsageError(f"--p must be an integer or 'aic', got {ns.p!r}") from None
+                raise ConfigError(f"--p must be an integer or 'aic', got {ns.p!r}") from None
         ns.method = _METHOD_FLAGS[ns.method]
         p = ns.order + 1 if ns.p == "aic" else ns.p
-        ns.config = _built(RealizationConfig, n_x=ns.order, f=ns.f, p=p, method=ns.method)
+        ns.config = RealizationConfig(n_x=ns.order, f=ns.f, p=p, method=ns.method)
         return ns
-    _built(_integer, ns.seed, "--seed", 0)
+    _integer(ns.seed, "--seed", 0)
     if ns.command == "simulate":
-        _built(_integer, ns.n_samples, "--n-samples", 1)
-        _built(_variance, ns.noise_variance, "--noise-variance")
-        _built(bench._band, ns.rbs_band, "--rbs-band")
+        _integer(ns.n_samples, "--n-samples", 1)
+        _variance(ns.noise_variance, "--noise-variance")
+        bench._band(ns.rbs_band, "--rbs-band")
         return ns
-    _built(_integer, ns.jobs, "--jobs", 1)
+    _integer(ns.jobs, "--jobs", 1)
     parts = [m.strip() for m in (ns.methods or "").split(",") if m.strip()]
     unknown = [m for m in parts if m not in _METHOD_FLAGS]
     if unknown:
-        raise UsageError(f"unknown methods: {', '.join(unknown)}")
+        raise ConfigError(f"unknown methods: {', '.join(unknown)}")
     ns.methods = tuple(_METHOD_FLAGS[m] for m in parts)
     methods = {"methods": ns.methods} if ns.methods else {}
-    ns.scenario_run = _built(_SCENARIOS[ns.scenario], trials=ns.trials, **methods)
+    ns.scenario_run = _SCENARIOS[ns.scenario][0](trials=ns.trials, **methods)
     return ns
 
 
 def _read_record(path: str) -> SignalRecord:
-    p = Path(path)
-    if not p.exists():
-        raise _MissingInput(path)
-    with p.open() as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "t,u,y":
-            raise ConfigError(f"expected CSV header 't,u,y', got {header!r}")
-        rows = fh.readlines()
-        if not any(line.split("#")[0].strip() for line in rows):
-            raise ConfigError(f"{path} has no samples below its 't,u,y' header")
+    with open(path, encoding="utf-8") as fh:
+        # A UnicodeDecodeError from either read is a ValueError too.
         try:
+            header = fh.readline().strip()
+            if header.replace(" ", "") != "t,u,y":
+                raise ConfigError(f"expected CSV header 't,u,y', got {header!r}")
+            rows = fh.readlines()
+            if not any(line.split("#")[0].strip() for line in rows):
+                raise ConfigError(f"{path} has no samples below its 't,u,y' header")
             data = np.loadtxt(rows, delimiter=",", ndmin=2)
         except ValueError as err:
             raise ConfigError(f"could not parse {path}: {err}") from err
@@ -168,7 +155,7 @@ def _write_record(path: str, u: np.ndarray, y: np.ndarray) -> None:
 
 
 def _run_identify(args: argparse.Namespace) -> int:
-    rec = _read_record(args.in_path)
+    rec = _read_record(args.source)
     # AIC leaves its top-order fit in the prepared record for identify.
     prepared = PreparedRecord(rec)
     config = args.config
@@ -188,11 +175,8 @@ def _run_identify(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    if args.model_path is not None:
-        p = Path(args.model_path)
-        if not p.exists():
-            raise _MissingInput(args.model_path)
-        model = load_model(p)
+    if args.source is not None:
+        model = load_model(args.source)
     elif args.system == "example1":
         model = bench.example1_system()
     else:
@@ -217,13 +201,10 @@ def _run_simulate(args: argparse.Namespace) -> int:
 def _run_benchmark(args: argparse.Namespace) -> int:
     out = Path(args.out_path)
     out.mkdir(parents=True, exist_ok=True)
-    sweeps = {  # runner, plot-data writer and file stem, label of each report's files
-        "example1-sweep": (bench.run_error_vs_n, bench.write_error_vs_n_csv, "error_g_vs_n", "n{}"),
-        "example3": (bench.run_joint_fit, bench.write_joint_fit_csv, "joint_fit", "var{:g}"),
-    }
     methods = {"methods": args.methods} if args.methods else {}
-    if args.scenario in sweeps:
-        run_sweep, write_plot_data, plot_file, label = sweeps[args.scenario]
+    _, *sweep = _SCENARIOS[args.scenario]
+    if sweep:
+        run_sweep, write_plot_data, plot_file, label = sweep
         reports = run_sweep(trials=args.trials, master_seed=args.seed, jobs=args.jobs, **methods)
         write_plot_data(reports, out / f"{plot_file}.csv")
         for key, rep in sorted(reports.items()):
@@ -242,15 +223,16 @@ def _run_benchmark(args: argparse.Namespace) -> int:
 
 def run(args: argparse.Namespace) -> int:
     """Execute the namespace from :func:`parse_args`; returns the process exit code."""
+    source = getattr(args, "source", None)
+    if source is not None and not Path(source).exists():
+        print(f"IO: input file not found: {source}", file=sys.stderr)
+        return EXIT_NOINPUT
     try:
         if args.command == "identify":
             return _run_identify(args)
         if args.command == "simulate":
             return _run_simulate(args)
         return _run_benchmark(args)
-    except _MissingInput as err:
-        print(f"IO: input file not found: {err}", file=sys.stderr)
-        return EXIT_NOINPUT
     except OSError as err:
         print(f"IO: {err}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -270,7 +252,7 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-    except UsageError as err:
+    except ConfigError as err:
         print(f"CONFIG: {err}", file=sys.stderr)
         return EXIT_USAGE
     return run(args)

@@ -6,7 +6,6 @@ Monte Carlo criteria use fixed master seeds; every randomized quantity in
 the library is a pure function of its seed.
 """
 
-import json
 import subprocess
 import sys
 import time

@@ -7,6 +7,7 @@ import pytest
 
 from parsimid import (
     METHODS,
+    ConfigError,
     PreparedRecord,
     RealizationConfig,
     StateSpaceModel,
@@ -114,6 +115,22 @@ class TestParseArgs:
         cfg = parse_args(["benchmark", "--scenario", "example2", "--trials", "3", "--methods", "ssarx", "--out", "d"])
         assert cfg.scenario_run == example2_scenario(trials=3, methods=("ssarx",))
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["identify", "--method", "parsim", "--order", "2", "--p", "five", "--in", "a.csv"],
+             "--p must be an integer or 'aic', got 'five'"),
+            (["benchmark", "--scenario", "example1", "--methods", "bogus"], "unknown methods: bogus"),
+            # a library rule's ConfigError passes through unchanged
+            (["simulate", "--system", "example1", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        ],
+        ids=["p-not-integer", "unknown-method", "library-rule"],
+    )
+    def test_parse_errors_are_config_errors(self, argv, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_args(argv + ["--out", "o"])
+        assert str(exc.value) == message
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             parse_args(["identify", "--nope", "1"])
@@ -200,6 +217,14 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "RANK: simulate: Eigenvalues did not converge\n"
         assert not out.exists()
 
+    def test_model_path_naming_a_directory_is_io_error(self, tmp_path, capsys):
+        code = main(["simulate", "--model", str(tmp_path), "--n-samples", "10",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("IO: ") and err.endswith(f"Is a directory: '{tmp_path}'\n")
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize(
         "body",
         ["{not json", json.dumps({"A": "abc", "B": 1, "C": 1, "D": 0, "K": 0, "sigma_e2": 1}), "[1, 2]"],
@@ -239,6 +264,14 @@ class TestIdentifyCommand:
             "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.json"),
         ])
         assert code == EXIT_NOINPUT
+
+    def test_input_naming_a_directory_is_io_error(self, tmp_path, capsys):
+        code = main(["identify", "--method", "parsim", "--order", "2",
+                     "--in", str(tmp_path), "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("IO: ") and err.endswith(f"Is a directory: '{tmp_path}'\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_output_in_missing_directory_is_io_error(self, tmp_path, capsys):
         u = np.random.default_rng(0).standard_normal(600)
@@ -321,6 +354,20 @@ class TestIdentifyCommand:
                      "--in", str(data), "--out", str(tmp_path / "m.json")])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith(message.format(path=data))
+
+    @pytest.mark.parametrize(
+        "body", [b"t,u,\xffy\n0,1.0,2.0\n", b"t,u,y\n0,1.0,2.0\n1,\xff,3.0\n"], ids=["header", "data-row"]
+    )
+    def test_record_that_is_not_utf8_is_config_error(self, tmp_path, capsys, body):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(body)
+        code = main(["identify", "--method", "parsim", "--order", "2",
+                     "--in", str(data), "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"CONFIG: could not parse {data}: 'utf-8' codec can't decode byte 0xff in position ")
+        assert err.endswith(": invalid start byte\n")
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("body", ["t,u,y\n", "t,u,y", "t,u,y\n\n  \n"])
     def test_header_only_record_rejected_without_warning(self, tmp_path, capsys, body):

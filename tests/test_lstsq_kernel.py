@@ -26,13 +26,11 @@ from parsimid import (
     ConfigError,
     ExcitationError,
     RankError,
-    SignalRecord,
     assemble_blocks,
     default_aic_grid,
     fit_arx,
     parsim_ols,
     select_order_aic,
-    simulate,
     toeplitz_gram_band,
 )
 from parsimid._lstsq import NestedLstsq, certified_full_rank, full_rank_lstsq, numerical_rank

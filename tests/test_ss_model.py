@@ -203,6 +203,15 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=message):
             load_model(path)
 
+    def test_unknown_keys_are_ignored(self, tmp_path):
+        m = example1_system()
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        doc["diagnostics"] = {"stable": True, "singular_values": [3.0, 1.0, 0.5]}
+        path.write_text(json.dumps(doc))
+        assert model_to_dict(load_model(path)) == model_to_dict(m)
+
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"A": [[0.5]')
