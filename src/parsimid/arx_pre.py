@@ -32,16 +32,6 @@ from .data_blocks import DataBlocks
 from .errors import ConfigError, ExcitationError
 from .ss_model import SignalRecord, _freeze, _integer, _variance
 
-__all__ = [
-    "PredictorMarkov",
-    "InnovationsMarkov",
-    "fit_arx",
-    "predictor_to_innovations",
-    "predictor_to_innovations_g",
-    "default_aic_grid",
-    "max_arx_order",
-]
-
 # Pragmatic floor on data per coefficient; keeps the high-order fit from
 # blowing up its variance on short records.
 MIN_SAMPLES_PER_ORDER = 10

@@ -23,28 +23,6 @@ from .errors import ConfigError, ParsimidError, _stage
 from .realization import PreparedRecord, RealizationConfig, identify, select_order_aic
 from .ss_model import SignalRecord, StateSpaceModel, _freeze, _integer, _variance, impulse_response, observability, simulate
 
-__all__ = [
-    "Scenario",
-    "TrialRow",
-    "BenchReport",
-    "example1_system",
-    "example2_system",
-    "random_system",
-    "gen_rbs",
-    "fit_metric",
-    "error_g",
-    "monte_carlo",
-    "example1_scenario",
-    "example2_scenario",
-    "example3_scenario",
-    "run_error_vs_n",
-    "run_joint_fit",
-    "write_trials_csv",
-    "write_aggregates_json",
-    "write_error_vs_n_csv",
-    "write_joint_fit_csv",
-]
-
 EXAMPLE2_GAMMA = 0.9184
 
 # Impulse-response lags that the FIT metric compares.
@@ -52,6 +30,10 @@ FIT_LAGS = 100
 
 # Innovations variances of the random-system joint FIT study.
 JOINT_FIT_NOISE_LEVELS = (1.0, 10.0, 100.0)
+
+# The two regression banks, the default methods of the error-versus-N sweep
+# and of the random-system study.
+BANK_METHODS = ("parsim", "parsim_opt")
 
 # random_system draws: dominant-pole magnitude range, B and K entry scales,
 # and the rejection-sampling budget.
@@ -380,7 +362,7 @@ def example2_scenario(
 def example3_scenario(
     noise_variance: float,
     trials: int = 50,
-    methods=("parsim", "parsim_opt"),
+    methods=BANK_METHODS,
 ) -> Scenario:
     return Scenario(
         name=f"example3_var{noise_variance:g}",
@@ -395,7 +377,7 @@ def run_error_vs_n(
     n_values=(1000, 1500, 2000, 2500, 3000),
     trials: int = 50,
     master_seed: int = 0,
-    methods=("parsim", "parsim_opt"),
+    methods=BANK_METHODS,
     jobs: int = 1,
 ) -> dict[int, BenchReport]:
     """Markov-parameter error sweep over sample sizes (plot data for the
@@ -409,7 +391,7 @@ def run_error_vs_n(
 def run_joint_fit(
     trials: int = 50,
     master_seed: int = 0,
-    methods=("parsim", "parsim_opt"),
+    methods=BANK_METHODS,
     jobs: int = 1,
 ) -> dict[float, BenchReport]:
     """Random-system joint FIT study, one report per ``JOINT_FIT_NOISE_LEVELS`` entry."""

@@ -44,8 +44,8 @@ _METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
 _SCENARIOS = {
     "example1": (bench.example1_scenario,),
     "example2": (bench.example2_scenario,),
-    "example1-sweep": (bench.example1_scenario, bench.run_error_vs_n,
-                       bench.write_error_vs_n_csv, "error_g_vs_n", "n{}"),
+    "example1-sweep": (partial(bench.example1_scenario, methods=bench.BANK_METHODS),
+                       bench.run_error_vs_n, bench.write_error_vs_n_csv, "error_g_vs_n", "n{}"),
     "example3": (partial(bench.example3_scenario, bench.JOINT_FIT_NOISE_LEVELS[0]),
                  bench.run_joint_fit, bench.write_joint_fit_csv, "joint_fit", "var{:g}"),
 }
@@ -201,11 +201,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
 def _run_benchmark(args: argparse.Namespace) -> int:
     out = Path(args.out_path)
     out.mkdir(parents=True, exist_ok=True)
-    methods = {"methods": args.methods} if args.methods else {}
     _, *sweep = _SCENARIOS[args.scenario]
     if sweep:
         run_sweep, write_plot_data, plot_file, label = sweep
-        reports = run_sweep(trials=args.trials, master_seed=args.seed, jobs=args.jobs, **methods)
+        reports = run_sweep(trials=args.trials, master_seed=args.seed,
+                            methods=args.scenario_run.methods, jobs=args.jobs)
         write_plot_data(reports, out / f"{plot_file}.csv")
         for key, rep in sorted(reports.items()):
             bench.write_trials_csv(rep, out / f"trials_{label.format(key)}.csv")

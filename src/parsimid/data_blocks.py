@@ -23,8 +23,6 @@ from ._lstsq import NestedLstsq
 from .errors import ConfigError, ExcitationError
 from .ss_model import SignalRecord, _integer
 
-__all__ = ["DataBlocks", "assemble_blocks"]
-
 
 def _hankel_design(Y: np.ndarray, U: np.ndarray, p: int) -> np.ndarray:
     """A new Fortran-ordered [Y_p' U_p' U_f' Y_f'] from the windows Y and U."""

@@ -49,16 +49,6 @@ from .data_blocks import DataBlocks
 from .errors import ConfigError, RankError
 from .ss_model import _freeze, _integer
 
-__all__ = [
-    "RangeEstimate",
-    "toeplitz_gram_band",
-    "parsim_ols",
-    "parsim_wls",
-    "classical_projection",
-    "ssarx_estimate",
-    "METHODS",
-]
-
 METHODS = ("parsim", "parsim_opt", "classical", "ssarx")
 
 

@@ -46,18 +46,6 @@ from .estimators import (
 )
 from .ss_model import STABILITY_MARGIN, SignalRecord, StateSpaceModel, _freeze, _integer, observability, spectral_radius
 
-__all__ = [
-    "RealizationConfig",
-    "IdentifiedModel",
-    "PreparedRecord",
-    "select_order_aic",
-    "weight_w2",
-    "weighted_svd_realize",
-    "extract_ac",
-    "estimate_bk",
-    "identify",
-]
-
 
 @dataclass(frozen=True)
 class RealizationConfig:

@@ -36,20 +36,6 @@ from scipy.signal import lfilter, ss2tf
 
 from .errors import ConfigError, DivergenceError
 
-__all__ = [
-    "StateSpaceModel",
-    "SignalRecord",
-    "simulate",
-    "markov_g",
-    "markov_h",
-    "impulse_response",
-    "spectral_radius",
-    "model_to_dict",
-    "model_from_dict",
-    "save_model",
-    "load_model",
-]
-
 # identify's diagnostics["stable"] requires the spectral radius to stay this far inside the unit circle.
 STABILITY_MARGIN = 1e-9
 

@@ -30,11 +30,13 @@ def child_env(**overrides):
     """Environment for a child Python that imports the same parsimid as this process.
 
     The package's root leads PYTHONPATH, because a relative entry
-    (PYTHONPATH=src) does not resolve from another working directory.
+    (PYTHONPATH=src) does not resolve from another working directory.  A
+    RuntimeWarning is an error in the child, as pyproject.toml makes it in
+    this one.
     """
     root = str(Path(parsimid.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **overrides}
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning", **overrides}
 
 
 def design(blocks):

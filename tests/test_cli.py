@@ -419,6 +419,19 @@ class TestBenchmarkCommand:
         assert lines[0] == "n_samples,method,error_g_mean,error_g_var"
         assert (out / "trials_n2000.csv").exists()
 
+    @pytest.mark.parametrize(
+        "methods, expected",
+        [([], ("parsim", "parsim_opt")), (["--methods", "parsim,ssarx"], ("parsim", "ssarx"))],
+        ids=["default", "chosen"],
+    )
+    def test_sweep_runs_the_methods_its_namespace_states(self, tmp_path, methods, expected):
+        argv = ["benchmark", "--scenario", "example1-sweep", "--trials", "1", *methods, "--out", str(tmp_path)]
+        assert parse_args(argv).scenario_run.methods == expected
+        assert main(argv) == EXIT_OK
+        for n in (1000, 3000):
+            doc = json.loads((tmp_path / f"aggregates_n{n}.json").read_text())
+            assert tuple(doc["scenario"]["methods"]) == expected
+
     def test_joint_fit_scenario_outputs(self, tmp_path):
         out = tmp_path / "joint"
         code = main([
