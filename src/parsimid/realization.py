@@ -282,7 +282,7 @@ def identify(
 
     Pipeline: data blocks -> high-order ARX pre-estimation (order p, read
     from the blocks' R factor, or for SSARX with f - 1 > p a fit of order
-    f - 1) ->
+    f - 1, and parsim_opt's weighting fit) ->
     range-space estimate by the configured method -> weighted SVD ->
     shift-invariance (A, C) -> Markov-parameter fits for (B, K), D = 0
     (:func:`estimate_bk`).  B fits the bank's Markov rows, or for classical
@@ -329,19 +329,19 @@ def identify(
         # is read from the blocks, with fit_arx's checks and error texts.
         arx_order = max(cfg.p, cfg.f - 1) if cfg.method == "ssarx" else cfg.p
         pm = prep.arx(cfg.p, cfg.f) if arx_order == cfg.p else prep.arx(arx_order)
+        weighting_order = None
+        if cfg.method == "parsim_opt" and weighting_markov is None:
+            # The noise-weighting pre-estimate needs a genuinely high-order ARX:
+            # with a slowly decaying predictor, an ARX truncated at the (often
+            # short) past horizon biases the leading Markov parameters enough
+            # to cancel the variance gain of the weighted bank.
+            weighting_order = max(cfg.p, max_arx_order(len(prep.rec)))
+            weighting_markov = predictor_to_innovations(prep.arx(weighting_order))
 
-    weighting_order = None
     with _stage("estimate"):
         if cfg.method == "parsim":
             est = parsim_ols(blocks)
         elif cfg.method == "parsim_opt":
-            if weighting_markov is None:
-                # The noise-weighting pre-estimate needs a genuinely high-order ARX:
-                # with a slowly decaying predictor, an ARX truncated at the (often
-                # short) past horizon biases the leading Markov parameters enough
-                # to cancel the variance gain of the weighted bank.
-                weighting_order = max(cfg.p, max_arx_order(len(prep.rec)))
-                weighting_markov = predictor_to_innovations(prep.arx(weighting_order))
             est = parsim_wls(blocks, weighting_markov)
         elif cfg.method == "classical":
             est = classical_projection(blocks)

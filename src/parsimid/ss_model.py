@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter, ss2tf
+from scipy.signal import lfilter
 
 from .errors import ConfigError, DivergenceError
 
@@ -93,7 +93,7 @@ class StateSpaceModel:
     """Innovations-form model (A, B, C, D, K) with innovations variance.
 
     Attributes:
-        A: State transition matrix, shape (n_x, n_x).
+        A: State transition matrix, shape (n_x, n_x), n_x >= 1.
         B: Input matrix, shape (n_x, 1).
         C: Output matrix, shape (1, n_x).
         D: Feedthrough, shape (1, 1).
@@ -113,8 +113,8 @@ class StateSpaceModel:
 
     def __post_init__(self):
         A = np.atleast_2d(_freeze(self.A, "A"))
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ConfigError(f"A must be square, got shape {A.shape}")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+            raise ConfigError(f"A must be square with at least one state, got shape {A.shape}")
         n = A.shape[0]
         object.__setattr__(self, "A", A)
         for name, shape in (("B", (n, 1)), ("C", (1, n)), ("D", (1, 1)), ("K", (n, 1))):
@@ -152,9 +152,11 @@ def simulate(
     """Simulate the innovations-form recursion from the zero state.
 
     The model is SISO, so y = G(z) u + H(z) e with G = C (zI - A)^(-1) B + D
-    and H = C (zI - A)^(-1) K + 1.  Both transfer functions come from
-    ``scipy.signal.ss2tf`` and each signal is filtered in one ``lfilter``
-    pass with zero initial conditions, which is the zero initial state.
+    and H = C (zI - A)^(-1) K + 1.  Both share the denominator
+    det(zI - A) = ``np.poly(A)``, and a channel with gain b and feedthrough
+    d has the numerator det(zI - A + b C) + (d - 1) det(zI - A).  Each
+    signal is filtered in one ``lfilter`` pass with zero initial
+    conditions, which is the zero initial state.
     The polynomial form is accurate to rounding for the paper's systems
     and random draws up to order 40, but not for high-order clusters of
     poles near the unit circle (e.g. an order-8 Jordan block at 0.99).
@@ -178,13 +180,11 @@ def simulate(
     e = np.zeros_like(u) if e is None else _freeze(e, "e", -1)
     if u.shape != e.shape:
         raise ConfigError(f"u and e must have equal length, got {u.size} and {e.size}")
-    B_k = np.hstack([m.B, m.K])
-    D_k = np.hstack([m.D, [[1.0]]])
-    num_g, den = ss2tf(m.A, B_k, m.C, D_k, input=0)
-    num_h, _ = ss2tf(m.A, B_k, m.C, D_k, input=1)
+    den = np.poly(m.A)
+    num_g, num_h = (np.poly(m.A - b @ m.C) + (d - 1.0) * den for b, d in ((m.B, m.D[0, 0]), (m.K, 1.0)))
     # divergence is detected explicitly, so let the overflow itself pass
     with np.errstate(over="ignore", invalid="ignore"):
-        y = lfilter(num_g[0], den, u) + lfilter(num_h[0], den, e)
+        y = lfilter(num_g, den, u) + lfilter(num_h, den, e)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise DivergenceError(f"simulation diverged at step {bad[0]}")

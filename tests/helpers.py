@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solveh_banded, toeplitz
-from scipy.signal import lfilter
+from scipy.signal import lfilter, ss2tf
 
 import parsimid
 from parsimid import (
@@ -223,6 +223,16 @@ def ref_simulate(m, u, e=None):
             y[t] = yt
             x = m.A @ x + b * u[t] + k * e[t]
     return y
+
+
+def ref_simulate_ss2tf(m, u, e=None):
+    """``simulate`` by ``scipy.signal.ss2tf``: the two-input system [B K], [D 1], one transfer function per input."""
+    u = np.asarray(u, dtype=float).ravel()
+    e = np.zeros_like(u) if e is None else np.asarray(e, dtype=float).ravel()
+    B_k, D_k = np.hstack([m.B, m.K]), np.hstack([m.D, [[1.0]]])
+    num_g, den = ss2tf(m.A, B_k, m.C, D_k, input=0)
+    num_h, _ = ss2tf(m.A, B_k, m.C, D_k, input=1)
+    return lfilter(num_g[0], den, u) + lfilter(num_h[0], den, e)
 
 
 def example_record(name, seed, noisy=False, n_total=2000):

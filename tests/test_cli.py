@@ -210,7 +210,7 @@ class TestSimulateCommand:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(ss_model, "ss2tf", fail)
+        monkeypatch.setattr(ss_model, "lfilter", fail)
         out = tmp_path / "o.csv"
         code = main(["simulate", "--system", "example1", "--n-samples", "10", "--out", str(out)])
         assert code == EXIT_RUNTIME
@@ -319,6 +319,16 @@ class TestIdentifyCommand:
         save_model(identify(PreparedRecord(rec), RealizationConfig(n_x=3, f=10, p=p, method=method)).model, want)
         assert out.read_bytes() == want.read_bytes()
         assert f"AIC selected past horizon p={p} from grid 4..30" in caplog.messages
+
+    def test_an_unstable_model_is_written_with_a_warning(self, tmp_path, caplog):
+        rng = np.random.default_rng(0)
+        data, out = tmp_path / "data.csv", tmp_path / "model.json"
+        write_record_csv(data, rng.standard_normal(1000), rng.standard_normal(1000))
+        code = main(["identify", "--method", "parsim", "--order", "2", "--f", "5", "--p", "4",
+                     "--in", str(data), "--out", str(out)])
+        assert code == EXIT_OK
+        assert "identified model is unstable (spectral radius 1.1662)" in caplog.messages
+        assert out.exists()
 
     @pytest.mark.parametrize(
         "u, message",

@@ -6,6 +6,8 @@ input of unit variance, with unit innovations where the property needs
 noise.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from parsimid import (
 )
 from parsimid.benchmark import random_system
 
-from helpers import ref_simulate
+from helpers import ref_simulate, ref_simulate_ss2tf
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -64,6 +66,17 @@ class TestSimulate:
         D_k = np.hstack([system.D, [[1.0]]])
         _, y_ref, _ = dlsim((system.A, B_k, system.C, D_k, 1.0), np.column_stack([rec.u, e]))
         assert rel(y, y_ref[:, 0]) < 1e-12
+
+    @SETTINGS
+    @given(seed=seeds, n_x=st.integers(1, 6))
+    def test_matches_the_ss2tf_form_byte_for_byte(self, seed, n_x):
+        # tobytes() tells -0.0 from 0.0; a drawn feedthrough exercises the (d - 1) den term.
+        system, rec = random_record(seed, n_x, noisy=False)
+        rng = np.random.default_rng(seed + 3)
+        e = rng.standard_normal(len(rec))
+        for m in (system, replace(system, D=rng.standard_normal())):
+            for noise in (None, e):
+                assert simulate(m, rec.u, noise).tobytes() == ref_simulate_ss2tf(m, rec.u, noise).tobytes()
 
     @SETTINGS
     @given(seed=seeds, n_x=st.integers(1, 6))

@@ -547,6 +547,18 @@ class TestPreparedRecord:
             with pytest.raises(ExcitationError, match="^blocks: input is not persistently exciting"):
                 identify(prepared, RealizationConfig(n_x=2, f=3, p=3, method=method))
 
+    def test_a_failing_weighting_fit_fails_at_arx(self):
+        # Six sines: persistently exciting of order 12, enough for the blocks
+        # (f + p = 9) and short of the weighting fit's order max_arx_order(2000) = 30.
+        k = np.arange(2000)
+        u = sum(np.sin(w * k) for w in (0.3, 0.7, 1.1, 1.5, 1.9, 2.3))
+        e = 2.0 * np.random.default_rng(0).standard_normal(k.size)
+        prepared = PreparedRecord(SignalRecord(u=u, y=simulate(example1_system(), u, e)))
+        for method in ("parsim", "classical", "ssarx"):
+            identify(prepared, RealizationConfig(n_x=3, f=5, p=4, method=method))
+        with pytest.raises(ExcitationError, match="^arx: input-lag regressor of ARX order 30 is rank deficient"):
+            identify(prepared, RealizationConfig(n_x=3, f=5, p=4, method="parsim_opt"))
+
     def test_one_record_serves_two_horizon_pairs(self, monkeypatch):
         calls = count_calls(monkeypatch, "assemble_blocks", "weight_w2", "fit_arx")
         _, rec = seed2_example1_record()

@@ -21,6 +21,7 @@ from parsimid import (
     ConfigError,
     InnovationsMarkov,
     PredictorMarkov,
+    RangeEstimate,
     RealizationConfig,
     Scenario,
     SignalRecord,
@@ -121,8 +122,33 @@ CONVERSIONS = {
     "error_g-G_true": (lambda v: error_g([1.0, 0.0], v), "G_true"),
 }
 
-# (call with a value of the wrong kind, its ConfigError's message)
+# (call with a value of the wrong kind or shape, its ConfigError's message)
 WRONG_KINDS = {
+    "StateSpaceModel-A": (
+        lambda: StateSpaceModel(A=np.zeros((2, 3)), B=1.0, C=1.0, D=0.0, K=0.0),
+        "A must be square with at least one state, got shape (2, 3)",
+    ),
+    "StateSpaceModel-no-state": (
+        lambda: StateSpaceModel(A=np.zeros((0, 0)), B=[], C=[], D=0.0, K=[]),
+        "A must be square with at least one state, got shape (0, 0)",
+    ),
+    "PredictorMarkov-lengths": (
+        lambda: PredictorMarkov(h_bar=[0.5, 0.1], g_bar=[1.0], residual_variance=1.0),
+        "h_bar and g_bar must have equal length",
+    ),
+    "RangeEstimate-g_rows": (
+        lambda: RangeEstimate(gamma_lp=np.zeros((2, 4)), g_rows=(np.zeros(1), np.zeros(1))),
+        "g_rows[1] must have 2 entries, got 1",
+    ),
+    "extract_ac-columns": (lambda: extract_ac(np.ones((4, 2)), 3), "observability factor must have 3 columns, got (4, 2)"),
+    "fit_metric-lengths": (lambda: fit_metric([1.0, 0.0], [1.0]), "length mismatch: 2 vs 1"),
+    "error_g-lengths": (lambda: error_g([1.0], [1.0, 0.0]), "length mismatch: 1 vs 2"),
+    "Scenario-system_source": (
+        lambda: Scenario(
+            name="s", system_source="example4", N=300, f=10, n_x=3, noise_variance=4.0, trials=1, methods=("parsim",)
+        ),
+        "unknown system source 'example4'",
+    ),
     "StateSpaceModel-str": (
         lambda: StateSpaceModel(A=0.5, B=1.0, C=1.0, D=0.0, K=0.0, sigma_e2="1"), "sigma_e2 must be a number, got '1'"
     ),
