@@ -25,15 +25,99 @@ and every fit that needs full column rank is :func:`full_rank_lstsq`'s.
 The kernels' own failures (a zero pivot on the triangular path, a Gram
 whose eigenvalues do not converge) raise RankError; a LinAlgError from
 numpy itself is left to the caller's stage (``errors._stage``).
+
+:func:`band_cholesky` and :func:`band_lower_solve` call LAPACK ``dpbtrf``
+and ``dtbtrs`` without holding the interpreter lock, so the WLS bank's
+rows can run on several threads at once; scipy's own wrappers of the two
+routines hold it.
 """
 
+import ctypes
+
 import numpy as np
+from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dgeqrt, dlange, dpotrf, dpotrs, dsyev, dtrtri, dtrtrs
 
 from .errors import RankError
 
 _EPS = np.finfo(float).eps
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
+
+def _lapack(name: str, *argtypes):
+    """LAPACK routine ``name`` as a ctypes function, from the pointer ``scipy.linalg.cython_lapack`` exports.
+
+    The capsule's name is its C signature, read from the capsule itself,
+    so no library or symbol name is involved.  A ctypes call releases the
+    interpreter lock and checks nothing: the callers check every operand.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, name_of(capsule)))
+
+
+_CHAR, _INT, _PTR = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+_DPBTRF = _lapack("dpbtrf", _CHAR, _INT, _INT, _PTR, _INT, _INT)
+_DTBTRS = _lapack("dtbtrs", _CHAR, _CHAR, _CHAR, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT)
+
+
+def _ints(*values):
+    return [ctypes.byref(ctypes.c_int(v)) for v in values]
+
+
+def _check_band(ab: np.ndarray) -> None:
+    if ab.dtype != np.float64 or ab.ndim != 2 or not ab.flags.f_contiguous or ab.shape[0] < 1:
+        raise ValueError("band must be a Fortran-contiguous float64 band of at least one row")
+
+
+def band_cholesky(ab: np.ndarray) -> int:
+    """LAPACK ``dpbtrf`` on the lower band ``ab`` of a symmetric matrix, in place: ab becomes L's band.
+
+    ``ab`` is the (kd + 1, n) lower-band storage (row d holds diagonal d),
+    Fortran-contiguous float64 and writable.  Returns LAPACK's info: 0, or
+    k > 0 if the leading minor of order k is not positive definite.
+    """
+    _check_band(ab)
+    if not ab.flags.writeable:
+        raise ValueError("band must be writable")
+    info = ctypes.c_int()
+    _DPBTRF(b"L", *_ints(ab.shape[1], ab.shape[0] - 1), ab.ctypes.data, *_ints(ab.shape[0]), ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"dpbtrf: illegal value in argument {-info.value}")
+    return info.value
+
+
+def band_lower_solve(ab: np.ndarray, b: np.ndarray) -> int:
+    """LAPACK ``dtbtrs``: b := L^(-1) b in place, L unit lower-triangular with the subdiagonals of ``ab``.
+
+    ``ab`` is a lower band as :func:`band_cholesky` takes it (its
+    diagonal row is not read); ``b`` is a writable float64 (n, nrhs)
+    matrix with contiguous columns, such as leading columns of a Fortran
+    array.  Returns LAPACK's info, which is 0 for a unit diagonal.
+    """
+    _check_band(ab)
+    n = ab.shape[1]
+    if (
+        b.dtype != np.float64
+        or b.ndim != 2
+        or b.shape[0] != n
+        or not b.flags.writeable
+        or b.strides[0] != 8
+        or (b.shape[1] > 1 and (b.strides[1] % 8 or b.strides[1] < 8 * n))
+    ):
+        raise ValueError(f"right-hand sides must be a writable float64 ({n}, nrhs) matrix with contiguous columns")
+    ldb = b.strides[1] // 8 if b.shape[1] > 1 else max(1, n)
+    info = ctypes.c_int()
+    _DTBTRS(
+        b"L", b"N", b"U", *_ints(n, ab.shape[0] - 1, b.shape[1]), ab.ctypes.data, *_ints(ab.shape[0]),
+        b.ctypes.data, *_ints(ldb), ctypes.byref(info),
+    )
+    if info.value < 0:
+        raise ValueError(f"dtbtrs: illegal value in argument {-info.value}")
+    return info.value
 
 
 def numerical_rank(s: np.ndarray, m: int, n: int) -> int:

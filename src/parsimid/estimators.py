@@ -23,12 +23,18 @@ rows 2..f each factor the band of T'T = L L' once, in place (LAPACK
 ``dpbtrf``; :func:`toeplitz_gram_band` decides the storage), whiten the row's
 regressor and target columns, read from the record's windows
 (``blocks.Y``, ``blocks.U``), into the leading columns of one workspace
-per bank with one banded triangular sweep W = L^(-1) [Z' y'] (``dtbtrs``
+per thread with one banded triangular sweep W = L^(-1) [Z' y'] (``dtbtrs``
 on the unit-diagonal factor D^(-1) L, D = diag(L), with the columns
 divided by D as they are copied in), and solve on the small Gram W'W by
 :func:`_lstsq.gram_solve`:
 its eigenvalues give the rank and condition, and a full-rank Gram is
-solved by Cholesky and refined once against W.  All solves keep
+solved by Cholesky and refined once against W.  The rows are independent
+and run on one thread per usable CPU (the process's affinity set), at
+most one per row; a ``multiprocessing`` child, or a bank too small to
+gain, runs on one.  ``dpbtrf`` and ``dtbtrs`` are called through
+:func:`_lstsq.band_cholesky` and :func:`_lstsq.band_lower_solve`, which
+release the interpreter lock that scipy's wrappers of the two hold, so
+the threads' factors and sweeps overlap.  All solves keep
 pseudo-inverse (minimum-norm) semantics, and every rank is decided by
 :func:`_lstsq.numerical_rank`'s cutoff, eps * max dimension * s_max:
 noise-free records make the output-side rows exactly collinear.  Input excitation is checked
@@ -37,13 +43,15 @@ once, for every method, by :func:`data_blocks.assemble_blocks`.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dpbtrf, dtbtrs
 
-from ._lstsq import gram_solve
+from ._lstsq import band_cholesky, band_lower_solve, gram_solve
 from .arx_pre import InnovationsMarkov, PredictorMarkov
 from .data_blocks import DataBlocks
 from .errors import ConfigError, RankError
@@ -76,9 +84,12 @@ class RangeEstimate:
     gram_cond: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for i, row in enumerate(self.g_rows, start=1):
+        object.__setattr__(self, "gamma_lp", _freeze(self.gamma_lp, "gamma_lp"))
+        rows = tuple(_freeze(row, f"g_rows[{i}]", -1) for i, row in enumerate(self.g_rows))
+        for i, row in enumerate(rows, start=1):
             if row.size != i:
                 raise ConfigError(f"g_rows[{i - 1}] must have {i} entries, got {row.size}")
+        object.__setattr__(self, "g_rows", rows)
 
 
 def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
@@ -123,6 +134,54 @@ def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
     return _bank_estimate(thetas, blocks)
 
 
+# A bank whose heaviest row sweeps fewer multiply-adds than this,
+# N (2p + f + 1)(f - 1), runs on one thread: below it a second thread costs
+# more in hand-offs of the interpreter lock than it saves (see CHANGES.md).
+_THREADED_SWEEP = 400_000
+
+
+def _bank_threads(blocks: DataBlocks) -> int:
+    """Threads for the WLS bank on ``blocks``: one per usable CPU, at most one per row 2..f.
+
+    Usable CPUs are the process's affinity set (``os.cpu_count`` where the
+    platform has none).  A ``multiprocessing`` child, such as a
+    ``monte_carlo(jobs > 1)`` worker, takes one, as its siblings spend the
+    CPUs, and so does a bank below ``_THREADED_SWEEP``.
+    """
+    p, f = blocks.p, blocks.f
+    if multiprocessing.parent_process() is not None or blocks.N * (2 * p + f + 1) * (f - 1) < _THREADED_SWEEP:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, f - 1))
+
+
+def _wls_row(blocks: DataBlocks, h: np.ndarray, i: int, W: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Row i >= 2 of the WLS bank, whitened into the leading columns of the workspace W: gram_solve's answer."""
+    p, N = blocks.p, blocks.N
+    q = 2 * p + i
+    # The lower band, Fortran-ordered as the kernel requires (no copy for the band built here).
+    L = np.asfortranarray(toeplitz_gram_band(h, i, N)[::-1])
+    info = band_cholesky(L)
+    if info != 0:
+        raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
+    # L^(-1) X = (D^(-1) L)^(-1) (D^(-1) X), D = diag(L): the sweep on the
+    # unit-diagonal factor makes no division on its critical path.  D is
+    # read 2(p + i) times, faster from a copy than from the band's strided row.
+    d = L[0].copy()
+    for k in range(1, i):
+        L[k, : N - k] /= d[k:]
+    # Through the transposes, each window column is read and written in
+    # one contiguous pass (the untransposed views stride across W).
+    np.divide(blocks.Y[:, :p].T, d, out=W[:, :p].T)
+    np.divide(blocks.U[:, : p + i].T, d, out=W[:, p:q].T)
+    np.divide(blocks.Y[:, p + i - 1], d, out=W[:, q])
+    band_lower_solve(L, W[:, : q + 1])
+    return gram_solve(W[:, : q + 1], q)
+
+
 def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     """Row-wise weighted least-squares bank.
 
@@ -130,7 +189,7 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     the innovations variance cancels and is never applied.  Row i factors
     the band of T'T = L L' (bandwidth i - 1) in place, once,
     whitens [Z' y'] with one banded triangular sweep into the leading
-    q + 1 columns of the bank's one N x (2p + f + 1) workspace,
+    q + 1 columns of its thread's N x (2p + f + 1) workspace,
     W = L^(-1) [Z' y'], and solves the normal equations of the
     small Gram W'W; the N x N inverse is never formed.  The sweep
     runs on the unit-diagonal D^(-1) L (D = diag(L)) over the columns
@@ -144,6 +203,17 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     solved by lstsq for the minimum-norm answer.
     Row 1 has white row noise and coincides with the OLS row.
 
+    Rows 2..f are independent.  They are taken heaviest first (row f) by
+    the calling thread and by helper threads, one thread per usable CPU
+    and at most one per row; a ``multiprocessing`` child, or a bank whose
+    heaviest sweep is below ``_THREADED_SWEEP``, runs on one.  Each thread owns one workspace, and every helper is joined before
+    return, so no thread outlives the call.  The band factor and sweep
+    call LAPACK through :func:`_lstsq.band_cholesky` and
+    :func:`_lstsq.band_lower_solve`, which release the interpreter lock
+    that scipy's ``dpbtrf`` and ``dtbtrs`` wrappers hold.  Each row is
+    computed by one thread on the same operands, so the estimate does not
+    depend on the thread count.
+
     Args:
         blocks: Data blocks.
         h: Innovations Markov parameters H_1..H_{f-1}; parameters beyond
@@ -152,37 +222,47 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     Raises:
         ConfigError: If h is not an InnovationsMarkov.
         RankError: If a row's banded Cholesky factorization fails (guarded;
-            cannot occur for finite weights since H_0 = 1).
+            cannot occur for finite weights since H_0 = 1).  A failing row
+            raises after every thread has joined; of several, the
+            lowest-numbered row's error is raised.
     """
     if not isinstance(h, InnovationsMarkov):
         raise ConfigError(f"weighting must be an InnovationsMarkov, got {type(h).__name__}")
     p, f, N = blocks.p, blocks.f, blocks.N
-    thetas = [blocks.ls.regress(2 * p + 1, blocks.ls.k)]
-    ranks, conds = [], []
-    # Row i whitens [Y_p' U_p' U_i' y_i'] into W's leading 2p + i + 1 columns.
-    W = np.empty((N, 2 * p + f + 1), order="F")
-    for i in range(2, f + 1):
-        q = 2 * p + i
-        L, info = dpbtrf(toeplitz_gram_band(h.h, i, N)[::-1], lower=1, overwrite_ab=1)
-        if info != 0:
-            raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
-        # L^(-1) X = (D^(-1) L)^(-1) (D^(-1) X), D = diag(L): the sweep on the
-        # unit-diagonal factor makes no division on its critical path.  D is
-        # read 2(p + i) times, faster from a copy than from the band's strided row.
-        d = L[0].copy()
-        for k in range(1, i):
-            L[k, : N - k] /= d[k:]
-        # Through the transposes, each window column is read and written in
-        # one contiguous pass (the untransposed views stride across W).
-        np.divide(blocks.Y[:, :p].T, d, out=W[:, :p].T)
-        np.divide(blocks.U[:, : p + i].T, d, out=W[:, p:q].T)
-        np.divide(blocks.Y[:, p + i - 1], d, out=W[:, q])
-        Wi = dtbtrs(L, W[:, : q + 1], uplo="L", diag="U", overwrite_b=True)[0]
-        theta, rank, cond = gram_solve(Wi, q)
-        thetas.append(theta)
-        ranks.append(rank)
-        conds.append(cond)
-    return _bank_estimate(thetas, blocks, gram_rank=tuple(ranks), gram_cond=tuple(conds))
+    todo = list(range(2, f + 1))  # popped from the end: row f first
+    done = [None] * (f + 1)
+    lock = threading.Lock()
+
+    def work():
+        # Row i whitens [Y_p' U_p' U_i' y_i'] into W's leading 2p + i + 1 columns.
+        W = np.empty((N, 2 * p + f + 1), order="F")
+        while True:
+            with lock:
+                if not todo:
+                    return
+                i = todo.pop()
+            try:
+                done[i] = _wls_row(blocks, h.h, i, W)
+            except Exception as err:  # re-raised by the caller, after every thread has joined
+                done[i] = err
+
+    helpers = [threading.Thread(target=work) for _ in range(_bank_threads(blocks) - 1)]
+    try:
+        for t in helpers:
+            t.start()
+        work()
+    finally:
+        for t in helpers:
+            if t.ident is not None:
+                t.join()
+    rows = done[2:]
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    thetas = [blocks.ls.regress(2 * p + 1, blocks.ls.k), *(theta for theta, _, _ in rows)]
+    return _bank_estimate(
+        thetas, blocks, gram_rank=tuple(rank for _, rank, _ in rows), gram_cond=tuple(cond for _, _, cond in rows)
+    )
 
 
 def classical_projection(blocks: DataBlocks) -> RangeEstimate:

@@ -213,9 +213,13 @@ def weighted_svd_realize(
         (f, n_x), and the full singular spectrum for diagnostics.
 
     Raises:
+        ConfigError: If w2 is not a finite numeric (2p, 2p) array.
         RankError: If n_x exceeds the numerical rank of the weighted
             matrix; the message lists the spectrum.
     """
+    w2, k = _freeze(w2, "w2"), est.gamma_lp.shape[1]
+    if w2.shape != (k, k):
+        raise ConfigError(f"w2 must have shape ({k}, {k}), got {w2.shape}")
     M = est.gamma_lp @ w2
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     rank = numerical_rank(s, *M.shape)
@@ -232,11 +236,11 @@ def extract_ac(Gamma_hat: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray,
     least-squares sense, and the RMS is that of Gamma[:-1] A - Gamma[1:].
 
     Raises:
-        ConfigError: If the factor is not a finite numeric array of n_x
-            columns and at least n_x + 1 rows.
+        ConfigError: If n_x is not an integer >= 1, or the factor is not a
+            finite numeric array of n_x columns and at least n_x + 1 rows.
         RankError: If the top block is column-rank deficient.
     """
-    G = _freeze(Gamma_hat, "Gamma_hat")
+    G, n_x = _freeze(Gamma_hat, "Gamma_hat"), _integer(n_x, "n_x", 1)
     if G.ndim != 2 or G.shape[1] != n_x:
         raise ConfigError(f"observability factor must have {n_x} columns, got {G.shape}")
     if G.shape[0] < n_x + 1:
@@ -260,10 +264,22 @@ def estimate_bk(
     i = 1, 2, ...  Both fits read one observability stack of (A, C).
 
     Raises:
-        ConfigError: If ``b_seqs`` or ``k_seq`` holds no value, a non-number or a non-finite one.
+        ConfigError: If A is not a finite numeric square array of at least
+            one state, C not one with a column per state, ``b_seqs`` not an
+            iterable of sequences, or ``b_seqs`` or ``k_seq`` holds no
+            value, a non-number or a non-finite one.
         RankError: If the observability stack of (A, C) is rank deficient.
     """
-    b_seqs, k_seq = [_freeze(s, "b_seqs", -1) for s in b_seqs], _freeze(k_seq, "k_seq", -1)
+    A, C = _freeze(A, "A"), _freeze(C, "C")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ConfigError(f"A must be square with at least one state, got shape {A.shape}")
+    if C.ndim != 2 or C.shape[1] != A.shape[0]:
+        raise ConfigError(f"C must have {A.shape[0]} columns, one per state of A, got shape {C.shape}")
+    try:
+        b_seqs = [_freeze(s, "b_seqs", -1) for s in b_seqs]
+    except TypeError:
+        raise ConfigError(f"b_seqs must be an iterable of sequences, got {b_seqs!r}") from None
+    k_seq = _freeze(k_seq, "k_seq", -1)
     if not k_seq.size or not sum(s.size for s in b_seqs):
         raise ConfigError("no Markov-parameter observations to fit a gain from")
     O = observability(A, C, max(s.size for s in [*b_seqs, k_seq]))

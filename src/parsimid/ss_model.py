@@ -59,7 +59,7 @@ def _freeze(a, name: str, shape=None) -> np.ndarray:
             out = out.reshape(shape)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name}: {err}") from None
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ConfigError(f"{name} contains non-finite entries")
     out.setflags(write=False)
     return out

@@ -1,9 +1,11 @@
 """Allocation budgets of the two largest buffers, on identify-n2000- and mc-example3-shaped records.
 
 The data blocks build the N x (2p + 2f) design straight into the buffer
-their QR overwrites, and the WLS bank whitens every row into one
-workspace and factors each row's one band in place.  ``tracemalloc``
-sees numpy's buffers, so the budgets are in units of the design's bytes.
+their QR overwrites, and each thread of the WLS bank whitens its rows
+into one workspace and factors each row's one band in place, so a bank
+on T threads holds at most T workspaces and T bands at once.
+``tracemalloc`` sees numpy's buffers, from every thread, so the budgets
+are in units of the design's bytes: one thread's, and T times it.
 """
 
 import tracemalloc
@@ -21,6 +23,7 @@ from parsimid import (
     predictor_to_innovations,
     simulate,
 )
+from parsimid import estimators
 
 F, P, N_TOTAL = 10, 20, 2000
 
@@ -64,12 +67,28 @@ def test_blocks_factor_the_design_without_a_copy(record):
 
 # (N_total, f, p, budget): identify-n2000's shape, and mc-example3's N and f,
 # whose 20 rows make the bands the largest share of the bank's allocation.
-@pytest.mark.parametrize(
+BANK_SHAPES = pytest.mark.parametrize(
     "n_total, f, p, budget", [(N_TOTAL, F, P, 1.25), (1000, 20, 10, 1.45)], ids=["identify-n2000", "mc-example3"]
 )
-def test_wls_bank_whitens_into_one_workspace(n_total, f, p, budget):
+
+
+def bank_peak(monkeypatch, n_total, f, p, threads):
+    """The design's bytes, and the peak allocation of a WLS bank on ``threads`` threads."""
+    monkeypatch.setattr(estimators, "_bank_threads", lambda blocks: threads)
     rec = example2_record(n_total)
     blocks = assemble_blocks(rec, f, p)
     h = predictor_to_innovations(fit_arx(rec, p))
-    _, peak, _ = traced(lambda: parsim_wls(blocks, h))
-    assert peak <= budget * design_bytes(blocks)
+    return design_bytes(blocks), traced(lambda: parsim_wls(blocks, h))[1]
+
+
+@BANK_SHAPES
+def test_wls_bank_whitens_into_one_workspace(monkeypatch, n_total, f, p, budget):
+    design, peak = bank_peak(monkeypatch, n_total, f, p, 1)
+    assert peak <= budget * design
+
+
+@BANK_SHAPES
+@pytest.mark.parametrize("threads", [2, 3])
+def test_each_bank_thread_whitens_into_one_workspace(monkeypatch, n_total, f, p, budget, threads):
+    design, peak = bank_peak(monkeypatch, n_total, f, p, threads)
+    assert peak <= threads * budget * design

@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky_banded, solve_banded, solveh_banded, subspace_angles
@@ -281,13 +286,16 @@ class TestWlsBankReference:
         blocks = assemble_blocks(rec, f, p=9)
         h = predictor_to_innovations(fit_arx(rec, 30))
         calls = {"dpotrf": 0, "lstsq": 0}
+        lock = threading.Lock()  # the bank's threads count concurrently
 
         def failing_dpotrf(a, **kwargs):
-            calls["dpotrf"] += 1
+            with lock:
+                calls["dpotrf"] += 1
             return a, 1
 
         def counted_lstsq(*args, **kwargs):
-            calls["lstsq"] += 1
+            with lock:
+                calls["lstsq"] += 1
             return lstsq(*args, **kwargs)
 
         lstsq = np.linalg.lstsq
@@ -324,6 +332,106 @@ class TestWlsBankReference:
         monkeypatch.setattr(estimators, "toeplitz_gram_band", indefinite_from_row_3)
         with pytest.raises(RankError, match="at row 3"):
             parsim_wls(blocks, InnovationsMarkov(h=np.array([0.9, 0.5, 0.2, 0.1])))
+
+
+def _bank_in_child(blocks, h, want):
+    """Exit 0 if this process's bank equals ``want`` byte for byte."""
+    est = parsim_wls(blocks, h)
+    raise SystemExit(0 if bank_bytes(est) == bank_bytes(want) else 1)
+
+
+def _threads_in_child(blocks):
+    return estimators._bank_threads(blocks)
+
+
+def bank_bytes(est):
+    return est.gamma_lp.tobytes(), [row.tobytes() for row in est.g_rows], est.gram_rank, est.gram_cond
+
+
+def weighted_bank(name, seed, p=10):
+    rec, f = bank_record(name, seed, noisy=True)
+    return assemble_blocks(rec, f, p), predictor_to_innovations(fit_arx(rec, 30))
+
+
+def threads(monkeypatch, count):
+    """Run the bank on ``count`` threads (at most one per row), whatever the host's CPUs."""
+    monkeypatch.setattr(estimators, "_bank_threads", lambda blocks: min(count, blocks.f - 1))
+
+
+class TestThreadedBank:
+    """Rows 2..f run on helper threads; every output is the one-thread bank's, byte for byte."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_threads_give_the_one_thread_bank(self, monkeypatch, name, seed):
+        blocks, h = weighted_bank(name, seed)
+        threads(monkeypatch, 1)
+        want = bank_bytes(parsim_wls(blocks, h))
+        for count in (2, 3):
+            threads(monkeypatch, count)
+            assert bank_bytes(parsim_wls(blocks, h)) == want
+
+    def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
+        # Eight threads and a 10 us switch interval interleave the rows as
+        # finely as the interpreter allows; the answer is still the serial one.
+        blocks, h = weighted_bank("example3", 3)
+        threads(monkeypatch, 1)
+        want = bank_bytes(parsim_wls(blocks, h))
+        threads(monkeypatch, 8)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=lambda: got.extend(bank_bytes(parsim_wls(blocks, h)) for _ in range(5)))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert got == [want] * 5
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        blocks, h = weighted_bank("example2", 0)
+        threads(monkeypatch, 4)
+        before = threading.active_count()
+        parsim_wls(blocks, h)
+        assert threading.active_count() == before
+
+    def test_failing_rows_raise_the_lowest_after_every_thread_joins(self, monkeypatch):
+        blocks, h = weighted_bank("example1", 0)
+
+        def indefinite_at_rows_3_5_and_10(h, i, N):
+            ab = toeplitz_gram_band(h, i, N)
+            return -ab if i in (3, 5, 10) else ab
+
+        monkeypatch.setattr(estimators, "toeplitz_gram_band", indefinite_at_rows_3_5_and_10)
+        threads(monkeypatch, 3)
+        before = threading.active_count()
+        with pytest.raises(RankError, match="at row 3 "):
+            parsim_wls(blocks, h)
+        assert threading.active_count() == before
+
+    def test_a_fork_child_after_a_threaded_bank_runs_its_own(self, monkeypatch):
+        blocks, h = weighted_bank("example2", 1)
+        threads(monkeypatch, 2)
+        want = parsim_wls(blocks, h)
+        child = multiprocessing.get_context("fork").Process(target=_bank_in_child, args=(blocks, h, want))
+        child.start()
+        child.join(timeout=120)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's bank did not finish in 120 s")
+        assert child.exitcode == 0
+
+    def test_thread_count(self):
+        big, _ = weighted_bank("example1", 0)
+        small = assemble_blocks(example_record("example1", 0, noisy=True, n_total=200), 10, 8)
+        assert estimators._bank_threads(big) == min(len(os.sched_getaffinity(0)), big.f - 1)
+        assert estimators._bank_threads(small) == 1
+        # A multiprocessing child, such as a monte_carlo(jobs > 1) worker, runs its banks on one thread.
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_threads_in_child, (big,)) == 1
 
 
 class TestClassicalProjection:

@@ -33,7 +33,14 @@ from parsimid import (
     select_order_aic,
     toeplitz_gram_band,
 )
-from parsimid._lstsq import NestedLstsq, certified_full_rank, full_rank_lstsq, numerical_rank
+from parsimid._lstsq import (
+    NestedLstsq,
+    band_cholesky,
+    band_lower_solve,
+    certified_full_rank,
+    full_rank_lstsq,
+    numerical_rank,
+)
 from parsimid.arx_pre import _arx_design, _arx_qr
 from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario, example3_scenario
 
@@ -371,9 +378,79 @@ class TestLapackWrappers:
         dense = np.eye(3) + np.diag([0.5, 0.25], -1)
         np.testing.assert_allclose(dense @ x, self.A, atol=1e-14)
 
-    @pytest.mark.parametrize("name", ["dgeqrt", "dtrtri", "dlange", "dtrtrs", "dsyev", "dpotrf", "dpotrs", "dpbtrf", "dtbtrs"])
+    # The bank's lock-free routines, from scipy.linalg.cython_lapack's
+    # exports, bit for bit against scipy's wrappers of the same routines.
+    def bank_band(self, i=4, N=50):
+        return toeplitz_gram_band([0.9, -0.5, 0.3], i, N)[::-1].copy(order="F")
+
+    def check_band_cholesky(self):
+        band = self.bank_band()
+        want, info = dpbtrf(band.copy(order="F"), lower=1)
+        assert info == 0 and band_cholesky(band) == 0
+        assert band.tobytes() == want.tobytes()
+
+    def check_band_lower_solve(self):
+        L = self.bank_band()
+        band_cholesky(L)
+        W = np.asfortranarray(np.random.default_rng(0).standard_normal((L.shape[1], 7)))
+        want = dtbtrs(L, W[:, :5], uplo="L", diag="U")[0]
+        assert band_lower_solve(L, W[:, :5]) == 0
+        assert band_lower_solve(L, np.zeros((L.shape[1], 4), order="F")[:, ::2]) == 0  # leading dimension 100
+        assert W[:, :5].tobytes() == want.tobytes()
+        # The columns past the right-hand sides are untouched.
+        assert W[:, 5:].tobytes() == np.random.default_rng(0).standard_normal((L.shape[1], 7))[:, 5:].tobytes()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dgeqrt", "dtrtri", "dlange", "dtrtrs", "dsyev", "dpotrf", "dpotrs", "dpbtrf", "dtbtrs",
+         "band_cholesky", "band_lower_solve"],
+    )
     def test_wrapper_takes_the_kernels_arguments(self, name):
         getattr(self, f"check_{name}")()
+
+    def test_band_cholesky_reports_a_leading_minor(self):
+        band = -self.bank_band()
+        assert band_cholesky(np.asfortranarray(band)) == 1
+
+    @pytest.mark.parametrize(
+        "band",
+        [
+            lambda b: b.astype(np.float32, order="F"),
+            lambda b: np.ascontiguousarray(b),
+            lambda b: b[None],
+            lambda b: b[:0],
+        ],
+        ids=["float32", "c-order", "3-d", "no-rows"],
+    )
+    def test_lock_free_kernels_check_the_band(self, band):
+        bad = band(self.bank_band())
+        with pytest.raises(ValueError, match="band must be a Fortran-contiguous float64 band"):
+            band_cholesky(bad)
+        with pytest.raises(ValueError, match="band must be a Fortran-contiguous float64 band"):
+            band_lower_solve(bad, np.zeros((50, 2), order="F"))
+
+    def test_band_cholesky_needs_a_writable_band(self):
+        band = self.bank_band()
+        band.setflags(write=False)
+        with pytest.raises(ValueError, match="^band must be writable$"):
+            band_cholesky(band)
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            lambda: np.zeros((50, 2), dtype=np.float32, order="F"),
+            lambda: np.zeros((50, 2)),  # C order: the rows are contiguous, not the columns
+            lambda: np.zeros((49, 2), order="F"),
+            lambda: np.zeros(50),
+            lambda: np.zeros((100, 2), order="F")[::2],
+        ],
+        ids=["float32", "c-order", "wrong-rows", "1-d", "row-step"],
+    )
+    def test_band_lower_solve_checks_the_right_hand_sides(self, rhs):
+        L = self.bank_band()
+        b = rhs()
+        with pytest.raises(ValueError, match=r"^right-hand sides must be a writable float64 \(50, nrhs\) matrix"):
+            band_lower_solve(L, b)
 
 
 class TestRankOwner:

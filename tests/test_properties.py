@@ -3,12 +3,13 @@
 ``benchmark.random_system`` draws a minimal stable system of order 1 to 3
 (1 to 6 for the simulation properties) from each seed; the record is white
 input of unit variance, with unit innovations where the property needs
-noise.
+noise.  Sign equivariance is checked on the paper's Examples 1 and 2.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import dlsim
@@ -21,6 +22,7 @@ from parsimid import (
     StateSpaceModel,
     assemble_blocks,
     identify,
+    impulse_response,
     markov_g,
     markov_h,
     parsim_ols,
@@ -29,7 +31,7 @@ from parsimid import (
 )
 from parsimid.benchmark import random_system
 
-from helpers import ref_simulate, ref_simulate_ss2tf
+from helpers import example_record, ref_simulate, ref_simulate_ss2tf
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -146,3 +148,23 @@ class TestSignalScaling:
         assert abs(ms.sigma_e2 - b**2 * m.sigma_e2) < 1e-10 * b**2 * m.sigma_e2
         eig, eig_s = np.linalg.eigvals(m.A), np.linalg.eigvals(ms.A)
         assert np.max(np.abs(np.sort_complex(eig_s) - np.sort_complex(eig))) < 1e-8
+
+
+class TestSignEquivariance:
+    # Examples 1 and 2 at N = 2000, f = 10, p = 12: parsim_opt's bank is large
+    # enough to run on every usable CPU, so this also checks the threaded bank.
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name, n_x", [("example1", 3), ("example2", 2)])
+    @settings(SETTINGS, max_examples=4)
+    @given(seed=seeds, signs=st.sampled_from([(1, -1), (-1, 1), (-1, -1)]))
+    def test_flipping_signs_flips_the_model_exactly(self, name, n_x, method, seed, signs):
+        # u -> s_u u and y -> s_y y: G flips by s_u s_y, and the noise model and
+        # sigma_e2 stay.  Every step is odd or even in the data, so exactly.
+        rec = example_record(name, seed, noisy=True)
+        s_u, s_y = signs
+        cfg = RealizationConfig(n_x=n_x, f=10, p=12, method=method)
+        m = identify(rec, cfg).model
+        mf = identify(SignalRecord(u=s_u * rec.u, y=s_y * rec.y), cfg).model
+        np.testing.assert_array_equal(impulse_response(mf, 30), s_u * s_y * impulse_response(m, 30))
+        np.testing.assert_array_equal(markov_h(mf, 30), markov_h(m, 30))
+        assert mf.sigma_e2 == m.sigma_e2
