@@ -26,51 +26,131 @@ The kernels' own failures (a zero pivot on the triangular path, a Gram
 whose eigenvalues do not converge) raise RankError; a LinAlgError from
 numpy itself is left to the caller's stage (``errors._stage``).
 
-:func:`band_cholesky` and :func:`band_lower_solve` call LAPACK ``dpbtrf``
-and ``dtbtrs`` without holding the interpreter lock, so the WLS bank's
-rows can run on several threads at once; scipy's own wrappers of the two
-routines hold it.
+The WLS bank's five LAPACK routines are called without holding the
+interpreter lock, which scipy's f2py wrappers of them hold:
+:func:`band_cholesky` (``dpbtrf``), :func:`band_lower_solve`
+(``dtbtrs``), and, inside :func:`gram_solve`, :func:`symmetric_eigenvalues`
+(``dsyev``), :func:`cholesky` (``dpotrf``) and :func:`cholesky_solve`
+(``dpotrs``).  Each is the routine that ``scipy.linalg.cython_lapack``
+exports, called by ``ctypes`` after its operands are checked, with the
+arguments scipy's wrapper passes, so its results are that wrapper's bits,
+and its C signature is checked against the declared one at import.  The
+bank's rows therefore run on several threads at once.
 """
 
 import ctypes
+import re
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgeqrt, dlange, dpotrf, dpotrs, dsyev, dtrtri, dtrtrs
+from scipy.linalg.lapack import dgeqrt, dlange, dtrtri, dtrtrs
 
 from .errors import RankError
 
 _EPS = np.finfo(float).eps
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_F64 = np.dtype(np.float64)
+
+_name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+# The C parameter types of the routines called, and their ctypes argument
+# types: a character is passed as bytes, an integer or a double by its
+# address, a Python int.
+_C, _I, _D = "char *", "int *", "double *"
+_C_PARAMS = {_C: ctypes.c_char_p, _I: ctypes.c_void_p, _D: ctypes.c_void_p}
 
 
-def _lapack(name: str, *argtypes):
-    """LAPACK routine ``name`` as a ctypes function, from the pointer ``scipy.linalg.cython_lapack`` exports.
+def _lapack(name: str, *params: str):
+    """LAPACK routine ``name`` of the C parameter types ``params`` as a ctypes function, from ``scipy.linalg.cython_lapack``.
 
-    The capsule's name is its C signature, read from the capsule itself,
-    so no library or symbol name is involved.  A ctypes call releases the
-    interpreter lock and checks nothing: the callers check every operand.
+    The capsule that scipy exports is named by the routine's C signature,
+    read from the capsule itself, so no library or symbol name is
+    involved.  That signature, with Cython's typedef of double spelt
+    ``double``, must read ``void (params)``: any other raises ImportError,
+    so a changed ABI fails at import instead of writing through a wrong
+    pointer.  A ctypes call releases the interpreter lock and checks
+    nothing: the callers check every operand.
     """
     capsule = cython_lapack.__pyx_capi__[name]
-    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )
-    return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, name_of(capsule)))
+    signature = _name_of(capsule)
+    declared = f"void ({', '.join(params)})"
+    if re.sub(r"__pyx_t_\w*_d \*", "double *", signature.decode()) != declared:
+        raise ImportError(f"scipy.linalg.cython_lapack.{name} is {signature.decode()!r}, not {declared!r}")
+    return ctypes.CFUNCTYPE(None, *(_C_PARAMS[p] for p in params))(_pointer_of(capsule, signature))
 
 
-_CHAR, _INT, _PTR = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-_DPBTRF = _lapack("dpbtrf", _CHAR, _INT, _INT, _PTR, _INT, _INT)
-_DTBTRS = _lapack("dtbtrs", _CHAR, _CHAR, _CHAR, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT)
+_DPBTRF = _lapack("dpbtrf", _C, _I, _I, _D, _I, _I)
+_DTBTRS = _lapack("dtbtrs", _C, _C, _C, _I, _I, _I, _D, _I, _D, _I, _I)
+_DSYEV = _lapack("dsyev", _C, _C, _I, _D, _I, _D, _D, _I, _I)
+_DPOTRF = _lapack("dpotrf", _C, _I, _D, _I, _I)
+_DPOTRS = _lapack("dpotrs", _C, _I, _I, _D, _I, _D, _I, _I)
+
+_INT = ctypes.sizeof(ctypes.c_int)
+_BYTE = ctypes.c_char
 
 
 def _ints(*values):
-    return [ctypes.byref(ctypes.c_int(v)) for v in values]
+    """C ints holding ``values`` and a zeroed info after them, and the address of each (the info's last)."""
+    ints = (ctypes.c_int * (len(values) + 1))(*values)
+    at = ctypes.addressof(ints)
+    return ints, range(at, at + _INT * len(ints), _INT)
+
+
+def _address(a: np.ndarray) -> int:
+    """Address of the first element of the checked array ``a``.
+
+    The buffer protocol reads it in under half the time of
+    ``ndarray.ctypes``, for a writable ``a`` whose transpose is
+    C-contiguous, as every array of the WLS bank's rows is; any other
+    array reads ``ndarray.ctypes``.
+    """
+    try:
+        return ctypes.addressof(_BYTE.from_buffer(a.T))
+    except (TypeError, ValueError, BufferError):
+        return a.ctypes.data
+
+
+def _info(routine: str, ints) -> int:
+    """LAPACK's info, the last of ``ints``; ValueError if it names an illegal argument."""
+    info = ints[-1]
+    if info < 0:
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+    return info
 
 
 def _check_band(ab: np.ndarray) -> None:
-    if ab.dtype != np.float64 or ab.ndim != 2 or not ab.flags.f_contiguous or ab.shape[0] < 1:
+    if ab.dtype != _F64 or ab.ndim != 2 or not ab.flags.f_contiguous or ab.shape[0] < 1:
         raise ValueError("band must be a Fortran-contiguous float64 band of at least one row")
+
+
+def _check_square(a: np.ndarray, what: str, writable: bool) -> None:
+    if (
+        a.dtype != _F64
+        or a.ndim != 2
+        or not a.flags.f_contiguous
+        or a.shape[0] != a.shape[1]
+        or a.shape[0] < 1
+        or (writable and not a.flags.writeable)
+    ):
+        raise ValueError(
+            f"{what} must be a {'writable ' if writable else ''}Fortran-contiguous float64 square matrix of at least one row"
+        )
+
+
+def _rhs_leading_dimension(b: np.ndarray, n: int) -> int:
+    """LAPACK's ldb of ``b``, a writable float64 (n, nrhs) matrix with contiguous columns; ValueError otherwise."""
+    if (
+        b.dtype != _F64
+        or b.ndim != 2
+        or b.shape[0] != n
+        or not b.flags.writeable
+        or b.strides[0] != 8
+        or (b.shape[1] > 1 and (b.strides[1] % 8 or b.strides[1] < 8 * n))
+    ):
+        raise ValueError(f"right-hand sides must be a writable float64 ({n}, nrhs) matrix with contiguous columns")
+    return b.strides[1] // 8 if b.shape[1] > 1 else max(1, n)
 
 
 def band_cholesky(ab: np.ndarray) -> int:
@@ -83,11 +163,9 @@ def band_cholesky(ab: np.ndarray) -> int:
     _check_band(ab)
     if not ab.flags.writeable:
         raise ValueError("band must be writable")
-    info = ctypes.c_int()
-    _DPBTRF(b"L", *_ints(ab.shape[1], ab.shape[0] - 1), ab.ctypes.data, *_ints(ab.shape[0]), ctypes.byref(info))
-    if info.value < 0:
-        raise ValueError(f"dpbtrf: illegal value in argument {-info.value}")
-    return info.value
+    ints, (n, kd, ldab, info) = _ints(ab.shape[1], ab.shape[0] - 1, ab.shape[0])
+    _DPBTRF(b"L", n, kd, _address(ab), ldab, info)
+    return _info("dpbtrf", ints)
 
 
 def band_lower_solve(ab: np.ndarray, b: np.ndarray) -> int:
@@ -99,30 +177,60 @@ def band_lower_solve(ab: np.ndarray, b: np.ndarray) -> int:
     array.  Returns LAPACK's info, which is 0 for a unit diagonal.
     """
     _check_band(ab)
-    n = ab.shape[1]
-    if (
-        b.dtype != np.float64
-        or b.ndim != 2
-        or b.shape[0] != n
-        or not b.flags.writeable
-        or b.strides[0] != 8
-        or (b.shape[1] > 1 and (b.strides[1] % 8 or b.strides[1] < 8 * n))
-    ):
-        raise ValueError(f"right-hand sides must be a writable float64 ({n}, nrhs) matrix with contiguous columns")
-    ldb = b.strides[1] // 8 if b.shape[1] > 1 else max(1, n)
-    info = ctypes.c_int()
-    _DTBTRS(
-        b"L", b"N", b"U", *_ints(n, ab.shape[0] - 1, b.shape[1]), ab.ctypes.data, *_ints(ab.shape[0]),
-        b.ctypes.data, *_ints(ldb), ctypes.byref(info),
-    )
-    if info.value < 0:
-        raise ValueError(f"dtbtrs: illegal value in argument {-info.value}")
-    return info.value
+    ld = _rhs_leading_dimension(b, ab.shape[1])
+    ints, (n, kd, nrhs, ldab, ldb, info) = _ints(ab.shape[1], ab.shape[0] - 1, b.shape[1], ab.shape[0], ld)
+    _DTBTRS(b"L", b"N", b"U", n, kd, nrhs, _address(ab), ldab, _address(b), ldb, info)
+    return _info("dtbtrs", ints)
+
+
+def symmetric_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """LAPACK ``dsyev`` without vectors on the upper triangle of ``a``: (eigenvalues, info).
+
+    ``a`` is a writable Fortran-contiguous float64 (n, n) matrix, which
+    the routine overwrites.  The call is scipy's ``dsyev(a, compute_v=0)``
+    (work of max(3n - 1, 1)), so the eigenvalues, ascending, are its bits.
+    info > 0 counts the off-diagonals that did not converge.
+    """
+    _check_square(a, "matrix", writable=True)
+    size = a.shape[0]
+    out = np.empty(size + max(3 * size - 1, 1))  # the eigenvalues, then the work
+    ints, (n, lda, lwork, info) = _ints(size, size, out.size - size)
+    w = _address(out)
+    _DSYEV(b"N", b"U", n, _address(a), lda, w, w + 8 * size, lwork, info)
+    return out[:size], _info("dsyev", ints)
+
+
+def cholesky(a: np.ndarray) -> int:
+    """LAPACK ``dpotrf`` on the lower triangle of ``a``, in place: it becomes L's, A = L L'.
+
+    ``a`` is a writable Fortran-contiguous float64 (n, n) matrix; its
+    strict upper triangle is not read or written.  Returns LAPACK's info:
+    0, or k > 0 if the leading minor of order k is not positive definite.
+    """
+    _check_square(a, "matrix", writable=True)
+    ints, (n, lda, info) = _ints(a.shape[0], a.shape[0])
+    _DPOTRF(b"L", n, _address(a), lda, info)
+    return _info("dpotrf", ints)
+
+
+def cholesky_solve(c: np.ndarray, b: np.ndarray) -> int:
+    """LAPACK ``dpotrs``: b := A^(-1) b in place, with A = L L' and L the lower triangle of ``c``.
+
+    ``c`` is a Fortran-contiguous float64 (n, n) matrix, as
+    :func:`cholesky` leaves it; ``b`` is right-hand sides as
+    :func:`band_lower_solve` takes them.  Returns LAPACK's info, 0.
+    """
+    _check_square(c, "factor", writable=False)
+    size = c.shape[0]
+    ld = _rhs_leading_dimension(b, size)
+    ints, (n, nrhs, lda, ldb, info) = _ints(size, b.shape[1], size, ld)
+    _DPOTRS(b"L", n, nrhs, _address(c), lda, _address(b), ldb, info)
+    return _info("dpotrs", ints)
 
 
 def numerical_rank(s: np.ndarray, m: int, n: int) -> int:
     """Count of the singular values ``s`` of an (m, n) matrix above lstsq's cutoff eps * max(m, n) * s_max."""
-    return int(np.sum(s > _EPS * max(m, n) * s.max()))
+    return int(np.count_nonzero(s > _EPS * max(m, n) * s.max()))
 
 
 def certified_full_rank(R: np.ndarray, m: int) -> bool:
@@ -226,20 +334,25 @@ def gram_solve(W: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
     (Bjorck), theta += G^(-1) W_q'(w - W_q theta) with W_q = W[:, :q] and
     w = W[:, q], brings it to the accuracy of a QR solve of W_q theta = w.
     A rank-deficient Gram, or one whose Cholesky factorization fails, is
-    solved by lstsq itself, which keeps the minimum-norm semantics.
+    solved by lstsq itself, which keeps the minimum-norm semantics.  The
+    three routines run without the interpreter lock, each on its own
+    Fortran copy of G[:q, :q]; the matmuls are numpy's.
     """
     G = W.T @ W
     A, b = G[:q, :q], G[:q, q]
-    ev, _, info = dsyev(A, compute_v=0)
+    ev, info = symmetric_eigenvalues(np.array(A, order="F"))
     if info != 0:
         raise RankError(f"Gram eigenvalues did not converge (dsyev info {info})")
     s = np.abs(ev)
     rank, s_min = numerical_rank(s, q, q), s.min()
     cond = float(s.max() / s_min) if s_min > 0 else float("inf")
     if rank == q:
-        c, info = dpotrf(A, lower=1, clean=0)
-        if info == 0:
-            theta = dpotrs(c, b, lower=1)[0]
+        c = np.array(A, order="F")
+        if cholesky(c) == 0:
+            theta = np.array(b)
+            cholesky_solve(c, theta[:, None])
             Wq = W[:, :q]
-            return theta + dpotrs(c, Wq.T @ (W[:, q] - Wq @ theta), lower=1)[0], rank, cond
+            step = Wq.T @ (W[:, q] - Wq @ theta)
+            cholesky_solve(c, step[:, None])
+            return theta + step, rank, cond
     return np.linalg.lstsq(A, b, rcond=None)[0], rank, cond

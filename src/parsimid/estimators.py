@@ -19,26 +19,28 @@ Every unweighted regression is of a block of the record on leading rows
 of [Y_p; U_p; U_f], so the one QR of the design [Y_p' U_p' U_f' Y_f'] that
 :func:`data_blocks.assemble_blocks` makes (``blocks.ls``) answers the OLS
 rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  WLS
-rows 2..f each factor the band of T'T = L L' once, in place (LAPACK
-``dpbtrf``; :func:`toeplitz_gram_band` decides the storage), whiten the row's
-regressor and target columns, read from the record's windows
-(``blocks.Y``, ``blocks.U``), into the leading columns of one workspace
-per thread with one banded triangular sweep W = L^(-1) [Z' y'] (``dtbtrs``
-on the unit-diagonal factor D^(-1) L, D = diag(L), with the columns
-divided by D as they are copied in), and solve on the small Gram W'W by
-:func:`_lstsq.gram_solve`:
-its eigenvalues give the rank and condition, and a full-rank Gram is
-solved by Cholesky and refined once against W.  The rows are independent
-and run on one thread per usable CPU (the process's affinity set), at
-most one per row; a ``multiprocessing`` child, or a bank too small to
-gain, runs on one.  ``dpbtrf`` and ``dtbtrs`` are called through
-:func:`_lstsq.band_cholesky` and :func:`_lstsq.band_lower_solve`, which
-release the interpreter lock that scipy's wrappers of the two hold, so
-the threads' factors and sweeps overlap.  All solves keep
-pseudo-inverse (minimum-norm) semantics, and every rank is decided by
-:func:`_lstsq.numerical_rank`'s cutoff, eps * max dimension * s_max:
-noise-free records make the output-side rows exactly collinear.  Input excitation is checked
-once, for every method, by :func:`data_blocks.assemble_blocks`.
+rows 2..f each fill the band of T'T from its diagonals, which the calling
+thread computes for every row before the rows start (``_gram_diagonals``,
+which :func:`toeplitz_gram_band` also reads), factor it as L L' once, in
+place (LAPACK ``dpbtrf``), whiten the row's regressor and target columns,
+read from the record's windows (``blocks.Y``, ``blocks.U``), into the
+leading columns of one workspace per thread with one banded triangular
+sweep W = L^(-1) [Z' y'] (``dtbtrs`` on the unit-diagonal factor D^(-1) L,
+D = diag(L), with the columns divided by D as they are copied in), and
+solve on the small Gram W'W by :func:`_lstsq.gram_solve`: its eigenvalues
+give the rank and condition, and a full-rank Gram is solved by Cholesky
+and refined once against W.  The rows are independent and run on one
+thread per usable CPU (the process's affinity set), at most one per row;
+a ``multiprocessing`` child, or a bank too small to gain, runs on one.
+Every LAPACK call of a row (``dpbtrf``, ``dtbtrs``, and ``dsyev``,
+``dpotrf`` and ``dpotrs`` in the Gram solve) goes through ``_lstsq``'s
+lock-free wrappers, and numpy's whitening copies and matmuls release the
+lock too, so the threads overlap in all but a row's short Python steps.
+All solves keep pseudo-inverse (minimum-norm) semantics, and every rank
+is decided by :func:`_lstsq.numerical_rank`'s cutoff, eps * max dimension
+* s_max: noise-free records make the output-side rows exactly collinear.
+Input excitation is checked once, for every method, by
+:func:`data_blocks.assemble_blocks`.
 """
 
 from __future__ import annotations
@@ -85,11 +87,24 @@ class RangeEstimate:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma_lp", _freeze(self.gamma_lp, "gamma_lp"))
-        rows = tuple(_freeze(row, f"g_rows[{i}]", -1) for i, row in enumerate(self.g_rows))
-        for i, row in enumerate(rows, start=1):
-            if row.size != i:
-                raise ConfigError(f"g_rows[{i - 1}] must have {i} entries, got {row.size}")
-        object.__setattr__(self, "g_rows", rows)
+        object.__setattr__(self, "g_rows", _freeze_rows(self.g_rows))
+
+
+def _freeze_rows(g_rows) -> tuple[np.ndarray, ...]:
+    """``g_rows`` as read-only float rows of 1, 2, ... entries: views of one ``_freeze`` of them all."""
+    try:
+        sizes = [len(row) for row in g_rows]
+        flat = _freeze(np.concatenate(g_rows), "g_rows")
+    except (TypeError, ValueError, ConfigError):
+        flat = None
+    if flat is not None and flat.ndim == 1 and sizes == list(range(1, len(sizes) + 1)):
+        return tuple(flat[i * (i - 1) // 2 : i * (i + 1) // 2] for i in sizes)
+    # One by one, so that the error names its row.
+    rows = tuple(_freeze(row, f"g_rows[{i}]", -1) for i, row in enumerate(g_rows))
+    for i, row in enumerate(rows, start=1):
+        if row.size != i:
+            raise ConfigError(f"g_rows[{i - 1}] must have {i} entries, got {row.size}")
+    return rows
 
 
 def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
@@ -98,19 +113,28 @@ def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
     T, (N + i - 1) x N, maps a white innovations row onto row i's noise:
     column j carries [H_{i-1}, ..., H_1, H_0 = 1] in rows j..j+i-1.  T'T
     is symmetric positive definite, banded with bandwidth i - 1, and
-    Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.  The WLS bank's
-    band storage is decided here: one Fortran-ordered lower band (row d
-    holds diagonal d), which ``dpbtrf`` factors in place and faster than
-    the upper; as every diagonal is constant, its rows reversed, the view
-    returned, are the upper storage.
+    Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.  The band is
+    the WLS bank's, from the same diagonals: one Fortran-ordered lower band
+    (row d holds diagonal d), which ``dpbtrf`` factors in place and faster
+    than the upper; as every diagonal is constant, its rows reversed, the
+    view returned, are the upper storage.
     """
     i, N = _integer(i, "bank row", 1), _integer(N, "N", 1)
-    h = _freeze(h, "h", -1)[: i - 1]
-    # [H_0, H_1, ..., H_{i-1}]; missing high lags count as 0
-    b_nat = np.r_[np.zeros(i - 1 - h.size), h[::-1], 1.0][::-1]
     band = np.empty((i, N), order="F")
-    band[:] = np.array([b_nat[d:] @ b_nat[: i - d] for d in range(i)])[:, None]
+    band[:] = _gram_diagonals(_freeze(h, "h", -1), (i,))[0][:, None]
     return band[::-1]
+
+
+def _gram_diagonals(h: np.ndarray, rows) -> list[np.ndarray]:
+    """For each bank row i of ``rows``, the i diagonals of its T'T (see :func:`toeplitz_gram_band`).
+
+    ``h`` is a converted [H_1, H_2, ...]; lags past its end count as 0.
+    """
+    top = max(rows)
+    h = h[: top - 1]
+    # [H_0, H_1, ..., H_{top-1}], whose first i entries are row i's
+    b_nat = np.r_[np.zeros(top - 1 - h.size), h[::-1], 1.0][::-1]
+    return [np.array([b_nat[d:i] @ b_nat[: i - d] for d in range(i)]) for i in rows]
 
 
 def _bank_estimate(thetas, blocks: DataBlocks, **gram) -> RangeEstimate:
@@ -158,12 +182,16 @@ def _bank_threads(blocks: DataBlocks) -> int:
     return max(1, min(cpus, f - 1))
 
 
-def _wls_row(blocks: DataBlocks, h: np.ndarray, i: int, W: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Row i >= 2 of the WLS bank, whitened into the leading columns of the workspace W: gram_solve's answer."""
-    p, N = blocks.p, blocks.N
+def _wls_row(blocks: DataBlocks, diagonals: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Row i >= 2 of the WLS bank, whitened into the leading columns of the workspace W: gram_solve's answer.
+
+    ``diagonals`` are the i diagonals of the row's T'T (:func:`_gram_diagonals`).
+    """
+    p, N, i = blocks.p, blocks.N, diagonals.size
     q = 2 * p + i
-    # The lower band, Fortran-ordered as the kernel requires (no copy for the band built here).
-    L = np.asfortranarray(toeplitz_gram_band(h, i, N)[::-1])
+    # The lower band, Fortran-ordered as the kernel requires.
+    L = np.empty((i, N), order="F")
+    L[:] = diagonals[:, None]
     info = band_cholesky(L)
     if info != 0:
         raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
@@ -203,16 +231,20 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     solved by lstsq for the minimum-norm answer.
     Row 1 has white row noise and coincides with the OLS row.
 
-    Rows 2..f are independent.  They are taken heaviest first (row f) by
-    the calling thread and by helper threads, one thread per usable CPU
-    and at most one per row; a ``multiprocessing`` child, or a bank whose
-    heaviest sweep is below ``_THREADED_SWEEP``, runs on one.  Each thread owns one workspace, and every helper is joined before
-    return, so no thread outlives the call.  The band factor and sweep
-    call LAPACK through :func:`_lstsq.band_cholesky` and
-    :func:`_lstsq.band_lower_solve`, which release the interpreter lock
-    that scipy's ``dpbtrf`` and ``dtbtrs`` wrappers hold.  Each row is
-    computed by one thread on the same operands, so the estimate does not
-    depend on the thread count.
+    Rows 2..f are independent.  The calling thread computes the band
+    diagonals of every row first; then the rows are taken heaviest first
+    (row f) by the calling thread and by helper threads, one thread per
+    usable CPU and at most one per row; a ``multiprocessing`` child, or a
+    bank whose heaviest sweep is below ``_THREADED_SWEEP``, runs on one.
+    Each thread owns one workspace, and every helper is joined before
+    return, so no thread outlives the call.  A row holds the interpreter
+    lock only between its calls: the band factor and sweep
+    (:func:`_lstsq.band_cholesky`, :func:`_lstsq.band_lower_solve`), the
+    Gram's eigenvalues and Cholesky solve (``dsyev``, ``dpotrf``,
+    ``dpotrs`` in :func:`_lstsq.gram_solve`) call LAPACK without it, where
+    scipy's wrappers of the five hold it, and numpy's whitening copies and
+    matmuls release it.  Each row is computed by one thread on the same
+    operands, so the estimate does not depend on the thread count.
 
     Args:
         blocks: Data blocks.
@@ -230,6 +262,7 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
         raise ConfigError(f"weighting must be an InnovationsMarkov, got {type(h).__name__}")
     p, f, N = blocks.p, blocks.f, blocks.N
     todo = list(range(2, f + 1))  # popped from the end: row f first
+    diagonals = dict(zip(todo, _gram_diagonals(h.h, todo)))
     done = [None] * (f + 1)
     lock = threading.Lock()
 
@@ -242,7 +275,7 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
                     return
                 i = todo.pop()
             try:
-                done[i] = _wls_row(blocks, h.h, i, W)
+                done[i] = _wls_row(blocks, diagonals[i], W)
             except Exception as err:  # re-raised by the caller, after every thread has joined
                 done[i] = err
 

@@ -12,11 +12,13 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solveh_banded, toeplitz
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyev
 from scipy.signal import lfilter, ss2tf
 
 import parsimid
 from parsimid import (
     DivergenceError,
+    RankError,
     SignalRecord,
     StateSpaceModel,
     simulate,
@@ -202,6 +204,29 @@ def ref_parsim_wls(blocks, h):
         gamma[i - 1] = theta[: 2 * p]
         g_rows.append(theta[2 * p :])
     return gamma, g_rows
+
+
+def ref_gram_solve_f2py(W, q):
+    """``_lstsq.gram_solve`` through scipy's f2py wrappers of ``dsyev``, ``dpotrf`` and ``dpotrs``.
+
+    The form the library had before it called the three routines without
+    the interpreter lock; the lock-free calls must give its bytes.
+    """
+    G = W.T @ W
+    A, b = G[:q, :q], G[:q, q]
+    ev, _, info = dsyev(A, compute_v=0)
+    if info != 0:
+        raise RankError(f"Gram eigenvalues did not converge (dsyev info {info})")
+    s = np.abs(ev)
+    rank, s_min = int(np.sum(s > np.finfo(float).eps * q * s.max())), s.min()
+    cond = float(s.max() / s_min) if s_min > 0 else float("inf")
+    if rank == q:
+        c, info = dpotrf(A, lower=1, clean=0)
+        if info == 0:
+            theta = dpotrs(c, b, lower=1)[0]
+            Wq = W[:, :q]
+            return theta + dpotrs(c, Wq.T @ (W[:, q] - Wq @ theta), lower=1)[0], rank, cond
+    return np.linalg.lstsq(A, b, rcond=None)[0], rank, cond
 
 
 def ref_simulate(m, u, e=None):

@@ -108,6 +108,15 @@ class TestNoiseToeplitz:
             for d in range(i):
                 np.testing.assert_allclose(ab[i - 1 - d, d:], np.diagonal(M, offset=d), atol=1e-12)
 
+    def test_bank_diagonals_are_the_bands_of_each_row(self):
+        # parsim_wls takes every row's diagonals in one call; each is the
+        # band toeplitz_gram_band makes for that row alone, bit for bit.
+        h = InnovationsMarkov(h=np.random.default_rng(2).standard_normal(6)).h
+        rows = list(range(2, 13))  # past the end of h too
+        for i, diagonals in zip(rows, estimators._gram_diagonals(h, rows)):
+            band = toeplitz_gram_band(h, i, 30)[::-1]
+            assert band.tobytes() == np.repeat(diagonals[:, None], 30, axis=1).tobytes()
+
 
 class TestParsimOls:
     def test_noise_free_markov_recovery(self):
@@ -288,10 +297,10 @@ class TestWlsBankReference:
         calls = {"dpotrf": 0, "lstsq": 0}
         lock = threading.Lock()  # the bank's threads count concurrently
 
-        def failing_dpotrf(a, **kwargs):
+        def failing_cholesky(a):
             with lock:
                 calls["dpotrf"] += 1
-            return a, 1
+            return 1
 
         def counted_lstsq(*args, **kwargs):
             with lock:
@@ -299,7 +308,7 @@ class TestWlsBankReference:
             return lstsq(*args, **kwargs)
 
         lstsq = np.linalg.lstsq
-        monkeypatch.setattr(_lstsq, "dpotrf", failing_dpotrf)
+        monkeypatch.setattr(_lstsq, "cholesky", failing_cholesky)
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
         est = parsim_wls(blocks, h)
         monkeypatch.undo()
@@ -325,11 +334,11 @@ class TestWlsBankReference:
         _, rec = example1_record(600, 1.5, seed=6)
         blocks = assemble_blocks(rec, f=5, p=6)
 
-        def indefinite_from_row_3(h, i, N):
-            ab = toeplitz_gram_band(h, i, N)
-            return -ab if i >= 3 else ab
+        def indefinite_from_row_3(h, rows):
+            return [-d if i >= 3 else d for i, d in zip(rows, gram_diagonals(h, rows))]
 
-        monkeypatch.setattr(estimators, "toeplitz_gram_band", indefinite_from_row_3)
+        gram_diagonals = estimators._gram_diagonals
+        monkeypatch.setattr(estimators, "_gram_diagonals", indefinite_from_row_3)
         with pytest.raises(RankError, match="at row 3"):
             parsim_wls(blocks, InnovationsMarkov(h=np.array([0.9, 0.5, 0.2, 0.1])))
 
@@ -400,11 +409,11 @@ class TestThreadedBank:
     def test_failing_rows_raise_the_lowest_after_every_thread_joins(self, monkeypatch):
         blocks, h = weighted_bank("example1", 0)
 
-        def indefinite_at_rows_3_5_and_10(h, i, N):
-            ab = toeplitz_gram_band(h, i, N)
-            return -ab if i in (3, 5, 10) else ab
+        def indefinite_at_rows_3_5_and_10(h, rows):
+            return [-d if i in (3, 5, 10) else d for i, d in zip(rows, gram_diagonals(h, rows))]
 
-        monkeypatch.setattr(estimators, "toeplitz_gram_band", indefinite_at_rows_3_5_and_10)
+        gram_diagonals = estimators._gram_diagonals
+        monkeypatch.setattr(estimators, "_gram_diagonals", indefinite_at_rows_3_5_and_10)
         threads(monkeypatch, 3)
         before = threading.active_count()
         with pytest.raises(RankError, match="at row 3 "):

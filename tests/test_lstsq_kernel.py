@@ -4,6 +4,10 @@ The references in ``helpers`` refit every problem with a full
 ``numpy.linalg.lstsq``; the library answers them all from one QR.
 """
 
+import ctypes
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,16 +34,23 @@ from parsimid import (
     default_aic_grid,
     fit_arx,
     parsim_ols,
+    parsim_wls,
+    predictor_to_innovations,
     select_order_aic,
     toeplitz_gram_band,
 )
+from parsimid import _lstsq, estimators
 from parsimid._lstsq import (
     NestedLstsq,
     band_cholesky,
     band_lower_solve,
     certified_full_rank,
+    cholesky,
+    cholesky_solve,
     full_rank_lstsq,
+    gram_solve,
     numerical_rank,
+    symmetric_eigenvalues,
 )
 from parsimid.arx_pre import _arx_design, _arx_qr
 from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario, example3_scenario
@@ -47,6 +58,7 @@ from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario
 from helpers import (
     design,
     example_record,
+    ref_gram_solve_f2py,
     ref_parsim_ols,
     ref_select_order_aic,
     ref_solve_arx,
@@ -403,7 +415,7 @@ class TestLapackWrappers:
     @pytest.mark.parametrize(
         "name",
         ["dgeqrt", "dtrtri", "dlange", "dtrtrs", "dsyev", "dpotrf", "dpotrs", "dpbtrf", "dtbtrs",
-         "band_cholesky", "band_lower_solve"],
+         "band_cholesky", "band_lower_solve", "symmetric_eigenvalues", "cholesky", "cholesky_solve"],
     )
     def test_wrapper_takes_the_kernels_arguments(self, name):
         getattr(self, f"check_{name}")()
@@ -435,22 +447,211 @@ class TestLapackWrappers:
         with pytest.raises(ValueError, match="^band must be writable$"):
             band_cholesky(band)
 
-    @pytest.mark.parametrize(
+    # Right-hand sides of n rows that neither solve takes.
+    BAD_RHS = pytest.mark.parametrize(
         "rhs",
         [
-            lambda: np.zeros((50, 2), dtype=np.float32, order="F"),
-            lambda: np.zeros((50, 2)),  # C order: the rows are contiguous, not the columns
-            lambda: np.zeros((49, 2), order="F"),
-            lambda: np.zeros(50),
-            lambda: np.zeros((100, 2), order="F")[::2],
+            lambda n: np.zeros((n, 2), dtype=np.float32, order="F"),
+            lambda n: np.zeros((n, 2)),  # C order: the rows are contiguous, not the columns
+            lambda n: np.zeros((n - 1, 2), order="F"),
+            lambda n: np.zeros(n),
+            lambda n: np.zeros((2 * n, 2), order="F")[::2],
+            lambda n: np.zeros((n, 2), order="F")[:, ::-1],
+            lambda n: _read_only((n, 2)),
         ],
-        ids=["float32", "c-order", "wrong-rows", "1-d", "row-step"],
+        ids=["float32", "c-order", "wrong-rows", "1-d", "row-step", "column-step-back", "read-only"],
     )
+
+    @BAD_RHS
     def test_band_lower_solve_checks_the_right_hand_sides(self, rhs):
         L = self.bank_band()
-        b = rhs()
         with pytest.raises(ValueError, match=r"^right-hand sides must be a writable float64 \(50, nrhs\) matrix"):
-            band_lower_solve(L, b)
+            band_lower_solve(L, rhs(50))
+
+    @BAD_RHS
+    def test_cholesky_solve_checks_the_right_hand_sides(self, rhs):
+        c = dpotrf(self.gram(), lower=1, clean=0)[0]
+        with pytest.raises(ValueError, match=r"^right-hand sides must be a writable float64 \(12, nrhs\) matrix"):
+            cholesky_solve(c, rhs(12))
+
+    # gram_solve's routines, from scipy.linalg.cython_lapack's exports, bit
+    # for bit against scipy's wrappers with the arguments gram_solve gave them.
+    def gram(self, q=12):
+        W = np.random.default_rng(1).standard_normal((40, q + 1))
+        G = W.T @ W
+        # Unequal triangles: each routine must read the one scipy's reads.
+        G[0, 1] += 1e-3
+        G[2, 0] -= 2e-3
+        return G[:q, :q]
+
+    def check_symmetric_eigenvalues(self):
+        A = self.gram()
+        want, _, info = dsyev(A, compute_v=0)
+        a = np.array(A, order="F")
+        got, got_info = symmetric_eigenvalues(a)
+        assert got_info == info == 0 and got.tobytes() == want.tobytes()
+
+    def check_cholesky(self):
+        A = self.gram()
+        want, info = dpotrf(A, lower=1, clean=0)
+        got = np.array(A, order="F")
+        assert cholesky(got) == info == 0
+        assert got.tobytes() == want.tobytes()  # the upper triangle untouched, as clean=0 leaves it
+
+    def check_cholesky_solve(self):
+        c = dpotrf(self.gram(), lower=1, clean=0)[0]
+        c.setflags(write=False)  # the factor is only read
+        rng = np.random.default_rng(2)
+        b, B = rng.standard_normal(12), rng.standard_normal((12, 3))
+        x = b.copy()
+        assert cholesky_solve(c, x[:, None]) == 0
+        assert x.tobytes() == dpotrs(c, b, lower=1)[0].tobytes()
+        buf = np.zeros((20, 4), order="F")  # leading dimension 20
+        buf[:12, :3] = B
+        assert cholesky_solve(c, buf[:12, :3]) == 0
+        assert buf[:12, :3].tobytes() == dpotrs(c, B, lower=1)[0].tobytes()
+        assert not buf[12:].any() and not buf[:, 3].any()
+
+    def test_eigenvalues_report_non_convergence_as_scipy_does(self):
+        A = np.diag([1.0, np.inf, 2.0])
+        assert symmetric_eigenvalues(np.asfortranarray(A))[1] == dsyev(A, compute_v=0)[2] == 2
+
+    def test_cholesky_reports_a_leading_minor(self):
+        a = -np.array(self.gram(), order="F")
+        assert cholesky(a) == dpotrf(-self.gram(), lower=1)[1] == 1
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            lambda a: a.astype(np.float32, order="F"),
+            lambda a: np.ascontiguousarray(a),
+            lambda a: np.asfortranarray(a[:, :5]),
+            lambda a: a[0].copy(),
+            lambda a: np.zeros((0, 0), order="F"),
+        ],
+        ids=["float32", "c-order", "not-square", "1-d", "empty"],
+    )
+    def test_gram_kernels_check_the_matrix(self, matrix):
+        bad = matrix(self.gram())
+        for kernel in (symmetric_eigenvalues, cholesky):
+            with pytest.raises(ValueError, match="^matrix must be a writable Fortran-contiguous float64 square matrix"):
+                kernel(bad)
+        with pytest.raises(ValueError, match="^factor must be a Fortran-contiguous float64 square matrix"):
+            cholesky_solve(bad, np.zeros((12, 1), order="F"))
+
+    def test_gram_kernels_need_a_writable_matrix(self):
+        a = np.array(self.gram(), order="F")
+        a.setflags(write=False)
+        for kernel in (symmetric_eigenvalues, cholesky):
+            with pytest.raises(ValueError, match="^matrix must be a writable Fortran-contiguous"):
+                kernel(a)
+
+    @pytest.mark.parametrize(
+        "routine,call",
+        [
+            ("dpbtrf", lambda t: band_cholesky(t.bank_band())),
+            ("dtbtrs", lambda t: band_lower_solve(t.bank_band(), np.zeros((50, 2), order="F"))),
+            ("dsyev", lambda t: symmetric_eigenvalues(np.array(t.gram(), order="F"))),
+            ("dpotrf", lambda t: cholesky(np.array(t.gram(), order="F"))),
+            ("dpotrs", lambda t: cholesky_solve(np.array(t.gram(), order="F"), np.zeros((12, 1), order="F"))),
+        ],
+    )
+    def test_an_illegal_argument_is_a_value_error(self, monkeypatch, routine, call):
+        # LAPACK's info, the last argument, names an illegal argument by -k.
+        def illegal_fourth(*args):
+            ctypes.c_int.from_address(args[-1]).value = -4
+
+        monkeypatch.setattr(_lstsq, f"_{routine.upper()}", illegal_fourth)
+        with pytest.raises(ValueError, match=f"^{routine}: illegal value in argument 4$"):
+            call(self)
+
+
+def _read_only(shape):
+    b = np.zeros(shape, order="F")
+    b.setflags(write=False)
+    return b
+
+
+class TestLapackSignatures:
+    """``_lapack`` takes a routine only if the capsule's C signature is the declared one."""
+
+    def test_the_declared_signatures_load(self):
+        C, I, D = _lstsq._C, _lstsq._I, _lstsq._D
+        assert callable(_lstsq._lapack("dpotrf", C, I, D, I, I))
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("dpotrf", ("char *", "int *", "int *", "double *", "int *", "int *")),  # one int too many
+            ("dpotrf", ("char *", "int *", "int *", "int *", "int *")),  # an int for the matrix
+            ("dpotrf", ("char *", "int *", "double *", "int *")),  # no info
+            ("spotrf", ("char *", "int *", "double *", "int *", "int *")),  # single precision
+        ],
+        ids=["extra-argument", "wrong-type", "missing-argument", "float-routine"],
+    )
+    def test_a_wrong_declaration_fails(self, name, params):
+        declared = f"void ({', '.join(params)})"
+        with pytest.raises(ImportError, match=rf"^scipy\.linalg\.cython_lapack\.{name} is 'void \(.*\)', not '{re.escape(declared)}'$"):
+            _lstsq._lapack(name, *params)
+
+    def test_a_wrong_declaration_fails_the_import(self):
+        path = Path(_lstsq.__file__)
+        source = path.read_text()
+        right = '_DPOTRS = _lapack("dpotrs", _C, _I, _I, _D, _I, _D, _I, _I)'
+        assert right in source
+        code = compile(source.replace(right, right.replace("_D, _I, _D", "_D, _I, _I")), str(path), "exec")
+        with pytest.raises(ImportError, match=r"^scipy\.linalg\.cython_lapack\.dpotrs is "):
+            exec(code, {"__name__": "parsimid._lstsq_copy", "__package__": "parsimid"})
+
+
+class TestGramSolve:
+    """``gram_solve`` gives the bytes of its f2py form (``helpers.ref_gram_solve_f2py``)."""
+
+    @SETTINGS
+    @given(
+        seed=seeds,
+        m=st.integers(1, 80),
+        q=st.integers(1, 30),
+        deficit=st.integers(0, 3),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+    )
+    def test_matches_the_f2py_form_byte_for_byte(self, seed, m, q, deficit, scale):
+        rng = np.random.default_rng(seed)
+        W = scale * rng.standard_normal((m, q + 1))
+        if deficit and q > deficit:
+            W[:, :q] = W[:, : q - deficit] @ rng.standard_normal((q - deficit, q))
+        theta, rank, cond = gram_solve(W, q)
+        want, want_rank, want_cond = ref_gram_solve_f2py(W, q)
+        assert theta.tobytes() == want.tobytes()
+        assert (rank, cond) == (want_rank, want_cond)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+    def test_every_bank_row_matches_the_f2py_form(self, monkeypatch, name):
+        sc, rec = trial_record(name, 4)
+        blocks = assemble_blocks(rec, sc.f, 10)
+        h = predictor_to_innovations(fit_arx(rec, 30))
+        rows = []
+
+        def compared(W, q):
+            got, want = gram_solve(W, q), ref_gram_solve_f2py(W, q)
+            rows.append(got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:])
+            return got
+
+        monkeypatch.setattr(estimators, "gram_solve", compared)
+        parsim_wls(blocks, h)
+        assert rows == [True] * (sc.f - 1)
+
+    def test_eigenvalues_that_do_not_converge_raise(self, monkeypatch):
+        eigenvalues = _lstsq.symmetric_eigenvalues
+
+        def infinite_diagonal(a):
+            a[1, 1] = np.inf
+            return eigenvalues(a)
+
+        monkeypatch.setattr(_lstsq, "symmetric_eigenvalues", infinite_diagonal)
+        W = np.diag([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(RankError, match=r"^Gram eigenvalues did not converge \(dsyev info 2\)$"):
+            gram_solve(W, 3)
 
 
 class TestRankOwner:

@@ -331,7 +331,7 @@ class TestIdentify:
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_gram_eigenvalues_that_do_not_converge_fail_the_estimate(self, monkeypatch):
-        monkeypatch.setattr(_lstsq, "dsyev", lambda A, compute_v=0: (np.zeros(A.shape[0]), None, 3))
+        monkeypatch.setattr(_lstsq, "symmetric_eigenvalues", lambda a: (np.zeros(a.shape[0]), 3))
         rec = example_record("example1", seed=16, noisy=True, n_total=1200)
         with pytest.raises(RankError, match=r"^estimate: Gram eigenvalues did not converge \(dsyev info 3\)$"):
             identify(rec, RealizationConfig(n_x=3, f=10, p=12, method="parsim_opt"))

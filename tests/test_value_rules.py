@@ -294,6 +294,20 @@ def test_range_estimate_stores_read_only_arrays():
     np.testing.assert_array_equal(est.g_rows[1], [1.0, 2.0])
 
 
+def test_range_estimate_rows_convert_together_or_one_by_one_alike():
+    # Flat rows of 1, 2, 3 entries are converted in one pass; nested rows one
+    # by one.  Both store the same read-only float copies.
+    rows = (np.array([1]), np.array([2.0, 3.0]), [True, 4, 5.5])
+    together = RangeEstimate(gamma_lp=np.zeros((3, 2)), g_rows=rows)
+    one_by_one = RangeEstimate(gamma_lp=np.zeros((3, 2)), g_rows=([[1]], [[2.0], [3.0]], [[1.0, 4, 5.5]]))
+    for a, b in zip(together.g_rows, one_by_one.g_rows, strict=True):
+        assert a.dtype == float and a.tobytes() == b.tobytes() and not a.flags.writeable
+    with pytest.raises(ValueError):
+        together.g_rows[0].setflags(write=True)
+    rows[1][0] = 9.0
+    assert together.g_rows[1][0] == 2.0
+
+
 # A numeric string is not parsed and a complex array is not cut to its real
 # part: the conversion takes entries of numpy's bool, integer or float kinds.
 @pytest.mark.parametrize(
