@@ -26,16 +26,20 @@ The kernels' own failures (a zero pivot on the triangular path, a Gram
 whose eigenvalues do not converge) raise RankError; a LinAlgError from
 numpy itself is left to the caller's stage (``errors._stage``).
 
-The WLS bank's five LAPACK routines are called without holding the
-interpreter lock, which scipy's f2py wrappers of them hold:
-:func:`band_cholesky` (``dpbtrf``), :func:`band_lower_solve`
-(``dtbtrs``), and, inside :func:`gram_solve`, :func:`symmetric_eigenvalues`
-(``dsyev``), :func:`cholesky` (``dpotrf``) and :func:`cholesky_solve`
-(``dpotrs``).  Each is the routine that ``scipy.linalg.cython_lapack``
-exports, called by ``ctypes`` after its operands are checked, with the
-arguments scipy's wrapper passes, so its results are that wrapper's bits,
-and its C signature is checked against the declared one at import.  The
-bank's rows therefore run on several threads at once.
+The WLS bank's five LAPACK routines run without the interpreter lock, so
+the bank's rows run on several threads at once: :func:`band_cholesky`
+(``dpbtrf``), :func:`band_lower_solve` (``dtbtrs``), and, inside
+:func:`gram_solve`, :func:`symmetric_eigenvalues` (``dsyev``),
+:func:`cholesky` (``dpotrf``) and :func:`cholesky_solve` (``dpotrs``).
+scipy's f2py wrappers of them hold the lock for the whole call, so each
+is called by ``ctypes``, which releases it, through the function pointer
+that ``scipy.linalg.cython_lapack`` exports, whose C signature is checked
+against the declared one at import.  They pass the arguments scipy's
+wrapper passes, so their results are that wrapper's bits.  Every operand
+has one format, which :func:`_address` checks before any call: a writable,
+Fortran-contiguous, non-empty float64 matrix whose leading dimension is
+its row count, such as a Fortran array's leading columns or ``x[:, None]``
+of a vector; any other operand is a ValueError.
 """
 
 import ctypes
@@ -89,6 +93,7 @@ _DPOTRS = _lapack("dpotrs", _C, _I, _I, _D, _I, _D, _I, _I)
 
 _INT = ctypes.sizeof(ctypes.c_int)
 _BYTE = ctypes.c_char
+_BAD_OPERAND = "LAPACK operands must be writable, Fortran-contiguous, non-empty float64 matrices of the routine's shape"
 
 
 def _ints(*values):
@@ -96,20 +101,6 @@ def _ints(*values):
     ints = (ctypes.c_int * (len(values) + 1))(*values)
     at = ctypes.addressof(ints)
     return ints, range(at, at + _INT * len(ints), _INT)
-
-
-def _address(a: np.ndarray) -> int:
-    """Address of the first element of the checked array ``a``.
-
-    The buffer protocol reads it in under half the time of
-    ``ndarray.ctypes``, for a writable ``a`` whose transpose is
-    C-contiguous, as every array of the WLS bank's rows is; any other
-    array reads ``ndarray.ctypes``.
-    """
-    try:
-        return ctypes.addressof(_BYTE.from_buffer(a.T))
-    except (TypeError, ValueError, BufferError):
-        return a.ctypes.data
 
 
 def _info(routine: str, ints) -> int:
@@ -120,51 +111,35 @@ def _info(routine: str, ints) -> int:
     return info
 
 
-def _check_band(ab: np.ndarray) -> None:
-    if ab.dtype != _F64 or ab.ndim != 2 or not ab.flags.f_contiguous or ab.shape[0] < 1:
-        raise ValueError("band must be a Fortran-contiguous float64 band of at least one row")
+def _address(a: np.ndarray, rows: int | None = None, square: bool = False) -> int:
+    """Buffer-protocol address of ``a`` if it is an operand of the lock-free routines; ValueError otherwise.
 
-
-def _check_square(a: np.ndarray, what: str, writable: bool) -> None:
+    An operand is a writable, Fortran-contiguous, non-empty float64
+    matrix, so its leading dimension is its row count; ``rows`` and
+    ``square`` add the routine's shape rule.
+    """
     if (
         a.dtype != _F64
         or a.ndim != 2
-        or not a.flags.f_contiguous
-        or a.shape[0] != a.shape[1]
-        or a.shape[0] < 1
-        or (writable and not a.flags.writeable)
+        or not a.size
+        or not (a.flags.f_contiguous and a.flags.writeable)
+        or (square and a.shape[0] != a.shape[1])
+        or (rows is not None and a.shape[0] != rows)
     ):
-        raise ValueError(
-            f"{what} must be a {'writable ' if writable else ''}Fortran-contiguous float64 square matrix of at least one row"
-        )
-
-
-def _rhs_leading_dimension(b: np.ndarray, n: int) -> int:
-    """LAPACK's ldb of ``b``, a writable float64 (n, nrhs) matrix with contiguous columns; ValueError otherwise."""
-    if (
-        b.dtype != _F64
-        or b.ndim != 2
-        or b.shape[0] != n
-        or not b.flags.writeable
-        or b.strides[0] != 8
-        or (b.shape[1] > 1 and (b.strides[1] % 8 or b.strides[1] < 8 * n))
-    ):
-        raise ValueError(f"right-hand sides must be a writable float64 ({n}, nrhs) matrix with contiguous columns")
-    return b.strides[1] // 8 if b.shape[1] > 1 else max(1, n)
+        raise ValueError(_BAD_OPERAND)
+    return ctypes.addressof(_BYTE.from_buffer(a.T))
 
 
 def band_cholesky(ab: np.ndarray) -> int:
     """LAPACK ``dpbtrf`` on the lower band ``ab`` of a symmetric matrix, in place: ab becomes L's band.
 
-    ``ab`` is the (kd + 1, n) lower-band storage (row d holds diagonal d),
-    Fortran-contiguous float64 and writable.  Returns LAPACK's info: 0, or
-    k > 0 if the leading minor of order k is not positive definite.
+    ``ab`` is the (kd + 1, n) lower-band storage (row d holds diagonal d).
+    Returns LAPACK's info: 0, or k > 0 if the leading minor of order k is
+    not positive definite.
     """
-    _check_band(ab)
-    if not ab.flags.writeable:
-        raise ValueError("band must be writable")
+    at = _address(ab)
     ints, (n, kd, ldab, info) = _ints(ab.shape[1], ab.shape[0] - 1, ab.shape[0])
-    _DPBTRF(b"L", n, kd, _address(ab), ldab, info)
+    _DPBTRF(b"L", n, kd, at, ldab, info)
     return _info("dpbtrf", ints)
 
 
@@ -172,59 +147,58 @@ def band_lower_solve(ab: np.ndarray, b: np.ndarray) -> int:
     """LAPACK ``dtbtrs``: b := L^(-1) b in place, L unit lower-triangular with the subdiagonals of ``ab``.
 
     ``ab`` is a lower band as :func:`band_cholesky` takes it (its
-    diagonal row is not read); ``b`` is a writable float64 (n, nrhs)
-    matrix with contiguous columns, such as leading columns of a Fortran
-    array.  Returns LAPACK's info, which is 0 for a unit diagonal.
+    diagonal row is not read); ``b`` is (n, nrhs).  Returns LAPACK's info,
+    which is 0 for a unit diagonal.
     """
-    _check_band(ab)
-    ld = _rhs_leading_dimension(b, ab.shape[1])
-    ints, (n, kd, nrhs, ldab, ldb, info) = _ints(ab.shape[1], ab.shape[0] - 1, b.shape[1], ab.shape[0], ld)
-    _DTBTRS(b"L", b"N", b"U", n, kd, nrhs, _address(ab), ldab, _address(b), ldb, info)
+    at = _address(ab)
+    size = ab.shape[1]
+    bt = _address(b, size)
+    ints, (n, kd, nrhs, ldab, ldb, info) = _ints(size, ab.shape[0] - 1, b.shape[1], ab.shape[0], size)
+    _DTBTRS(b"L", b"N", b"U", n, kd, nrhs, at, ldab, bt, ldb, info)
     return _info("dtbtrs", ints)
 
 
 def symmetric_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """LAPACK ``dsyev`` without vectors on the upper triangle of ``a``: (eigenvalues, info).
+    """LAPACK ``dsyev`` without vectors on the upper triangle of the square ``a``: (eigenvalues, info).
 
-    ``a`` is a writable Fortran-contiguous float64 (n, n) matrix, which
-    the routine overwrites.  The call is scipy's ``dsyev(a, compute_v=0)``
-    (work of max(3n - 1, 1)), so the eigenvalues, ascending, are its bits.
-    info > 0 counts the off-diagonals that did not converge.
+    The routine overwrites ``a``.  The call is scipy's
+    ``dsyev(a, compute_v=0)`` (work of max(3n - 1, 1)), so the
+    eigenvalues, ascending, are its bits.  info > 0 counts the
+    off-diagonals that did not converge.
     """
-    _check_square(a, "matrix", writable=True)
+    at = _address(a, square=True)
     size = a.shape[0]
-    out = np.empty(size + max(3 * size - 1, 1))  # the eigenvalues, then the work
+    out = np.empty((size + max(3 * size - 1, 1), 1))  # the eigenvalues, then the work
     ints, (n, lda, lwork, info) = _ints(size, size, out.size - size)
     w = _address(out)
-    _DSYEV(b"N", b"U", n, _address(a), lda, w, w + 8 * size, lwork, info)
-    return out[:size], _info("dsyev", ints)
+    _DSYEV(b"N", b"U", n, at, lda, w, w + 8 * size, lwork, info)
+    return out[:size, 0], _info("dsyev", ints)
 
 
 def cholesky(a: np.ndarray) -> int:
-    """LAPACK ``dpotrf`` on the lower triangle of ``a``, in place: it becomes L's, A = L L'.
+    """LAPACK ``dpotrf`` on the lower triangle of the square ``a``, in place: it becomes L's, A = L L'.
 
-    ``a`` is a writable Fortran-contiguous float64 (n, n) matrix; its
-    strict upper triangle is not read or written.  Returns LAPACK's info:
-    0, or k > 0 if the leading minor of order k is not positive definite.
+    The strict upper triangle is not read or written.  Returns LAPACK's
+    info: 0, or k > 0 if the leading minor of order k is not positive
+    definite.
     """
-    _check_square(a, "matrix", writable=True)
+    at = _address(a, square=True)
     ints, (n, lda, info) = _ints(a.shape[0], a.shape[0])
-    _DPOTRF(b"L", n, _address(a), lda, info)
+    _DPOTRF(b"L", n, at, lda, info)
     return _info("dpotrf", ints)
 
 
 def cholesky_solve(c: np.ndarray, b: np.ndarray) -> int:
-    """LAPACK ``dpotrs``: b := A^(-1) b in place, with A = L L' and L the lower triangle of ``c``.
+    """LAPACK ``dpotrs``: b := A^(-1) b in place, with A = L L' and L the lower triangle of the square ``c``.
 
-    ``c`` is a Fortran-contiguous float64 (n, n) matrix, as
-    :func:`cholesky` leaves it; ``b`` is right-hand sides as
-    :func:`band_lower_solve` takes them.  Returns LAPACK's info, 0.
+    ``c`` is as :func:`cholesky` leaves it, and only read; ``b`` is
+    (n, nrhs).  Returns LAPACK's info, 0.
     """
-    _check_square(c, "factor", writable=False)
+    ct = _address(c, square=True)
     size = c.shape[0]
-    ld = _rhs_leading_dimension(b, size)
-    ints, (n, nrhs, lda, ldb, info) = _ints(size, b.shape[1], size, ld)
-    _DPOTRS(b"L", n, nrhs, _address(c), lda, _address(b), ldb, info)
+    bt = _address(b, size)
+    ints, (n, nrhs, lda, ldb, info) = _ints(size, b.shape[1], size, size)
+    _DPOTRS(b"L", n, nrhs, ct, lda, bt, ldb, info)
     return _info("dpotrs", ints)
 
 
@@ -334,9 +308,9 @@ def gram_solve(W: np.ndarray, q: int) -> tuple[np.ndarray, int, float]:
     (Bjorck), theta += G^(-1) W_q'(w - W_q theta) with W_q = W[:, :q] and
     w = W[:, q], brings it to the accuracy of a QR solve of W_q theta = w.
     A rank-deficient Gram, or one whose Cholesky factorization fails, is
-    solved by lstsq itself, which keeps the minimum-norm semantics.  The
-    three routines run without the interpreter lock, each on its own
-    Fortran copy of G[:q, :q]; the matmuls are numpy's.
+    solved by lstsq itself, which keeps the minimum-norm semantics.  Each
+    routine takes its own Fortran copy of G[:q, :q] and runs without the
+    interpreter lock (module docstring).
     """
     G = W.T @ W
     A, b = G[:q, :q], G[:q, q]

@@ -32,10 +32,9 @@ give the rank and condition, and a full-rank Gram is solved by Cholesky
 and refined once against W.  The rows are independent and run on one
 thread per usable CPU (the process's affinity set), at most one per row;
 a ``multiprocessing`` child, or a bank too small to gain, runs on one.
-Every LAPACK call of a row (``dpbtrf``, ``dtbtrs``, and ``dsyev``,
-``dpotrf`` and ``dpotrs`` in the Gram solve) goes through ``_lstsq``'s
-lock-free wrappers, and numpy's whitening copies and matmuls release the
-lock too, so the threads overlap in all but a row's short Python steps.
+Every LAPACK call of a row is one of ``_lstsq``'s lock-free wrappers (see
+its module docstring), and numpy's whitening copies and matmuls release
+the lock too, so the threads overlap in all but a row's short Python steps.
 All solves keep pseudo-inverse (minimum-norm) semantics, and every rank
 is decided by :func:`_lstsq.numerical_rank`'s cutoff, eps * max dimension
 * s_max: noise-free records make the output-side rows exactly collinear.
@@ -93,6 +92,10 @@ class RangeEstimate:
 def _freeze_rows(g_rows) -> tuple[np.ndarray, ...]:
     """``g_rows`` as read-only float rows of 1, 2, ... entries: views of one ``_freeze`` of them all."""
     try:
+        g_rows = tuple(g_rows)
+    except TypeError:
+        raise ConfigError(f"g_rows must be an iterable of rows, got {type(g_rows).__name__}") from None
+    try:
         sizes = [len(row) for row in g_rows]
         flat = _freeze(np.concatenate(g_rows), "g_rows")
     except (TypeError, ValueError, ConfigError):
@@ -130,7 +133,7 @@ def _gram_diagonals(h: np.ndarray, rows) -> list[np.ndarray]:
 
     ``h`` is a converted [H_1, H_2, ...]; lags past its end count as 0.
     """
-    top = max(rows)
+    top = max(rows, default=1)
     h = h[: top - 1]
     # [H_0, H_1, ..., H_{top-1}], whose first i entries are row i's
     b_nat = np.r_[np.zeros(top - 1 - h.size), h[::-1], 1.0][::-1]
@@ -238,13 +241,10 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     bank whose heaviest sweep is below ``_THREADED_SWEEP``, runs on one.
     Each thread owns one workspace, and every helper is joined before
     return, so no thread outlives the call.  A row holds the interpreter
-    lock only between its calls: the band factor and sweep
-    (:func:`_lstsq.band_cholesky`, :func:`_lstsq.band_lower_solve`), the
-    Gram's eigenvalues and Cholesky solve (``dsyev``, ``dpotrf``,
-    ``dpotrs`` in :func:`_lstsq.gram_solve`) call LAPACK without it, where
-    scipy's wrappers of the five hold it, and numpy's whitening copies and
-    matmuls release it.  Each row is computed by one thread on the same
-    operands, so the estimate does not depend on the thread count.
+    lock only between its calls: its LAPACK calls run without it (the
+    ``_lstsq`` module docstring), and numpy's whitening copies and matmuls
+    release it.  Each row is computed by one thread on the same operands,
+    so the estimate does not depend on the thread count.
 
     Args:
         blocks: Data blocks.

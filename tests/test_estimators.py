@@ -170,6 +170,16 @@ class TestParsimWls:
         np.testing.assert_allclose(est_w.gamma_lp[0], est_o.gamma_lp[0], atol=1e-12)
         np.testing.assert_allclose(est_w.g_rows[0], est_o.g_rows[0], atol=1e-12)
 
+    def test_one_row_bank_is_the_ols_row(self):
+        # f = 1 has no weighted row: the estimate is row 1, OLS's to the byte, with no Gram.
+        _, rec = example1_record(600, 1.5, seed=7)
+        blocks = assemble_blocks(rec, f=1, p=6)
+        est_w = parsim_wls(blocks, InnovationsMarkov(h=np.array([0.9, 0.5])))
+        est_o = parsim_ols(blocks)
+        assert est_w.gamma_lp.tobytes() == est_o.gamma_lp.tobytes()
+        assert [row.tobytes() for row in est_w.g_rows] == [row.tobytes() for row in est_o.g_rows]
+        assert est_w.gram_rank == est_w.gram_cond == ()
+
     def test_short_markov_sequence_padded_with_zeros(self):
         _, rec = example1_record(600, 1.5, seed=8)
         blocks = assemble_blocks(rec, f=5, p=6)

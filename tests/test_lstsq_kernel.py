@@ -331,6 +331,52 @@ class TestFullRankCertificate:
         assert not certified_full_rank(np.array([[1.0, 1.0], [0.0, 1e-13]]), 10)
 
 
+ONE_FORMAT = "LAPACK operands must be writable, Fortran-contiguous, non-empty float64 matrices of the routine's shape"
+
+
+def _strided_columns(a):
+    buf = np.zeros((a.shape[0], 2 * a.shape[1]), order="F")
+    buf[:, ::2] = a
+    return buf[:, ::2]
+
+
+def _strided_rows(a):
+    buf = np.zeros((2 * a.shape[0], a.shape[1]), order="F")
+    buf[::2] = a
+    return buf[::2]
+
+
+def _leading_dimension_past_n(a):
+    buf = np.zeros((a.shape[0] + 3, a.shape[1]), order="F")
+    buf[: a.shape[0]] = a
+    return buf[: a.shape[0]]
+
+
+def _read_only(a):
+    a = a.copy(order="F")
+    a.setflags(write=False)
+    return a
+
+
+# Every operand the lock-free routines reject, made from a good one; the
+# last two break a shape rule, which only some operands have.
+SHAPE_RULES = ("wrong-rows", "not-square")
+BAD_OPERANDS = {
+    "float32": lambda a: a.astype(np.float32, order="F"),
+    "c-order": np.ascontiguousarray,
+    "1-d": lambda a: a[:, 0].copy(),
+    "3-d": lambda a: a[None],
+    "empty": lambda a: a[:, :0],
+    "read-only": _read_only,
+    "strided-columns": _strided_columns,
+    "columns-reversed": lambda a: np.asfortranarray(a)[:, ::-1],
+    "strided-rows": _strided_rows,
+    "leading-dimension-past-n": _leading_dimension_past_n,
+    "wrong-rows": lambda a: np.asfortranarray(a[:-1]),
+    "not-square": lambda a: np.asfortranarray(a[:, :-1]),
+}
+
+
 class TestLapackWrappers:
     """Each LAPACK wrapper the kernels call, on a 3 x 3 input, with the kernels' arguments.
 
@@ -407,7 +453,6 @@ class TestLapackWrappers:
         W = np.asfortranarray(np.random.default_rng(0).standard_normal((L.shape[1], 7)))
         want = dtbtrs(L, W[:, :5], uplo="L", diag="U")[0]
         assert band_lower_solve(L, W[:, :5]) == 0
-        assert band_lower_solve(L, np.zeros((L.shape[1], 4), order="F")[:, ::2]) == 0  # leading dimension 100
         assert W[:, :5].tobytes() == want.tobytes()
         # The columns past the right-hand sides are untouched.
         assert W[:, 5:].tobytes() == np.random.default_rng(0).standard_normal((L.shape[1], 7))[:, 5:].tobytes()
@@ -423,56 +468,6 @@ class TestLapackWrappers:
     def test_band_cholesky_reports_a_leading_minor(self):
         band = -self.bank_band()
         assert band_cholesky(np.asfortranarray(band)) == 1
-
-    @pytest.mark.parametrize(
-        "band",
-        [
-            lambda b: b.astype(np.float32, order="F"),
-            lambda b: np.ascontiguousarray(b),
-            lambda b: b[None],
-            lambda b: b[:0],
-        ],
-        ids=["float32", "c-order", "3-d", "no-rows"],
-    )
-    def test_lock_free_kernels_check_the_band(self, band):
-        bad = band(self.bank_band())
-        with pytest.raises(ValueError, match="band must be a Fortran-contiguous float64 band"):
-            band_cholesky(bad)
-        with pytest.raises(ValueError, match="band must be a Fortran-contiguous float64 band"):
-            band_lower_solve(bad, np.zeros((50, 2), order="F"))
-
-    def test_band_cholesky_needs_a_writable_band(self):
-        band = self.bank_band()
-        band.setflags(write=False)
-        with pytest.raises(ValueError, match="^band must be writable$"):
-            band_cholesky(band)
-
-    # Right-hand sides of n rows that neither solve takes.
-    BAD_RHS = pytest.mark.parametrize(
-        "rhs",
-        [
-            lambda n: np.zeros((n, 2), dtype=np.float32, order="F"),
-            lambda n: np.zeros((n, 2)),  # C order: the rows are contiguous, not the columns
-            lambda n: np.zeros((n - 1, 2), order="F"),
-            lambda n: np.zeros(n),
-            lambda n: np.zeros((2 * n, 2), order="F")[::2],
-            lambda n: np.zeros((n, 2), order="F")[:, ::-1],
-            lambda n: _read_only((n, 2)),
-        ],
-        ids=["float32", "c-order", "wrong-rows", "1-d", "row-step", "column-step-back", "read-only"],
-    )
-
-    @BAD_RHS
-    def test_band_lower_solve_checks_the_right_hand_sides(self, rhs):
-        L = self.bank_band()
-        with pytest.raises(ValueError, match=r"^right-hand sides must be a writable float64 \(50, nrhs\) matrix"):
-            band_lower_solve(L, rhs(50))
-
-    @BAD_RHS
-    def test_cholesky_solve_checks_the_right_hand_sides(self, rhs):
-        c = dpotrf(self.gram(), lower=1, clean=0)[0]
-        with pytest.raises(ValueError, match=r"^right-hand sides must be a writable float64 \(12, nrhs\) matrix"):
-            cholesky_solve(c, rhs(12))
 
     # gram_solve's routines, from scipy.linalg.cython_lapack's exports, bit
     # for bit against scipy's wrappers with the arguments gram_solve gave them.
@@ -500,17 +495,12 @@ class TestLapackWrappers:
 
     def check_cholesky_solve(self):
         c = dpotrf(self.gram(), lower=1, clean=0)[0]
-        c.setflags(write=False)  # the factor is only read
         rng = np.random.default_rng(2)
         b, B = rng.standard_normal(12), rng.standard_normal((12, 3))
-        x = b.copy()
-        assert cholesky_solve(c, x[:, None]) == 0
+        x, X = b.copy(), np.array(B, order="F")
+        assert cholesky_solve(c, x[:, None]) == cholesky_solve(c, X) == 0
         assert x.tobytes() == dpotrs(c, b, lower=1)[0].tobytes()
-        buf = np.zeros((20, 4), order="F")  # leading dimension 20
-        buf[:12, :3] = B
-        assert cholesky_solve(c, buf[:12, :3]) == 0
-        assert buf[:12, :3].tobytes() == dpotrs(c, B, lower=1)[0].tobytes()
-        assert not buf[12:].any() and not buf[:, 3].any()
+        assert X.tobytes() == dpotrs(c, B, lower=1)[0].tobytes()
 
     def test_eigenvalues_report_non_convergence_as_scipy_does(self):
         A = np.diag([1.0, np.inf, 2.0])
@@ -519,32 +509,6 @@ class TestLapackWrappers:
     def test_cholesky_reports_a_leading_minor(self):
         a = -np.array(self.gram(), order="F")
         assert cholesky(a) == dpotrf(-self.gram(), lower=1)[1] == 1
-
-    @pytest.mark.parametrize(
-        "matrix",
-        [
-            lambda a: a.astype(np.float32, order="F"),
-            lambda a: np.ascontiguousarray(a),
-            lambda a: np.asfortranarray(a[:, :5]),
-            lambda a: a[0].copy(),
-            lambda a: np.zeros((0, 0), order="F"),
-        ],
-        ids=["float32", "c-order", "not-square", "1-d", "empty"],
-    )
-    def test_gram_kernels_check_the_matrix(self, matrix):
-        bad = matrix(self.gram())
-        for kernel in (symmetric_eigenvalues, cholesky):
-            with pytest.raises(ValueError, match="^matrix must be a writable Fortran-contiguous float64 square matrix"):
-                kernel(bad)
-        with pytest.raises(ValueError, match="^factor must be a Fortran-contiguous float64 square matrix"):
-            cholesky_solve(bad, np.zeros((12, 1), order="F"))
-
-    def test_gram_kernels_need_a_writable_matrix(self):
-        a = np.array(self.gram(), order="F")
-        a.setflags(write=False)
-        for kernel in (symmetric_eigenvalues, cholesky):
-            with pytest.raises(ValueError, match="^matrix must be a writable Fortran-contiguous"):
-                kernel(a)
 
     @pytest.mark.parametrize(
         "routine,call",
@@ -565,11 +529,47 @@ class TestLapackWrappers:
         with pytest.raises(ValueError, match=f"^{routine}: illegal value in argument 4$"):
             call(self)
 
+    # Each operand of the five lock-free routines: (routine, its good
+    # operands, the position of the one made bad, its shape rule).
+    OPERANDS = {
+        "band_cholesky-ab": (band_cholesky, lambda t: [t.bank_band()], 0, None),
+        "band_lower_solve-ab": (band_lower_solve, lambda t: [t.bank_band(), np.zeros((50, 2), order="F")], 0, None),
+        "band_lower_solve-b": (band_lower_solve, lambda t: [t.bank_band(), np.zeros((50, 2), order="F")], 1, "wrong-rows"),
+        "symmetric_eigenvalues-a": (symmetric_eigenvalues, lambda t: [np.array(t.gram(), order="F")], 0, "not-square"),
+        "cholesky-a": (cholesky, lambda t: [np.array(t.gram(), order="F")], 0, "not-square"),
+        "cholesky_solve-c": (
+            cholesky_solve, lambda t: [np.array(t.gram(), order="F"), np.zeros((12, 2), order="F")], 0, "not-square"
+        ),
+        "cholesky_solve-b": (
+            cholesky_solve, lambda t: [np.array(t.gram(), order="F"), np.zeros((12, 2), order="F")], 1, "wrong-rows"
+        ),
+    }
 
-def _read_only(shape):
-    b = np.zeros(shape, order="F")
-    b.setflags(write=False)
-    return b
+    def test_the_table_starts_from_good_operands(self):
+        for routine, operands, _, _ in self.OPERANDS.values():
+            routine(*operands(self))
+
+    @pytest.mark.parametrize(
+        "operand,form",
+        [
+            pytest.param(operand, form, id=f"{operand}-{form}")
+            for operand, (_, _, _, shape_rule) in OPERANDS.items()
+            for form in BAD_OPERANDS
+            if form not in SHAPE_RULES or form == shape_rule
+        ],
+    )
+    def test_one_operand_format(self, monkeypatch, operand, form):
+        routine, operands, at, _ = self.OPERANDS[operand]
+        args = operands(self)
+        args[at] = BAD_OPERANDS[form](args[at])
+
+        def never_called(*args):
+            raise AssertionError("LAPACK called on a rejected operand")
+
+        for name in ("_DPBTRF", "_DTBTRS", "_DSYEV", "_DPOTRF", "_DPOTRS"):
+            monkeypatch.setattr(_lstsq, name, never_called)
+        with pytest.raises(ValueError, match=f"^{re.escape(ONE_FORMAT)}$"):
+            routine(*args)
 
 
 class TestLapackSignatures:

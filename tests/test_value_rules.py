@@ -157,6 +157,9 @@ WRONG_KINDS = {
     "RangeEstimate-list-row": (
         lambda: RangeEstimate(gamma_lp=np.zeros((2, 4)), g_rows=([0.5], [0.5])), "g_rows[1] must have 2 entries, got 1"
     ),
+    "RangeEstimate-rows-not-iterable": (
+        lambda: RangeEstimate(gamma_lp=np.zeros((2, 4)), g_rows=5), "g_rows must be an iterable of rows, got int"
+    ),
     "RangeEstimate-str-row": (
         lambda: RangeEstimate(gamma_lp=np.zeros((2, 4)), g_rows=("x",)), "g_rows[0]: could not convert string entries to float"
     ),
@@ -306,6 +309,14 @@ def test_range_estimate_rows_convert_together_or_one_by_one_alike():
         together.g_rows[0].setflags(write=True)
     rows[1][0] = 9.0
     assert together.g_rows[1][0] == 2.0
+
+
+def test_range_estimate_reads_one_shot_rows_once():
+    rows = (np.array([1.0]), np.array([2.0, 3.0]))
+    est = RangeEstimate(gamma_lp=np.ones((2, 4)), g_rows=iter(rows))
+    assert [row.tobytes() for row in est.g_rows] == [row.tobytes() for row in rows]
+    nested = RangeEstimate(gamma_lp=np.ones((2, 4)), g_rows=(row[:, None] for row in rows))
+    assert [row.tobytes() for row in nested.g_rows] == [row.tobytes() for row in rows]
 
 
 # A numeric string is not parsed and a complex array is not cut to its real
