@@ -143,18 +143,20 @@ def band_cholesky(ab: np.ndarray) -> int:
     return _info("dpbtrf", ints)
 
 
-def band_lower_solve(ab: np.ndarray, b: np.ndarray) -> int:
-    """LAPACK ``dtbtrs``: b := L^(-1) b in place, L unit lower-triangular with the subdiagonals of ``ab``.
+def band_lower_solve(ab: np.ndarray, b: np.ndarray, unit: bool = True) -> int:
+    """LAPACK ``dtbtrs``: b := L^(-1) b in place, L lower-triangular with the band ``ab``.
 
-    ``ab`` is a lower band as :func:`band_cholesky` takes it (its
-    diagonal row is not read); ``b`` is (n, nrhs).  Returns LAPACK's info,
-    which is 0 for a unit diagonal.
+    ``ab`` is a lower band as :func:`band_cholesky` takes it; ``b`` is
+    (n, nrhs).  With ``unit`` L has a unit diagonal and the band's
+    diagonal row is not read (diag ``U``); without it L is the band as it
+    stands (diag ``N``), such as :func:`band_cholesky`'s factor.  Returns
+    LAPACK's info: 0, or k > 0 if a non-unit L's diagonal k is zero.
     """
     at = _address(ab)
     size = ab.shape[1]
     bt = _address(b, size)
     ints, (n, kd, nrhs, ldab, ldb, info) = _ints(size, ab.shape[0] - 1, b.shape[1], ab.shape[0], size)
-    _DTBTRS(b"L", b"N", b"U", n, kd, nrhs, at, ldab, bt, ldb, info)
+    _DTBTRS(b"L", b"N", b"U" if unit else b"N", n, kd, nrhs, at, ldab, bt, ldb, info)
     return _info("dtbtrs", ints)
 
 

@@ -25,13 +25,17 @@ which :func:`toeplitz_gram_band` also reads), factor it as L L' once, in
 place (LAPACK ``dpbtrf``), whiten the row's regressor and target columns,
 read from the record's windows (``blocks.Y``, ``blocks.U``), into the
 leading columns of one workspace per thread with one banded triangular
-sweep W = L^(-1) [Z' y'] (``dtbtrs`` on the unit-diagonal factor D^(-1) L,
-D = diag(L), with the columns divided by D as they are copied in), and
-solve on the small Gram W'W by :func:`_lstsq.gram_solve`: its eigenvalues
-give the rank and condition, and a full-rank Gram is solved by Cholesky
-and refined once against W.  The rows are independent and run on one
-thread per usable CPU (the process's affinity set), at most one per row;
-a ``multiprocessing`` child, or a bank too small to gain, runs on one.
+sweep W = L^(-1) [Z' y'] (``dtbtrs``: a row of bandwidth below
+``_UNSCALED_BAND`` sweeps the unit-diagonal factor D^(-1) L, D = diag(L),
+with the columns divided by D as they are copied in, and a wider row
+sweeps L as it stands over the columns as they are), and solve on the
+small Gram W'W by :func:`_lstsq.gram_solve`: its eigenvalues give the
+rank and condition, and a full-rank Gram is solved by Cholesky and
+refined once against W.  The rows are independent and run on one thread
+per usable CPU (the process's affinity set), at most one per row: the
+calling thread and the process's parked helper threads (``_Helpers``),
+which the first threaded bank starts and every later one reuses; a
+``multiprocessing`` child, or a bank too small to gain, runs on one.
 Every LAPACK call of a row is one of ``_lstsq``'s lock-free wrappers (see
 its module docstring), and numpy's whitening copies and matmuls release
 the lock too, so the threads overlap in all but a row's short Python steps.
@@ -132,12 +136,16 @@ def _gram_diagonals(h: np.ndarray, rows) -> list[np.ndarray]:
     """For each bank row i of ``rows``, the i diagonals of its T'T (see :func:`toeplitz_gram_band`).
 
     ``h`` is a converted [H_1, H_2, ...]; lags past its end count as 0.
+    With b = [H_0, H_1, ...], diagonal d of row i is the sum of
+    b[m - d] b[m] over m = d..i-1: the running sums of row d of
+    triu(toeplitz(b)) * b, read at column i - 1, give every row's at once,
+    each added in the order of the dot product b[d:i] @ b[:i - d].
     """
     top = max(rows, default=1)
     h = h[: top - 1]
-    # [H_0, H_1, ..., H_{top-1}], whose first i entries are row i's
-    b_nat = np.r_[np.zeros(top - 1 - h.size), h[::-1], 1.0][::-1]
-    return [np.array([b_nat[d:i] @ b_nat[: i - d] for d in range(i)]) for i in rows]
+    b = np.r_[1.0, h, np.zeros(top - 1 - h.size)]
+    sums = np.cumsum(np.triu(toeplitz(b)) * b, axis=1)
+    return [sums[:i, i - 1] for i in rows]
 
 
 def _bank_estimate(thetas, blocks: DataBlocks, **gram) -> RangeEstimate:
@@ -165,6 +173,10 @@ def parsim_ols(blocks: DataBlocks) -> RangeEstimate:
 # N (2p + f + 1)(f - 1), runs on one thread: below it a second thread costs
 # more in hand-offs of the interpreter lock than it saves (see CHANGES.md).
 _THREADED_SWEEP = 400_000
+# A row of bandwidth i - 1 at least this wide sweeps its factor L as it
+# stands over undivided windows: from there the unit-diagonal form's
+# divisions cost more than they save (see CHANGES.md).
+_UNSCALED_BAND = 12
 
 
 def _bank_threads(blocks: DataBlocks) -> int:
@@ -185,6 +197,89 @@ def _bank_threads(blocks: DataBlocks) -> int:
     return max(1, min(cpus, f - 1))
 
 
+class _Helpers:
+    """The process's helper threads of the WLS bank, parked between banks.
+
+    A helper is a daemon thread started by the first bank that needs it
+    and never stopped: it waits for a job, runs it, and parks again.  One
+    bank at a time runs on the helpers; a bank that finds them held by
+    another thread's runs on its calling thread alone.
+    """
+
+    def __init__(self):
+        self.held = threading.Lock()  # by the bank running on the helpers
+        lock = threading.Lock()  # guards every field below
+        self.wake, self.idle = threading.Condition(lock), threading.Condition(lock)
+        self.threads: list[threading.Thread] = []
+        self.job = None
+        self.tickets = 0  # helpers still to take up the job
+        self.busy = 0  # helpers still to finish it
+        self.error: BaseException | None = None  # the first that escaped a helper's job
+
+    def run(self, job, count: int) -> None:
+        """job() on the calling thread and on ``count`` helpers; returns once every helper is parked.
+
+        If another thread's bank holds the helpers, job() runs on the
+        calling thread alone.  An exception that escapes a helper's job is
+        raised here once every helper is parked; the helper lives on.
+        """
+        if count < 1 or not self.held.acquire(blocking=False):
+            job()
+            return
+        try:
+            with self.wake:
+                while len(self.threads) < count:
+                    self.threads.append(threading.Thread(target=self._serve, name="parsim_wls helper", daemon=True))
+                    self.threads[-1].start()
+                # Added to, not set: a bank interrupted while it waited
+                # leaves its helpers' counts for the next bank to wait out.
+                self.job, self.tickets, self.busy = job, self.tickets + count, self.busy + count
+                self.wake.notify(count)
+            try:
+                job()
+            finally:
+                with self.idle:
+                    while self.busy:
+                        self.idle.wait()
+                    error, self.job, self.error = self.error, None, None
+            if error is not None:
+                raise error
+        finally:
+            self.held.release()
+
+    def _serve(self):
+        while True:
+            with self.wake:
+                while not self.tickets:
+                    self.wake.wait()
+                self.tickets -= 1
+                job = self.job
+            error = None
+            try:
+                job()
+            except BaseException as err:  # raised by the bank's run
+                error = err
+            with self.idle:
+                if self.error is None:
+                    self.error = error
+                self.busy -= 1
+                if not self.busy:
+                    self.idle.notify()
+
+
+_helpers = _Helpers()
+
+
+def _renew_helpers():
+    """In a fork child, where the parent's helpers do not run: none, and fresh locks."""
+    global _helpers
+    _helpers = _Helpers()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_renew_helpers)
+
+
 def _wls_row(blocks: DataBlocks, diagonals: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Row i >= 2 of the WLS bank, whitened into the leading columns of the workspace W: gram_solve's answer.
 
@@ -198,18 +293,26 @@ def _wls_row(blocks: DataBlocks, diagonals: np.ndarray, W: np.ndarray) -> tuple[
     info = band_cholesky(L)
     if info != 0:
         raise RankError(f"noise weighting Gram is not positive definite at row {i} (dpbtrf info {info})")
-    # L^(-1) X = (D^(-1) L)^(-1) (D^(-1) X), D = diag(L): the sweep on the
-    # unit-diagonal factor makes no division on its critical path.  D is
-    # read 2(p + i) times, faster from a copy than from the band's strided row.
-    d = L[0].copy()
-    for k in range(1, i):
-        L[k, : N - k] /= d[k:]
+    unit = i - 1 < _UNSCALED_BAND
+    if unit:
+        # L^(-1) X = (D^(-1) L)^(-1) (D^(-1) X), D = diag(L): the sweep on the
+        # unit-diagonal factor makes no division on its critical path.  D is
+        # read 2(p + i) times, faster from a copy than from the band's strided row.
+        d = L[0].copy()
+        for k in range(1, i):
+            L[k, : N - k] /= d[k:]
     # Through the transposes, each window column is read and written in
     # one contiguous pass (the untransposed views stride across W).
-    np.divide(blocks.Y[:, :p].T, d, out=W[:, :p].T)
-    np.divide(blocks.U[:, : p + i].T, d, out=W[:, p:q].T)
-    np.divide(blocks.Y[:, p + i - 1], d, out=W[:, q])
-    band_lower_solve(L, W[:, : q + 1])
+    for window, out in (
+        (blocks.Y[:, :p].T, W[:, :p].T),
+        (blocks.U[:, : p + i].T, W[:, p:q].T),
+        (blocks.Y[:, p + i - 1], W[:, q]),
+    ):
+        if unit:
+            np.divide(window, d, out=out)
+        else:
+            out[...] = window
+    band_lower_solve(L, W[:, : q + 1], unit)
     return gram_solve(W[:, : q + 1], q)
 
 
@@ -222,14 +325,16 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     whitens [Z' y'] with one banded triangular sweep into the leading
     q + 1 columns of its thread's N x (2p + f + 1) workspace,
     W = L^(-1) [Z' y'], and solves the normal equations of the
-    small Gram W'W; the N x N inverse is never formed.  The sweep
-    runs on the unit-diagonal D^(-1) L (D = diag(L)) over the columns
-    divided by D, which is the same L^(-1) [Z' y'] with no division on its
-    critical path.  :func:`_lstsq.gram_solve` takes the Gram's eigenvalues
-    (the singular values lstsq would find), returns its rank and
-    condition as ``gram_rank`` and ``gram_cond``, and solves a full-rank
-    Gram by Cholesky with one refinement step against W, which brings the
-    row to the accuracy of a QR solve of the whitened design; a
+    small Gram W'W; the N x N inverse is never formed.  A row of
+    bandwidth below ``_UNSCALED_BAND`` (12) sweeps the unit-diagonal
+    D^(-1) L (D = diag(L)) over the columns divided by D, which is the
+    same L^(-1) [Z' y'] with no division on its critical path; a wider
+    row sweeps L itself over the columns as they are, where the divisions
+    would cost more than they save.  :func:`_lstsq.gram_solve` takes the
+    Gram's eigenvalues (the singular values lstsq would find), returns its
+    rank and condition as ``gram_rank`` and ``gram_cond``, and solves a
+    full-rank Gram by Cholesky with one refinement step against W, which
+    brings the row to the accuracy of a QR solve of the whitened design; a
     rank-deficient one, or one whose Cholesky factorization fails, is
     solved by lstsq for the minimum-norm answer.
     Row 1 has white row noise and coincides with the OLS row.
@@ -239,12 +344,16 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     (row f) by the calling thread and by helper threads, one thread per
     usable CPU and at most one per row; a ``multiprocessing`` child, or a
     bank whose heaviest sweep is below ``_THREADED_SWEEP``, runs on one.
-    Each thread owns one workspace, and every helper is joined before
-    return, so no thread outlives the call.  A row holds the interpreter
-    lock only between its calls: its LAPACK calls run without it (the
-    ``_lstsq`` module docstring), and numpy's whitening copies and matmuls
-    release it.  Each row is computed by one thread on the same operands,
-    so the estimate does not depend on the thread count.
+    The helpers are daemon threads of the process: the first threaded
+    bank starts them, they park between banks, and the call returns once
+    each is parked again, so no thread works after it.  A bank that finds
+    them held by another thread's bank runs on its calling thread alone.
+    A fork child starts its own.  Each thread owns one workspace.  A row
+    holds the interpreter lock only between its calls: its LAPACK calls
+    run without it (the ``_lstsq`` module docstring), and numpy's
+    whitening copies and matmuls release it.  Each row is computed by one
+    thread on the same operands, so the estimate does not depend on the
+    thread count.
 
     Args:
         blocks: Data blocks.
@@ -255,7 +364,7 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
         ConfigError: If h is not an InnovationsMarkov.
         RankError: If a row's banded Cholesky factorization fails (guarded;
             cannot occur for finite weights since H_0 = 1).  A failing row
-            raises after every thread has joined; of several, the
+            raises once every helper is parked; of several, the
             lowest-numbered row's error is raised.
     """
     if not isinstance(h, InnovationsMarkov):
@@ -276,18 +385,10 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
                 i = todo.pop()
             try:
                 done[i] = _wls_row(blocks, diagonals[i], W)
-            except Exception as err:  # re-raised by the caller, after every thread has joined
+            except Exception as err:  # raised below, once every helper is parked
                 done[i] = err
 
-    helpers = [threading.Thread(target=work) for _ in range(_bank_threads(blocks) - 1)]
-    try:
-        for t in helpers:
-            t.start()
-        work()
-    finally:
-        for t in helpers:
-            if t.ident is not None:
-                t.join()
+    _helpers.run(work, _bank_threads(blocks) - 1)
     rows = done[2:]
     for row in rows:
         if isinstance(row, Exception):

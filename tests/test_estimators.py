@@ -224,6 +224,15 @@ def svd_gram_health(blocks, h):
     return out
 
 
+def whitened_qr_row(blocks, h, i):
+    """Row i by lstsq on L^(-1) [Z' y'], T'T = L L' factored and swept by scipy's banded routines."""
+    b = row_blocks(blocks)
+    L = cholesky_banded(toeplitz_gram_band(h.h, i, blocks.N)[::-1], lower=True)
+    Z = np.vstack([b.Z_p, b.U_f[:i]])
+    W = solve_banded((i - 1, 0), L, np.column_stack([Z.T, b.Y_f[i - 1]]))
+    return np.linalg.lstsq(W[:, :-1], W[:, -1], rcond=None)[0]
+
+
 class TestWlsBankReference:
     """The one-sweep WLS bank against the two-solve ``solveh_banded`` bank."""
 
@@ -261,14 +270,29 @@ class TestWlsBankReference:
         p = 20 if aic_n_x is None else select_order_aic(rec, default_aic_grid(aic_n_x, len(rec)))
         blocks = assemble_blocks(rec, f, p)
         h = predictor_to_innovations(fit_arx(rec, 30))
-        b = row_blocks(blocks)
         est = parsim_wls(blocks, h)
         for i in range(2, f + 1):
-            L = cholesky_banded(toeplitz_gram_band(h.h, i, blocks.N)[::-1], lower=True)
-            Z = np.vstack([b.Z_p, b.U_f[:i]])
-            W = solve_banded((i - 1, 0), L, np.column_stack([Z.T, b.Y_f[i - 1]]))
-            want = np.linalg.lstsq(W[:, :-1], W[:, -1], rcond=None)[0]
-            assert rel(np.r_[est.gamma_lp[i - 1], est.g_rows[i - 1]], want) <= 1e-12, i
+            assert rel(np.r_[est.gamma_lp[i - 1], est.g_rows[i - 1]], whitened_qr_row(blocks, h, i)) <= 1e-12, i
+
+    def test_rows_on_either_side_of_the_unscaled_band(self, monkeypatch):
+        # Row 12 (bandwidth 11) sweeps the unit-diagonal factor over divided
+        # windows, row 13 (bandwidth 12) the factor as it stands over the
+        # windows as they are; both meet the QR reference's bound.
+        rec, f = bank_record("example3", 0, noisy=True)
+        blocks = assemble_blocks(rec, f, select_order_aic(rec, default_aic_grid(6, len(rec))))
+        h = predictor_to_innovations(fit_arx(rec, 30))
+        units = {}
+
+        def recorded(ab, b, unit=True):
+            units[ab.shape[0]] = unit
+            return sweep(ab, b, unit)
+
+        sweep = estimators.band_lower_solve
+        monkeypatch.setattr(estimators, "band_lower_solve", recorded)
+        est = parsim_wls(blocks, h)
+        assert units == {i: i - 1 < 12 for i in range(2, f + 1)}
+        for i in (12, 13):
+            assert rel(np.r_[est.gamma_lp[i - 1], est.g_rows[i - 1]], whitened_qr_row(blocks, h, i)) <= 1e-12, i
 
     @pytest.mark.parametrize("name,p", [("example1", 10), ("example1", 20), ("example2", 20)])
     def test_noise_free_bank_keeps_minimum_norm(self, name, p):
@@ -372,13 +396,20 @@ def weighted_bank(name, seed, p=10):
     return assemble_blocks(rec, f, p), predictor_to_innovations(fit_arx(rec, 30))
 
 
+def fresh_helpers(monkeypatch):
+    """A new, empty helper pool for the bank, as a fresh process has; the test's own are left parked."""
+    pool = estimators._Helpers()
+    monkeypatch.setattr(estimators, "_helpers", pool)
+    return pool
+
+
 def threads(monkeypatch, count):
     """Run the bank on ``count`` threads (at most one per row), whatever the host's CPUs."""
     monkeypatch.setattr(estimators, "_bank_threads", lambda blocks: min(count, blocks.f - 1))
 
 
 class TestThreadedBank:
-    """Rows 2..f run on helper threads; every output is the one-thread bank's, byte for byte."""
+    """Rows 2..f run on the calling thread and parked helpers; every output is the one-thread bank's, byte for byte."""
 
     @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -409,26 +440,136 @@ class TestThreadedBank:
         assert not runner.is_alive()
         assert got == [want] * 5
 
-    def test_no_thread_outlives_the_call(self, monkeypatch):
+    def test_repeated_banks_keep_the_parked_helpers(self, monkeypatch):
+        pool = fresh_helpers(monkeypatch)
         blocks, h = weighted_bank("example2", 0)
         threads(monkeypatch, 4)
-        before = threading.active_count()
-        parsim_wls(blocks, h)
-        assert threading.active_count() == before
+        parsim_wls(blocks, h)  # starts the helpers
+        before, helpers = threading.active_count(), list(pool.threads)
+        assert len(helpers) == 3
+        for _ in range(3):
+            parsim_wls(blocks, h)
+            assert threading.active_count() == before
+        assert pool.threads == helpers and all(t.is_alive() and t.daemon for t in helpers)
 
-    def test_failing_rows_raise_the_lowest_after_every_thread_joins(self, monkeypatch):
+    def test_failing_rows_raise_the_lowest_once_every_helper_is_parked(self, monkeypatch):
+        pool = fresh_helpers(monkeypatch)
         blocks, h = weighted_bank("example1", 0)
+        threads(monkeypatch, 3)
+        want = bank_bytes(parsim_wls(blocks, h))  # starts the helpers
+        before, helpers = threading.active_count(), list(pool.threads)
+        assert len(helpers) == 2
 
         def indefinite_at_rows_3_5_and_10(h, rows):
             return [-d if i in (3, 5, 10) else d for i, d in zip(rows, gram_diagonals(h, rows))]
 
         gram_diagonals = estimators._gram_diagonals
         monkeypatch.setattr(estimators, "_gram_diagonals", indefinite_at_rows_3_5_and_10)
-        threads(monkeypatch, 3)
-        before = threading.active_count()
-        with pytest.raises(RankError, match="at row 3 "):
-            parsim_wls(blocks, h)
-        assert threading.active_count() == before
+        for _ in range(3):
+            with pytest.raises(RankError, match="at row 3 "):
+                parsim_wls(blocks, h)
+            assert threading.active_count() == before
+            assert (pool.tickets, pool.busy) == (0, 0)
+        monkeypatch.setattr(estimators, "_gram_diagonals", gram_diagonals)
+        assert bank_bytes(parsim_wls(blocks, h)) == want
+        assert pool.threads == helpers
+
+    def test_an_exception_that_escapes_a_helper_is_raised_and_the_helper_lives(self, monkeypatch):
+        pool = fresh_helpers(monkeypatch)
+        blocks, h = weighted_bank("example1", 0)
+        threads(monkeypatch, 1)
+        want = bank_bytes(parsim_wls(blocks, h))
+        threads(monkeypatch, 2)
+        parsim_wls(blocks, h)  # starts the helper
+        helpers = list(pool.threads)
+
+        class Escape(BaseException):
+            """Not an Exception, so the row loop does not catch it."""
+
+        both_take_a_row = threading.Barrier(2, timeout=60)
+        seen = set()
+        lock = threading.Lock()
+
+        def escaping_on_the_helper(*args):
+            with lock:
+                first = threading.current_thread() not in seen
+                seen.add(threading.current_thread())
+            if first:
+                both_take_a_row.wait()
+            if escape and threading.current_thread() in helpers:
+                raise Escape
+            return row(*args)
+
+        def bank_on_a_new_caller():
+            # Joined with a timeout: a bank whose helper died would wait for it forever.
+            out = []
+
+            def call():
+                try:
+                    out.append(bank_bytes(parsim_wls(blocks, h)))
+                except BaseException as err:
+                    out.append(err)
+
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive(), "the bank did not return"
+            return caller, out[0]
+
+        row = estimators._wls_row
+        monkeypatch.setattr(estimators, "_wls_row", escaping_on_the_helper)
+        escape = True
+        assert isinstance(bank_on_a_new_caller()[1], Escape)
+        assert (pool.tickets, pool.busy, pool.error) == (0, 0, None)
+        # The same helper runs the next bank with the calling thread.
+        escape, seen = False, set()
+        both_take_a_row.reset()
+        caller, got = bank_on_a_new_caller()
+        assert got == want
+        assert pool.threads == helpers and helpers[0].is_alive()
+        assert seen == {caller, helpers[0]}
+
+    def test_a_bank_that_finds_the_helpers_held_runs_on_its_calling_thread(self, monkeypatch):
+        pool = fresh_helpers(monkeypatch)
+        first, h1 = weighted_bank("example1", 0)
+        second, h2 = weighted_bank("example2", 1)
+        threads(monkeypatch, 1)
+        want = [bank_bytes(parsim_wls(first, h1)), bank_bytes(parsim_wls(second, h2))]
+        threads(monkeypatch, 2)
+        parsim_wls(first, h1)  # starts the helper
+        # The helper holds the first caller's bank in a row until the
+        # second caller's bank is done.
+        helper_in_a_row, second_done = threading.Event(), threading.Event()
+        ran = {id(first): set(), id(second): set()}
+        lock = threading.Lock()
+
+        def gated(blocks, *args):
+            with lock:
+                ran[id(blocks)].add(threading.current_thread())
+            if blocks is first and threading.current_thread() in pool.threads:
+                helper_in_a_row.set()
+                second_done.wait(timeout=60)
+            elif blocks is first:
+                helper_in_a_row.wait(timeout=60)
+            return row(blocks, *args)
+
+        row = estimators._wls_row
+        monkeypatch.setattr(estimators, "_wls_row", gated)
+        got = {}
+        callers = [
+            threading.Thread(target=lambda: got.update(first=bank_bytes(parsim_wls(first, h1)))),
+            threading.Thread(target=lambda: got.update(second=bank_bytes(parsim_wls(second, h2)))),
+        ]
+        callers[0].start()
+        assert helper_in_a_row.wait(timeout=60)
+        callers[1].start()
+        callers[1].join(timeout=60)
+        second_done.set()
+        callers[0].join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+        assert [got.get("first"), got.get("second")] == want
+        assert ran[id(second)] == {callers[1]}
+        assert ran[id(first)] == {callers[0], pool.threads[0]}
 
     def test_a_fork_child_after_a_threaded_bank_runs_its_own(self, monkeypatch):
         blocks, h = weighted_bank("example2", 1)

@@ -6,6 +6,7 @@ The references in ``helpers`` refit every problem with a full
 
 import ctypes
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -457,13 +458,30 @@ class TestLapackWrappers:
         # The columns past the right-hand sides are untouched.
         assert W[:, 5:].tobytes() == np.random.default_rng(0).standard_normal((L.shape[1], 7))[:, 5:].tobytes()
 
+    def check_band_lower_solve_non_unit(self):
+        # The factor as it stands, its diagonal read (diag N).
+        L = self.bank_band()
+        band_cholesky(L)
+        W = np.asfortranarray(np.random.default_rng(0).standard_normal((L.shape[1], 7)))
+        want = dtbtrs(L, W[:, :5], uplo="L", diag="N")[0]
+        assert band_lower_solve(L, W[:, :5], unit=False) == 0
+        assert W[:, :5].tobytes() == want.tobytes()
+        assert W[:, 5:].tobytes() == np.random.default_rng(0).standard_normal((L.shape[1], 7))[:, 5:].tobytes()
+
     @pytest.mark.parametrize(
         "name",
         ["dgeqrt", "dtrtri", "dlange", "dtrtrs", "dsyev", "dpotrf", "dpotrs", "dpbtrf", "dtbtrs",
-         "band_cholesky", "band_lower_solve", "symmetric_eigenvalues", "cholesky", "cholesky_solve"],
+         "band_cholesky", "band_lower_solve", "band_lower_solve_non_unit", "symmetric_eigenvalues", "cholesky",
+         "cholesky_solve"],
     )
     def test_wrapper_takes_the_kernels_arguments(self, name):
         getattr(self, f"check_{name}")()
+
+    def test_non_unit_sweep_reports_a_zero_diagonal_as_scipy_does(self):
+        L = self.bank_band()
+        L[0, 2] = 0.0
+        b = np.ones((L.shape[1], 1), order="F")
+        assert band_lower_solve(L, b, unit=False) == dtbtrs(L, b, uplo="L", diag="N")[1] == 3
 
     def test_band_cholesky_reports_a_leading_minor(self):
         band = -self.bank_band()
@@ -535,6 +553,15 @@ class TestLapackWrappers:
         "band_cholesky-ab": (band_cholesky, lambda t: [t.bank_band()], 0, None),
         "band_lower_solve-ab": (band_lower_solve, lambda t: [t.bank_band(), np.zeros((50, 2), order="F")], 0, None),
         "band_lower_solve-b": (band_lower_solve, lambda t: [t.bank_band(), np.zeros((50, 2), order="F")], 1, "wrong-rows"),
+        "band_lower_solve-non-unit-ab": (
+            partial(band_lower_solve, unit=False), lambda t: [t.bank_band(), np.zeros((50, 2), order="F")], 0, None
+        ),
+        "band_lower_solve-non-unit-b": (
+            partial(band_lower_solve, unit=False),
+            lambda t: [t.bank_band(), np.zeros((50, 2), order="F")],
+            1,
+            "wrong-rows",
+        ),
         "symmetric_eigenvalues-a": (symmetric_eigenvalues, lambda t: [np.array(t.gram(), order="F")], 0, "not-square"),
         "cholesky-a": (cholesky, lambda t: [np.array(t.gram(), order="F")], 0, "not-square"),
         "cholesky_solve-c": (
