@@ -3,10 +3,15 @@
 Each row i of the future-output partition carries noise H_fi E_i.  Because
 the innovations are scalar, that stacked product collapses to one white row
 times a banded Toeplitz factor T, so the row noise has covariance
-proportional to T'T.  Weighting the row regression by (T'T)^-1 is then the
-minimum-variance (BLUE) choice.  This script shows the effect twice: on a
-fixed desk-scale regression, and on the Markov-parameter error of the
-first benchmark system.
+proportional to T'T.  Weighting the row regression by (T'T)^-1 is the
+minimum-variance (BLUE) choice when the regressors are fixed, as at desk
+scale below, and in the bank when row i's noise polynomial
+1 + H_1 z^-1 + ... + H_{i-1} z^-(i-1) is minimum phase.  Where it is not,
+the past outputs among the regressors correlate with the whitened noise
+and the weighted rows are inconsistent (Example 2's rows 5-7).  This
+script shows the effect twice: on a fixed desk-scale regression, and on
+the Markov-parameter error of the first benchmark system, whose rows are
+all minimum phase.
 
 Run with:  python demos/02_weighted_bank_vs_plain.py
 """

@@ -8,7 +8,12 @@ the past-data controllability map from the same data blocks:
 * ``parsim_wls``  - the same bank with each row solved by weighted least
   squares.  Rewriting the stacked noise term H_fi E_i as a single white
   row times a banded Toeplitz factor T gives the row noise covariance
-  sigma_e^2 T'T, whose inverse is the optimal (BLUE) weighting.
+  sigma_e^2 T'T, and the bank weights by its inverse.  That is the BLUE
+  weighting when row i's noise polynomial 1 + H_1 z^-1 + ... +
+  H_{i-1} z^-(i-1) is minimum phase.  Otherwise the whitened row noise
+  mixes in past innovations, which the past outputs in the regressors
+  carry, and GLS is inconsistent where OLS is not: Example 2's rows 5-7
+  keep their distance from the OLS rows as N grows.
 * ``classical_projection`` - the single-projection estimator that removes
   the future input by orthogonal projection and regresses on the past.
 * ``ssarx_estimate`` - predictor-form estimator that subtracts the effect
@@ -81,37 +86,15 @@ class RangeEstimate:
             (absolute eigenvalues) above lstsq's cutoff.
         gram_cond: WLS bank only: s_max / s_min of the same Grams, from
             the same eigenvalues (inf for a singular one).
+
+    The estimators build it and :func:`realization.identify` reads it; it
+    keeps the arrays it is given, unconverted.
     """
 
     gamma_lp: np.ndarray
     g_rows: tuple[np.ndarray, ...]
     gram_rank: tuple[int, ...] = ()
     gram_cond: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma_lp", _freeze(self.gamma_lp, "gamma_lp"))
-        object.__setattr__(self, "g_rows", _freeze_rows(self.g_rows))
-
-
-def _freeze_rows(g_rows) -> tuple[np.ndarray, ...]:
-    """``g_rows`` as read-only float rows of 1, 2, ... entries: views of one ``_freeze`` of them all."""
-    try:
-        g_rows = tuple(g_rows)
-    except TypeError:
-        raise ConfigError(f"g_rows must be an iterable of rows, got {type(g_rows).__name__}") from None
-    try:
-        sizes = [len(row) for row in g_rows]
-        flat = _freeze(np.concatenate(g_rows), "g_rows")
-    except (TypeError, ValueError, ConfigError):
-        flat = None
-    if flat is not None and flat.ndim == 1 and sizes == list(range(1, len(sizes) + 1)):
-        return tuple(flat[i * (i - 1) // 2 : i * (i + 1) // 2] for i in sizes)
-    # One by one, so that the error names its row.
-    rows = tuple(_freeze(row, f"g_rows[{i}]", -1) for i, row in enumerate(g_rows))
-    for i, row in enumerate(rows, start=1):
-        if row.size != i:
-            raise ConfigError(f"g_rows[{i - 1}] must have {i} entries, got {row.size}")
-    return rows
 
 
 def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
@@ -424,15 +407,10 @@ def ssarx_estimate(blocks: DataBlocks, pm: PredictorMarkov) -> RangeEstimate:
     Z_p are (I - H_bar) coef(Y_f | Z_p) - G_bar coef(U_f | Z_p), both read
     from ``blocks.ls``.  The result estimates the predictor-form
     observability product; ``pm`` is an input, not an estimate, so
-    ``g_rows`` is empty.
-
-    Raises:
-        ConfigError: If ``pm`` supplies fewer than f - 1 parameters.
+    ``g_rows`` is empty.  ``pm`` holds at least f - 1 parameters:
+    :func:`realization.identify` fits order max(p, f - 1).
     """
     f = blocks.f
-    if pm.h_bar.size < f - 1:
-        raise ConfigError(f"need at least {f - 1} predictor Markov parameters, got {pm.h_bar.size}")
-
     G_bar = toeplitz(np.r_[0.0, pm.g_bar[: f - 1]], np.zeros(f))
     H_bar = toeplitz(np.r_[0.0, pm.h_bar[: f - 1]], np.zeros(f))
     # Columns 2p.. of [X | T] are U_f then Y_f.

@@ -44,7 +44,7 @@ from .estimators import (
     parsim_wls,
     ssarx_estimate,
 )
-from .ss_model import STABILITY_MARGIN, SignalRecord, StateSpaceModel, _freeze, _integer, observability, spectral_radius
+from .ss_model import STABILITY_MARGIN, SignalRecord, StateSpaceModel, _integer, observability, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -213,13 +213,9 @@ def weighted_svd_realize(
         (f, n_x), and the full singular spectrum for diagnostics.
 
     Raises:
-        ConfigError: If w2 is not a finite numeric (2p, 2p) array.
         RankError: If n_x exceeds the numerical rank of the weighted
             matrix; the message lists the spectrum.
     """
-    w2, k = _freeze(w2, "w2"), est.gamma_lp.shape[1]
-    if w2.shape != (k, k):
-        raise ConfigError(f"w2 must have shape ({k}, {k}), got {w2.shape}")
     M = est.gamma_lp @ w2
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     rank = numerical_rank(s, *M.shape)
@@ -229,26 +225,19 @@ def weighted_svd_realize(
     return Gamma_hat, s
 
 
-def extract_ac(Gamma_hat: np.ndarray, n_x: int) -> tuple[np.ndarray, np.ndarray, float]:
+def extract_ac(Gamma_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(A, C) from the shift structure of the observability factor, and the shift's RMS residual.
 
     C is the first block row; A solves Gamma[:-1] A = Gamma[1:] in the
     least-squares sense, and the RMS is that of Gamma[:-1] A - Gamma[1:].
+    The factor is :func:`weighted_svd_realize`'s, f x n_x with f >= n_x + 1
+    (``RealizationConfig``'s rule).
 
     Raises:
-        ConfigError: If n_x is not an integer >= 1, or the factor is not a
-            finite numeric array of n_x columns and at least n_x + 1 rows.
         RankError: If the top block is column-rank deficient.
     """
-    G, n_x = _freeze(Gamma_hat, "Gamma_hat"), _integer(n_x, "n_x", 1)
-    if G.ndim != 2 or G.shape[1] != n_x:
-        raise ConfigError(f"observability factor must have {n_x} columns, got {G.shape}")
-    if G.shape[0] < n_x + 1:
-        raise ConfigError(
-            f"need at least n_x + 1 = {n_x + 1} block rows for the shift, got {G.shape[0]}"
-        )
-    A, rms = full_rank_lstsq(G[:-1], G[1:], "top block of the observability factor")
-    return A, G[:1].copy(), rms
+    A, rms = full_rank_lstsq(Gamma_hat[:-1], Gamma_hat[1:], "top block of the observability factor")
+    return A, Gamma_hat[:1].copy(), rms
 
 
 def estimate_bk(
@@ -261,27 +250,13 @@ def estimate_bk(
 
     Each member of ``b_seqs`` is a sequence C A^(i-1) B, i = 1, 2, ...; B
     fits all of them jointly.  ``k_seq`` is the sequence C A^(i-1) K,
-    i = 1, 2, ...  Both fits read one observability stack of (A, C).
+    i = 1, 2, ...  Both fits read one observability stack of (A, C).  The
+    operands are :func:`identify`'s: (A, C) from :func:`extract_ac`, and
+    1-D float sequences, ``k_seq`` and at least one of ``b_seqs`` nonempty.
 
     Raises:
-        ConfigError: If A is not a finite numeric square array of at least
-            one state, C not one with a column per state, ``b_seqs`` not an
-            iterable of sequences, or ``b_seqs`` or ``k_seq`` holds no
-            value, a non-number or a non-finite one.
         RankError: If the observability stack of (A, C) is rank deficient.
     """
-    A, C = _freeze(A, "A"), _freeze(C, "C")
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
-        raise ConfigError(f"A must be square with at least one state, got shape {A.shape}")
-    if C.ndim != 2 or C.shape[1] != A.shape[0]:
-        raise ConfigError(f"C must have {A.shape[0]} columns, one per state of A, got shape {C.shape}")
-    try:
-        b_seqs = [_freeze(s, "b_seqs", -1) for s in b_seqs]
-    except TypeError:
-        raise ConfigError(f"b_seqs must be an iterable of sequences, got {b_seqs!r}") from None
-    k_seq = _freeze(k_seq, "k_seq", -1)
-    if not k_seq.size or not sum(s.size for s in b_seqs):
-        raise ConfigError("no Markov-parameter observations to fit a gain from")
     O = observability(A, C, max(s.size for s in [*b_seqs, k_seq]))
     what = "observability stack of (A, C)"
     B, b_rms = full_rank_lstsq(np.vstack([O[: s.size] for s in b_seqs]), np.concatenate(b_seqs), what)
@@ -368,7 +343,7 @@ def identify(
         Gamma_hat, svals = weighted_svd_realize(est, cfg, prep.w2(cfg.f, cfg.p))
 
     with _stage("shift"):
-        A_like, C_hat, shift_rms = extract_ac(Gamma_hat, cfg.n_x)
+        A_like, C_hat, shift_rms = extract_ac(Gamma_hat)
 
     with _stage("gains"):
         if cfg.method == "ssarx":

@@ -17,11 +17,13 @@ the ARX pre-estimates and SSARX work with its Markov parameters.
 
 All objects in this module are immutable value types; operations are pure
 functions of their inputs and safe to share between workers.  The module
-owns the three value rules every entry point of the package applies:
-``_freeze`` (the one conversion of an outside value to a float array: it
-takes real numbers only, converts, reshapes, and returns them finite and
-read-only), ``_integer`` (sizes, counts and seeds: an integer type other
-than bool, at least a lower bound) and ``_variance`` (a finite value >= 0).
+owns the three value rules every exported entry point of the package
+applies: ``_freeze`` (the one conversion of an outside value to a float
+array: it takes real numbers only, converts, reshapes, and returns them
+finite and read-only), ``_integer`` (sizes, counts and seeds: an integer
+type other than bool, at least a lower bound) and ``_variance`` (a finite
+value >= 0).  The stages that only ``identify`` calls take its values as
+they are.
 """
 
 from __future__ import annotations

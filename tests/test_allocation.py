@@ -20,9 +20,9 @@ from parsimid import (
     example2_system,
     fit_arx,
     parsim_wls,
-    predictor_to_innovations,
     simulate,
 )
+from parsimid.arx_pre import predictor_to_innovations
 from parsimid import estimators
 
 F, P, N_TOTAL = 10, 20, 2000

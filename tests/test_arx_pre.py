@@ -7,7 +7,6 @@ from parsimid import (
     METHODS,
     ConfigError,
     ExcitationError,
-    PredictorMarkov,
     RealizationConfig,
     SignalRecord,
     assemble_blocks,
@@ -15,12 +14,15 @@ from parsimid import (
     identify,
     markov_g,
     markov_h,
-    predictor_to_innovations,
-    predictor_to_innovations_g,
     select_order_aic,
     simulate,
 )
-from parsimid.arx_pre import _fit_arx_from_blocks
+from parsimid.arx_pre import (
+    PredictorMarkov,
+    _fit_arx_from_blocks,
+    predictor_to_innovations,
+    predictor_to_innovations_g,
+)
 from parsimid.benchmark import _trial_data, example1_system, example3_scenario
 
 from helpers import example_record, random_stable_model

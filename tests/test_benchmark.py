@@ -19,7 +19,6 @@ from parsimid import (
     random_system,
     select_order_aic,
     simulate,
-    spectral_radius,
     write_aggregates_json,
     write_error_vs_n_csv,
     write_joint_fit_csv,
@@ -37,7 +36,7 @@ from parsimid.benchmark import (
     example2_system,
     example3_scenario,
 )
-from parsimid.ss_model import STABILITY_MARGIN
+from parsimid.ss_model import STABILITY_MARGIN, spectral_radius
 
 
 class TestExampleSystems:

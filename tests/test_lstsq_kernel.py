@@ -36,7 +36,6 @@ from parsimid import (
     fit_arx,
     parsim_ols,
     parsim_wls,
-    predictor_to_innovations,
     select_order_aic,
     toeplitz_gram_band,
 )
@@ -53,7 +52,7 @@ from parsimid._lstsq import (
     numerical_rank,
     symmetric_eigenvalues,
 )
-from parsimid.arx_pre import _arx_design, _arx_qr
+from parsimid.arx_pre import _arx_design, _arx_qr, predictor_to_innovations
 from parsimid.benchmark import _trial_data, example1_scenario, example2_scenario, example3_scenario
 
 from helpers import (

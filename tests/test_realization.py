@@ -11,26 +11,24 @@ from parsimid import (
     InnovationsMarkov,
     ParsimidError,
     PreparedRecord,
-    RangeEstimate,
     RankError,
     RealizationConfig,
     SignalRecord,
     assemble_blocks,
     default_aic_grid,
-    estimate_bk,
-    extract_ac,
     fit_arx,
     fit_metric,
     identify,
     impulse_response,
     markov_g,
     markov_h,
-    predictor_to_innovations,
     select_order_aic,
     simulate,
     weight_w2,
-    weighted_svd_realize,
 )
+from parsimid.arx_pre import predictor_to_innovations
+from parsimid.estimators import RangeEstimate
+from parsimid.realization import estimate_bk, extract_ac, weighted_svd_realize
 from parsimid.benchmark import (
     EXAMPLE2_GAMMA,
     _trial_data,
@@ -181,7 +179,7 @@ class TestWeightedSvd:
 class TestExtractAc:
     def test_scalar_shift(self):
         Gamma = np.array([[1.0], [0.5], [0.25]])
-        A, C, _ = extract_ac(Gamma, 1)
+        A, C, _ = extract_ac(Gamma)
         assert A[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert C[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -190,7 +188,7 @@ class TestExtractAc:
         m = random_stable_model(rng, n_x=3)
         T = rng.standard_normal((3, 3)) + 3 * np.eye(3)
         Gamma = gamma_f(m.A, m.C, 7) @ T
-        A, C, _ = extract_ac(Gamma, 3)
+        A, C, _ = extract_ac(Gamma)
         np.testing.assert_allclose(
             np.sort_complex(np.linalg.eigvals(A)),
             np.sort_complex(np.linalg.eigvals(m.A)),
@@ -199,22 +197,18 @@ class TestExtractAc:
 
     def test_example2_double_pole(self):
         m, _ = example2_system()
-        A, _, _ = extract_ac(gamma_f(m.A, m.C, 7), 2)
+        A, _, _ = extract_ac(gamma_f(m.A, m.C, 7))
         roots = np.roots([1.0, -2 * EXAMPLE2_GAMMA, EXAMPLE2_GAMMA**2])
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvals(A).real), np.sort(roots.real), atol=1e-8
         )
         assert np.max(np.abs(np.linalg.eigvals(A).imag)) < 1e-8
 
-    def test_too_few_rows(self):
-        with pytest.raises(ConfigError):
-            extract_ac(np.ones((2, 2)), 2)
-
     def test_rank_deficient_top_block(self):
         Gamma = np.zeros((4, 2))
         Gamma[:, 0] = [1.0, 0.5, 0.25, 0.125]
         with pytest.raises(RankError):
-            extract_ac(Gamma, 2)
+            extract_ac(Gamma)
 
 
 class TestEstimateBK:
@@ -247,15 +241,6 @@ class TestEstimateBK:
         assert b_rms == pytest.approx(np.sqrt(np.mean(((O @ B).ravel() - g_obs) ** 2)), rel=1e-9)
         assert k_rms == pytest.approx(np.sqrt(np.mean(((O @ K).ravel() - h_obs) ** 2)), rel=1e-9)
         assert 0.0 < b_rms < 1e-3 and 0.0 < k_rms < 1e-3
-
-    @pytest.mark.parametrize(
-        "b_obs,k_seq", [([], np.ones(4)), ([[1.0, 0.5]], []), ([[]], np.ones(4))]
-    )
-    def test_no_observations(self, b_obs, k_seq):
-        rng = np.random.default_rng(10)
-        m = random_stable_model(rng, n_x=1)
-        with pytest.raises(ConfigError, match="no Markov-parameter observations"):
-            estimate_bk(m.A, m.C, b_obs, k_seq)
 
     def test_example1_noise_free_realization_impulse(self):
         m = example1_system()

@@ -8,26 +8,22 @@ from parsimid import (
     ConfigError,
     DivergenceError,
     InnovationsMarkov,
-    PredictorMarkov,
     SignalRecord,
     StateSpaceModel,
     error_g,
-    estimate_bk,
-    extract_ac,
     fit_metric,
     impulse_response,
     load_model,
     markov_g,
     markov_h,
-    model_from_dict,
     model_to_dict,
     save_model,
     simulate,
-    spectral_radius,
     toeplitz_gram_band,
 )
+from parsimid.arx_pre import PredictorMarkov
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
-from parsimid.ss_model import STABILITY_MARGIN, observability
+from parsimid.ss_model import STABILITY_MARGIN, model_from_dict, observability, spectral_radius
 
 from helpers import gamma_f, random_stable_model, ref_simulate
 
@@ -253,7 +249,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "name",
         [*"ABCDK", "u", "y", "h_bar", "g_bar", "h", "simulate-u", "simulate-e", "toeplitz_gram_band-h",
-         "estimate_bk-b_seqs", "estimate_bk-k_seq", "extract_ac-Gamma_hat", "fit_metric-g_o", "fit_metric-g_hat",
+         "fit_metric-g_o", "fit_metric-g_hat",
          "error_g-G_hat", "error_g-G_true"],
     )
     def test_non_finite_entries_rejected(self, name, bad):
@@ -270,9 +266,6 @@ class TestValidation:
             "simulate-u": lambda v: simulate(example1_system(), [0.0, v, 0.0, 1.0]),
             "simulate-e": lambda v: simulate(example1_system(), np.ones(4), [0.0, v, 0.0, 0.0]),
             "toeplitz_gram_band-h": lambda v: toeplitz_gram_band([v], 2, 3),
-            "estimate_bk-b_seqs": lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [[1.0, v]], [0.5]),
-            "estimate_bk-k_seq": lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [[1.0, 0.5]], [v]),
-            "extract_ac-Gamma_hat": lambda v: extract_ac([[1.0], [v]], 1),
             "fit_metric-g_o": lambda v: fit_metric([1.0, v], [1.0, 0.0]),
             "fit_metric-g_hat": lambda v: fit_metric([1.0, 0.0], [1.0, v]),
             "error_g-G_hat": lambda v: error_g([1.0, v], [1.0, 0.0]),

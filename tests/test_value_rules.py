@@ -1,4 +1,7 @@
-"""Every public entry point that takes a size, a variance or an array applies ss_model's rules.
+"""Every exported entry point that takes a size, a variance or an array applies ss_model's rules.
+
+So does ``arx_pre.PredictorMarkov``, which the pipeline builds from every
+ARX fit: it is where a non-finite fit becomes a typed error.
 
 ``ss_model._integer`` owns the integer rule: any integer type but bool,
 numpy's too, at least a lower bound.  ``ss_model._variance`` owns the
@@ -20,8 +23,6 @@ import pytest
 from parsimid import (
     ConfigError,
     InnovationsMarkov,
-    PredictorMarkov,
-    RangeEstimate,
     RealizationConfig,
     Scenario,
     SignalRecord,
@@ -29,11 +30,9 @@ from parsimid import (
     assemble_blocks,
     default_aic_grid,
     error_g,
-    estimate_bk,
     example1_scenario,
     example1_system,
     example3_scenario,
-    extract_ac,
     fit_arx,
     fit_metric,
     gen_rbs,
@@ -47,10 +46,9 @@ from parsimid import (
     select_order_aic,
     simulate,
     toeplitz_gram_band,
-    weighted_svd_realize,
     write_aggregates_json,
 )
-from parsimid.arx_pre import max_arx_order
+from parsimid.arx_pre import PredictorMarkov, max_arx_order
 
 from helpers import design, example_record
 
@@ -79,7 +77,6 @@ INTEGERS = {
     "max_arx_order": (max_arx_order, "record length", 1, 250),
     "assemble_blocks-f": (lambda v: _blocks(v, 8), "future horizon", 1, 10),
     "assemble_blocks-p": (lambda v: _blocks(10, v), "past horizon", 1, 8),
-    "extract_ac-n_x": (lambda v: extract_ac(np.array([[1.0], [0.5], [0.25]]), v), "n_x", 1, 1),
     "toeplitz_gram_band-i": (lambda v: toeplitz_gram_band([0.5, 0.2, 0.1], v, 20), "bank row", 1, 3),
     "toeplitz_gram_band-N": (lambda v: toeplitz_gram_band([0.5, 0.2, 0.1], 3, v), "N", 1, 20),
     "RealizationConfig-n_x": (lambda v: RealizationConfig(n_x=v, f=10, p=8), "n_x", 1, 3),
@@ -115,18 +112,6 @@ CONVERSIONS = {
     "PredictorMarkov-g_bar": (lambda v: PredictorMarkov(h_bar=[0.5, 0.1], g_bar=v, residual_variance=1.0), "g_bar"),
     "InnovationsMarkov": (lambda v: InnovationsMarkov(h=v), "h"),
     "toeplitz_gram_band": (lambda v: toeplitz_gram_band(v, 2, 3), "h"),
-    "estimate_bk-b_seqs": (lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [v], [0.5]), "b_seqs"),
-    "estimate_bk-k_seq": (lambda v: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), [[1.0, 0.5]], v), "k_seq"),
-    "extract_ac": (lambda v: extract_ac(v, 1), "Gamma_hat"),
-    "estimate_bk-A": (lambda v: estimate_bk(v, np.ones((1, 1)), [[1.0, 0.5]], [0.5]), "A"),
-    "estimate_bk-C": (lambda v: estimate_bk(0.5 * np.eye(1), v, [[1.0, 0.5]], [0.5]), "C"),
-    "weighted_svd_realize-w2": (
-        lambda v: weighted_svd_realize(
-            RangeEstimate(gamma_lp=np.ones((2, 2)), g_rows=()), RealizationConfig(n_x=1, f=2, p=1), v
-        ),
-        "w2",
-    ),
-    "RangeEstimate-gamma_lp": (lambda v: RangeEstimate(gamma_lp=v, g_rows=()), "gamma_lp"),
     "fit_metric-g_o": (lambda v: fit_metric(v, [1.0, 0.0]), "g_o"),
     "fit_metric-g_hat": (lambda v: fit_metric([1.0, 0.0], v), "g_hat"),
     "error_g-G_hat": (lambda v: error_g(v, [1.0, 0.0]), "G_hat"),
@@ -147,23 +132,6 @@ WRONG_KINDS = {
         lambda: PredictorMarkov(h_bar=[0.5, 0.1], g_bar=[1.0], residual_variance=1.0),
         "h_bar and g_bar must have equal length",
     ),
-    "RangeEstimate-g_rows": (
-        lambda: RangeEstimate(gamma_lp=np.zeros((2, 4)), g_rows=(np.zeros(1), np.zeros(1))),
-        "g_rows[1] must have 2 entries, got 1",
-    ),
-    "RangeEstimate-gamma_lp-str": (
-        lambda: RangeEstimate(gamma_lp="x", g_rows=()), "gamma_lp: could not convert string entries to float"
-    ),
-    "RangeEstimate-list-row": (
-        lambda: RangeEstimate(gamma_lp=np.zeros((2, 4)), g_rows=([0.5], [0.5])), "g_rows[1] must have 2 entries, got 1"
-    ),
-    "RangeEstimate-rows-not-iterable": (
-        lambda: RangeEstimate(gamma_lp=np.zeros((2, 4)), g_rows=5), "g_rows must be an iterable of rows, got int"
-    ),
-    "RangeEstimate-str-row": (
-        lambda: RangeEstimate(gamma_lp=np.zeros((2, 4)), g_rows=("x",)), "g_rows[0]: could not convert string entries to float"
-    ),
-    "extract_ac-columns": (lambda: extract_ac(np.ones((4, 2)), 3), "observability factor must have 3 columns, got (4, 2)"),
     "fit_metric-lengths": (lambda: fit_metric([1.0, 0.0], [1.0]), "length mismatch: 2 vs 1"),
     "error_g-lengths": (lambda: error_g([1.0], [1.0, 0.0]), "length mismatch: 1 vs 2"),
     "Scenario-system_source": (
@@ -248,75 +216,6 @@ def test_wrong_kind_of_value_rejected(entry):
     call, message = WRONG_KINDS[entry]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call()
-
-
-# Each was a bare numpy or Python error before the value rules; a NaN A
-# also printed LAPACK's DLASCL complaint on stderr, twice.
-BEFORE_LAPACK = {
-    "estimate_bk-A-str": (
-        lambda: estimate_bk("x", np.ones((1, 1)), [[1.0]], [1.0]), "A: could not convert string entries to float"
-    ),
-    "estimate_bk-A-nan": (
-        lambda: estimate_bk(np.full((2, 2), np.nan), np.ones((1, 2)), [[1.0, 0.5]], [1.0, 0.5]),
-        "A contains non-finite entries",
-    ),
-    "estimate_bk-A-not-square": (
-        lambda: estimate_bk(np.zeros((2, 3)), np.ones((1, 2)), [[1.0]], [1.0]),
-        "A must be square with at least one state, got shape (2, 3)",
-    ),
-    "estimate_bk-C-states": (
-        lambda: estimate_bk(0.5 * np.eye(2), np.ones((1, 3)), [[1.0, 0.5]], [1.0, 0.5]),
-        "C must have 2 columns, one per state of A, got shape (1, 3)",
-    ),
-    "estimate_bk-b_seqs-None": (
-        lambda: estimate_bk(0.5 * np.eye(1), np.ones((1, 1)), None, [1.0]),
-        "b_seqs must be an iterable of sequences, got None",
-    ),
-    "weighted_svd_realize-w2-shape": (
-        lambda: weighted_svd_realize(
-            RangeEstimate(gamma_lp=np.ones((2, 4)), g_rows=()), RealizationConfig(n_x=1, f=2, p=2), np.eye(3)
-        ),
-        "w2 must have shape (4, 4), got (3, 3)",
-    ),
-    "extract_ac-n_x": (lambda: extract_ac(np.ones((4, 2)), 1.5), "n_x must be an integer, got 1.5"),
-}
-
-
-@pytest.mark.parametrize("entry", BEFORE_LAPACK)
-def test_gain_and_realization_inputs_rejected_before_lapack(entry, capfd):
-    call, message = BEFORE_LAPACK[entry]
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        call()
-    assert capfd.readouterr().err == ""
-
-
-def test_range_estimate_stores_read_only_arrays():
-    est = RangeEstimate(gamma_lp=[[1, 2]], g_rows=([0.5], (1, 2)))
-    assert est.gamma_lp.dtype == float and not est.gamma_lp.flags.writeable
-    assert all(type(row) is np.ndarray and not row.flags.writeable for row in est.g_rows)
-    np.testing.assert_array_equal(est.g_rows[1], [1.0, 2.0])
-
-
-def test_range_estimate_rows_convert_together_or_one_by_one_alike():
-    # Flat rows of 1, 2, 3 entries are converted in one pass; nested rows one
-    # by one.  Both store the same read-only float copies.
-    rows = (np.array([1]), np.array([2.0, 3.0]), [True, 4, 5.5])
-    together = RangeEstimate(gamma_lp=np.zeros((3, 2)), g_rows=rows)
-    one_by_one = RangeEstimate(gamma_lp=np.zeros((3, 2)), g_rows=([[1]], [[2.0], [3.0]], [[1.0, 4, 5.5]]))
-    for a, b in zip(together.g_rows, one_by_one.g_rows, strict=True):
-        assert a.dtype == float and a.tobytes() == b.tobytes() and not a.flags.writeable
-    with pytest.raises(ValueError):
-        together.g_rows[0].setflags(write=True)
-    rows[1][0] = 9.0
-    assert together.g_rows[1][0] == 2.0
-
-
-def test_range_estimate_reads_one_shot_rows_once():
-    rows = (np.array([1.0]), np.array([2.0, 3.0]))
-    est = RangeEstimate(gamma_lp=np.ones((2, 4)), g_rows=iter(rows))
-    assert [row.tobytes() for row in est.g_rows] == [row.tobytes() for row in rows]
-    nested = RangeEstimate(gamma_lp=np.ones((2, 4)), g_rows=(row[:, None] for row in rows))
-    assert [row.tobytes() for row in nested.g_rows] == [row.tobytes() for row in rows]
 
 
 # A numeric string is not parsed and a complex array is not cut to its real
