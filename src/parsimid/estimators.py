@@ -38,9 +38,10 @@ small Gram W'W by :func:`_lstsq.gram_solve`: its eigenvalues give the
 rank and condition, and a full-rank Gram is solved by Cholesky and
 refined once against W.  The rows are independent and run on one thread
 per usable CPU (the process's affinity set), at most one per row: the
-calling thread and the process's parked helper threads (``_Helpers``),
-which the first threaded bank starts and every later one reuses; a
-``multiprocessing`` child, or a bank too small to gain, runs on one.
+calling thread and the process's helper threads (``_Helpers``), which
+the first threaded bank starts, every later one reuses, and which park
+on one job queue between banks; a ``multiprocessing`` child, or a bank
+too small to gain, runs on one.
 Every LAPACK call of a row is one of ``_lstsq``'s lock-free wrappers (see
 its module docstring), and numpy's whitening copies and matmuls release
 the lock too, so the threads overlap in all but a row's short Python steps.
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -184,70 +186,62 @@ class _Helpers:
     """The process's helper threads of the WLS bank, parked between banks.
 
     A helper is a daemon thread started by the first bank that needs it
-    and never stopped: it waits for a job, runs it, and parks again.  One
+    and never stopped: it takes a (job, outcomes) pair from the job queue,
+    runs the job, puts its outcome, and parks again on the queue.  One
     bank at a time runs on the helpers; a bank that finds them held by
     another thread's runs on its calling thread alone.
     """
 
     def __init__(self):
         self.held = threading.Lock()  # by the bank running on the helpers
-        lock = threading.Lock()  # guards every field below
-        self.wake, self.idle = threading.Condition(lock), threading.Condition(lock)
+        self.jobs = queue.SimpleQueue()  # of (job, outcomes) pairs, one per helper a bank uses
         self.threads: list[threading.Thread] = []
-        self.job = None
-        self.tickets = 0  # helpers still to take up the job
-        self.busy = 0  # helpers still to finish it
-        self.error: BaseException | None = None  # the first that escaped a helper's job
 
     def run(self, job, count: int) -> None:
-        """job() on the calling thread and on ``count`` helpers; returns once every helper is parked.
+        """job() on the calling thread and on ``count`` helpers; returns once every helper's outcome is in.
 
         If another thread's bank holds the helpers, job() runs on the
-        calling thread alone.  An exception that escapes a helper's job is
-        raised here once every helper is parked; the helper lives on.
+        calling thread alone; if a helper cannot start, on the calling
+        thread and the helpers that did.  An exception that escapes a
+        helper's job is raised here once every outcome is in; the helper
+        lives on.
         """
         if count < 1 or not self.held.acquire(blocking=False):
             job()
             return
         try:
-            with self.wake:
-                while len(self.threads) < count:
-                    self.threads.append(threading.Thread(target=self._serve, name="parsim_wls helper", daemon=True))
-                    self.threads[-1].start()
-                # Added to, not set: a bank interrupted while it waited
-                # leaves its helpers' counts for the next bank to wait out.
-                self.job, self.tickets, self.busy = job, self.tickets + count, self.busy + count
-                self.wake.notify(count)
+            while len(self.threads) < count:
+                helper = threading.Thread(target=self._serve, name="parsim_wls helper", daemon=True)
+                try:
+                    helper.start()
+                except RuntimeError:  # can't start new thread: the bank runs on those that did
+                    break
+                self.threads.append(helper)
+            # Each bank reads only its own outcomes, so an interrupted bank
+            # leaves the next nothing to wait out.
+            outcomes = queue.SimpleQueue()
+            handed = min(count, len(self.threads))
+            for _ in range(handed):
+                self.jobs.put((job, outcomes))
             try:
                 job()
             finally:
-                with self.idle:
-                    while self.busy:
-                        self.idle.wait()
-                    error, self.job, self.error = self.error, None, None
-            if error is not None:
-                raise error
+                errors = [outcomes.get() for _ in range(handed)]
+            for error in errors:
+                if error is not None:
+                    raise error
         finally:
             self.held.release()
 
     def _serve(self):
         while True:
-            with self.wake:
-                while not self.tickets:
-                    self.wake.wait()
-                self.tickets -= 1
-                job = self.job
-            error = None
+            job, outcomes = self.jobs.get()
             try:
                 job()
             except BaseException as err:  # raised by the bank's run
-                error = err
-            with self.idle:
-                if self.error is None:
-                    self.error = error
-                self.busy -= 1
-                if not self.busy:
-                    self.idle.notify()
+                outcomes.put(err)
+            else:
+                outcomes.put(None)
 
 
 _helpers = _Helpers()
@@ -328,10 +322,12 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
     usable CPU and at most one per row; a ``multiprocessing`` child, or a
     bank whose heaviest sweep is below ``_THREADED_SWEEP``, runs on one.
     The helpers are daemon threads of the process: the first threaded
-    bank starts them, they park between banks, and the call returns once
-    each is parked again, so no thread works after it.  A bank that finds
-    them held by another thread's bank runs on its calling thread alone.
-    A fork child starts its own.  Each thread owns one workspace.  A row
+    bank starts them, they park on one job queue between banks, and the
+    call returns once each has handed back the outcome of its job, so no
+    thread works on the bank after it.  A bank that finds them held by
+    another thread's bank runs on its calling thread alone, and one whose
+    helper cannot start runs on the threads that did.  A fork child
+    starts its own.  Each thread owns one workspace.  A row
     holds the interpreter lock only between its calls: its LAPACK calls
     run without it (the ``_lstsq`` module docstring), and numpy's
     whitening copies and matmuls release it.  Each row is computed by one
@@ -347,7 +343,7 @@ def parsim_wls(blocks: DataBlocks, h: InnovationsMarkov) -> RangeEstimate:
         ConfigError: If h is not an InnovationsMarkov.
         RankError: If a row's banded Cholesky factorization fails (guarded;
             cannot occur for finite weights since H_0 = 1).  A failing row
-            raises once every helper is parked; of several, the
+            raises once every helper's outcome is in; of several, the
             lowest-numbered row's error is raised.
     """
     if not isinstance(h, InnovationsMarkov):

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -449,6 +450,31 @@ def threads(monkeypatch, count):
     monkeypatch.setattr(estimators, "_bank_threads", lambda blocks: min(count, blocks.f - 1))
 
 
+def bank_on_a_new_caller(blocks, h):
+    """The calling thread and what its bank returned or raised.
+
+    Joined with a timeout: a bank that waits for a helper that is not
+    there would wait forever.
+    """
+    out = []
+
+    def call():
+        try:
+            out.append(bank_bytes(parsim_wls(blocks, h)))
+        except BaseException as err:
+            out.append(err)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the bank did not return"
+    return caller, out[0]
+
+
+class Escape(BaseException):
+    """Not an Exception, so the bank's row loop does not catch it."""
+
+
 class TestThreadedBank:
     """Rows 2..f run on the calling thread and parked helpers; every output is the one-thread bank's, byte for byte."""
 
@@ -510,7 +536,7 @@ class TestThreadedBank:
             with pytest.raises(RankError, match="at row 3 "):
                 parsim_wls(blocks, h)
             assert threading.active_count() == before
-            assert (pool.tickets, pool.busy) == (0, 0)
+            assert pool.jobs.empty()
         monkeypatch.setattr(estimators, "_gram_diagonals", gram_diagonals)
         assert bank_bytes(parsim_wls(blocks, h)) == want
         assert pool.threads == helpers
@@ -523,9 +549,6 @@ class TestThreadedBank:
         threads(monkeypatch, 2)
         parsim_wls(blocks, h)  # starts the helper
         helpers = list(pool.threads)
-
-        class Escape(BaseException):
-            """Not an Exception, so the row loop does not catch it."""
 
         both_take_a_row = threading.Barrier(2, timeout=60)
         seen = set()
@@ -541,34 +564,88 @@ class TestThreadedBank:
                 raise Escape
             return row(*args)
 
-        def bank_on_a_new_caller():
-            # Joined with a timeout: a bank whose helper died would wait for it forever.
-            out = []
-
-            def call():
-                try:
-                    out.append(bank_bytes(parsim_wls(blocks, h)))
-                except BaseException as err:
-                    out.append(err)
-
-            caller = threading.Thread(target=call, daemon=True)
-            caller.start()
-            caller.join(timeout=60)
-            assert not caller.is_alive(), "the bank did not return"
-            return caller, out[0]
-
         row = estimators._wls_row
         monkeypatch.setattr(estimators, "_wls_row", escaping_on_the_helper)
         escape = True
-        assert isinstance(bank_on_a_new_caller()[1], Escape)
-        assert (pool.tickets, pool.busy, pool.error) == (0, 0, None)
+        assert isinstance(bank_on_a_new_caller(blocks, h)[1], Escape)
+        assert pool.jobs.empty()
         # The same helper runs the next bank with the calling thread.
         escape, seen = False, set()
         both_take_a_row.reset()
-        caller, got = bank_on_a_new_caller()
+        caller, got = bank_on_a_new_caller(blocks, h)
         assert got == want
         assert pool.threads == helpers and helpers[0].is_alive()
         assert seen == {caller, helpers[0]}
+
+    def test_an_exception_that_escapes_the_calling_thread_is_raised_once_every_helper_is_done(self, monkeypatch):
+        pool = fresh_helpers(monkeypatch)
+        blocks, h = weighted_bank("example1", 0)
+        threads(monkeypatch, 1)
+        want = bank_bytes(parsim_wls(blocks, h))
+        threads(monkeypatch, 2)
+        parsim_wls(blocks, h)  # starts the helper
+        helpers = list(pool.threads)
+
+        both_take_a_row = threading.Barrier(2, timeout=60)
+        caller_raised = threading.Event()
+        rows = {}  # thread -> rows it solved
+        lock = threading.Lock()
+
+        def escaping_on_the_caller(blocks, diagonals, W):
+            me = threading.current_thread()
+            with lock:
+                first = me not in rows
+                rows.setdefault(me, [])
+            if first:
+                both_take_a_row.wait()
+            if escape and me not in helpers:
+                caller_raised.set()
+                raise Escape
+            if escape and first:
+                # The helper's rows end well after the caller has raised.
+                assert caller_raised.wait(timeout=60)
+                time.sleep(0.1)
+            out = row(blocks, diagonals, W)
+            rows[me].append(diagonals.size)
+            return out
+
+        row = estimators._wls_row
+        monkeypatch.setattr(estimators, "_wls_row", escaping_on_the_caller)
+        escape = True
+        with pytest.raises(Escape):
+            parsim_wls(blocks, h)
+        # Every row but the one the caller raised on was solved by the helper.
+        assert len(rows[helpers[0]]) == blocks.f - 2
+        assert pool.jobs.empty()
+        # The same helper runs the next bank with the calling thread.
+        escape, rows = False, {}
+        caller, got = bank_on_a_new_caller(blocks, h)
+        assert got == want
+        assert pool.threads == helpers and helpers[0].is_alive()
+        assert set(rows) == {caller, helpers[0]}
+
+    def test_a_helper_that_cannot_start_leaves_the_bank_to_the_threads_that_did(self, monkeypatch):
+        pool = fresh_helpers(monkeypatch)
+        blocks, h = weighted_bank("example1", 0)
+        threads(monkeypatch, 1)
+        want = bank_bytes(parsim_wls(blocks, h))
+        threads(monkeypatch, 3)
+        start, tried = threading.Thread.start, []
+
+        def second_helper_refused(thread):
+            if thread.name == "parsim_wls helper":
+                tried.append(thread)
+                if len(tried) == 2:
+                    raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_helper_refused)
+        assert bank_on_a_new_caller(blocks, h)[1] == want
+        assert len(tried) == 2 and pool.threads == tried[:1]
+        # The next bank starts the helper it lacks.
+        assert bank_on_a_new_caller(blocks, h)[1] == want
+        assert len(tried) == 3 and pool.threads == [tried[0], tried[2]]
+        assert all(t.is_alive() for t in pool.threads)
 
     def test_a_bank_that_finds_the_helpers_held_runs_on_its_calling_thread(self, monkeypatch):
         pool = fresh_helpers(monkeypatch)
