@@ -15,7 +15,8 @@ such fit and ``NestedLstsq.rss`` every RSS; the designs and their rules
 are the callers' (``data_blocks``, ``arx_pre``).  R is read-only, as
 every method identifying a record reads the same one.  A smaller matrix
 with a design's Gram has its R up to row signs, and stands in for it
-given the design's row count m, which sets the cutoff and the certificate.
+given the design's row count m, which sets the cutoff and the certificate;
+so does the R of a triangle with rows appended (``NestedLstsq.appended``).
 
 :func:`gram_solve` answers the same minimum-norm question on the Gram
 G = W'W of a tall W, whose eigenvalues are the singular values of the
@@ -47,7 +48,7 @@ import re
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgeqrt, dlange, dtrtri, dtrtrs
+from scipy.linalg.lapack import dgeqrt, dlange, dtpqrt, dtrtri, dtrtrs
 
 from .errors import RankError
 
@@ -245,10 +246,10 @@ class NestedLstsq:
 
     ``m`` is the design's row count, A's own unless given: an A that stands
     in for a taller design with the same Gram is given the design's.
+    :meth:`appended` makes one from a triangular factor and rows to append.
     """
 
     def __init__(self, A: np.ndarray, k: int, m: int | None = None):
-        self.m, self.k = A.shape[0] if m is None else m, k
         # dgeqrt, the compact-WY QR with recursive panels (Elmroth & Gustavson
         # 2000), in blocks of nb = 8 columns.  On the library's designs, about
         # 1000-2000 rows by 15-86 columns, it takes 0.44-0.57x the time of
@@ -257,9 +258,28 @@ class NestedLstsq:
         # Fortran-ordered float64 A is factored in place, so the caller's
         # buffer is overwritten; any other A is copied first.
         qr = dgeqrt(min(8, *A.shape), A, overwrite_a=True)[0]
-        self.R = np.triu(qr[: qr.shape[1]])
+        self._hold(np.triu(qr[: qr.shape[1]]), k, A.shape[0] if m is None else m)
+
+    @classmethod
+    def appended(cls, R: np.ndarray, rows: np.ndarray, k: int, m: int) -> "NestedLstsq":
+        """The factor of the stack [R; rows], for a square upper-triangular R, standing in for a design of m rows.
+
+        LAPACK ``dtpqrt``, the triangular-pentagonal QR, appends the rows
+        to R (the row-append update of Golub & Van Loan, section 12.5) in
+        blocks of nb = 8 columns, as ``dgeqrt`` factors; it writes R's
+        upper triangle only.  Fortran-ordered float64 R and rows are
+        overwritten; any others are copied first.
+        """
+        R = dtpqrt(0, min(8, R.shape[1]), R, rows, overwrite_a=True, overwrite_b=True)[0]
+        ls = cls.__new__(cls)
+        ls._hold(np.ascontiguousarray(R), k, m)
+        return ls
+
+    def _hold(self, R: np.ndarray, k: int, m: int) -> None:
+        """Keep the read-only R of a design of m rows whose first k columns are X, and decide X's rank."""
+        self.m, self.k, self.R = m, k, R
         self.R.setflags(write=False)
-        self.full_rank = certified_full_rank(self.R[:k, :k], self.m) or self.rank(slice(0, k)) == k
+        self.full_rank = certified_full_rank(R[:k, :k], m) or self.rank(slice(0, k)) == k
 
     def rank(self, cols) -> int:
         """``np.linalg.matrix_rank`` of the design columns ``cols``, read from R."""

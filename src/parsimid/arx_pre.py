@@ -17,7 +17,10 @@ factor.  ``fit_arx`` is the two in turn; the AIC order search
 (``realization.select_order_aic``) reads every order through them.
 ``_fit_arx_from_blocks`` reads the order-p fit, after the same checks,
 from the R factor of the record's data blocks of past horizon p, which
-hold that regression on all but the last f - 1 samples (``_block_stack``).
+holds that regression on all but the last f - 1 samples, in the blocks'
+column order [Y_p' U_p' | y]: its leading triangle, with those samples
+appended as rows by the triangular-pentagonal QR (LAPACK ``dtpqrt``),
+is the fit's factor (``_block_stack``, ``NestedLstsq.appended``).
 """
 
 from __future__ import annotations
@@ -78,26 +81,30 @@ def _arx_design(u: np.ndarray, y: np.ndarray, n: int, start: int) -> np.ndarray:
     return A
 
 
-def _block_stack(rec: SignalRecord, blocks: DataBlocks) -> np.ndarray:
-    """A (2n + f) x (2n + 1) stand-in, n = blocks.p, with the Gram of the order-n design from sample n on.
+def _block_stack(blocks: DataBlocks) -> tuple[np.ndarray, np.ndarray]:
+    """A (2n + 1)^2 upper triangle and f - 1 rows, n = blocks.p, whose stack has the Gram of the order-n design from sample n on.
 
     The blocks' design [Y_p' U_p' U_f' Y_f'] holds that regression on the
-    samples n .. N_total - f: y lag l is its column n - l, u lag l column
-    2n - l and y_t column 2n + f.  Their R factor's first 2n rows of those
-    columns, in ``_arx_design``'s order, and a row holding the norm of the
-    target's residual below them have the Gram of the design on those
-    samples; the f - 1 samples past the blocks are appended as rows, as in
-    a row-append update of a QR (Golub & Van Loan, section 12.5).  The
-    checks of ``_arx_qr`` and of the blocks leave R at least 2n rows.
+    samples n .. N_total - f in its own column order, [Y_p' U_p' | y]: y
+    lag l is column n - l, u lag l column 2n - l and y_t column 2n + f.
+    Their R factor's first 2n rows of those columns, and a last row
+    holding the norm of the target's residual below them, are already
+    upper triangular.  The f - 1 samples past the blocks are rows of the
+    windows' last f - 1 rows, from column f - 1 on, in the same order;
+    ``NestedLstsq.appended`` appends them.  The checks of ``_arx_qr`` and
+    of the blocks leave R at least 2n rows and the windows at least f.
     """
     n, f, R = blocks.p, blocks.f, blocks.ls.R
-    lags = np.arange(n - 1, -1, -1)
-    cols = np.append(np.column_stack([lags, n + lags]).ravel(), 2 * n + f)
-    S = np.zeros((2 * n + f, 2 * n + 1), order="F")
-    S[: 2 * n] = R[: 2 * n, cols]
-    S[2 * n, 2 * n] = np.linalg.norm(R[2 * n :, 2 * n + f])
-    S[2 * n + 1 :] = _arx_design(rec.u, rec.y, n, len(rec) - f + 1)
-    return S
+    top = np.zeros((2 * n + 1, 2 * n + 1), order="F")
+    top[: 2 * n, : 2 * n] = R[: 2 * n, : 2 * n]
+    top[: 2 * n, 2 * n] = R[: 2 * n, 2 * n + f]
+    top[2 * n, 2 * n] = np.linalg.norm(R[2 * n :, 2 * n + f])
+    Y, U = blocks.Y[blocks.N - f + 1 :, f - 1 :], blocks.U[blocks.N - f + 1 :, f - 1 :]
+    rows = np.empty((f - 1, 2 * n + 1), order="F")
+    rows[:, :n] = Y[:, :n]
+    rows[:, n : 2 * n] = U[:, :n]
+    rows[:, 2 * n] = Y[:, n]
+    return top, rows
 
 
 def _arx_qr(rec: SignalRecord, n: int, start: int, blocks: DataBlocks | None = None) -> NestedLstsq:
@@ -106,9 +113,10 @@ def _arx_qr(rec: SignalRecord, n: int, start: int, blocks: DataBlocks | None = N
     Order n needs 10 n samples and more than 2 n rows, else ConfigError,
     and input lags 1..n of full rank, else ExcitationError.  Noise-free
     records make the output lags exactly collinear, and the minimum-norm
-    fit is still right there.  Given the record's ``blocks`` of past
-    horizon n (and ``start`` = n), it factors their ``_block_stack`` in
-    place of the design.
+    fit is still right there.  The design is ``_arx_design``'s, whose
+    lags interleave; given the record's ``blocks`` of past horizon n (and
+    ``start`` = n), it is the blocks' [Y_p' U_p' | y], factored by
+    appending the rows of ``_block_stack`` to its triangle.
     """
     n, n_total = _integer(n, "ARX order", 1), len(rec)
     if n_total < MIN_SAMPLES_PER_ORDER * n:
@@ -118,16 +126,16 @@ def _arx_qr(rec: SignalRecord, n: int, start: int, blocks: DataBlocks | None = N
     if n_total - start <= 2 * n:
         raise ConfigError(f"ARX order {n} leaves no degrees of freedom on {n_total - start} samples")
     if blocks is None:
-        ls = NestedLstsq(_arx_design(rec.u, rec.y, n, start), 2 * n)
+        ls, inputs = NestedLstsq(_arx_design(rec.u, rec.y, n, start), 2 * n), slice(1, 2 * n, 2)
     else:
-        ls = NestedLstsq(_block_stack(rec, blocks), 2 * n, n_total - start)
-    if ls.rank_below(slice(1, 2 * n, 2), n) is not None:
+        ls, inputs = NestedLstsq.appended(*_block_stack(blocks), 2 * n, n_total - start), slice(n, 2 * n)
+    if ls.rank_below(inputs, n) is not None:
         raise ExcitationError(f"input-lag regressor of ARX order {n} is rank deficient: input is not persistently exciting")
     return ls
 
 
 def _arx_fit(ls: NestedLstsq, n: int) -> PredictorMarkov:
-    """The order-n fit read from a factored design of order n or more, with its RSS on ``ls.m`` samples."""
+    """The order-n fit read from a factored interleaved design of order n or more, with its RSS on ``ls.m`` samples."""
     theta = ls.regress(2 * n, ls.k)
     return PredictorMarkov(h_bar=theta[0::2], g_bar=theta[1::2], residual_variance=ls.rss(2 * n) / (ls.m - 2 * n))
 
@@ -154,8 +162,15 @@ def fit_arx(rec: SignalRecord, n: int) -> PredictorMarkov:
 
 
 def _fit_arx_from_blocks(rec: SignalRecord, blocks: DataBlocks) -> PredictorMarkov:
-    """``fit_arx(rec, blocks.p)``, to rounding, read from the R factor of the record's ``blocks`` with no QR of its design."""
-    return _arx_fit(_arx_qr(rec, blocks.p, blocks.p, blocks), blocks.p)
+    """``fit_arx(rec, blocks.p)``, to rounding, read from the R factor of the record's ``blocks`` with no QR of its design.
+
+    The factor's lags run from n down to 1 (``_block_stack``), so h_bar
+    and g_bar are its two halves of theta reversed.
+    """
+    n = blocks.p
+    ls = _arx_qr(rec, n, n, blocks)
+    theta = ls.regress(2 * n, ls.k)
+    return PredictorMarkov(h_bar=theta[n - 1 :: -1], g_bar=theta[: n - 1 : -1], residual_variance=ls.rss(2 * n) / (ls.m - 2 * n))
 
 
 def max_arx_order(n_total: int) -> int:
@@ -176,7 +191,9 @@ def default_aic_grid(n_x: int, n_total: int) -> list[int]:
 
 def _predictor_impulse(h_bar: np.ndarray, num: np.ndarray) -> np.ndarray:
     """First num.size impulse-response terms of num(z) / (1 - h_bar(z)), lags from 1."""
-    return lfilter(num, np.r_[1.0, -h_bar], np.eye(1, num.size)[0]) if num.size else np.zeros(0)
+    impulse = np.zeros(num.size)
+    impulse[:1] = 1.0
+    return lfilter(num, np.concatenate(([1.0], -h_bar)), impulse) if num.size else impulse
 
 
 def predictor_to_innovations(pm: PredictorMarkov) -> InnovationsMarkov:

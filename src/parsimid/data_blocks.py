@@ -9,7 +9,9 @@ estimator regresses a block of the record on leading rows of
 [Y_p; U_p; U_f], so one N x (2p + 2f) design [Y_p' U_p' U_f' Y_f'] and
 one QR of it serve them all.  The design is built straight into the
 buffer that the QR overwrites, and is not kept: the blocks keep the
-record's windows, which hold every block without a copy.
+record's windows, which hold every block without a copy.  The windows are
+the read-only views that ``sliding_window_view`` would return, made by
+one ``as_strided`` each with its shape and strides.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ._lstsq import NestedLstsq
 from .errors import ConfigError, ExcitationError
@@ -78,7 +80,9 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
         raise ConfigError(
             f"record of length {n_total} too short: need at least f + p = {f + p} samples"
         )
-    Y, U = (sliding_window_view(s, f + p) for s in (rec.y, rec.u))
+    # sliding_window_view(s, f + p)'s views, without its argument handling (several microseconds a call).
+    N = n_total - f - p + 1
+    Y, U = (as_strided(s, (N, f + p), 2 * s.strides, writeable=False) for s in (rec.y, rec.u))
     # NestedLstsq factors the new design in place, so it is never copied.
     ls = NestedLstsq(_hankel_design(Y, U, p), 2 * p + f)
     # The U_p and U_f columns are the (f + p) x N input Hankel; with N < f + p
@@ -88,4 +92,4 @@ def assemble_blocks(rec: SignalRecord, f: int, p: int) -> DataBlocks:
         raise ExcitationError(
             f"input is not persistently exciting of order {f + p} (rank {rank})"
         )
-    return DataBlocks(Y=Y, U=U, ls=ls, f=f, p=p, N=n_total - f - p + 1)
+    return DataBlocks(Y=Y, U=U, ls=ls, f=f, p=p, N=N)

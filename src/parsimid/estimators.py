@@ -236,12 +236,17 @@ class _Helpers:
     def _serve(self):
         while True:
             job, outcomes = self.jobs.get()
+            outcome = None
             try:
                 job()
             except BaseException as err:  # raised by the bank's run
-                outcomes.put(err)
-            else:
-                outcomes.put(None)
+                outcome = err
+            # Nothing of the bank stays here while this parks: the job, which
+            # holds its blocks and rows, goes before the caller can have every
+            # outcome, and an error, whose traceback holds the job's frame, after.
+            del job
+            outcomes.put(outcome)
+            del outcome
 
 
 _helpers = _Helpers()

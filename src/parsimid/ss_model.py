@@ -212,11 +212,18 @@ def markov_h(m: StateSpaceModel, count: int) -> np.ndarray:
 
 
 def observability(A: np.ndarray, C: np.ndarray, count: int) -> np.ndarray:
-    """Extended observability stack [C; C A; ...; C A^(count-1)] for a C of any row count."""
-    rows = [C]
-    for _ in range(count - 1):
-        rows.append(rows[-1] @ A)
-    return np.vstack(rows)
+    """Extended observability stack [C; C A; ...; C A^(count-1)] for float A and C, C of any row count.
+
+    Each block row is the product of the one above it and A, written by
+    ``np.dot`` into its place in the stack: the bits of stacking the
+    products ``C A^(k-1) @ A`` one by one, with no list and no copy.
+    """
+    r, n = C.shape
+    O = np.empty((count, r, n))
+    O[0] = C
+    for prev, block in zip(O, O[1:]):
+        np.dot(prev, A, out=block)
+    return O.reshape(count * r, n)
 
 
 def _markov(m: StateSpaceModel, gain: np.ndarray, count: int) -> np.ndarray:

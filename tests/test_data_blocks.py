@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from parsimid import (
     ConfigError,
@@ -66,12 +67,19 @@ class TestAssembleBlocks:
             np.testing.assert_array_equal(D[:, j - 1], rec.y[j - 1 : j - 1 + N])
             np.testing.assert_array_equal(D[:, p + j - 1], rec.u[j - 1 : j - 1 + N])
 
-    def test_windows_are_read_only(self):
+    @pytest.mark.parametrize("f,p", [(4, 3), (1, 1), (10, 20)])
+    def test_windows_are_the_records_sliding_windows_read_only(self, f, p):
         rng = np.random.default_rng(9)
         rec = SignalRecord(u=rng.standard_normal(60), y=rng.standard_normal(60))
-        blocks = assemble_blocks(rec, f=4, p=3)
-        assert not blocks.Y.flags.writeable
-        assert not blocks.U.flags.writeable
+        blocks = assemble_blocks(rec, f=f, p=p)
+        for window, signal in ((blocks.Y, rec.y), (blocks.U, rec.u)):
+            want = sliding_window_view(signal, f + p)
+            assert (window.shape, window.strides) == (want.shape, want.strides)
+            np.testing.assert_array_equal(window, want)
+            assert np.shares_memory(window, signal)
+            assert not window.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                window[0, 0] = 1.0
 
     def test_excitation_of_order_f_plus_p(self):
         # Two sinusoids excite order 4: f + p = 4 passes, f + p = 5 does not.

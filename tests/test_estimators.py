@@ -1,8 +1,10 @@
+import gc
 import multiprocessing
 import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -646,6 +648,17 @@ class TestThreadedBank:
         assert bank_on_a_new_caller(blocks, h)[1] == want
         assert len(tried) == 3 and pool.threads == [tried[0], tried[2]]
         assert all(t.is_alive() for t in pool.threads)
+
+    def test_a_parked_helper_keeps_nothing_of_the_last_bank(self, monkeypatch):
+        pool = fresh_helpers(monkeypatch)
+        blocks, h = weighted_bank("example1", 0)
+        threads(monkeypatch, 2)
+        parsim_wls(blocks, h)
+        assert len(pool.threads) == 1 and pool.jobs.empty()
+        gone = weakref.ref(blocks)
+        del blocks
+        gc.collect()
+        assert gone() is None, "the parked helper still holds the bank's blocks"
 
     def test_a_bank_that_finds_the_helpers_held_runs_on_its_calling_thread(self, monkeypatch):
         pool = fresh_helpers(monkeypatch)

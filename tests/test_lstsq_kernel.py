@@ -23,6 +23,7 @@ from scipy.linalg.lapack import (
     dpotrs,
     dsyev,
     dtbtrs,
+    dtpqrt,
     dtrtri,
     dtrtrs,
 )
@@ -206,14 +207,31 @@ class TestNestedLstsq:
         X = rng.standard_normal((m, k))
         X[:, 3] = X[:, 0] + 1e-14 * np.linalg.norm(X[:, 0]) * rng.standard_normal(m) / np.sqrt(m)
         A = np.column_stack([X, rng.standard_normal(m)])
-        stand_in = np.vstack([np.linalg.qr(A[:-3], mode="r"), A[-3:]])
+        top = np.linalg.qr(A[:-3], mode="r")
+        stand_in = np.vstack([top, A[-3:]])
         assert NestedLstsq(stand_in.copy(), k).full_rank
-        ls = NestedLstsq(stand_in, k, m)
-        assert ls.m == m and not ls.full_rank
         want = np.linalg.lstsq(X, A[:, k], rcond=None)[0]
-        np.testing.assert_allclose(ls.regress(k, k), want, rtol=0, atol=TOL * np.linalg.norm(want))
         r = X @ want - A[:, k]
-        assert ls.rss(k) == pytest.approx(r @ r, rel=1e-12)
+        # The same stack, factored whole or by appending its last rows to its triangle.
+        for ls in (NestedLstsq(stand_in, k, m), NestedLstsq.appended(top, A[-3:], k, m)):
+            assert ls.m == m and not ls.full_rank
+            np.testing.assert_allclose(ls.regress(k, k), want, rtol=0, atol=TOL * np.linalg.norm(want))
+            assert ls.rss(k) == pytest.approx(r @ r, rel=1e-12)
+
+    @pytest.mark.parametrize("m,k,extra", [(200, 7, 5), (60, 41, 9), (40, 20, 1)])
+    def test_appended_rows_give_the_stacks_factor(self, m, k, extra):
+        # dtpqrt's R of [triangle; rows] is the stack's R up to row signs, and
+        # a Fortran-ordered triangle and rows are factored in place.
+        rng = np.random.default_rng(m + k)
+        top = np.asfortranarray(np.linalg.qr(rng.standard_normal((m, k + 1)), mode="r"))
+        rows = np.asfortranarray(rng.standard_normal((extra, k + 1)))
+        want = np.linalg.qr(np.vstack([top, rows]), mode="r")
+        ls = NestedLstsq.appended(top, rows, k, m + extra)
+        assert ls.R.flags.c_contiguous and not ls.R.flags.writeable
+        assert (ls.m, ls.k) == (m + extra, k) and ls.full_rank
+        signs = np.sign(np.diagonal(ls.R)) * np.sign(np.diagonal(want))
+        np.testing.assert_allclose(signs[:, None] * ls.R, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(np.tril(ls.R, -1), 0.0)
 
     @pytest.mark.parametrize("q,cols", [(24, 45), (24, slice(40, 50)), (40, slice(40, 60)), (39, 41)])
     def test_full_rank_regression_is_scipys_triangular_solve_bit_for_bit(self, q, cols):
@@ -391,6 +409,12 @@ class TestLapackWrappers:
         qr = dgeqrt(min(8, *buf.shape), buf, overwrite_a=True)[0]
         np.testing.assert_allclose(np.triu(qr).T @ np.triu(qr), self.A.T @ self.A, atol=1e-12)
 
+    def check_dtpqrt(self):
+        R, rows = np.asfortranarray(self.R), np.asfortranarray(self.A[:2])
+        got = dtpqrt(0, min(8, 3), R, rows, overwrite_a=True, overwrite_b=True)[0]
+        stack = np.vstack([self.R, self.A[:2]])
+        np.testing.assert_allclose(np.triu(got).T @ np.triu(got), stack.T @ stack, atol=1e-12)
+
     def check_dtrtri(self):
         inv, info = dtrtri(self.R.T, lower=1)
         assert info == 0
@@ -469,7 +493,7 @@ class TestLapackWrappers:
 
     @pytest.mark.parametrize(
         "name",
-        ["dgeqrt", "dtrtri", "dlange", "dtrtrs", "dsyev", "dpotrf", "dpotrs", "dpbtrf", "dtbtrs",
+        ["dgeqrt", "dtpqrt", "dtrtri", "dlange", "dtrtrs", "dsyev", "dpotrf", "dpotrs", "dpbtrf", "dtbtrs",
          "band_cholesky", "band_lower_solve", "band_lower_solve_non_unit", "symmetric_eigenvalues", "cholesky",
          "cholesky_solve"],
     )

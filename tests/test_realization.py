@@ -634,17 +634,7 @@ class TestPreparedRecord:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_one_record_factorization_per_identify_call(self, monkeypatch, method):
-        # Every NestedLstsq construction, through each module attribute that
-        # holds the name, with its row count.
-        built = []
-        original = arx_pre.NestedLstsq
-
-        for module in (data_blocks, estimators, arx_pre):
-            def counted(A, k, m=None, _module=module.__name__):
-                built.append((_module, A.shape[0]))
-                return original(A, k, m)
-
-            monkeypatch.setattr(module, "NestedLstsq", counted, raising=False)
+        built = count_factors(monkeypatch)
         _, rec = seed2_example1_record()
         identify(rec, RealizationConfig(n_x=3, f=10, p=20, method=method))
         N = len(rec) - 10 - 20 + 1
@@ -712,14 +702,7 @@ class TestPreparedRecord:
 
     def test_one_trial_prepares_its_record_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "assemble_blocks", "weight_w2", "fit_arx")
-        built = []
-        original = arx_pre.NestedLstsq
-        for module in (data_blocks, estimators, arx_pre):
-            def counted_ls(A, k, m=None, _module=module.__name__):
-                built.append((_module, A.shape[0]))
-                return original(A, k, m)
-
-            monkeypatch.setattr(module, "NestedLstsq", counted_ls, raising=False)
+        built = count_factors(monkeypatch)
         sc = example1_scenario(trials=1, methods=("parsim", "parsim_opt", "classical"))
         rows = benchmark._run_trial(sc, 0, 0)
         assert [r.failure for r in rows] == [None, None, None]
@@ -734,8 +717,8 @@ class TestPreparedRecord:
         ]
         assert not [b for b in built if b[0] == "parsimid.estimators"]
         # Every ARX factor is arx_pre's: AIC's on the window of its largest
-        # order, 30, and the order-p fit's, of the (2p + f)-row stack of the
-        # blocks' R and the last f - 1 samples; none of N - p rows.
+        # order, 30, and the order-p fit's, the (2p + 1)-row triangle of the
+        # blocks' R with the last f - 1 samples appended; none of N - p rows.
         assert [b for b in built if b[0] == "parsimid.arx_pre"] == [
             ("parsimid.arx_pre", sc.N - 30), ("parsimid.arx_pre", 2 * p + sc.f)
         ]
@@ -836,6 +819,29 @@ def count_calls(monkeypatch, *names):
 
         monkeypatch.setattr(realization, name, counted)
     return calls
+
+
+def count_factors(monkeypatch):
+    """Every NestedLstsq made through each module attribute that holds the name, as (module, rows factored).
+
+    A factor made by appending rows to a triangle counts the rows of the stack.
+    """
+    built = []
+    for module in (data_blocks, estimators, arx_pre):
+        class Counted(_lstsq.NestedLstsq):
+            where = module.__name__
+
+            def __init__(self, A, k, m=None):
+                built.append((self.where, A.shape[0]))
+                super().__init__(A, k, m)
+
+            @classmethod
+            def appended(cls, R, rows, k, m):
+                built.append((cls.where, R.shape[0] + rows.shape[0]))
+                return super().appended(R, rows, k, m)
+
+        monkeypatch.setattr(module, "NestedLstsq", Counted, raising=False)
+    return built
 
 
 def assert_same_bytes(got, want):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from parsimid import (
@@ -91,6 +93,31 @@ class TestObservability:
             np.testing.assert_allclose(
                 observability(m.A, m.C, 12), gamma_f(m.A, m.C, 12), rtol=1e-14, atol=0
             )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_x=st.integers(1, 11),
+        c_rows=st.sampled_from([1, 2]),
+        transposed=st.booleans(),
+        count=st.integers(1, 100),
+    )
+    def test_in_place_chain_is_the_stacked_products_bit_for_bit(self, seed, n_x, c_rows, transposed, count):
+        # The reference is the stack of products C A^(k-1) @ A built one by
+        # one; ``transposed`` passes a Fortran-ordered A and a C made as
+        # hstack([B, K]).T, as benchmark._minimal's controllability test does.
+        rng = np.random.default_rng(seed)
+        A = random_stable_model(rng, n_x=n_x).A
+        C = rng.standard_normal((c_rows, n_x))
+        if transposed:
+            A, C = A.T, np.hstack([rng.standard_normal((n_x, 1)) for _ in range(c_rows)]).T
+        rows = [C]
+        for _ in range(count - 1):
+            rows.append(rows[-1] @ A)
+        want = np.vstack(rows)
+        got = observability(A, C, count)
+        np.testing.assert_array_equal(got, want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_two_row_c_stacks_block_rows(self):
         A = np.array([[0.5, 1.0], [0.0, -0.25]])
