@@ -7,7 +7,7 @@ predictor-form method, plus a Monte Carlo benchmark harness.
 
 The package exports what the demos, the CLI, the benchmark (``bench/``)
 and the README use, plus the five error types; the imports below are the
-one declaration of these 44 names:
+one declaration of these 43 names:
 
 * errors: ``ParsimidError``, ``ConfigError``, ``DivergenceError``,
   ``ExcitationError``, ``RankError``;
@@ -17,7 +17,7 @@ one declaration of these 44 names:
 * the pipeline: ``RealizationConfig``, ``PreparedRecord``, ``identify``,
   ``METHODS``, ``select_order_aic``, ``default_aic_grid``, ``fit_arx``,
   ``InnovationsMarkov``, ``assemble_blocks``, ``parsim_ols``,
-  ``parsim_wls``, ``toeplitz_gram_band``, ``weight_w2``;
+  ``parsim_wls``, ``weight_w2``;
 * the benchmark: ``Scenario``, ``example1_scenario``,
   ``example2_scenario``, ``example3_scenario``, ``example1_system``,
   ``example2_system``, ``random_system``, ``gen_rbs``, ``fit_metric``,
@@ -61,7 +61,7 @@ from .errors import (
     ParsimidError,
     RankError,
 )
-from .estimators import METHODS, parsim_ols, parsim_wls, toeplitz_gram_band
+from .estimators import METHODS, parsim_ols, parsim_wls
 from .realization import (
     PreparedRecord,
     RealizationConfig,

@@ -13,10 +13,10 @@ has the singular values of any set of design columns, so their numerical
 rank needs no pass over the m rows.  ``NestedLstsq.regress`` reads every
 such fit and ``NestedLstsq.rss`` every RSS; the designs and their rules
 are the callers' (``data_blocks``, ``arx_pre``).  R is read-only, as
-every method identifying a record reads the same one.  A smaller matrix
-with a design's Gram has its R up to row signs, and stands in for it
-given the design's row count m, which sets the cutoff and the certificate;
-so does the R of a triangle with rows appended (``NestedLstsq.appended``).
+every method identifying a record reads the same one.  A triangle with
+rows appended (``NestedLstsq.appended``) has a taller design's Gram, so
+its R is that design's up to row signs, and stands in for it given the
+design's row count m, which sets the cutoff and the certificate.
 
 :func:`gram_solve` answers the same minimum-norm question on the Gram
 G = W'W of a tall W, whose eigenvalues are the singular values of the
@@ -244,12 +244,12 @@ def full_rank_lstsq(M: np.ndarray, T: np.ndarray, what: str) -> tuple[np.ndarray
 class NestedLstsq:
     """One QR (LAPACK ``dgeqrt``) of the (m, k + t) design A = [X | T], whose first k columns are X.
 
-    ``m`` is the design's row count, A's own unless given: an A that stands
-    in for a taller design with the same Gram is given the design's.
-    :meth:`appended` makes one from a triangular factor and rows to append.
+    ``m`` is the design's row count.  :meth:`appended` makes one from a
+    triangular factor and rows to append, which stands in for a taller
+    design with the same Gram and is given that design's m.
     """
 
-    def __init__(self, A: np.ndarray, k: int, m: int | None = None):
+    def __init__(self, A: np.ndarray, k: int):
         # dgeqrt, the compact-WY QR with recursive panels (Elmroth & Gustavson
         # 2000), in blocks of nb = 8 columns.  On the library's designs, about
         # 1000-2000 rows by 15-86 columns, it takes 0.44-0.57x the time of
@@ -258,7 +258,7 @@ class NestedLstsq:
         # Fortran-ordered float64 A is factored in place, so the caller's
         # buffer is overwritten; any other A is copied first.
         qr = dgeqrt(min(8, *A.shape), A, overwrite_a=True)[0]
-        self._hold(np.triu(qr[: qr.shape[1]]), k, A.shape[0] if m is None else m)
+        self._hold(np.triu(qr[: qr.shape[1]]), k, A.shape[0])
 
     @classmethod
     def appended(cls, R: np.ndarray, rows: np.ndarray, k: int, m: int) -> "NestedLstsq":

@@ -316,15 +316,17 @@ def monte_carlo(sc: Scenario, master_seed: int, jobs: int = 1) -> BenchReport:
     Individual trial failures are recorded per row and never abort the
     run.  Each row's failure reads "{stage}: {message}": ``data`` or
     ``aic`` for a failure before the methods run, which fills every
-    method's row, else ``identify``'s stage.  Results are independent of
-    ``jobs`` because every trial is a pure function of
-    (scenario, master_seed, trial index).  ``master_seed`` is an integer
-    >= 0 and ``jobs`` one >= 1, else ConfigError.
+    method's row, else ``identify``'s stage.  The trials run on
+    min(jobs, trials) worker processes, or serially when that is 1.
+    Results are independent of ``jobs`` because every trial is a pure
+    function of (scenario, master_seed, trial index).  ``master_seed`` is
+    an integer >= 0 and ``jobs`` one >= 1, else ConfigError.
     """
     master_seed, jobs = _integer(master_seed, "master seed", 0), _integer(jobs, "jobs", 1)
     args = (repeat(sc), repeat(master_seed), range(sc.trials))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, sc.trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_run_trial, *args))
     else:
         per_trial = list(map(_run_trial, *args))

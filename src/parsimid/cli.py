@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     mark.add_argument("--seed", type=int, default=0)
     mark.add_argument("--methods", default=None,
                       help="comma-separated subset, e.g. parsim,parsim-opt")
-    mark.add_argument("--jobs", type=int, default=1, help="worker processes for trials")
+    mark.add_argument("--jobs", type=int, default=1, help="worker processes for trials, at most one per trial")
     mark.add_argument("--out", dest="out_path", required=True, metavar="DIR")
     return parser
 

@@ -25,18 +25,17 @@ of [Y_p; U_p; U_f], so the one QR of the design [Y_p' U_p' U_f' Y_f'] that
 :func:`data_blocks.assemble_blocks` makes (``blocks.ls``) answers the OLS
 rows, WLS row 1, the projection (by Frisch-Waugh-Lovell) and SSARX.  WLS
 rows 2..f each fill the band of T'T from its diagonals, which the calling
-thread computes for every row before the rows start (``_gram_diagonals``,
-which :func:`toeplitz_gram_band` also reads), factor it as L L' once, in
-place (LAPACK ``dpbtrf``), whiten the row's regressor and target columns,
-read from the record's windows (``blocks.Y``, ``blocks.U``), into the
-leading columns of one workspace per thread with one banded triangular
-sweep W = L^(-1) [Z' y'] (``dtbtrs``: a row of bandwidth below
-``_UNSCALED_BAND`` sweeps the unit-diagonal factor D^(-1) L, D = diag(L),
-with the columns divided by D as they are copied in, and a wider row
-sweeps L as it stands over the columns as they are), and solve on the
-small Gram W'W by :func:`_lstsq.gram_solve`: its eigenvalues give the
-rank and condition, and a full-rank Gram is solved by Cholesky and
-refined once against W.  The rows are independent and run on one thread
+thread computes for every row before the rows start (``_gram_diagonals``),
+factor it as L L' once, in place (LAPACK ``dpbtrf``), whiten the row's
+regressor and target columns, read from the record's windows
+(``blocks.Y``, ``blocks.U``), into the leading columns of one workspace
+per thread with one banded triangular sweep W = L^(-1) [Z' y']
+(``dtbtrs``: a row of bandwidth below ``_UNSCALED_BAND`` sweeps the
+unit-diagonal factor D^(-1) L, D = diag(L), with the columns divided by
+D as they are copied in, and a wider row sweeps L as it stands over the
+columns as they are), and solve on the small Gram W'W by
+:func:`_lstsq.gram_solve`: its eigenvalues give the rank and condition,
+and a full-rank Gram is solved by Cholesky and refined once against W.  The rows are independent and run on one thread
 per usable CPU (the process's affinity set), at most one per row: the
 calling thread and the process's helper threads (``_Helpers``), which
 the first threaded bank starts, every later one reuses, and which park
@@ -67,7 +66,6 @@ from ._lstsq import band_cholesky, band_lower_solve, gram_solve
 from .arx_pre import InnovationsMarkov, PredictorMarkov
 from .data_blocks import DataBlocks
 from .errors import ConfigError, RankError
-from .ss_model import _freeze, _integer
 
 METHODS = ("parsim", "parsim_opt", "classical", "ssarx")
 
@@ -99,32 +97,18 @@ class RangeEstimate:
     gram_cond: tuple[float, ...] = ()
 
 
-def toeplitz_gram_band(h, i: int, N: int) -> np.ndarray:
-    """Upper-banded LAPACK storage of T'T (as ``solveh_banded`` reads it), a view of the lower band.
+def _gram_diagonals(h: np.ndarray, rows) -> list[np.ndarray]:
+    """For each bank row i of ``rows``, the i diagonals of its T'T.
 
     T, (N + i - 1) x N, maps a white innovations row onto row i's noise:
-    column j carries [H_{i-1}, ..., H_1, H_0 = 1] in rows j..j+i-1.  T'T
+    column j carries [H_{i-1}, ..., H_1, H_0 = 1] in rows j..j+i-1, so T'T
     is symmetric positive definite, banded with bandwidth i - 1, and
-    Toeplitz: diagonal d holds sum_{m=d..i-1} H_m H_{m-d}.  The band is
-    the WLS bank's, from the same diagonals: one Fortran-ordered lower band
-    (row d holds diagonal d), which ``dpbtrf`` factors in place and faster
-    than the upper; as every diagonal is constant, its rows reversed, the
-    view returned, are the upper storage.
-    """
-    i, N = _integer(i, "bank row", 1), _integer(N, "N", 1)
-    band = np.empty((i, N), order="F")
-    band[:] = _gram_diagonals(_freeze(h, "h", -1), (i,))[0][:, None]
-    return band[::-1]
-
-
-def _gram_diagonals(h: np.ndarray, rows) -> list[np.ndarray]:
-    """For each bank row i of ``rows``, the i diagonals of its T'T (see :func:`toeplitz_gram_band`).
-
-    ``h`` is a converted [H_1, H_2, ...]; lags past its end count as 0.
-    With b = [H_0, H_1, ...], diagonal d of row i is the sum of
-    b[m - d] b[m] over m = d..i-1: the running sums of row d of
+    Toeplitz.  ``h`` is a converted [H_1, H_2, ...]; lags past its end
+    count as 0.  With b = [H_0, H_1, ...], diagonal d of row i is the sum
+    of b[m - d] b[m] over m = d..i-1: the running sums of row d of
     triu(toeplitz(b)) * b, read at column i - 1, give every row's at once,
-    each added in the order of the dot product b[d:i] @ b[:i - d].
+    each added one term at a time from m = d up, b[0] b[d] + b[1] b[d+1]
+    + ... + b[i-1-d] b[i-1].
     """
     top = max(rows, default=1)
     h = h[: top - 1]

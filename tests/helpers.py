@@ -22,7 +22,6 @@ from parsimid import (
     SignalRecord,
     StateSpaceModel,
     simulate,
-    toeplitz_gram_band,
 )
 from parsimid.benchmark import example1_system, example2_system
 from parsimid.data_blocks import _hankel_design
@@ -91,6 +90,30 @@ def noise_toeplitz(h, i, N):
     band = np.r_[np.asarray(h, dtype=float)[: i - 1][::-1], 1.0]
     T = toeplitz(np.r_[band, np.zeros(N - 1)], np.r_[band[0], np.zeros(N - 1)])
     return T, band
+
+
+def toeplitz_gram_band(h, i, N):
+    """Upper-banded LAPACK storage of row i's T'T (as ``solveh_banded`` reads it), a view of the lower band.
+
+    T is :func:`noise_toeplitz`'s; lags past the end of ``h`` count as 0.
+    With b = [H_0 = 1, H_1, ...], diagonal d of T'T is b[0] b[d] +
+    b[1] b[d+1] + ... + b[i-1-d] b[i-1], summed here one term at a time from
+    the first, as ``estimators._gram_diagonals`` adds it.  The band is one
+    Fortran-ordered lower band (row d holds diagonal d), as the WLS bank
+    factors it; as every diagonal is constant, its rows reversed, the view
+    returned, are the upper storage.
+    """
+    b = np.zeros(i)
+    b[0] = 1.0
+    h = np.asarray(h, dtype=float).ravel()[: i - 1]
+    b[1 : 1 + h.size] = h
+    band = np.empty((i, N), order="F")
+    for d in range(i):
+        total = 0.0
+        for m in range(d, i):
+            total += b[m - d] * b[m]
+        band[d] = total
+    return band[::-1]
 
 
 def toeplitz_gf(m: StateSpaceModel, f: int):

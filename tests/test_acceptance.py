@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 import parsimid as ps
-from parsimid import markov_h, toeplitz_gram_band
+from parsimid import markov_h
 from parsimid.arx_pre import PredictorMarkov, predictor_to_innovations
 from parsimid.benchmark import (
     example1_scenario,
@@ -22,7 +22,7 @@ from parsimid.benchmark import (
     example2_scenario,
 )
 
-from helpers import child_env, noise_toeplitz, random_stable_model
+from helpers import child_env, noise_toeplitz, random_stable_model, toeplitz_gram_band
 
 
 def _report(num, text):

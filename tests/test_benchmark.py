@@ -355,6 +355,32 @@ class TestMonteCarlo:
         parallel = monte_carlo(sc, master_seed=4, jobs=2)
         assert [row_key(r) for r in serial.rows] == [row_key(r) for r in parallel.rows]
 
+    @pytest.mark.parametrize("jobs,trials,workers", [(4, 1, None), (8, 3, 3), (2, 4, 2)])
+    def test_workers_are_capped_at_the_trial_count(self, monkeypatch, jobs, trials, workers):
+        # A fork pool starts all of its workers at the first submit, so it
+        # gets one per trial at most, and a lone trial runs in this process.
+        # The recorder maps serially and starts no process.
+        pools = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(benchmark, "ProcessPoolExecutor", Recorder)
+        sc = example1_scenario(N=300, trials=trials, methods=("parsim",))
+        rows = monte_carlo(sc, 0, jobs=jobs).rows
+        assert pools == ([] if workers is None else [workers])
+        assert [row_key(r) for r in rows] == [row_key(r) for r in monte_carlo(sc, 0, jobs=1).rows]
+
 
 class TestWriters:
     def test_trials_csv_header_and_determinism(self, tmp_path):

@@ -28,7 +28,6 @@ from parsimid import (
     parsim_wls,
     select_order_aic,
     simulate,
-    toeplitz_gram_band,
 )
 from parsimid import _lstsq, estimators
 from parsimid.arx_pre import PredictorMarkov, predictor_to_innovations
@@ -43,6 +42,7 @@ from helpers import (
     random_stable_model,
     ref_parsim_wls,
     row_blocks,
+    toeplitz_gram_band,
 )
 
 
@@ -111,12 +111,14 @@ class TestNoiseToeplitz:
 
     def test_bank_diagonals_are_the_bands_of_each_row(self):
         # parsim_wls takes every row's diagonals in one call; each is the
-        # band toeplitz_gram_band makes for that row alone, bit for bit.
-        h = InnovationsMarkov(h=np.random.default_rng(2).standard_normal(6)).h
-        rows = list(range(2, 13))  # past the end of h too
-        for i, diagonals in zip(rows, estimators._gram_diagonals(h, rows)):
-            band = toeplitz_gram_band(h, i, 30)[::-1]
-            assert band.tobytes() == np.repeat(diagonals[:, None], 30, axis=1).tobytes()
+        # band that helpers.toeplitz_gram_band sums term by term for that
+        # row alone, bit for bit, rows past the end of h included.
+        rng, rows = np.random.default_rng(2), list(range(2, 26))
+        for size in (6, *rng.integers(1, 25, size=40)):
+            h = InnovationsMarkov(h=rng.standard_normal(size)).h
+            for i, diagonals in zip(rows, estimators._gram_diagonals(h, rows)):
+                band = toeplitz_gram_band(h, i, 3)[::-1]
+                assert band.tobytes() == np.repeat(diagonals[:, None], 3, axis=1).tobytes()
 
 
 class TestParsimOls:

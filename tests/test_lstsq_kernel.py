@@ -38,7 +38,6 @@ from parsimid import (
     parsim_ols,
     parsim_wls,
     select_order_aic,
-    toeplitz_gram_band,
 )
 from parsimid import _lstsq, estimators
 from parsimid._lstsq import (
@@ -63,6 +62,7 @@ from helpers import (
     ref_parsim_ols,
     ref_select_order_aic,
     ref_solve_arx,
+    toeplitz_gram_band,
     two_sine_record,
 )
 
@@ -199,24 +199,22 @@ class TestNestedLstsq:
 
     def test_a_stand_in_takes_the_design_row_count(self):
         # The same near-collinear design, given as the R factor of its first
-        # rows stacked with its last three.  The stand-in's R is the design's,
-        # and with the design's m it drops the direction as lstsq does; with
-        # its own 7 rows the cutoff would keep it.
+        # rows with its last three appended.  The stand-in's R is the
+        # design's, and with the design's m it drops the direction as lstsq
+        # does; factored as a design of its own 7 rows, the cutoff keeps it.
         rng = np.random.default_rng(2)
         m, k = 2000, 4
         X = rng.standard_normal((m, k))
         X[:, 3] = X[:, 0] + 1e-14 * np.linalg.norm(X[:, 0]) * rng.standard_normal(m) / np.sqrt(m)
         A = np.column_stack([X, rng.standard_normal(m)])
         top = np.linalg.qr(A[:-3], mode="r")
-        stand_in = np.vstack([top, A[-3:]])
-        assert NestedLstsq(stand_in.copy(), k).full_rank
+        assert NestedLstsq(np.vstack([top, A[-3:]]), k).full_rank
         want = np.linalg.lstsq(X, A[:, k], rcond=None)[0]
         r = X @ want - A[:, k]
-        # The same stack, factored whole or by appending its last rows to its triangle.
-        for ls in (NestedLstsq(stand_in, k, m), NestedLstsq.appended(top, A[-3:], k, m)):
-            assert ls.m == m and not ls.full_rank
-            np.testing.assert_allclose(ls.regress(k, k), want, rtol=0, atol=TOL * np.linalg.norm(want))
-            assert ls.rss(k) == pytest.approx(r @ r, rel=1e-12)
+        ls = NestedLstsq.appended(top, A[-3:], k, m)
+        assert ls.m == m and not ls.full_rank
+        np.testing.assert_allclose(ls.regress(k, k), want, rtol=0, atol=TOL * np.linalg.norm(want))
+        assert ls.rss(k) == pytest.approx(r @ r, rel=1e-12)
 
     @pytest.mark.parametrize("m,k,extra", [(200, 7, 5), (60, 41, 9), (40, 20, 1)])
     def test_appended_rows_give_the_stacks_factor(self, m, k, extra):

@@ -831,9 +831,9 @@ def count_factors(monkeypatch):
         class Counted(_lstsq.NestedLstsq):
             where = module.__name__
 
-            def __init__(self, A, k, m=None):
+            def __init__(self, A, k):
                 built.append((self.where, A.shape[0]))
-                super().__init__(A, k, m)
+                super().__init__(A, k)
 
             @classmethod
             def appended(cls, R, rows, k, m):

@@ -21,7 +21,6 @@ from parsimid import (
     model_to_dict,
     save_model,
     simulate,
-    toeplitz_gram_band,
 )
 from parsimid.arx_pre import PredictorMarkov
 from parsimid.benchmark import EXAMPLE2_GAMMA, example1_system, example2_system
@@ -275,9 +274,8 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "name",
-        [*"ABCDK", "u", "y", "h_bar", "g_bar", "h", "simulate-u", "simulate-e", "toeplitz_gram_band-h",
-         "fit_metric-g_o", "fit_metric-g_hat",
-         "error_g-G_hat", "error_g-G_true"],
+        [*"ABCDK", "u", "y", "h_bar", "g_bar", "h", "simulate-u", "simulate-e",
+         "fit_metric-g_o", "fit_metric-g_hat", "error_g-G_hat", "error_g-G_true"],
     )
     def test_non_finite_entries_rejected(self, name, bad):
         # Every value type, and every function taking a signal or weight, takes
@@ -292,7 +290,6 @@ class TestValidation:
             "h": lambda v: InnovationsMarkov(h=[0.5, v, 0.1]),
             "simulate-u": lambda v: simulate(example1_system(), [0.0, v, 0.0, 1.0]),
             "simulate-e": lambda v: simulate(example1_system(), np.ones(4), [0.0, v, 0.0, 0.0]),
-            "toeplitz_gram_band-h": lambda v: toeplitz_gram_band([v], 2, 3),
             "fit_metric-g_o": lambda v: fit_metric([1.0, v], [1.0, 0.0]),
             "fit_metric-g_hat": lambda v: fit_metric([1.0, 0.0], [1.0, v]),
             "error_g-G_hat": lambda v: error_g([1.0, v], [1.0, 0.0]),

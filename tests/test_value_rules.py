@@ -45,7 +45,6 @@ from parsimid import (
     random_system,
     select_order_aic,
     simulate,
-    toeplitz_gram_band,
     write_aggregates_json,
 )
 from parsimid.arx_pre import PredictorMarkov, max_arx_order
@@ -77,8 +76,6 @@ INTEGERS = {
     "max_arx_order": (max_arx_order, "record length", 1, 250),
     "assemble_blocks-f": (lambda v: _blocks(v, 8), "future horizon", 1, 10),
     "assemble_blocks-p": (lambda v: _blocks(10, v), "past horizon", 1, 8),
-    "toeplitz_gram_band-i": (lambda v: toeplitz_gram_band([0.5, 0.2, 0.1], v, 20), "bank row", 1, 3),
-    "toeplitz_gram_band-N": (lambda v: toeplitz_gram_band([0.5, 0.2, 0.1], 3, v), "N", 1, 20),
     "RealizationConfig-n_x": (lambda v: RealizationConfig(n_x=v, f=10, p=8), "n_x", 1, 3),
     "RealizationConfig-f": (lambda v: RealizationConfig(n_x=3, f=v, p=8), "future horizon", 2, 10),
     "RealizationConfig-p": (lambda v: RealizationConfig(n_x=3, f=10, p=v), "past horizon", 1, 8),
@@ -111,7 +108,6 @@ CONVERSIONS = {
     "PredictorMarkov-h_bar": (lambda v: PredictorMarkov(h_bar=v, g_bar=[1.0, 0.0], residual_variance=1.0), "h_bar"),
     "PredictorMarkov-g_bar": (lambda v: PredictorMarkov(h_bar=[0.5, 0.1], g_bar=v, residual_variance=1.0), "g_bar"),
     "InnovationsMarkov": (lambda v: InnovationsMarkov(h=v), "h"),
-    "toeplitz_gram_band": (lambda v: toeplitz_gram_band(v, 2, 3), "h"),
     "fit_metric-g_o": (lambda v: fit_metric(v, [1.0, 0.0]), "g_o"),
     "fit_metric-g_hat": (lambda v: fit_metric([1.0, 0.0], v), "g_hat"),
     "error_g-G_hat": (lambda v: error_g(v, [1.0, 0.0]), "G_hat"),
