@@ -43,6 +43,8 @@ from parsimid import (
     monte_carlo,
     parsim_wls,
     random_system,
+    run_error_vs_n,
+    run_joint_fit,
     select_order_aic,
     simulate,
     write_aggregates_json,
@@ -62,6 +64,19 @@ def _blocks(f, p):
 
 def _small_run(master_seed=1, jobs=1):
     return monte_carlo(example1_scenario(N=300, trials=1, methods=("parsim",)), master_seed, jobs)
+
+
+def _scenario(f=10, n_x=3):
+    return Scenario(
+        name="s", system_source="example1", N=300, f=f, n_x=n_x, noise_variance=4.0, trials=1, methods=("parsim",)
+    )
+
+
+def _sweep(run, trials=1, master_seed=0, jobs=1):
+    # The two studies take the same trials, master seed and jobs as one
+    # Monte Carlo run; the error-versus-N sweep at a single short record.
+    sizes = {"n_values": (300,)} if run is run_error_vs_n else {}
+    return run(**sizes, trials=trials, master_seed=master_seed, methods=("parsim",), jobs=jobs)
 
 
 # (entry point, what its message names the value, lower bound, a valid value)
@@ -85,8 +100,15 @@ INTEGERS = {
     "gen_rbs-seed": (lambda v: gen_rbs(50, 0.1, v), "seed", 0, 4),
     "Scenario-N": (lambda v: example1_scenario(N=v), "record length", 1, 2000),
     "Scenario-trials": (lambda v: example1_scenario(trials=v), "trials", 1, 3),
+    "Scenario-n_x": (lambda v: _scenario(n_x=v), "n_x", 1, 3),
+    "Scenario-f": (lambda v: _scenario(f=v), "future horizon", 2, 10),
     "monte_carlo-master_seed": (lambda v: _small_run(master_seed=v), "master seed", 0, 1),
     "monte_carlo-jobs": (lambda v: _small_run(jobs=v), "jobs", 1, 1),
+    **{
+        f"{run.__name__}-{arg}": (lambda v, run=run, arg=arg: _sweep(run, **{arg: v}), what, low, 1)
+        for run in (run_error_vs_n, run_joint_fit)
+        for arg, what, low in (("trials", "trials", 1), ("master_seed", "master seed", 0), ("jobs", "jobs", 1))
+    },
 }
 
 # (entry point, what its message names the value)
